@@ -6,12 +6,11 @@ L_j per slope (ascending), each layer a product of r_j factors
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonRationalExponent, PlanMismatch, UnknownLeadingTerm, VerificationError
-from .hahn import HahnSeries, hs, series_from_json
+from .hahn import HahnSeries, forward_solve, series_from_json
 from .newton import analyze
 from .operator import MahlerOperator
 
@@ -78,46 +77,9 @@ def slope_zero_unit_solution(M, c, ceiling):
         raise ValueError("slope-zero edge does not start at the order-0 vertex")
     if sum(heads):
         raise ValueError("%s is not a root of the slope-zero characteristic polynomial" % c)
-    mults = [i for i in range(1, len(bs)) if heads[i]]
-    tails = [tuple((e, v) for e, v in bi.terms if 0 < e < cap) for bi in bs]
-
-    hvals = {Fraction(0): Fraction(1)}
-    queue = []
-    seen = set()
-
-    def push(e):
-        if e < cap and e not in seen:
-            seen.add(e)
-            heapq.heappush(queue, e)
-
-    for tail in tails:
-        for e, _ in tail:
-            push(e)
-    while queue:
-        g = heapq.heappop(queue)
-        acc = Fraction(0)
-        for i in mults:
-            v = hvals.get(g / p ** i)
-            if v is not None:
-                acc += heads[i] * v
-        for i, tail in enumerate(tails):
-            q = p ** i
-            for e, coe in tail:
-                if e > g:
-                    break
-                v = hvals.get((g - e) / q)
-                if v is not None:
-                    acc += coe * v
-        if acc:
-            hvals[g] = -acc / b00
-        for i in mults:
-            push(p ** i * g)
-        for i, tail in enumerate(tails):
-            q = p ** i
-            for e, _ in tail:
-                push(e + q * g)
-
-    h = hs(hvals, [(Fraction(0), cap)])
+    taps = [(Fraction(0), p ** i, heads[i]) for i in range(1, len(bs)) if heads[i]]
+    taps += [(e, p ** i, v) for i, bi in enumerate(bs) for e, v in bi.terms if 0 < e < cap]
+    h = forward_solve(Fraction(1), b00, taps, cap)
     residual = M.gauge_exp(c).apply(h)
     if not residual.is_zero() or residual.mask.empty:
         raise VerificationError("unit solution does not annihilate the operator")

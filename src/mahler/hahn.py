@@ -14,9 +14,11 @@ Instances are immutable by convention and safe to share.
 """
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_left
 from fractions import Fraction
 
-from .errors import UnknownLeadingTerm, ZeroDivisor, ZeroSeries
+from .errors import MahlerError, UnknownLeadingTerm, ZeroDivisor, ZeroSeries
 
 NEG = float("-inf")
 POS = float("inf")
@@ -302,7 +304,14 @@ class HahnSeries:
         return _build(terms, _iv_union(inside, outside))
 
     def invert(self, ceiling):
-        """Multiplicative inverse, certified as far as `ceiling` lets it be."""
+        """Multiplicative inverse, certified on (-inf, min(ceiling, first gap) - 2v).
+
+        With v the valuation and c the leading coefficient, the inverse is
+        z**-v w for the forward solution w of c w_0 = 1 and
+        c w_g + sum_(e > 0) f_(v+e) w_(g-e) = 0.  Nothing above the window is
+        certified: islands of this series' mask beyond its first gap carry no
+        certificate into the inverse.  An exact monomial inverts exactly.
+        """
         if not self.terms:
             raise ZeroDivisor("cannot invert a series with no certified nonzero term")
         try:
@@ -313,19 +322,9 @@ class HahnSeries:
         inv_c = 1 / c
         if len(self.terms) == 1 and self.mask.extended == _FULL:
             return _build([(-v, inv_c)], _FULL)
-        one = _build([(Fraction(0), c * inv_c)], _FULL)
-        t = self.shift(-v).scale(inv_c) - one
-        bound = Fraction(ceiling) - v
-        fp = t.first_possible()
-        assert fp > 0
-        total, power, m = one, one, 0
-        while m * fp <= bound:
-            m += 1
-            power = hs_mul(power, -t).cap(bound)
-            total = total + power
-            if power.is_exact_zero():
-                break
-        return total.cap(bound).shift(-v).scale(inv_c)
+        cap = min(Fraction(ceiling), self.mask.first_gap()) - v
+        taps = [(e - v, 1, a) for e, a in self.terms[1:]]
+        return forward_solve(inv_c, c, taps, cap).shift(-v)
 
     # -- comparisons ----------------------------------------------------------
 
@@ -395,10 +394,52 @@ def monomial(e, c=Fraction(1)):
     return _build([(Fraction(e), _coeff(c))], _FULL)
 
 
+def forward_solve(one, lead, taps, cap):
+    """Series w, exact on (-inf, cap), with w_0 = one and
+
+        lead * w_g + sum over taps (e, k, a) of a * w_((g - e)/k) = 0
+
+    at every g > 0.  Every tap must move forward (e >= 0, k >= 1,
+    not both e = 0 and k = 1), so w is supported on the closure of {0} under
+    g -> k*g + e and each w_g depends only on smaller exponents.  Exponents
+    are settled in increasing order from a heap; a settled nonzero w_g
+    scatters its contributions to the exponents it reaches below cap.
+    """
+    rows = {}
+    for e, k, a in taps:
+        if e < 0 or k < 1 or (not e and k == 1):
+            raise MahlerError("tap (%s, %s) does not move the recursion forward" % (e, k))
+        rows.setdefault(k, []).append((e, a))
+    rows = [(k, sorted(row, key=lambda t: t[0])) for k, row in rows.items()]
+    inv = 1 / lead
+    w, pending, heap = {}, {}, []
+    g, v = Fraction(0), one
+    while True:
+        if v:
+            w[g] = v
+            for k, row in rows:
+                base = k * g
+                for e, a in row:
+                    t = base + e
+                    if t >= cap:
+                        break
+                    s = pending.get(t)
+                    if s is not None:
+                        pending[t] = s + a * v
+                    elif t != g:  # t == g only for e = 0 taps at the base g = 0
+                        pending[t] = a * v
+                        heapq.heappush(heap, t)
+        if not heap:
+            return _build(w.items(), [(NEG, cap)])
+        g = heapq.heappop(heap)
+        v = -pending.pop(g) * inv
+
+
 def hs_mul(f, g):
     """Product.  A coefficient of f*g is certified unless it can receive a
     contribution involving an uncertified coefficient: the uncertified region
-    of one factor shifted by any possible support point of the other."""
+    of one factor shifted by any possible support point of the other.  Pairs
+    at or above the top of the certified region are never formed."""
     fe, ge = f.mask.extended, g.mask.extended
     if not fe or not ge:
         return _build((), ())
@@ -408,18 +449,24 @@ def hs_mul(f, g):
         return g.shift(f.terms[0][0]).scale(f.terms[0][1])
     if len(g.terms) == 1 and ge == _FULL:
         return f.shift(g.terms[0][0]).scale(g.terms[0][1])
-    acc = {}
-    for e1, c1 in f.terms:
-        for e2, c2 in g.terms:
-            e = e1 + e2
-            v = c1 * c2
-            s = acc.get(e)
-            acc[e] = v if s is None else s + v
     unc_f, unc_g = _iv_diff(_FULL, fe), _iv_diff(_FULL, ge)
     poll = _mul_pollution(unc_f, g) + _mul_pollution(unc_g, f)
     if unc_f and unc_g:
         poll.append((unc_f[0][0] + unc_g[0][0], POS))
-    return _build(acc.items(), _iv_diff(_FULL, _iv_norm(poll)))
+    ext = _iv_diff(_FULL, _iv_norm(poll))
+    top = ext[-1][1]
+    g_exps = [e for e, _ in g.terms]
+    acc = {}
+    for e1, c1 in f.terms:
+        n = bisect_left(g_exps, top - e1)
+        if not n:
+            break
+        for e2, c2 in g.terms[:n]:
+            e = e1 + e2
+            v = c1 * c2
+            s = acc.get(e)
+            acc[e] = v if s is None else s + v
+    return _build(acc.items(), ext)
 
 
 def _mul_pollution(unc, g):
@@ -440,32 +487,8 @@ def hs_add(f, g):
     return f + g
 
 
-def hs_mal(f, k, p):
-    return f.mal(k, p)
-
-
-def hs_monomial_mul(f, coeff, exp):
-    return f.shift(exp).scale(coeff)
-
-
-def hs_invert(f, ceiling):
-    return f.invert(ceiling)
-
-
-def hs_val(f):
-    return f.val()
-
-
-def hs_cld(f):
-    return f.cld()
-
-
 def hs_eq_on_mask(f, g):
     return f.eq_on_mask(g)
-
-
-def hs_map_coeffs(f, fn):
-    return f.map_coeffs(fn)
 
 
 def series_from_json(data, coeff=Fraction):

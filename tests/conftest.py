@@ -8,8 +8,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from mahler.errors import UnknownLeadingTerm, ZeroDivisor
 from mahler.fields import Poly, RatFun
-from mahler.hahn import hs
+from mahler.hahn import (_FULL, POS, _build, _iv_diff, _iv_norm, _mul_pollution,
+                         hs)
 from mahler.operator import MahlerOperator
 
 
@@ -37,6 +39,59 @@ def brute_conv(f, g):
             e = e1 + e2
             out[e] = out.get(e, 0) + c1 * c2
     return {e: v for e, v in out.items() if v}
+
+
+def reference_mul(f, g):
+    """Product forming every pair of stored terms before the mask drops any.
+
+    Same mask rule as hs_mul; only the product loop is unbounded."""
+    fe, ge = f.mask.extended, g.mask.extended
+    if not fe or not ge:
+        return _build((), ())
+    if (not f.terms and fe == _FULL) or (not g.terms and ge == _FULL):
+        return _build((), _FULL)
+    if len(f.terms) == 1 and fe == _FULL:
+        return g.shift(f.terms[0][0]).scale(f.terms[0][1])
+    if len(g.terms) == 1 and ge == _FULL:
+        return f.shift(g.terms[0][0]).scale(g.terms[0][1])
+    acc = {}
+    for e1, c1 in f.terms:
+        for e2, c2 in g.terms:
+            e = e1 + e2
+            acc[e] = acc.get(e, 0) + c1 * c2
+    unc_f, unc_g = _iv_diff(_FULL, fe), _iv_diff(_FULL, ge)
+    poll = _mul_pollution(unc_f, g) + _mul_pollution(unc_g, f)
+    if unc_f and unc_g:
+        poll.append((unc_f[0][0] + unc_g[0][0], POS))
+    return _build(acc.items(), _iv_diff(_FULL, _iv_norm(poll)))
+
+
+def geometric_invert(f, ceiling):
+    """Inverse as the geometric series c**-1 z**-v sum_m (-t)**m with
+    f = c z**v (1 + t), each power a full product capped at the ceiling."""
+    if not f.terms:
+        raise ZeroDivisor("cannot invert a series with no certified nonzero term")
+    try:
+        v = f.val()
+    except UnknownLeadingTerm:
+        raise ZeroDivisor("cannot invert: leading term not certified")
+    c = f.terms[0][1]
+    inv_c = 1 / c
+    if len(f.terms) == 1 and f.mask.extended == _FULL:
+        return _build([(-v, inv_c)], _FULL)
+    one = _build([(Fraction(0), c * inv_c)], _FULL)
+    t = f.shift(-v).scale(inv_c) - one
+    bound = Fraction(ceiling) - v
+    fp = t.first_possible()
+    assert fp > 0
+    total, power, m = one, one, 0
+    while m * fp <= bound:
+        m += 1
+        power = reference_mul(power, -t).cap(bound)
+        total = total + power
+        if power.is_exact_zero():
+            break
+    return total.cap(bound).shift(-v).scale(inv_c)
 
 
 def apply_brute(L, f):

@@ -4,11 +4,27 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_conv
-from mahler.errors import UnknownLeadingTerm, ZeroDivisor, ZeroSeries
-from mahler.hahn import (NEG, POS, HahnSeries, Mask, hs, hs_eq_on_mask, monomial,
-                         one, series_from_json, zero)
-from mahler.testing import rand_series
+from conftest import brute_conv, geometric_invert, reference_mul
+from mahler.errors import MahlerError, UnknownLeadingTerm, ZeroDivisor, ZeroSeries
+from mahler.hahn import (NEG, POS, HahnSeries, Mask, _iv_diff, forward_solve, hs,
+                         hs_eq_on_mask, hs_mul, monomial, one, series_from_json, zero)
+from mahler.testing import rand_param_series, rand_rational, rand_series
+
+
+def rand_masked(rng, f):
+    """f exact, capped (one interval), holed (several) or with an empty mask."""
+    lo = f.terms[0][0]
+    cut = lo + Fraction(rng.randint(0, 8), rng.randint(1, 3))
+    kind = rng.choice(("exact", "cap", "hole", "hole", "holes", "empty"))
+    if kind == "cap":
+        return f.cap(cut)
+    if kind == "hole":
+        return f.forget(cut, cut + Fraction(rng.randint(1, 4), rng.randint(1, 2)))
+    if kind == "holes":
+        return f.forget(cut, cut + Fraction(1, 2)).forget(cut + 1, cut + 2)
+    if kind == "empty":
+        return f.forget(NEG, cut)
+    return f
 
 
 def test_hs_basic_construction():
@@ -164,6 +180,18 @@ def test_mul_matches_brute_convolution_inside_mask():
                 assert prod.coeff_at(e) == true[e]
 
 
+def test_mul_equals_unbounded_reference():
+    rng = random.Random(23)
+    masks = set()
+    for _ in range(300):
+        f, g = (rand_masked(rng, (rand_series if rng.random() < 0.7 else rand_param_series)(rng))
+                for _ in range(2))
+        prod = hs_mul(f, g)
+        assert prod == reference_mul(f, g)
+        masks.add(len(prod.mask.ivs))
+    assert {0, 1, 2} <= masks
+
+
 def test_mul_of_exact_series_is_exact():
     f = hs([(0, 1), (Fraction(1, 2), -3)])
     g = hs([(-1, 2), (1, 5)])
@@ -207,6 +235,33 @@ def test_invert_multiplies_back_to_one():
     assert (g * ginv).coeff_at(Fraction(13, 4)) == 0
 
 
+def test_invert_matches_geometric_oracle():
+    """Equal to the geometric series on a one-interval mask; with several
+    intervals, equal to its head and never certifying more."""
+    rng = random.Random(31)
+    islands = 0
+    for _ in range(300):
+        exact = rand_series(rng) if rng.random() < 0.7 else rand_param_series(rng, deg=1)
+        f = rand_masked(rng, exact)
+        ceiling = exact.terms[0][0] + rng.randint(-1, 8)
+        try:
+            want = geometric_invert(f, ceiling)
+        except ZeroDivisor:
+            with pytest.raises(ZeroDivisor):
+                f.invert(ceiling)
+            continue
+        got = f.invert(ceiling)
+        if len(f.mask.ivs) == 1:
+            assert got == want
+        else:
+            gap = want.mask.first_gap()
+            assert got.terms == tuple(t for t in want.terms if t[0] < gap)
+            assert got.mask.extended == [(NEG, gap)]
+            assert not _iv_diff(got.mask.extended, want.mask.extended)
+            islands += got != want
+    assert islands
+
+
 def test_invert_monomial_is_exact():
     f = monomial(Fraction(-3, 2), Fraction(2, 5))
     finv = f.invert(4)
@@ -246,3 +301,45 @@ def test_series_json_round_trip():
     f = hs([(Fraction(-1, 2), Fraction(2, 3)), (4, -7)]).forget(5, 6)
     g = series_from_json(f.to_json())
     assert g == f
+
+
+def test_forward_solve_geometric_series():
+    # (1 - z) w = 1
+    w = forward_solve(Fraction(1), Fraction(1), [(Fraction(1), 1, Fraction(-1))], Fraction(10))
+    assert w.terms == tuple((Fraction(i), Fraction(1)) for i in range(10))
+    assert w.mask.extended == [(NEG, Fraction(10))]
+
+
+def test_forward_solve_satisfies_recursion_on_closure():
+    rng = random.Random(5)
+    for _ in range(60):
+        taps = []
+        for _ in range(rng.randint(1, 4)):
+            k = rng.choice((1, 2, 3))
+            e = Fraction(rng.randint(k == 1, 6), rng.randint(1, 3))
+            taps.append((e, k, rand_rational(rng, nonzero=True)))
+        one_, lead = rand_rational(rng, nonzero=True), rand_rational(rng, nonzero=True)
+        cap = Fraction(rng.randint(1, 12), 2)
+        w = forward_solve(one_, lead, taps, cap)
+        assert w.mask.extended == [(NEG, cap)]
+        got = dict(w.terms)
+        closure, todo = {Fraction(0)}, [Fraction(0)]
+        while todo:
+            g = todo.pop()
+            for e, k, _ in taps:
+                t = k * g + e
+                if t < cap and t not in closure:
+                    closure.add(t)
+                    todo.append(t)
+        assert got[Fraction(0)] == one_ and set(got) <= closure
+        for g in closure - {0}:
+            total = lead * got.get(g, 0)
+            for e, k, a in taps:
+                total += a * got.get((g - e) / k, 0)
+            assert total == 0
+
+
+@pytest.mark.parametrize("tap", [(Fraction(0), 1, Fraction(2)), (Fraction(-1), 2, Fraction(1))])
+def test_forward_solve_rejects_a_tap_that_does_not_move_forward(tap):
+    with pytest.raises(MahlerError):
+        forward_solve(Fraction(1), Fraction(1), [(Fraction(1), 1, Fraction(1)), tap], Fraction(3))
