@@ -10,11 +10,11 @@ from .errors import (DivisionByZero, MahlerError, NonRationalExponent,
                      PoleAtEvaluationPoint, UnknownLeadingTerm,
                      VerificationError, ZeroDivisor, ZeroSeries)
 from .fields import Poly, RatFun, pole_order, q, rational_roots
-from .hahn import (HahnSeries, Mask, hs, hs_add, hs_mul, monomial, one,
+from .hahn import (HahnSeries, Mask, hs, hs_mul, monomial, one,
                    series_from_json, zero)
 from .newton import (FrobeniusPlan, NewtonData, analyze, char_poly,
                      frobenius_plan, newton_polygon, slopes_of)
-from .operator import MahlerOperator, op_apply, op_mul, op_right_divide, phi_minus
+from .operator import MahlerOperator, phi_minus
 from .factorize import (Factorization, FirstOrderFactor, factor_operator,
                         factor_reconstruct, factorize, slope_zero_unit_solution)
 from .frobenius import (ExponentBlock, FrobeniusOutput, SolutionObject,
@@ -29,11 +29,11 @@ __all__ = [
     "PoleAtEvaluationPoint", "UnknownLeadingTerm", "VerificationError",
     "ZeroDivisor", "ZeroSeries",
     "Poly", "RatFun", "pole_order", "q", "rational_roots",
-    "HahnSeries", "Mask", "hs", "hs_add", "hs_mul", "monomial", "one",
+    "HahnSeries", "Mask", "hs", "hs_mul", "monomial", "one",
     "series_from_json", "zero",
     "FrobeniusPlan", "NewtonData", "analyze", "char_poly", "frobenius_plan",
     "newton_polygon", "slopes_of",
-    "MahlerOperator", "op_apply", "op_mul", "op_right_divide", "phi_minus",
+    "MahlerOperator", "phi_minus",
     "Factorization", "FirstOrderFactor", "factor_operator",
     "factor_reconstruct", "factorize", "slope_zero_unit_solution",
     "ExponentBlock", "FrobeniusOutput", "SolutionObject", "apply_to_solution",

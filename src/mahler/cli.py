@@ -396,6 +396,26 @@ def _diagnostic(exc, as_json):
 # commands
 
 
+def _positive_rational(text):
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError("expected a rational such as 8 or 17/2, got %r" % text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError("must be positive, got %s" % text)
+    return value
+
+
+def _depth(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected an integer, got %r" % text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 def cmd_analyze(args):
     if args.file == "-":
         text = sys.stdin.read()
@@ -403,8 +423,7 @@ def cmd_analyze(args):
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
     spec = parse_spec(text)
-    precision = Fraction(args.precision)
-    report, code, out = run_pipeline(spec, precision, args.depth, args.verify)
+    report, code, out = run_pipeline(spec, args.precision, args.depth, args.verify)
     if args.as_json:
         print(json.dumps(report, indent=2))
     else:
@@ -451,9 +470,9 @@ def main(argv=None):
     sub = ap.add_subparsers(dest="cmd", required=True)
     pa = sub.add_parser("analyze", help="analyze an equation file ('-' = stdin)")
     pa.add_argument("file", nargs="?", default="-")
-    pa.add_argument("--precision", default="8",
-                    help="exponent ceiling, a rational (default 8)")
-    pa.add_argument("--depth", type=int, default=8,
+    pa.add_argument("--precision", type=_positive_rational, default="8",
+                    help="exponent ceiling, a positive rational (default 8)")
+    pa.add_argument("--depth", type=_depth, default=8,
                     help="geometric-sum depth for the order-1 solver (default 8)")
     pa.add_argument("--verify", action="store_true",
                     help="run the certified residual and independence checks")

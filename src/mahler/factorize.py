@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .errors import NonRationalExponent, PlanMismatch, UnknownLeadingTerm, VerificationError
 from .hahn import HahnSeries, forward_solve, series_from_json
-from .newton import analyze
+from .newton import analyze, frobenius_plan
 from .operator import MahlerOperator
 
 
@@ -55,8 +55,9 @@ def slope_zero_unit_solution(M, c, ceiling):
     """Tangent-to-identity h with sum_i c**i a_i phi_p**i(h) = 0.
 
     Requires the smallest slope of M to be 0 and c to be a root of the
-    slope-0 characteristic polynomial.  The recursion is a strict forward
-    solve: the coefficient of z**gamma depends only on exponents < gamma.
+    slope-0 characteristic polynomial (PlanMismatch otherwise).  The
+    recursion is a strict forward solve: the coefficient of z**gamma depends
+    only on exponents < gamma.
     """
     p = M.p
     c = Fraction(c)
@@ -67,16 +68,16 @@ def slope_zero_unit_solution(M, c, ceiling):
         if bi.is_zero() and bi.mask.empty:
             raise UnknownLeadingTerm("coefficient with no certified region")
         if bi.first_possible() < 0:
-            raise ValueError("smallest slope is not zero")
+            raise PlanMismatch("smallest slope is not zero")
         gap = bi.mask.first_gap()
         if gap < cap:
             cap = gap
     heads = [bi.coeff_at(Fraction(0)) for bi in bs]
     b00 = heads[0]
     if not b00:
-        raise ValueError("slope-zero edge does not start at the order-0 vertex")
+        raise PlanMismatch("slope-zero edge does not start at the order-0 vertex")
     if sum(heads):
-        raise ValueError("%s is not a root of the slope-zero characteristic polynomial" % c)
+        raise PlanMismatch("%s is not a root of the slope-zero characteristic polynomial" % c)
     taps = [(Fraction(0), p ** i, heads[i]) for i in range(1, len(bs)) if heads[i]]
     taps += [(e, p ** i, v) for i, bi in enumerate(bs) for e, v in bi.terms if 0 < e < cap]
     h = forward_solve(Fraction(1), b00, taps, cap)
@@ -89,44 +90,38 @@ def slope_zero_unit_solution(M, c, ceiling):
 def factor_operator(L, ceiling, plan=None):
     """Peel first-order right factors slope by slope; verifies each division.
 
-    When a FrobeniusPlan is supplied, the recomputed slope data is checked
-    against it (PlanMismatch otherwise).
+    The slopes and exponents come from the FrobeniusPlan (built from one
+    analyze(L) when none is given): layer j gauges by nu_j and peels each
+    exponent c of entries[j], smallest first, m times.  Each peel checks that
+    the gauged remainder has slope 0 with chi(c) = 0 (PlanMismatch otherwise).
     """
+    if plan is None:
+        plan = frobenius_plan(L, analyze(L))
+    if sum(m for entry in plan.entries for _, m, _ in entry) < L.order:
+        raise NonRationalExponent("some slope has no rational exponent left to factor out")
     p = L.p
     a0 = L.coeffs[0]
     va0, ca0 = a0.val(), a0.cld()
     M = L
     layers = []
-    while M.order > 0:
-        nd = analyze(M)
-        sigma, r = nd.slopes[0]
-        nu = (p - 1) * sigma
-        if plan is not None:
-            j = len(layers)
-            if j >= len(plan.nus) or plan.nus[j] != nu:
-                raise PlanMismatch("slope %s of the remainder disagrees with the plan" % sigma)
-        Mg = M.gauge_theta(-(p - 1) * sigma)
+    for nu, entry in zip(plan.nus, plan.entries):
+        Mg = M.gauge_theta(-nu)
         layer = []
-        for _ in range(r):
-            ndg = analyze(Mg)
-            if ndg.slopes[0][0] != 0:
-                raise VerificationError("gauged remainder lost its zero slope")
-            exps = ndg.exponents[0]
-            if not exps:
-                raise NonRationalExponent(
-                    "slope %s has no rational exponent left to factor out" % sigma)
-            c = exps[0][0]
-            h = slope_zero_unit_solution(Mg, c, ceiling)
-            hinv = h.invert(ceiling)
-            B = MahlerOperator(p, [hinv.scale(-c), hinv.mal(1, p)])
-            Q, R = Mg.right_divide(B, ceiling, lead_inverse=h.mal(1, p))
-            for rc in R.coeffs:
-                if not rc.is_zero() or rc.mask.empty:
-                    raise VerificationError("nonzero remainder when dividing out a factor")
-            layer.append(FirstOrderFactor(nu, c, h))
-            Mg = Q
-        M = Mg.gauge_theta((p - 1) * sigma)
+        for c, m, _ in entry:
+            for _ in range(m):
+                h = slope_zero_unit_solution(Mg, c, ceiling)
+                hinv = h.invert(ceiling)
+                B = MahlerOperator(p, [hinv.scale(-c), hinv.mal(1, p)])
+                Q, R = Mg.right_divide(B, ceiling, lead_inverse=h.mal(1, p))
+                for rc in R.coeffs:
+                    if not rc.is_zero() or rc.mask.empty:
+                        raise VerificationError("nonzero remainder when dividing out a factor")
+                layer.append(FirstOrderFactor(nu, c, h))
+                Mg = Q
+        M = Mg.gauge_theta(nu)
         layers.append(tuple(layer))
+    if M.order:
+        raise PlanMismatch("an order-%d remainder is left after the plan's slopes" % M.order)
     fact = Factorization(p, M.coeffs[0], tuple(layers))
     if fact.a.val() != va0:
         raise VerificationError("val of the order-0 leftover differs from val a_0")

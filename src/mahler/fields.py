@@ -2,6 +2,7 @@
 rational functions in the parameter lambda."""
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import DivisionByZero, PoleAtEvaluationPoint
@@ -318,24 +319,79 @@ def pole_order(f, c):
     return n
 
 
+def _primitive(p):
+    """Coefficients of the positive rational multiple of p that is a primitive
+    integer polynomial (ascending degree)."""
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    g = math.gcd(*ints)
+    return [c // g for c in ints]
+
+
+def _int_eval(cs, x):
+    v = 0
+    for c in reversed(cs):
+        v = v * x + c
+    return v
+
+
+def _sign_changes(chain, x):
+    """Sign changes of the Sturm chain at the integer x, zeros skipped."""
+    n, last = 0, 0
+    for cs in chain:
+        v = _int_eval(cs, x)
+        if v:
+            if last and (v > 0) != (last > 0):
+                n += 1
+            last = v
+    return n
+
+
 def rational_roots(p):
     """All rational roots of p with multiplicities, plus the rootless residual.
 
-    Returns ([(root, mult), ...] sorted by root, residual Poly).
+    Returns ([(root, mult), ...] sorted by root, residual Poly).  The
+    square-free part, made a primitive integer polynomial with leading
+    coefficient a, becomes monic under y = a*x; its integer roots a*r are
+    isolated by bisecting integer intervals inside the Cauchy bound with a
+    Sturm chain, so no integer is ever factored.
     """
     if not p:
         raise DivisionByZero("rational_roots of the zero polynomial")
-    import sympy
-
-    x = sympy.Symbol("x")
-    sp = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)],
-                    x, domain="QQ")
-    found = sp.ground_roots()
-    roots = sorted((Fraction(int(r.p), int(r.q)), int(m)) for r, m in found.items())
-    residual = p
-    for r, m in roots:
+    found = []
+    if p.degree > 0:
+        f = _primitive(p // poly_gcd(p, p.derivative()))
+        if f[-1] < 0:
+            f = [-c for c in f]
+        a, n = f[-1], len(f) - 1
+        g = [c * a ** (n - 1 - i) for i, c in enumerate(f[:-1])] + [1]
+        chain = [g]
+        prev = Poly(g)
+        cur = prev.derivative()
+        while cur:
+            chain.append(_primitive(cur))
+            prev, cur = cur, -(prev % cur)
+        bound = a + max(abs(c) for c in f[:-1])
+        stack = [(-bound, bound, _sign_changes(chain, -bound), _sign_changes(chain, bound))]
+        while stack:
+            lo, hi, vlo, vhi = stack.pop()
+            if vlo == vhi:
+                continue
+            if hi - lo == 1:
+                if not _int_eval(g, hi):
+                    found.append(Fraction(hi, a))
+                continue
+            mid = (lo + hi) // 2
+            vmid = _sign_changes(chain, mid)
+            stack += [(lo, mid, vlo, vmid), (mid, hi, vmid, vhi)]
+    roots, residual = [], p
+    for r in sorted(found):
         lin = Poly((-r, Fraction(1)))
-        for _ in range(m):
-            residual, rem = divmod(residual, lin)
-            assert not rem
+        m = 0
+        while True:
+            quo, rem = divmod(residual, lin)
+            if rem:
+                break
+            residual, m = quo, m + 1
+        roots.append((r, m))
     return roots, residual

@@ -481,11 +481,7 @@ def _add_inf(a, b):
     return a + b
 
 
-# functional aliases matching the documented operation names
-
-def hs_add(f, g):
-    return f + g
-
+# functional alias matching the documented operation name
 
 def hs_eq_on_mask(f, g):
     return f.eq_on_mask(g)

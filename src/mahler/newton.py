@@ -26,12 +26,6 @@ class NewtonData:
         """True when every slope has all its exponents rational."""
         return all(res.degree <= 0 for res in self.residuals)
 
-    def slope_index(self, mu):
-        for j, (m, _) in enumerate(self.slopes):
-            if m == mu:
-                return j
-        raise KeyError(mu)
-
     def to_json(self):
         return {
             "vertices": [{"i": a, "x": str(x), "y": str(y)} for a, x, y in self.vertices],

@@ -142,15 +142,3 @@ def phi_minus(p, c, nu=0):
     from .hahn import monomial, one
     a1 = monomial(Fraction(nu))
     return MahlerOperator(p, [one().scale(Fraction(-c)), a1])
-
-
-def op_apply(L, f):
-    return L.apply(f)
-
-
-def op_mul(A, B):
-    return A * B
-
-
-def op_right_divide(A, B, ceiling, lead_inverse=None):
-    return A.right_divide(B, ceiling, lead_inverse)

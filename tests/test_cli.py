@@ -1,10 +1,14 @@
 """Input language, elaboration, pipeline driver and command entry point."""
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import mahler
 from mahler.cli import (BinOp, EquationSpec, Neg, Num, Zpow, elaborate,
                         expr_str, main, parse_spec, render_pretty, run_pipeline)
 from mahler.errors import (NonRationalExponentLiteral, ParseError, ZeroDivisor,
@@ -20,6 +24,7 @@ EXAMPLE = (
 
 PHI_MINUS_ONE = "p = 2\na[0] = -1\na[1] = 1\n"
 IRRATIONAL = "p = 2\na[0] = 1\na[2] = 1\n"
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(mahler.__file__)))
 
 
 def test_parse_example_and_round_trip():
@@ -235,3 +240,44 @@ def test_selftest(capsys):
     assert main(["selftest", "--seed", "7", "--count", "3", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["failures"] == 0 and len(data["results"]) == 3
+
+
+@pytest.mark.parametrize("flags", [
+    ["--depth", "-3"],
+    ["--depth", "0", "--verify"],
+    ["--depth", "2.5"],
+    ["--precision", "0"],
+    ["--precision", "-2"],
+    ["--precision", "1/0"],
+    ["--precision", "abc"],
+])
+def test_main_rejects_bad_precision_and_depth(tmp_path, capsys, flags):
+    f = tmp_path / "eq.txt"
+    f.write_text(PHI_MINUS_ONE)
+    with pytest.raises(SystemExit) as exc:
+        main([str(f)] + flags)
+    assert exc.value.code == 2
+    assert "argument %s:" % flags[0] in capsys.readouterr().err
+
+
+def _fresh_python(tmp_path, *args):
+    f = tmp_path / "eq.txt"
+    f.write_text(EXAMPLE)
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *args, str(f)], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_verified_run_does_not_load_sympy(tmp_path):
+    code = ("import sys, mahler.cli\n"
+            "assert mahler.cli.main(['analyze', sys.argv[1], '--verify']) == 0\n"
+            "print('loaded' if 'sympy' in sys.modules else 'not loaded')\n")
+    proc = _fresh_python(tmp_path, "-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "not loaded"
+
+
+def test_python_dash_m_mahler(tmp_path):
+    proc = _fresh_python(tmp_path, "-m", "mahler", "--verify")
+    assert proc.returncode == 0, proc.stderr
+    assert "verification: ok" in proc.stdout

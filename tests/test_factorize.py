@@ -1,4 +1,5 @@
 """First-order factorization: unit solutions, peeling, reconstruction."""
+import importlib
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from conftest import ladder_operator
 from mahler.errors import NonRationalExponent, PlanMismatch, VerificationError
 from mahler.hahn import hs, hs_eq_on_mask, monomial, one, zero
-from mahler.newton import analyze, frobenius_plan
+from mahler.newton import FrobeniusPlan, analyze, frobenius_plan
 from mahler.operator import MahlerOperator, phi_minus
 from mahler.factorize import (factor_operator, factor_reconstruct, factorize,
                               slope_zero_unit_solution)
@@ -44,10 +45,10 @@ def test_unit_solution_annihilates_under_exp_gauge():
 
 def test_unit_solution_rejects_non_roots():
     L = phi_minus(2, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(PlanMismatch):
         slope_zero_unit_solution(L, Fraction(5), 8)
     M = MahlerOperator(2, [monomial(1), one()])
-    with pytest.raises(ValueError):
+    with pytest.raises(PlanMismatch):
         # smallest slope is not zero
         slope_zero_unit_solution(M, Fraction(-1), 8)
 
@@ -135,3 +136,42 @@ def test_layer_json_round_trip():
     from mahler.factorize import FirstOrderFactor
     f = FirstOrderFactor(Fraction(2), Fraction(-1, 3), hs([(0, 1), (1, 4)]))
     assert FirstOrderFactor.from_json(f.to_json()) == f
+
+
+def test_factor_with_a_plan_never_analyzes(monkeypatch):
+    rng = random.Random(83)
+    cases = [(L, frobenius_plan(L)) for L, _ in
+             (rand_factored_operator(rng, Fraction(4)) for _ in range(5))]
+
+    def boom(L):
+        raise AssertionError("analyze called although a plan was supplied")
+    # the package attribute mahler.factorize is the function alias, so patch
+    # the submodule itself
+    monkeypatch.setattr(importlib.import_module("mahler.factorize"), "analyze", boom)
+    for L, plan in cases:
+        fact = factor_operator(L, 4, plan)
+        assert sum(len(layer) for layer in fact.layers) == L.order
+
+
+def test_factor_without_a_plan_equals_factor_with_one():
+    rng = random.Random(89)
+    for _ in range(15):
+        L, _ = rand_factored_operator(rng, Fraction(4))
+        assert factor_operator(L, 4).to_json() == \
+            factor_operator(L, 4, frobenius_plan(L)).to_json()
+
+
+def test_factor_rejects_a_plan_short_of_the_order():
+    L = MahlerOperator(2, [one(), zero(), one()])
+    plan = frobenius_plan(L)
+    assert sum(m for entry in plan.entries for _, m, _ in entry) < L.order
+    with pytest.raises(NonRationalExponent):
+        factor_operator(L, 8, plan)
+
+
+def test_factor_rejects_a_plan_that_leaves_a_remainder():
+    L = ladder_operator(2, -2)
+    plan = frobenius_plan(L)
+    short = FrobeniusPlan(plan.p, plan.val_a0, plan.nus[:1], plan.entries)
+    with pytest.raises(PlanMismatch):
+        factor_operator(L, 10, short)

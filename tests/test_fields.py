@@ -1,4 +1,6 @@
 """Exact scalar layer: rationals, dense polynomials, rational functions."""
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -129,3 +131,53 @@ def test_rational_roots():
     assert roots3 == [(Fraction(3, 2), 1)] and residual3.degree == 0
     with pytest.raises(DivisionByZero):
         rational_roots(Poly(()))
+
+
+def test_rational_roots_large_coefficients_zero_and_repeats():
+    x = Poly.x()
+    big = (1000000007 * x - 998244353) * (3 * x + 1) * (x ** 2 + 1)
+    roots, residual = rational_roots(big)
+    assert roots == [(Fraction(-1, 3), 1), (Fraction(998244353, 1000000007), 1)]
+    assert residual == 3000000021 * (x ** 2 + 1)
+    roots, residual = rational_roots(x ** 3 * (x - 2))
+    assert roots == [(Fraction(0), 3), (Fraction(2), 1)] and residual == Poly.const(1)
+    assert rational_roots(Poly.const(Fraction(-5, 2))) == ([], Poly.const(Fraction(-5, 2)))
+    rep = (2 * x - 1) ** 3 * (x + 4) ** 2 * (x ** 2 - 2)
+    roots, residual = rational_roots(rep)
+    assert roots == [(Fraction(-4), 2), (Fraction(1, 2), 3)]
+    assert residual == 8 * (x ** 2 - 2)
+
+
+def _random_root_product(rng):
+    """A random product of rational linear factors and irreducible quadratics."""
+    x = Poly.x()
+    lim = rng.choice((9, 99, 10 ** 10))
+    p = Poly.const(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+    for _ in range(rng.randint(1, 5)):
+        if rng.random() < 0.6:
+            p = p * (rng.randint(1, lim) * x + rng.randint(-lim, lim))
+        else:
+            a, b, c = rng.randint(1, lim), rng.randint(-lim, lim), rng.randint(-lim, lim)
+            disc = b * b - 4 * a * c
+            if disc >= 0 and math.isqrt(disc) ** 2 == disc:
+                c = b * b // (4 * a) + 1     # makes disc < 0
+            p = p * (a * x ** 2 + b * x + c)
+    return p
+
+
+def test_rational_roots_match_sympy_ground_roots():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2026)
+    X = sympy.Symbol("x")
+    for _ in range(500):
+        p = _random_root_product(rng)
+        sp = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                         for c in reversed(p.coeffs)], X, domain="QQ")
+        expect = sorted((Fraction(int(r.p), int(r.q)), int(m))
+                        for r, m in sp.ground_roots().items())
+        roots, residual = rational_roots(p)
+        assert roots == expect
+        back = residual
+        for r, m in roots:
+            back = back * Poly((-r, 1)) ** m
+        assert back == p
