@@ -309,7 +309,8 @@ def elaborate(spec, ceiling):
 
 
 def run_pipeline(spec, precision=Fraction(8), depth=8, verify=False):
-    """Parse result -> operator -> full analysis; returns (report, exit code)."""
+    """Parse result -> operator -> full analysis; returns
+    (report, exit code, FrobeniusOutput)."""
     L = elaborate(spec, precision)
     out = frobenius_basis(L, Fraction(precision), depth, verify=verify)
     report = {"spec": {"p": spec.p,

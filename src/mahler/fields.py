@@ -278,6 +278,27 @@ class RatFun:
             raise PoleAtEvaluationPoint("pole at lambda = %s" % Fraction(c))
         return self.num.eval(c) / d
 
+    def taylor(self, c, n):
+        """First n Taylor coefficients R_0..R_{n-1} of num/den at lambda = c.
+
+        n rounds of Horner synthetic division by lambda - c give the first n
+        coefficients of num(c + h) and den(c + h); a truncated power-series
+        division then gives those of the quotient.  Raises
+        PoleAtEvaluationPoint when den(c) = 0.
+        """
+        c = Fraction(c)
+        dj = _taylor_head(self.den.coeffs, c, n)
+        if not dj[0]:
+            raise PoleAtEvaluationPoint("pole at lambda = %s" % c)
+        nj = _taylor_head(self.num.coeffs, c, n)
+        out = []
+        for k in range(n):
+            acc = nj[k]
+            for i in range(1, k + 1):
+                acc -= dj[i] * out[k - i]
+            out.append(acc / dj[0])
+        return out
+
     def derivative(self):
         return RatFun(self.num.derivative() * self.den - self.num * self.den.derivative(),
                       self.den * self.den)
@@ -297,6 +318,20 @@ class RatFun:
         return "%s/(%s)" % (ns, poly_str(self.den, "λ"))
 
     __repr__ = __str__
+
+
+def _taylor_head(cs, c, n):
+    """Coefficients of h**0..h**(n-1) in sum cs[i] x**i at x = c + h: each
+    round of synthetic division by x - c yields one as its remainder."""
+    out = []
+    for _ in range(n):
+        acc, quo = Fraction(0), []
+        for a in reversed(cs):
+            acc = acc * c + a
+            quo.append(acc)
+        out.append(acc)
+        cs = quo[-2::-1]
+    return out
 
 
 def _coerce(x):

@@ -2,8 +2,9 @@
 
 The parametric order-1 solver works over Q(lambda)-coefficient series; the
 triangular solve chains it through the factorization to produce g_{c,j};
-specialization (differentiate in lambda, evaluate at c) turns each g_{c,j}
-into solutions written on the symbols l_{c,u} (with e_c = l_{c,0}) that obey
+specialization (differentiate in lambda and evaluate at c, both read off the
+Taylor coefficients at lambda = c) turns each g_{c,j} into solutions written
+on the symbols l_{c,u} (with e_c = l_{c,0}) that obey
 phi_p(l_{c,u}) = c*l_{c,u} + l_{c,u-1}.
 """
 from __future__ import annotations
@@ -22,16 +23,6 @@ from .newton import analyze, frobenius_plan
 def lift(f):
     """Reinterpret a series over Q as a series over Q(lambda)."""
     return f.map_coeffs(RatFun.const)
-
-
-def ev_c(f, c):
-    """Evaluate every coefficient at lambda = c."""
-    return f.map_coeffs(lambda r: r.eval_at(c))
-
-
-def d_lambda(f):
-    """Differentiate every coefficient with respect to lambda."""
-    return f.map_coeffs(lambda r: r.derivative())
 
 
 def _lam_minus(c):
@@ -149,7 +140,11 @@ def expected_gcj_cld(L, plan, fact, c, j):
 
 def check_gcj(L, plan, fact, c, j, mu, g, residual=False):
     """Certified invariants of g_{c,j}: valuation, leading coefficient,
-    regularity at lambda = c, and (optionally) the defining residual."""
+    regularity at lambda = c, and (optionally) the defining residual.
+
+    frobenius_basis calls it with residual=False: --verify already checks
+    the residual of every specialized solution, so the residual of g itself
+    (gcj_residual_mask) is only checked by the tests."""
     c = Fraction(c)
     m, s = plan.lookup(j, c)
     if g.val() != -mu:
@@ -212,18 +207,24 @@ def _solution(p, parts):
 
 def specialize_solutions(p, g, c, s, m_count):
     """Solutions ev_c(d_lambda**(s+m)(g e_lambda)) for m = 0..m_count-1,
-    expanded by the Leibniz rule on the l_{c,u} symbols."""
+    expanded by the Leibniz rule on the l_{c,u} symbols.
+
+    The part of solution t = s+m at l_{c,u} is binom(t,u) u! times the
+    (t-u)-th lambda-derivative of g at c, that is t! R_{t-u} with R_k the
+    k-th Taylor coefficient at lambda = c; one jet of length s+m_count per
+    coefficient of g serves every part, and each part keeps g's mask.
+    """
     c = Fraction(c)
-    derivs = [g]
-    for _ in range(s + m_count - 1):
-        derivs.append(d_lambda(derivs[-1]))
+    jets = [(e, r.taylor(c, s + m_count)) for e, r in g.terms]
     out = []
     for m in range(m_count):
         t = s + m
+        w = math.factorial(t)
         parts = {}
         for u in range(t + 1):
-            w = Fraction(math.factorial(u) * math.comb(t, u))
-            parts[(c, u)] = ev_c(derivs[t - u], c).scale(w)
+            k = t - u
+            parts[(c, u)] = HahnSeries(tuple((e, w * jet[k]) for e, jet in jets if jet[k]),
+                                       g.mask)
         out.append(_solution(p, parts))
     return out
 

@@ -6,10 +6,12 @@ that the library is never checked against itself.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from mahler.errors import UnknownLeadingTerm, ZeroDivisor
 from mahler.fields import Poly, RatFun
+from mahler.frobenius import _solution
 from mahler.hahn import (_FULL, POS, _build, _iv_diff, _iv_norm, _mul_pollution,
                          hs)
 from mahler.operator import MahlerOperator
@@ -92,6 +94,36 @@ def geometric_invert(f, ceiling):
         if power.is_exact_zero():
             break
     return total.cap(bound).shift(-v).scale(inv_c)
+
+
+def ev_c(f, c):
+    """Evaluate every coefficient at lambda = c."""
+    return f.map_coeffs(lambda r: r.eval_at(c))
+
+
+def d_lambda(f):
+    """Differentiate every coefficient with respect to lambda."""
+    return f.map_coeffs(lambda r: r.derivative())
+
+
+def reference_specialize(p, g, c, s, m_count):
+    """Solutions ev_c(d_lambda**(s+m)(g e_lambda)) for m = 0..m_count-1,
+    expanded by the Leibniz rule on the l_{c,u} symbols.
+
+    Each derivative is built in full as a rational function and evaluated."""
+    c = Fraction(c)
+    derivs = [g]
+    for _ in range(s + m_count - 1):
+        derivs.append(d_lambda(derivs[-1]))
+    out = []
+    for m in range(m_count):
+        t = s + m
+        parts = {}
+        for u in range(t + 1):
+            w = Fraction(math.factorial(u) * math.comb(t, u))
+            parts[(c, u)] = ev_c(derivs[t - u], c).scale(w)
+        out.append(_solution(p, parts))
+    return out
 
 
 def apply_brute(L, f):

@@ -110,6 +110,49 @@ def test_ratfun_eval_derivative_subst():
     assert quot == expect
 
 
+def test_taylor_of_monomials_is_binomial():
+    lam = RatFun.lam()
+    for c in (Fraction(0), Fraction(1), Fraction(-2, 3), Fraction(5)):
+        for i in range(6):
+            jet = (lam ** i).taylor(c, 8)
+            assert jet == [math.comb(i, k) * c ** (i - k) if k <= i else 0 for k in range(8)]
+
+
+def test_taylor_of_pole_powers_matches_closed_form():
+    lam = RatFun.lam()
+    for a in (Fraction(0), Fraction(1), Fraction(-3, 2)):
+        for c in (Fraction(2), Fraction(-1, 3)):
+            for j in range(1, 5):
+                jet = (1 / (lam - a) ** j).taylor(c, 6)
+                assert jet == [(-1) ** k * math.comb(j + k - 1, k) * (c - a) ** (-j - k)
+                               for k in range(6)]
+
+
+def test_taylor_head_is_value_and_pole_raises():
+    rng = random.Random(29)
+    rand_poly = lambda: Poly([Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                              for _ in range(rng.randint(1, 5))])
+    poles = 0
+    for _ in range(200):
+        c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        den = rand_poly() or Poly.const(1)
+        if rng.random() < 0.3:
+            den = den * Poly((-c, Fraction(1)))
+        f = RatFun(rand_poly(), den)
+        try:
+            value = f.eval_at(c)
+        except PoleAtEvaluationPoint:
+            with pytest.raises(PoleAtEvaluationPoint):
+                f.taylor(c, 3)
+            poles += 1
+            continue
+        assert f.taylor(c, 1) == [value]
+    assert poles >= 20
+    lam = RatFun.lam()
+    with pytest.raises(PoleAtEvaluationPoint):
+        ((lam + 1) / (lam - 2) ** 2).taylor(2, 3)
+
+
 def test_pole_order():
     lam = RatFun.lam()
     f = (lam + 1) / ((lam - 2) ** 3 * (lam + 4))

@@ -4,21 +4,26 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import (ladder_g1_terms, ladder_g2_terms, ladder_operator,
-                      order1_coeff_oracle, series_dict_on_mask)
-from mahler.errors import VerificationError
+from conftest import (d_lambda, ev_c, ladder_g1_terms, ladder_g2_terms,
+                      ladder_operator, order1_coeff_oracle, reference_specialize,
+                      series_dict_on_mask)
+from mahler.cli import elaborate, parse_spec
+from mahler.errors import MahlerError, PoleAtEvaluationPoint, VerificationError
 from mahler.fields import RatFun, pole_order
 from mahler.hahn import POS, hs, hs_eq_on_mask, monomial, one, zero
 from mahler.newton import analyze, frobenius_plan
 from mahler.operator import MahlerOperator, phi_minus
 from mahler.factorize import factor_operator
 from mahler.frobenius import (SolutionObject, apply_to_solution, check_gcj,
-                              d_lambda, ev_c, expected_gcj_cld, frobenius_basis,
+                              expected_gcj_cld, frobenius_basis,
                               gcj_residual_mask, lift, solve_gcj,
                               solve_order1_param, specialize_solutions,
                               verify_independence)
-from mahler.testing import rand_factored_operator, rand_param_series, rand_series
+from mahler.testing import (rand_factored_operator, rand_operator, rand_param_series,
+                            rand_series)
 
 lam = RatFun.lam()
 
@@ -171,6 +176,54 @@ def test_specialize_drops_exact_zero_parts():
     assert y.is_zero() and y.certified_zero()
 
 
+def _assert_specialize_matches_reference(p, g, c, s, m_count):
+    try:
+        ref = reference_specialize(p, g, c, s, m_count)
+    except PoleAtEvaluationPoint:
+        with pytest.raises(PoleAtEvaluationPoint):
+            specialize_solutions(p, g, c, s, m_count)
+        return False
+    got = specialize_solutions(p, g, c, s, m_count)
+    assert got == ref
+    assert [y.to_json() for y in got] == [y.to_json() for y in ref]
+    return True
+
+
+def test_specialize_matches_reference_on_every_gcj():
+    readme = elaborate(parse_spec("p = 2\n"
+                                  "a[0] = z^(-2) / (1 + z^2)\n"
+                                  "a[1] = -(1 / (1 + z^4) + z^(-2))\n"
+                                  "a[2] = 1 / (1 + z^4)\n"), Fraction(8))
+    seen = 0
+    for L in (ladder_operator(2, -2), ladder_operator(3, -3), readme):
+        nd = analyze(L)
+        plan = frobenius_plan(L, nd)
+        fact = factor_operator(L, 8, plan)
+        for j, exps in enumerate(nd.exponents):
+            for c, m in exps:
+                _, s = plan.lookup(j, c)
+                g = solve_gcj(L, plan, fact, c, j, 8, 8)
+                for m_count in range(m, 4):
+                    assert _assert_specialize_matches_reference(L.p, g, c, s, m_count)
+                seen += 1
+    assert seen == 6
+
+
+def test_specialize_matches_reference_on_random_series():
+    rng = random.Random(4242)
+    poles = 0
+    for _ in range(240):
+        a = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        g = rand_param_series(rng, terms=4, deg=3).map_coeffs(
+            lambda r: r / (lam ** rng.randint(0, 3) * (lam - a) ** rng.randint(0, 3)))
+        if rng.random() < 0.4:
+            g = g.cap(Fraction(rng.randint(-2, 3)))
+        c = rng.choice((a, Fraction(0), Fraction(1), Fraction(-2, 3), Fraction(3)))
+        s, m_count = rng.randint(0, 2), rng.randint(1, 3)
+        poles += not _assert_specialize_matches_reference(2, g, c, s, m_count)
+    assert 20 <= poles <= 200
+
+
 def test_apply_to_solution_single_step():
     c = Fraction(4)
     L = phi_minus(2, c)
@@ -290,3 +343,14 @@ def test_output_json_shape():
     assert sol[0]["terms"][0]["u"] == 0
     series = sol[0]["terms"][0]["series"]
     assert set(series) == {"terms", "mask"}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_generic_operators_fail_only_with_mahler_errors(seed):
+    """frobenius_basis returns or raises a MahlerError, never anything else."""
+    L = rand_operator(random.Random(seed))
+    try:
+        frobenius_basis(L, 3, 2, verify=True)
+    except MahlerError:
+        pass
