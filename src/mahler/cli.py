@@ -407,7 +407,7 @@ def _positive_rational(text):
     return value
 
 
-def _depth(text):
+def _positive_int(text):
     try:
         value = int(text)
     except ValueError:
@@ -473,14 +473,15 @@ def main(argv=None):
     pa.add_argument("file", nargs="?", default="-")
     pa.add_argument("--precision", type=_positive_rational, default="8",
                     help="exponent ceiling, a positive rational (default 8)")
-    pa.add_argument("--depth", type=_depth, default=8,
+    pa.add_argument("--depth", type=_positive_int, default=8,
                     help="geometric-sum depth for the order-1 solver (default 8)")
     pa.add_argument("--verify", action="store_true",
                     help="run the certified residual and independence checks")
     pa.add_argument("--json", dest="as_json", action="store_true")
     ps = sub.add_parser("selftest", help="random end-to-end self-test")
     ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--count", type=int, default=20)
+    ps.add_argument("--count", type=_positive_int, default=20,
+                    help="number of random operators, at least 1 (default 20)")
     ps.add_argument("--json", dest="as_json", action="store_true")
     args = ap.parse_args(argv)
     try:

@@ -80,9 +80,10 @@ class Poly:
         if not self or not other:
             return Poly()
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        nz = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in nz:
                     out[i + j] += a * b
         return Poly(out)
 
@@ -107,11 +108,16 @@ class Poly:
             return Poly(), self
         quo = [Fraction(0)] * (dq + 1)
         lead = other.coeffs[-1]
+        # the leading term cancels exactly, so only the lower ones update rem
+        low = [(j, b) for j, b in enumerate(other.coeffs[:-1]) if b]
+        monic = lead == 1
         for k in range(dq, -1, -1):
-            c = rem[k + other.degree] / lead
+            c = rem[k + other.degree]
+            if not monic:
+                c /= lead
             quo[k] = c
             if c:
-                for j, b in enumerate(other.coeffs):
+                for j, b in low:
                     rem[k + j] -= c * b
         return Poly(quo), Poly(rem[: other.degree])
 
@@ -176,21 +182,40 @@ def poly_str(p, var):
 
 
 class RatFun:
-    """Rational function num/den over Q, kept reduced with monic denominator."""
+    """Rational function num/den over Q, kept reduced with monic denominator.
+
+    A reduced fraction with a monic denominator is unique, so equal values
+    have identical num and den.  The public constructor takes arbitrary
+    input and divides out gcd(num, den) (no gcd when den is constant).
+    Arithmetic reduces from its already-reduced operands (Henrici's
+    cross-cancellation, carried over from Z to Q[lambda]):
+
+    - product: only n1 with d2 and n2 with d1 can share a factor, so only
+      those two gcds are taken, each skipped when the denominator is
+      constant;
+    - sum and difference: with equal denominators d, cancel
+      gcd(n1 +- n2, d); otherwise, with g = gcd(d1, d2) and
+      t = n1 (d2/g) +- n2 (d1/g), the result t / (d1 d2 / g) can only
+      share a factor with g, so it is reduced when g = 1 and needs
+      gcd(t, g) alone otherwise;
+    - power: a power of a reduced fraction is reduced; a negative power
+      and a quotient go through the reciprocal den/num, also reduced.
+    """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
         num = num if isinstance(num, Poly) else Poly.const(num)
-        den = Poly.const(1) if den is None else (den if isinstance(den, Poly) else Poly.const(den))
+        den = _ONE if den is None else (den if isinstance(den, Poly) else Poly.const(den))
         if not den:
             raise DivisionByZero("rational function with zero denominator")
         if not num:
-            self.num, self.den = Poly(), Poly.const(1)
+            self.num, self.den = _ZERO, _ONE
             return
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num, den = num // g, den // g
+        if den.degree > 0:
+            g = poly_gcd(num, den)
+            if g.degree > 0:
+                num, den = num // g, den // g
         lead = den.coeffs[-1]
         if lead != 1:
             num, den = num * (1 / lead), den * (1 / lead)
@@ -198,11 +223,11 @@ class RatFun:
 
     @classmethod
     def const(cls, c):
-        return cls(Poly.const(c))
+        return _reduced(Poly.const(c), _ONE)
 
     @classmethod
     def lam(cls):
-        return cls(Poly.x())
+        return _reduced(Poly.x(), _ONE)
 
     def is_const(self):
         return self.num.degree <= 0 and self.den.degree == 0
@@ -220,15 +245,13 @@ class RatFun:
         return hash((self.num, self.den))
 
     def __neg__(self):
-        out = RatFun.__new__(RatFun)
-        out.num, out.den = -self.num, self.den
-        return out
+        return _reduced(-self.num, self.den)
 
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
+        return _add(self.num, self.den, other.num, other.den)
 
     __radd__ = __add__
 
@@ -236,7 +259,7 @@ class RatFun:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return RatFun(self.num * other.den - other.num * self.den, self.den * other.den)
+        return _add(self.num, self.den, -other.num, other.den)
 
     def __rsub__(self, other):
         return _coerce(other) - self
@@ -245,11 +268,7 @@ class RatFun:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den.degree == 0 and other.den.degree == 0:
-            out = RatFun.__new__(RatFun)
-            out.num, out.den = self.num * other.num, Poly.const(1)
-            return out
-        return RatFun(self.num * other.num, self.den * other.den)
+        return _mul(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -259,7 +278,7 @@ class RatFun:
             return NotImplemented
         if not other.num:
             raise DivisionByZero("division by zero rational function")
-        return RatFun(self.num * other.den, self.den * other.num)
+        return self * other._reciprocal()
 
     def __rtruediv__(self, other):
         return _coerce(other) / self
@@ -268,8 +287,16 @@ class RatFun:
         if n < 0:
             if not self.num:
                 raise DivisionByZero("inverse of zero")
-            return RatFun(self.den, self.num) ** (-n)
-        return RatFun(self.num ** n, self.den ** n)
+            return self._reciprocal() ** (-n)
+        return _reduced(self.num ** n, self.den ** n)
+
+    def _reciprocal(self):
+        """den/num made monic; the caller has checked num != 0."""
+        lead = self.num.coeffs[-1]
+        if lead == 1:
+            return _reduced(self.den, self.num)
+        inv = 1 / lead
+        return _reduced(self.den * inv, self.num * inv)
 
     def eval_at(self, c):
         """Value at lambda = c; raises PoleAtEvaluationPoint on a pole."""
@@ -332,6 +359,55 @@ def _taylor_head(cs, c, n):
         out.append(acc)
         cs = quo[-2::-1]
     return out
+
+
+_ZERO = Poly()
+_ONE = Poly.const(1)
+
+
+def _reduced(num, den):
+    """RatFun from a num/den pair the caller guarantees reduced, den monic."""
+    out = object.__new__(RatFun)
+    out.num, out.den = num, den
+    return out
+
+
+def _mul(n1, d1, n2, d2):
+    """n1/d1 * n2/d2 for reduced operands."""
+    if not n1 or not n2:
+        return _reduced(_ZERO, _ONE)
+    if d2.degree > 0 and n1.degree > 0:
+        g = poly_gcd(d2, n1)
+        if g.degree > 0:
+            n1, d2 = n1 // g, d2 // g
+    if d1.degree > 0 and n2.degree > 0:
+        g = poly_gcd(d1, n2)
+        if g.degree > 0:
+            n2, d1 = n2 // g, d1 // g
+    return _reduced(n1 * n2, d1 * d2)
+
+
+def _add(n1, d1, n2, d2):
+    """n1/d1 + n2/d2 for reduced operands."""
+    if d1 == d2:
+        t = n1 + n2
+        if not t:
+            return _reduced(_ZERO, _ONE)
+        if d1.degree > 0:
+            g = poly_gcd(d1, t)
+            if g.degree > 0:
+                return _reduced(t // g, d1 // g)
+        return _reduced(t, d1)
+    # unequal reduced denominators: the sum is nonzero
+    g = _ONE if d1.degree == 0 or d2.degree == 0 else poly_gcd(d1, d2)
+    if g.degree == 0:
+        return _reduced(n1 * d2 + n2 * d1, d1 * d2)
+    d1, d2g = d1 // g, d2 // g
+    t = n1 * d2g + n2 * d1
+    h = poly_gcd(g, t)
+    if h.degree > 0:
+        t, d2 = t // h, d2 // h
+    return _reduced(t, d1 * d2)
 
 
 def _coerce(x):

@@ -51,7 +51,8 @@ def solve_order1_param(p, mu, c, g, ceiling, depth):
     """
     c = Fraction(c)
     if not c:
-        raise ValueError("c must be nonzero")
+        # chi has a nonzero constant term, so 0 is never an exponent
+        raise PlanMismatch("c = 0 is not an exponent of an order-1 factor")
     if g.is_exact_zero():
         return g
     shift = Fraction(mu) / (p - 1)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import MahlerError, UnknownLeadingTerm, ZeroDivisor, ZeroSeries
 
@@ -107,6 +108,13 @@ class Mask:
             norm.append((lo, hi))
         self.ivs = tuple(norm)
 
+    @classmethod
+    def _of(cls, ivs):
+        """Mask from intervals already disjoint, sorted, merged and rational."""
+        out = object.__new__(cls)
+        out.ivs = tuple(ivs)
+        return out
+
     @property
     def empty(self):
         return not self.ivs
@@ -150,6 +158,7 @@ class Mask:
 
 
 _FULL = [(NEG, POS)]
+_EMPTY = Mask(())
 
 
 def _build(terms, ext):
@@ -161,22 +170,38 @@ def _build(terms, ext):
     the lowest retained exponent (the choice of lo is arbitrary below the
     support, any value keeps the same certified region).  An `ext` with a
     finite head carries a claim the mask cannot represent, so everything is
-    conservatively dropped.
+    conservatively dropped.  Exponents in `terms` must be distinct.
     """
     ext = _iv_norm(ext)
     if not ext or ext[0][0] != NEG:
-        return HahnSeries((), Mask(()))
-    tl = sorted((e, c) for e, c in terms if c and _iv_contains(ext, e))
-    _, hi0 = ext[0]
-    below = [e for e, _ in tl if e < hi0]
-    if below:
-        lo0 = below[0]
+        return HahnSeries((), _EMPTY)
+    # one sweep over the intervals in order: each bisects the exponents
+    # left after the previous one
+    tl = sorted((t for t in terms if t[1]), key=itemgetter(0))
+    exps = [e for e, _ in tl]
+    kept, i, n = [], 0, len(tl)
+    for lo, hi in ext:
+        if i == n:
+            break
+        if lo != NEG:
+            i = bisect_left(exps, lo, i)
+        j = n if hi == POS else bisect_left(exps, hi, i)
+        kept += tl[i:j]
+        i = j
+    hi0 = ext[0][1]
+    if kept and kept[0][0] < hi0:
+        lo0 = kept[0][0]
     elif hi0 > 0:
         lo0 = Fraction(0)
     else:
         lo0 = hi0 - 1
     ext[0] = (lo0, hi0)
-    return HahnSeries(tuple(tl), Mask(ext))
+    return HahnSeries(tuple(kept), Mask._of(
+        [(_rat(lo), hi if hi == POS else _rat(hi)) for lo, hi in ext]))
+
+
+def _rat(x):
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 class HahnSeries:
@@ -471,14 +496,14 @@ def hs_mul(f, g):
 
 def _mul_pollution(unc, g):
     """Product regions reachable from uncertified exponents in `unc` paired
-    with the stored support of g."""
-    return [(lo + e, _add_inf(hi, e)) for lo, hi in unc for e, _ in g.terms]
-
-
-def _add_inf(a, b):
-    if a == POS or b == POS:
-        return POS
-    return a + b
+    with the stored support of g.  A final ray (lo, +inf) of `unc` pollutes
+    the single ray (lo + min supp g, +inf)."""
+    if not g.terms:
+        return []
+    out = [(lo + e, hi + e) for lo, hi in unc if hi != POS for e, _ in g.terms]
+    if unc and unc[-1][1] == POS:
+        out.append((unc[-1][0] + g.terms[0][0], POS))
+    return out
 
 
 # functional alias matching the documented operation name

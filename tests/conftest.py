@@ -12,8 +12,7 @@ from fractions import Fraction
 from mahler.errors import UnknownLeadingTerm, ZeroDivisor
 from mahler.fields import Poly, RatFun
 from mahler.frobenius import _solution
-from mahler.hahn import (_FULL, POS, _build, _iv_diff, _iv_norm, _mul_pollution,
-                         hs)
+from mahler.hahn import (_FULL, NEG, POS, HahnSeries, Mask, _iv_diff, _iv_norm, hs)
 from mahler.operator import MahlerOperator
 
 
@@ -43,15 +42,63 @@ def brute_conv(f, g):
     return {e: v for e, v in out.items() if v}
 
 
+def _iv_contains(ivs, x):
+    for lo, hi in ivs:
+        if lo <= x < hi:
+            return True
+    return False
+
+
+def reference_build(terms, ext):
+    """Canonical series from (exp, coeff) pairs and an extended certified set.
+
+    The head interval of `ext` must reach down to -inf: the stored mask's
+    no-support-below guarantee is only deducible when some ray (-inf, hi) is
+    certified.  The head is converted to the stored [lo, hi) form with lo at
+    the lowest retained exponent (the choice of lo is arbitrary below the
+    support, any value keeps the same certified region).  An `ext` with a
+    finite head carries a claim the mask cannot represent, so everything is
+    conservatively dropped.
+
+    Oracle for hahn._build: a linear membership scan per term and a second
+    normalization inside Mask, where _build sweeps once."""
+    ext = _iv_norm(ext)
+    if not ext or ext[0][0] != NEG:
+        return HahnSeries((), Mask(()))
+    tl = sorted((e, c) for e, c in terms if c and _iv_contains(ext, e))
+    _, hi0 = ext[0]
+    below = [e for e, _ in tl if e < hi0]
+    if below:
+        lo0 = below[0]
+    elif hi0 > 0:
+        lo0 = Fraction(0)
+    else:
+        lo0 = hi0 - 1
+    ext[0] = (lo0, hi0)
+    return HahnSeries(tuple(tl), Mask(ext))
+
+
+def reference_pollution(unc, g):
+    """Product regions reachable from uncertified exponents in `unc` paired
+    with the stored support of g, one region per pair."""
+    return [(lo + e, _add_inf(hi, e)) for lo, hi in unc for e, _ in g.terms]
+
+
+def _add_inf(a, b):
+    if a == POS or b == POS:
+        return POS
+    return a + b
+
+
 def reference_mul(f, g):
     """Product forming every pair of stored terms before the mask drops any.
 
     Same mask rule as hs_mul; only the product loop is unbounded."""
     fe, ge = f.mask.extended, g.mask.extended
     if not fe or not ge:
-        return _build((), ())
+        return reference_build((), ())
     if (not f.terms and fe == _FULL) or (not g.terms and ge == _FULL):
-        return _build((), _FULL)
+        return reference_build((), _FULL)
     if len(f.terms) == 1 and fe == _FULL:
         return g.shift(f.terms[0][0]).scale(f.terms[0][1])
     if len(g.terms) == 1 and ge == _FULL:
@@ -62,10 +109,10 @@ def reference_mul(f, g):
             e = e1 + e2
             acc[e] = acc.get(e, 0) + c1 * c2
     unc_f, unc_g = _iv_diff(_FULL, fe), _iv_diff(_FULL, ge)
-    poll = _mul_pollution(unc_f, g) + _mul_pollution(unc_g, f)
+    poll = reference_pollution(unc_f, g) + reference_pollution(unc_g, f)
     if unc_f and unc_g:
         poll.append((unc_f[0][0] + unc_g[0][0], POS))
-    return _build(acc.items(), _iv_diff(_FULL, _iv_norm(poll)))
+    return reference_build(acc.items(), _iv_diff(_FULL, _iv_norm(poll)))
 
 
 def geometric_invert(f, ceiling):
@@ -80,8 +127,8 @@ def geometric_invert(f, ceiling):
     c = f.terms[0][1]
     inv_c = 1 / c
     if len(f.terms) == 1 and f.mask.extended == _FULL:
-        return _build([(-v, inv_c)], _FULL)
-    one = _build([(Fraction(0), c * inv_c)], _FULL)
+        return reference_build([(-v, inv_c)], _FULL)
+    one = reference_build([(Fraction(0), c * inv_c)], _FULL)
     t = f.shift(-v).scale(inv_c) - one
     bound = Fraction(ceiling) - v
     fp = t.first_possible()

@@ -250,14 +250,21 @@ def test_selftest(capsys):
     ["--precision", "-2"],
     ["--precision", "1/0"],
     ["--precision", "abc"],
+    ["selftest", "--count", "-3"],
+    ["selftest", "--count", "0"],
+    ["selftest", "--count", "2.5"],
 ])
 def test_main_rejects_bad_precision_and_depth(tmp_path, capsys, flags):
-    f = tmp_path / "eq.txt"
-    f.write_text(PHI_MINUS_ONE)
+    if flags[0] == "selftest":
+        argv, flag = flags, flags[1]
+    else:
+        f = tmp_path / "eq.txt"
+        f.write_text(PHI_MINUS_ONE)
+        argv, flag = [str(f)] + flags, flags[0]
     with pytest.raises(SystemExit) as exc:
-        main([str(f)] + flags)
+        main(argv)
     assert exc.value.code == 2
-    assert "argument %s:" % flags[0] in capsys.readouterr().err
+    assert "argument %s:" % flag in capsys.readouterr().err
 
 
 def _fresh_python(tmp_path, *args):

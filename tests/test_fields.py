@@ -8,6 +8,7 @@ import pytest
 from mahler.errors import DivisionByZero, PoleAtEvaluationPoint
 from mahler.fields import (Poly, RatFun, pole_order, poly_gcd, poly_str, q,
                            rat_str, rational_roots)
+from mahler.testing import rand_rational
 
 
 def test_q_and_rat_str():
@@ -46,6 +47,18 @@ def test_poly_divmod():
     assert a // b == quo and a % b == rem
     with pytest.raises(DivisionByZero):
         divmod(a, Poly(()))
+    # sparse and non-monic operands against the coefficient definitions
+    rng = random.Random(37)
+    rand_poly = lambda: Poly([rng.choice((0, 0, 1, -2, Fraction(3, 4)))
+                              for _ in range(rng.randint(1, 7))])
+    for _ in range(300):
+        a, b = rand_poly(), rand_poly() or Poly.const(Fraction(-2, 3))
+        conv = [sum((a.coeffs[i] * b.coeffs[k - i] for i in range(len(a.coeffs))
+                     if 0 <= k - i < len(b.coeffs)), Fraction(0))
+                for k in range(len(a.coeffs) + len(b.coeffs) - 1)]
+        assert a * b == Poly(conv)
+        quo, rem = divmod(a, b)
+        assert quo * b + rem == a and rem.degree < b.degree
 
 
 def test_poly_eval_derivative_monic_shift():
@@ -94,6 +107,80 @@ def test_ratfun_field_identities():
         a / RatFun.const(0)
     with pytest.raises(DivisionByZero):
         RatFun.const(0) ** -1
+
+
+def _full_reduction(num, den):
+    """(num, den) coefficient tuples of num/den reduced by one gcd of the
+    whole pair and made monic in the denominator."""
+    if not num:
+        return (), (Fraction(1),)
+    g = poly_gcd(num, den)
+    num, den = num // g, den // g
+    lead = den.coeffs[-1]
+    return (num * (1 / lead)).coeffs, (den * (1 / lead)).coeffs
+
+
+def test_ratfun_arithmetic_matches_full_reduction():
+    rng = random.Random(31)
+    x = Poly.x()
+    factors = [x, x - 1, x + 2, x - Fraction(1, 2), 2 * x + 3, x ** 2 + 1,
+               x ** 2 + 2, x ** 3 + x + 1, x ** 3 - 2]
+    rand_poly = lambda d: Poly([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                for _ in range(rng.randint(1, d + 1))])
+
+    def rand_den():
+        den = Poly.const(rng.choice((1, 2, Fraction(-1, 3))))
+        for f in rng.sample(factors, rng.randint(0, 2)):
+            den = den * f ** rng.randint(1, 2)
+        return den
+
+    def rand_rat(den):
+        num = rand_poly(2) or Poly.const(1)
+        if rng.random() < 0.3:
+            num = num * rng.choice(factors)  # may cancel against den
+        return RatFun(num, den)
+
+    kinds = set()
+    for _ in range(500):
+        kind = rng.choice(("equal", "coprime", "shared", "non-split", "const", "a - a"))
+        if kind == "equal":
+            d = rand_den()
+            a, b = rand_rat(d), rand_rat(d)
+        elif kind == "coprime":
+            fa, fb = rng.sample(factors, 2)
+            a, b = rand_rat(fa ** rng.randint(1, 2)), rand_rat(fb * rng.randint(1, 3))
+        elif kind == "shared":
+            common, fa, fb = rng.sample(factors, 3)
+            a, b = rand_rat(common * fa), rand_rat(common ** 2 * fb)
+        elif kind == "non-split":
+            a = rand_rat(rand_den() * (x ** 3 + x + 1))
+            b = rand_rat((x ** 2 + 2) * rng.choice(factors))
+        elif kind == "const":
+            a = RatFun.const(rand_rational(rng))
+            b = rand_rat(rand_den()) if rng.random() < 0.5 else RatFun.const(rand_rational(rng))
+        else:
+            a = rand_rat(rand_den())
+            b = a
+        if rng.random() < 0.5:
+            a, b = b, a
+        kinds.add(kind)
+        n1, d1, n2, d2 = a.num, a.den, b.num, b.den
+        cases = [(a + b, n1 * d2 + n2 * d1, d1 * d2),
+                 (a - b, n1 * d2 - n2 * d1, d1 * d2),
+                 (a * b, n1 * n2, d1 * d2)]
+        if b:
+            cases.append((a / b, n1 * d2, d1 * n2))
+        for n in range(-3, 4):
+            if n < 0 and not a:
+                with pytest.raises(DivisionByZero):
+                    a ** n
+            elif n < 0:
+                cases.append((a ** n, d1 ** -n, n1 ** -n))
+            else:
+                cases.append((a ** n, n1 ** n, d1 ** n))
+        for got, num, den in cases:
+            assert (got.num.coeffs, got.den.coeffs) == _full_reduction(num, den)
+    assert len(kinds) == 6
 
 
 def test_ratfun_eval_derivative_subst():

@@ -11,7 +11,7 @@ from conftest import (d_lambda, ev_c, ladder_g1_terms, ladder_g2_terms,
                       ladder_operator, order1_coeff_oracle, reference_specialize,
                       series_dict_on_mask)
 from mahler.cli import elaborate, parse_spec
-from mahler.errors import MahlerError, PoleAtEvaluationPoint, VerificationError
+from mahler.errors import MahlerError, PlanMismatch, PoleAtEvaluationPoint, VerificationError
 from mahler.fields import RatFun, pole_order
 from mahler.hahn import POS, hs, hs_eq_on_mask, monomial, one, zero
 from mahler.newton import analyze, frobenius_plan
@@ -65,7 +65,7 @@ def test_order1_negative_monomial_records_gap():
 
 def test_order1_exact_zero_rhs():
     assert solve_order1_param(3, Fraction(1, 2), Fraction(2), zero(), 8, 4).is_exact_zero()
-    with pytest.raises(ValueError):
+    with pytest.raises(PlanMismatch):
         solve_order1_param(2, 0, Fraction(0), one(), 8, 4)
 
 

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_conv, geometric_invert, reference_mul
+from conftest import brute_conv, geometric_invert, reference_build, reference_mul
 from mahler.errors import MahlerError, UnknownLeadingTerm, ZeroDivisor, ZeroSeries
-from mahler.hahn import (NEG, POS, HahnSeries, Mask, _iv_diff, forward_solve, hs,
+from mahler.hahn import (NEG, POS, HahnSeries, Mask, _build, _iv_diff, forward_solve, hs,
                          hs_eq_on_mask, hs_mul, monomial, one, series_from_json, zero)
 from mahler.testing import rand_param_series, rand_rational, rand_series
 
@@ -190,6 +190,66 @@ def test_mul_equals_unbounded_reference():
         assert prod == reference_mul(f, g)
         masks.add(len(prod.mask.ivs))
     assert {0, 1, 2} <= masks
+    # operands with three to five mask intervals, sometimes also capped
+    masks = set()
+    for _ in range(200):
+        f, g = (rand_islands(rng, (rand_series if rng.random() < 0.7 else rand_param_series)(rng))
+                for _ in range(2))
+        assert len(f.mask.ivs) >= 3 or f.mask.empty
+        prod = hs_mul(f, g)
+        assert prod == reference_mul(f, g)
+        masks.add(len(prod.mask.ivs))
+    assert max(masks) >= 3
+
+
+def rand_islands(rng, f):
+    """f with two to four holes punched above its lowest exponent."""
+    cut = f.terms[0][0] + Fraction(rng.randint(0, 4), rng.randint(1, 3))
+    for _ in range(rng.randint(2, 4)):
+        width = Fraction(rng.randint(1, 3), rng.randint(2, 4))
+        f = f.forget(cut, cut + width)
+        cut += width + Fraction(rng.randint(1, 4), rng.randint(1, 3))
+    return f.cap(cut + rng.randint(1, 3)) if rng.random() < 0.3 else f
+
+
+def test_build_matches_reference():
+    rng = random.Random(41)
+    grid = [Fraction(k, 2) for k in range(-6, 13)]
+    shapes = set()
+    for _ in range(600):
+        terms = {}
+        for e in rng.sample(grid, rng.randint(0, 8)):
+            # zero coefficients, Fractions and Q(lambda) coefficients
+            r = rng.random()
+            terms[e] = (Fraction(0) if r < 0.2 else rand_rational(rng, nonzero=True)
+                        if r < 0.7 else rand_param_series(rng, terms=1).terms[0][1])
+        ext = []
+        for _ in range(rng.randint(0, 5)):
+            lo, hi = sorted(rng.sample(grid, 2))
+            if rng.random() < 0.3:
+                lo, hi = int(lo), int(hi) + 1  # integer endpoints
+            ext.append((lo, hi))
+        if ext and rng.random() < 0.7:
+            ext[0] = (NEG, ext[0][1])  # usual head; otherwise a finite head
+        if ext and rng.random() < 0.3:
+            ext.append((ext[-1][0], POS))
+        rng.shuffle(ext)
+        got = _build(list(terms.items()), list(ext))
+        want = reference_build(list(terms.items()), list(ext))
+        assert got == want
+        assert [tuple(map(type, iv)) for iv in got.mask.ivs] == \
+            [tuple(map(type, iv)) for iv in want.mask.ivs]
+        shapes.add(min(len(got.mask.ivs), 3))
+        if not ext:
+            shapes.add("empty ext")
+        elif min(lo for lo, _ in ext) != NEG:
+            shapes.add("finite head")
+        if any(e in iv for e in terms for iv in ext):
+            shapes.add("term on an endpoint")
+        if not all(terms.values()):
+            shapes.add("zero coefficient")
+    assert {0, 1, 2, 3, "empty ext", "finite head", "term on an endpoint",
+            "zero coefficient"} <= shapes
 
 
 def test_mul_of_exact_series_is_exact():
