@@ -5,10 +5,11 @@ factorization, and a full basis of solutions with certified residual and
 independence checks.  All arithmetic is exact over Q and Q(lambda).
 """
 
-from .errors import (DivisionByZero, MahlerError, NonRationalExponent,
-                     NonRationalExponentLiteral, ParseError, PlanMismatch,
-                     PoleAtEvaluationPoint, UnknownLeadingTerm,
-                     VerificationError, ZeroDivisor, ZeroSeries)
+from .errors import (DivisionByZero, InsufficientPrecision, MahlerError,
+                     NonRationalExponent, NonRationalExponentLiteral,
+                     ParseError, PlanMismatch, PoleAtEvaluationPoint,
+                     UnknownLeadingTerm, VerificationError, ZeroDivisor,
+                     ZeroSeries)
 from .fields import Poly, RatFun, pole_order, q, rational_roots
 from .hahn import (HahnSeries, Mask, hs, hs_mul, monomial, one,
                    series_from_json, zero)
@@ -24,10 +25,10 @@ from .frobenius import (ExponentBlock, FrobeniusOutput, SolutionObject,
 from .cli import EquationSpec, elaborate, parse_spec, run_pipeline
 
 __all__ = [
-    "DivisionByZero", "MahlerError", "NonRationalExponent",
-    "NonRationalExponentLiteral", "ParseError", "PlanMismatch",
-    "PoleAtEvaluationPoint", "UnknownLeadingTerm", "VerificationError",
-    "ZeroDivisor", "ZeroSeries",
+    "DivisionByZero", "InsufficientPrecision", "MahlerError",
+    "NonRationalExponent", "NonRationalExponentLiteral", "ParseError",
+    "PlanMismatch", "PoleAtEvaluationPoint", "UnknownLeadingTerm",
+    "VerificationError", "ZeroDivisor", "ZeroSeries",
     "Poly", "RatFun", "pole_order", "q", "rational_roots",
     "HahnSeries", "Mask", "hs", "hs_mul", "monomial", "one",
     "series_from_json", "zero",

@@ -19,8 +19,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (MahlerError, NonRationalExponentLiteral, ParseError,
-                     PlanMismatch, VerificationError)
+from .errors import (InsufficientPrecision, MahlerError, NonRationalExponentLiteral,
+                     ParseError, PlanMismatch, VerificationError)
 from .fields import poly_str
 from .frobenius import frobenius_basis
 from .hahn import POS, hs_mul, monomial, zero
@@ -491,6 +491,9 @@ def main(argv=None):
     except (VerificationError, PlanMismatch) as exc:
         _diagnostic(exc, args.as_json)
         return 1
+    except InsufficientPrecision as exc:
+        _diagnostic(exc, args.as_json)
+        return 4
     except (MahlerError, ValueError, ZeroDivisionError, OSError) as exc:
         _diagnostic(exc, args.as_json)
         return 2

@@ -37,6 +37,10 @@ class VerificationError(MahlerError):
     pass
 
 
+class InsufficientPrecision(MahlerError):
+    """Valid input whose ceiling is too low to certify a needed leading term."""
+
+
 class ParseError(MahlerError):
     def __init__(self, message, line=None, col=None):
         super().__init__(message)

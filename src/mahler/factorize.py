@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonRationalExponent, PlanMismatch, UnknownLeadingTerm, VerificationError
-from .hahn import HahnSeries, forward_solve, series_from_json
+from .hahn import HahnSeries, forward_solve, hs_mul, series_from_json
 from .newton import analyze, frobenius_plan
 from .operator import MahlerOperator
 
@@ -55,9 +55,9 @@ def slope_zero_unit_solution(M, c, ceiling):
     """Tangent-to-identity h with sum_i c**i a_i phi_p**i(h) = 0.
 
     Requires the smallest slope of M to be 0 and c to be a root of the
-    slope-0 characteristic polynomial (PlanMismatch otherwise).  The
-    recursion is a strict forward solve: the coefficient of z**gamma depends
-    only on exponents < gamma.
+    slope-0 characteristic polynomial (PlanMismatch otherwise).  A strict
+    forward solve: the coefficient of z**gamma depends only on exponents
+    < gamma.  The identity is checked once, by the peel in factor_operator.
     """
     p = M.p
     c = Fraction(c)
@@ -80,20 +80,19 @@ def slope_zero_unit_solution(M, c, ceiling):
         raise PlanMismatch("%s is not a root of the slope-zero characteristic polynomial" % c)
     taps = [(Fraction(0), p ** i, heads[i]) for i in range(1, len(bs)) if heads[i]]
     taps += [(e, p ** i, v) for i, bi in enumerate(bs) for e, v in bi.terms if 0 < e < cap]
-    h = forward_solve(Fraction(1), b00, taps, cap)
-    residual = M.gauge_exp(c).apply(h)
-    if not residual.is_zero() or residual.mask.empty:
-        raise VerificationError("unit solution does not annihilate the operator")
-    return h
+    return forward_solve(Fraction(1), b00, taps, cap)
 
 
 def factor_operator(L, ceiling, plan=None):
-    """Peel first-order right factors slope by slope; verifies each division.
+    """Peel first-order right factors slope by slope; certifies each peel.
 
     The slopes and exponents come from the FrobeniusPlan (built from one
     analyze(L) when none is given): layer j gauges by nu_j and peels each
     exponent c of entries[j], smallest first, m times.  Each peel checks that
-    the gauged remainder has slope 0 with chi(c) = 0 (PlanMismatch otherwise).
+    the gauged remainder has slope 0 with chi(c) = 0 (PlanMismatch otherwise),
+    solves for the unit h and divides with no inverse, Mg h = Q (phi - c) + r,
+    by Horner's rule on a_i phi**i(h); r = sum_i c**i a_i phi**i(h), the peel's
+    one certificate, must be certified zero (VerificationError otherwise).
     """
     if plan is None:
         plan = frobenius_plan(L, analyze(L))
@@ -104,20 +103,21 @@ def factor_operator(L, ceiling, plan=None):
     va0, ca0 = a0.val(), a0.cld()
     M = L
     layers = []
-    for nu, entry in zip(plan.nus, plan.entries):
+    for j, (nu, entry) in enumerate(zip(plan.nus, plan.entries)):
         Mg = M.gauge_theta(-nu)
         layer = []
         for c, m, _ in entry:
             for _ in range(m):
                 h = slope_zero_unit_solution(Mg, c, ceiling)
-                hinv = h.invert(ceiling)
-                B = MahlerOperator(p, [hinv.scale(-c), hinv.mal(1, p)])
-                Q, R = Mg.right_divide(B, ceiling, lead_inverse=h.mal(1, p))
-                for rc in R.coeffs:
-                    if not rc.is_zero() or rc.mask.empty:
-                        raise VerificationError("nonzero remainder when dividing out a factor")
+                # Horner in place: t = [r, q_0, ..., q_(n-1)] from t_i = a_i phi**i(h)
+                t = [hs_mul(ai, h.mal(i, p)) for i, ai in enumerate(Mg.coeffs)]
+                for k in range(len(t) - 2, -1, -1):
+                    t[k] = t[k] + t[k + 1].scale(c)
+                if not t[0].is_zero() or t[0].mask.empty:
+                    raise VerificationError("layer %d, peel %d, c = %s: sum_i c**i a_i phi**i(h) "
+                                            "is not certified zero" % (j + 1, len(layer) + 1, c))
                 layer.append(FirstOrderFactor(nu, c, h))
-                Mg = Q
+                Mg = MahlerOperator(p, t[1:])
         M = Mg.gauge_theta(nu)
         layers.append(tuple(layer))
     if M.order:

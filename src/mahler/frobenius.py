@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PlanMismatch, VerificationError
+from .errors import InsufficientPrecision, PlanMismatch, VerificationError
 from .factorize import factor_operator
 from .fields import Poly, RatFun, pole_order
 from .hahn import NEG, POS, HahnSeries, Mask, _build, _iv_inter, hs_mul, monomial, zero
@@ -145,9 +145,18 @@ def check_gcj(L, plan, fact, c, j, mu, g, residual=False):
 
     frobenius_basis calls it with residual=False: --verify already checks
     the residual of every specialized solution, so the residual of g itself
-    (gcj_residual_mask) is only checked by the tests."""
+    (gcj_residual_mask) is only checked by the tests.  A g whose leading
+    term the ceiling leaves uncertified, with its first mask gap at or below
+    -mu, raises InsufficientPrecision."""
     c = Fraction(c)
     m, s = plan.lookup(j, c)
+    bound, exact = g.val_bound()
+    if not exact and bound <= -mu:
+        gap = "is empty" if g.mask.empty else "has its first gap at %s" % bound
+        raise InsufficientPrecision(
+            "g_{c,j} for c = %s, j = %d has no certified leading term: its mask %s, "
+            "not above the expected valuation %s; raise the precision"
+            % (c, j, gap, -mu))
     if g.val() != -mu:
         raise VerificationError("val of g is %s, expected %s" % (g.val(), -mu))
     if g.cld() != expected_gcj_cld(L, plan, fact, c, j):

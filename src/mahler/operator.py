@@ -67,11 +67,10 @@ class MahlerOperator:
     def __sub__(self, other):
         return self + MahlerOperator(other.p, [-c for c in other.coeffs])
 
-    def right_divide(self, other, ceiling, lead_inverse=None):
+    def right_divide(self, other, ceiling):
         """Euclidean division self = Q * other + R with order(R) < order(other).
 
-        `lead_inverse` may supply an exact inverse of the divisor's leading
-        coefficient (it is inverted at `ceiling` otherwise).
+        The divisor's leading coefficient is inverted at `ceiling`.
         """
         p = self.p
         bcs = list(other.coeffs)
@@ -80,7 +79,7 @@ class MahlerOperator:
         if not bcs:
             raise ZeroDivisor("right division by the zero operator")
         s = len(bcs) - 1
-        btop_inv = lead_inverse if lead_inverse is not None else bcs[-1].invert(ceiling)
+        btop_inv = bcs[-1].invert(ceiling)
         work = list(self.coeffs)
         qlen = len(work) - 1 - s
         if qlen < 0:
@@ -92,8 +91,8 @@ class MahlerOperator:
                 continue
             qd = hs_mul(cd, btop_inv.mal(d - s, p))
             quo[d - s] = qd
-            for j, bj in enumerate(bcs):
-                work[d - s + j] = work[d - s + j] - hs_mul(qd, bj.mal(d - s, p))
+            for j in range(s):
+                work[d - s + j] = work[d - s + j] - hs_mul(qd, bcs[j].mal(d - s, p))
         rem = work[:s] if s else [_Z]
         return MahlerOperator(p, quo), MahlerOperator(p, rem)
 

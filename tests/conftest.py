@@ -9,10 +9,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from mahler.errors import UnknownLeadingTerm, ZeroDivisor
+from mahler.errors import (NonRationalExponent, PlanMismatch, UnknownLeadingTerm,
+                           VerificationError, ZeroDivisor)
+from mahler.factorize import Factorization, FirstOrderFactor
 from mahler.fields import Poly, RatFun
 from mahler.frobenius import _solution
-from mahler.hahn import (_FULL, NEG, POS, HahnSeries, Mask, _iv_diff, _iv_norm, hs)
+from mahler.hahn import (_FULL, NEG, POS, HahnSeries, Mask, _iv_diff, _iv_norm,
+                         forward_solve, hs, hs_mul, zero)
+from mahler.newton import analyze, frobenius_plan
 from mahler.operator import MahlerOperator
 
 
@@ -141,6 +145,98 @@ def geometric_invert(f, ceiling):
         if power.is_exact_zero():
             break
     return total.cap(bound).shift(-v).scale(inv_c)
+
+
+def reference_unit_solution(M, c, ceiling):
+    """The unit solution checked by its own residual M^[e_c](h), as the
+    first factoring code did."""
+    p = M.p
+    c = Fraction(c)
+    v0 = M.coeffs[0].val()
+    bs = [ai.shift(-v0).scale(c ** i) for i, ai in enumerate(M.coeffs)]
+    cap = Fraction(ceiling)
+    for bi in bs:
+        if bi.is_zero() and bi.mask.empty:
+            raise UnknownLeadingTerm("coefficient with no certified region")
+        if bi.first_possible() < 0:
+            raise PlanMismatch("smallest slope is not zero")
+        gap = bi.mask.first_gap()
+        if gap < cap:
+            cap = gap
+    heads = [bi.coeff_at(Fraction(0)) for bi in bs]
+    b00 = heads[0]
+    if not b00:
+        raise PlanMismatch("slope-zero edge does not start at the order-0 vertex")
+    if sum(heads):
+        raise PlanMismatch("%s is not a root of the slope-zero characteristic polynomial" % c)
+    taps = [(Fraction(0), p ** i, heads[i]) for i in range(1, len(bs)) if heads[i]]
+    taps += [(e, p ** i, v) for i, bi in enumerate(bs) for e, v in bi.terms if 0 < e < cap]
+    h = forward_solve(Fraction(1), b00, taps, cap)
+    residual = M.gauge_exp(c).apply(h)
+    if not residual.is_zero() or residual.mask.empty:
+        raise VerificationError("unit solution does not annihilate the operator")
+    return h
+
+
+def _reference_right_divide(A, B, lead_inverse):
+    """Euclidean division A = Q * B + R given the inverse of B's leading
+    coefficient; every product of the schoolbook step is formed."""
+    p = A.p
+    bcs = list(B.coeffs)
+    s = len(bcs) - 1
+    work = list(A.coeffs)
+    quo = [zero()] * (len(work) - s)
+    for d in range(len(work) - 1, s - 1, -1):
+        cd = work[d]
+        if cd.is_exact_zero():
+            continue
+        qd = hs_mul(cd, lead_inverse.mal(d - s, p))
+        quo[d - s] = qd
+        for j, bj in enumerate(bcs):
+            work[d - s + j] = work[d - s + j] - hs_mul(qd, bj.mal(d - s, p))
+    return MahlerOperator(p, quo), MahlerOperator(p, work[:s])
+
+
+def reference_factor_operator(L, ceiling, plan=None):
+    """Factorization by inverting each h and right-dividing by
+    (phi - c) h**-1, with the remainder and the unit solution's residual
+    both checked."""
+    if plan is None:
+        plan = frobenius_plan(L, analyze(L))
+    if sum(m for entry in plan.entries for _, m, _ in entry) < L.order:
+        raise NonRationalExponent("some slope has no rational exponent left to factor out")
+    p = L.p
+    a0 = L.coeffs[0]
+    va0, ca0 = a0.val(), a0.cld()
+    M = L
+    layers = []
+    for nu, entry in zip(plan.nus, plan.entries):
+        Mg = M.gauge_theta(-nu)
+        layer = []
+        for c, m, _ in entry:
+            for _ in range(m):
+                h = reference_unit_solution(Mg, c, ceiling)
+                hinv = h.invert(ceiling)
+                B = MahlerOperator(p, [hinv.scale(-c), hinv.mal(1, p)])
+                Q, R = _reference_right_divide(Mg, B, h.mal(1, p))
+                for rc in R.coeffs:
+                    if not rc.is_zero() or rc.mask.empty:
+                        raise VerificationError("nonzero remainder when dividing out a factor")
+                layer.append(FirstOrderFactor(nu, c, h))
+                Mg = Q
+        M = Mg.gauge_theta(nu)
+        layers.append(tuple(layer))
+    if M.order:
+        raise PlanMismatch("an order-%d remainder is left after the plan's slopes" % M.order)
+    fact = Factorization(p, M.coeffs[0], tuple(layers))
+    if fact.a.val() != va0:
+        raise VerificationError("val of the order-0 leftover differs from val a_0")
+    prod = Fraction(1)
+    for f in fact.all_factors():
+        prod *= -f.c
+    if fact.a.cld() * prod != ca0:
+        raise VerificationError("cld invariant of the factorization fails")
+    return fact
 
 
 def ev_c(f, c):

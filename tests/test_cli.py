@@ -23,6 +23,8 @@ EXAMPLE = (
 )
 
 PHI_MINUS_ONE = "p = 2\na[0] = -1\na[1] = 1\n"
+# valid, but precision 3 or 6 leaves the leading term of g_{1/2,0} uncertified
+LOW_PRECISION = "p = 2\na[0] = -z^6\na[1] = 2*z^(-1)\na[2] = z^(-1)/2 - 3/4\n"
 IRRATIONAL = "p = 2\na[0] = 1\na[2] = 1\n"
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(mahler.__file__)))
 
@@ -232,6 +234,23 @@ def test_main_verification_failure_code(tmp_path, capsys, monkeypatch):
     f.write_text(PHI_MINUS_ONE)
     assert main([str(f)]) == 1
     assert "error [VerificationError]" in capsys.readouterr().err
+
+
+def test_main_insufficient_precision_code(tmp_path, capsys):
+    f = tmp_path / "eq.txt"
+    f.write_text(LOW_PRECISION)
+    assert main([str(f), "--precision", "3", "--verify"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error [InsufficientPrecision]: g_{c,j} for c = 1/2, j = 0 "
+                          "has no certified leading term: its mask has its first gap "
+                          "at 11/2, not above the expected valuation 7")
+    assert main([str(f), "--precision", "3", "--verify", "--json"]) == 4
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "InsufficientPrecision"
+    # a first gap exactly at the expected valuation certifies nothing there either
+    assert main([str(f), "--precision", "6", "--verify"]) == 4
+    assert "first gap at 7, not above the expected valuation 7" in capsys.readouterr().err
+    assert main([str(f), "--precision", "12", "--verify"]) == 0
+    assert "verification: ok" in capsys.readouterr().out
 
 
 def test_selftest(capsys):

@@ -1,12 +1,15 @@
 """First-order factorization: unit solutions, peeling, reconstruction."""
 import importlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from conftest import ladder_operator
-from mahler.errors import NonRationalExponent, PlanMismatch, VerificationError
+from conftest import ladder_operator, reference_factor_operator
+from test_cli import EXAMPLE
+from mahler.cli import elaborate, parse_spec
+from mahler.errors import MahlerError, NonRationalExponent, PlanMismatch, VerificationError
 from mahler.hahn import hs, hs_eq_on_mask, monomial, one, zero
 from mahler.newton import FrobeniusPlan, analyze, frobenius_plan
 from mahler.operator import MahlerOperator, phi_minus
@@ -175,3 +178,65 @@ def test_factor_rejects_a_plan_that_leaves_a_remainder():
     short = FrobeniusPlan(plan.p, plan.val_a0, plan.nus[:1], plan.entries)
     with pytest.raises(PlanMismatch):
         factor_operator(L, 10, short)
+
+
+def _factor_cases():
+    rng = random.Random(2026)
+    # the criterion-3 suite draws its operators from this stream
+    for _ in range(60):
+        L, _ = rand_factored_operator(rng, Fraction(3))
+        yield L, Fraction(3)
+    rng = random.Random(97)
+    for ceiling in (Fraction(3), Fraction(6), Fraction(13, 2)):
+        for _ in range(40):
+            L, _ = rand_factored_operator(rng, ceiling)
+            yield L, ceiling
+    yield elaborate(parse_spec(EXAMPLE), 8), Fraction(8)
+    for p, nu in ((2, -2), (3, -3)):
+        yield ladder_operator(p, nu), Fraction(8)
+
+
+def test_synthetic_division_peel_equals_right_division():
+    n = 0
+    for L, ceiling in _factor_cases():
+        assert factor_operator(L, ceiling).to_json() == \
+            reference_factor_operator(L, ceiling).to_json()
+        n += 1
+    assert n == 183
+
+
+def test_synthetic_division_peel_raises_like_right_division():
+    rng = random.Random(11)
+    outcomes = set()
+    for _ in range(100):
+        L = rand_operator(rng)
+        try:
+            want = reference_factor_operator(L, 3).to_json()
+        except MahlerError as exc:
+            want = type(exc)
+        try:
+            got = factor_operator(L, 3).to_json()
+        except MahlerError as exc:
+            got = type(exc)
+        assert got == want
+        outcomes.add(want if isinstance(want, type) else "ok")
+    assert "ok" in outcomes and NonRationalExponent in outcomes
+
+
+def test_peel_rejects_a_corrupted_unit_solution(monkeypatch):
+    module = sys.modules["mahler.factorize"]
+    solve = module.forward_solve
+
+    def corrupted(one_, lead, taps, cap):
+        # one extra certified term below the cap
+        return solve(one_, lead, taps, cap) + monomial(cap / 7, Fraction(1, 3))
+    rng = random.Random(101)
+    cases = [rand_factored_operator(rng, Fraction(4))[0] for _ in range(10)]
+    cases.append(ladder_operator(2, -2))
+    monkeypatch.setattr(module, "forward_solve", corrupted)
+    for L in cases:
+        c = frobenius_plan(L).entries[0][0][0]
+        with pytest.raises(VerificationError) as exc:
+            factor_operator(L, 4)
+        assert str(exc.value) == ("layer 1, peel 1, c = %s: sum_i c**i a_i phi**i(h) "
+                                  "is not certified zero" % c)
