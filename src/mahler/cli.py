@@ -13,8 +13,6 @@ powers of z; exponents of z are bare integers or parenthesized rationals.
 from __future__ import annotations
 
 import argparse
-import json
-import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -388,6 +386,7 @@ def _diagnostic(exc, as_json):
     if isinstance(exc, ParseError):
         info["line"], info["col"] = exc.line, exc.col
     if as_json:
+        import json
         print(json.dumps({"error": info}, indent=2))
     else:
         print("error [%s]: %s" % (info["type"], exc), file=sys.stderr)
@@ -426,6 +425,7 @@ def cmd_analyze(args):
     spec = parse_spec(text)
     report, code, out = run_pipeline(spec, args.precision, args.depth, args.verify)
     if args.as_json:
+        import json
         print(json.dumps(report, indent=2))
     else:
         sys.stdout.write(render_pretty(out))
@@ -433,6 +433,9 @@ def cmd_analyze(args):
 
 
 def cmd_selftest(args):
+    import json
+    import random
+
     from .testing import rand_factored_operator
 
     rng = random.Random(args.seed)

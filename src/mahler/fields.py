@@ -52,7 +52,7 @@ class Poly:
         return hash(self.coeffs)
 
     def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
+        return _poly(tuple(-c for c in self.coeffs))
 
     def __add__(self, other):
         if not isinstance(other, Poly):
@@ -63,7 +63,7 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Poly(out)
+        return _poly(out)
 
     __radd__ = __add__
 
@@ -76,16 +76,16 @@ class Poly:
     def __mul__(self, other):
         if not isinstance(other, Poly):
             co = Fraction(other)
-            return Poly(tuple(c * co for c in self.coeffs))
+            return _poly(tuple(c * co for c in self.coeffs))
         if not self or not other:
-            return Poly()
+            return _ZERO
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         nz = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in nz:
                     out[i + j] += a * b
-        return Poly(out)
+        return _poly(out)
 
     __rmul__ = __mul__
 
@@ -105,7 +105,7 @@ class Poly:
         rem = list(self.coeffs)
         dq = len(rem) - len(other.coeffs)
         if dq < 0:
-            return Poly(), self
+            return _ZERO, self
         quo = [Fraction(0)] * (dq + 1)
         lead = other.coeffs[-1]
         # the leading term cancels exactly, so only the lower ones update rem
@@ -119,7 +119,7 @@ class Poly:
             if c:
                 for j, b in low:
                     rem[k + j] -= c * b
-        return Poly(quo), Poly(rem[: other.degree])
+        return _poly(quo), _poly(rem[: other.degree])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -135,24 +135,35 @@ class Poly:
         return acc
 
     def derivative(self):
-        return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
+        return _poly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
 
     def monic(self):
         if not self:
             return self
         lead = self.coeffs[-1]
-        return Poly(tuple(c / lead for c in self.coeffs))
+        return _poly(tuple(c / lead for c in self.coeffs))
 
     def shift(self, k):
         """Multiply by x**k."""
         if not self:
             return self
-        return Poly((Fraction(0),) * k + self.coeffs)
+        return _poly((Fraction(0),) * k + self.coeffs)
 
     def __str__(self):
         return poly_str(self, "λ")
 
     __repr__ = __str__
+
+
+def _poly(cs):
+    """Poly from Fractions produced by Poly arithmetic: trailing zeros are
+    stripped, no coefficient is coerced (the public constructor does both)."""
+    n = len(cs)
+    while n and not cs[n - 1]:
+        n -= 1
+    out = object.__new__(Poly)
+    out.coeffs = tuple(cs[:n])
+    return out
 
 
 def poly_gcd(a, b):
@@ -198,8 +209,14 @@ class RatFun:
       t = n1 (d2/g) +- n2 (d1/g), the result t / (d1 d2 / g) can only
       share a factor with g, so it is reduced when g = 1 and needs
       gcd(t, g) alone otherwise;
+    - product by a*lambda**k (a scalar when k = 0, k of either sign): only
+      a power of lambda can cancel, so it is stripped from the low end of
+      the other factor's den (k > 0) or num (k < 0) and no gcd runs;
     - power: a power of a reduced fraction is reduced; a negative power
-      and a quotient go through the reciprocal den/num, also reduced.
+      and a quotient go through the reciprocal den/num, also reduced;
+    - n-ary sum (`sum_of`): the numerators over each distinct denominator
+      are added first, one gcd per distinct denominator reduces each
+      partial sum, and the partial sums are then added as above.
     """
 
     __slots__ = ("num", "den")
@@ -298,6 +315,32 @@ class RatFun:
         inv = 1 / lead
         return _reduced(self.den * inv, self.num * inv)
 
+    @staticmethod
+    def sum_of(values):
+        """Sum of a sequence of RatFuns and rationals, reduced once per
+        distinct denominator instead of after every pairwise +."""
+        groups = []  # (den, [num, ...]) per distinct denominator
+        for v in values:
+            v = _coerce(v)
+            if v.num:
+                for den, nums in groups:
+                    if den.coeffs == v.den.coeffs:
+                        nums.append(v.num)
+                        break
+                else:
+                    groups.append((v.den, [v.num]))
+        out = _reduced(_ZERO, _ONE)
+        for den, nums in groups:
+            t = sum(nums[1:], nums[0])
+            if not t:
+                continue
+            if len(nums) > 1 and den.degree > 0:
+                g = poly_gcd(den, t)
+                if g.degree > 0:
+                    t, den = t // g, den // g
+            out = _add(out.num, out.den, t, den) if out.num else _reduced(t, den)
+        return out
+
     def eval_at(self, c):
         """Value at lambda = c; raises PoleAtEvaluationPoint on a pole."""
         d = self.den.eval(c)
@@ -376,6 +419,12 @@ def _mul(n1, d1, n2, d2):
     """n1/d1 * n2/d2 for reduced operands."""
     if not n1 or not n2:
         return _reduced(_ZERO, _ONE)
+    mono = _lam_power(n2, d2)
+    if mono is not None:
+        return _mul_lam_power(n1, d1, *mono)
+    mono = _lam_power(n1, d1)
+    if mono is not None:
+        return _mul_lam_power(n2, d2, *mono)
     if d2.degree > 0 and n1.degree > 0:
         g = poly_gcd(d2, n1)
         if g.degree > 0:
@@ -385,6 +434,41 @@ def _mul(n1, d1, n2, d2):
         if g.degree > 0:
             n2, d1 = n2 // g, d1 // g
     return _reduced(n1 * n2, d1 * d2)
+
+
+def _lam_power(n, d):
+    """(a, k) when the reduced nonzero n/d is a*lambda**k, else None."""
+    ncs, dcs = n.coeffs, d.coeffs
+    if len(dcs) == 1:
+        k = len(ncs) - 1
+        if not k or (not ncs[0] and not any(ncs[1:k])):
+            return ncs[k], k
+        return None
+    if len(ncs) == 1 and not dcs[0] and not any(dcs[1:-1]):
+        return ncs[0], 1 - len(dcs)
+    return None
+
+
+def _low_zeros(cs, k):
+    """Number of leading zero coefficients of cs, counted up to k."""
+    j = 0
+    while j < k and not cs[j]:
+        j += 1
+    return j
+
+
+def _mul_lam_power(n, d, a, k):
+    """n/d * a*lambda**k for a reduced n/d: only a power of lambda can
+    cancel, and it comes off the low end of the other side."""
+    if a != 1:
+        n = n * a
+    if k > 0:
+        j = _low_zeros(d.coeffs, k)
+        return _reduced(n.shift(k - j) if k > j else n, _poly(d.coeffs[j:]) if j else d)
+    if k < 0:
+        j = _low_zeros(n.coeffs, -k)
+        return _reduced(_poly(n.coeffs[j:]) if j else n, d.shift(-k - j) if -k > j else d)
+    return _reduced(n, d)
 
 
 def _add(n1, d1, n2, d2):

@@ -15,6 +15,7 @@ Instances are immutable by convention and safe to share.
 from __future__ import annotations
 
 import heapq
+import math
 from bisect import bisect_left
 from fractions import Fraction
 from operator import itemgetter
@@ -172,12 +173,17 @@ def _build(terms, ext):
     finite head carries a claim the mask cannot represent, so everything is
     conservatively dropped.  Exponents in `terms` must be distinct.
     """
+    return _build_sorted(sorted((t for t in terms if t[1]), key=itemgetter(0)), ext)
+
+
+def _build_sorted(tl, ext):
+    """_build for terms already sorted by exponent, none with a zero
+    coefficient (the product and forward-solve kernels emit them so)."""
     ext = _iv_norm(ext)
     if not ext or ext[0][0] != NEG:
         return HahnSeries((), _EMPTY)
     # one sweep over the intervals in order: each bisects the exponents
     # left after the previous one
-    tl = sorted((t for t in terms if t[1]), key=itemgetter(0))
     exps = [e for e, _ in tl]
     kept, i, n = [], 0, len(tl)
     for lo, hi in ext:
@@ -426,27 +432,33 @@ def forward_solve(one, lead, taps, cap):
 
     at every g > 0.  Every tap must move forward (e >= 0, k >= 1,
     not both e = 0 and k = 1), so w is supported on the closure of {0} under
-    g -> k*g + e and each w_g depends only on smaller exponents.  Exponents
-    are settled in increasing order from a heap; a settled nonzero w_g
-    scatters its contributions to the exponents it reaches below cap.
+    g -> k*g + e and each w_g depends only on smaller exponents.  That
+    closure lies on the lattice (1/D)Z of the taps, D the lcm of the
+    denominators of the e, so the recursion runs on the integers D*g with
+    the cap as ceil(cap*D); exponents become Fractions once, on output.
+    Exponents are settled in increasing order from a heap; a settled
+    nonzero w_g scatters its contributions to the exponents it reaches
+    below the cap.
     """
     rows = {}
     for e, k, a in taps:
         if e < 0 or k < 1 or (not e and k == 1):
             raise MahlerError("tap (%s, %s) does not move the recursion forward" % (e, k))
         rows.setdefault(k, []).append((e, a))
-    rows = [(k, sorted(row, key=lambda t: t[0])) for k, row in rows.items()]
+    D = _lattice(e for e, _, _ in taps)
+    cut = math.ceil(cap * D)  # t < cap iff D*t < cut
+    rows = [(k, sorted(_on_lattice(row, D), key=itemgetter(0))) for k, row in rows.items()]
     inv = 1 / lead
-    w, pending, heap = {}, {}, []
-    g, v = Fraction(0), one
+    w, pending, heap = [], {}, []
+    g, v = 0, one
     while True:
         if v:
-            w[g] = v
+            w.append((Fraction(g, D), v))
             for k, row in rows:
                 base = k * g
                 for e, a in row:
                     t = base + e
-                    if t >= cap:
+                    if t >= cut:
                         break
                     s = pending.get(t)
                     if s is not None:
@@ -455,7 +467,7 @@ def forward_solve(one, lead, taps, cap):
                         pending[t] = a * v
                         heapq.heappush(heap, t)
         if not heap:
-            return _build(w.items(), [(NEG, cap)])
+            return _build_sorted(w, [(NEG, cap)])
         g = heapq.heappop(heap)
         v = -pending.pop(g) * inv
 
@@ -464,7 +476,16 @@ def hs_mul(f, g):
     """Product.  A coefficient of f*g is certified unless it can receive a
     contribution involving an uncertified coefficient: the uncertified region
     of one factor shifted by any possible support point of the other.  Pairs
-    at or above the top of the certified region are never formed."""
+    at or above the top of the certified region are never formed.
+
+    The pairs are formed on integers: with D the lcm of the exponent
+    denominators of both factors, exponent e becomes E = D*e, and a pair is
+    formed only when E1 + E2 < ceil(top*D).  When every coefficient is a
+    Fraction, each factor's coefficients become integer numerators over one
+    common denominator and the convolution sums ints; otherwise the products
+    at each exponent are added by one n-ary sum (the coefficient type's
+    `sum_of` when it has one).  One Fraction exponent and one coefficient
+    are built per output term, and zero sums are dropped."""
     fe, ge = f.mask.extended, g.mask.extended
     if not fe or not ge:
         return _build((), ())
@@ -480,18 +501,62 @@ def hs_mul(f, g):
         poll.append((unc_f[0][0] + unc_g[0][0], POS))
     ext = _iv_diff(_FULL, _iv_norm(poll))
     top = ext[-1][1]
-    g_exps = [e for e, _ in g.terms]
+    D = _lattice(e for t in (f.terms, g.terms) for e, _ in t)
+    fi, gi = _on_lattice(f.terms, D), _on_lattice(g.terms, D)
+    cut = None if top == POS else math.ceil(top * D)  # e < top iff D*e < cut
+    ints = all(type(c) is Fraction for t in (f.terms, g.terms) for _, c in t)
+    if ints:
+        (fi, fden), (gi, gden) = _numerators(fi), _numerators(gi)
+    g_exps = [E for E, _ in gi]
     acc = {}
-    for e1, c1 in f.terms:
-        n = bisect_left(g_exps, top - e1)
+    for E1, c1 in fi:
+        n = len(gi) if cut is None else bisect_left(g_exps, cut - E1)
         if not n:
             break
-        for e2, c2 in g.terms[:n]:
-            e = e1 + e2
-            v = c1 * c2
-            s = acc.get(e)
-            acc[e] = v if s is None else s + v
-    return _build(acc.items(), ext)
+        if ints:
+            for E2, c2 in gi[:n]:
+                E = E1 + E2
+                acc[E] = acc.get(E, 0) + c1 * c2
+        else:
+            for E2, c2 in gi[:n]:
+                vs = acc.get(E1 + E2)
+                if vs is None:
+                    acc[E1 + E2] = [c1 * c2]
+                else:
+                    vs.append(c1 * c2)
+    if ints:
+        den = fden * gden
+        terms = [(Fraction(E, D), Fraction(s, den)) for E, s in sorted(acc.items()) if s]
+    else:
+        terms = [(Fraction(E, D), v) for E, vs in sorted(acc.items())
+                 for v in (_sum(vs),) if v]
+    return _build_sorted(terms, ext)
+
+
+def _lattice(exps):
+    """Smallest D with every exponent in (1/D)Z."""
+    return math.lcm(*{e.denominator for e in exps})
+
+
+def _on_lattice(terms, D):
+    """Terms with each exponent e replaced by the integer D*e."""
+    return [(e.numerator * (D // e.denominator), c) for e, c in terms]
+
+
+def _numerators(terms):
+    """(terms with Fraction coefficients as integer numerators over one
+    common denominator, that denominator)."""
+    den = math.lcm(*{c.denominator for _, c in terms})
+    return [(E, c.numerator * (den // c.denominator)) for E, c in terms], den
+
+
+def _sum(values):
+    """Sum of a nonempty list of coefficients: the type's own n-ary
+    `sum_of` when it has one, else pairwise."""
+    if len(values) == 1:
+        return values[0]
+    nary = getattr(type(values[0]), "sum_of", None)
+    return sum(values[1:], values[0]) if nary is None else nary(values)
 
 
 def _mul_pollution(unc, g):

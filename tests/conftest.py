@@ -6,15 +6,16 @@ that the library is never checked against itself.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 
-from mahler.errors import (NonRationalExponent, PlanMismatch, UnknownLeadingTerm,
-                           VerificationError, ZeroDivisor)
+from mahler.errors import (MahlerError, NonRationalExponent, PlanMismatch,
+                           UnknownLeadingTerm, VerificationError, ZeroDivisor)
 from mahler.factorize import Factorization, FirstOrderFactor
 from mahler.fields import Poly, RatFun
 from mahler.frobenius import _solution
-from mahler.hahn import (_FULL, NEG, POS, HahnSeries, Mask, _iv_diff, _iv_norm,
+from mahler.hahn import (_FULL, NEG, POS, HahnSeries, Mask, _build, _iv_diff, _iv_norm,
                          forward_solve, hs, hs_mul, zero)
 from mahler.newton import analyze, frobenius_plan
 from mahler.operator import MahlerOperator
@@ -117,6 +118,49 @@ def reference_mul(f, g):
     if unc_f and unc_g:
         poll.append((unc_f[0][0] + unc_g[0][0], POS))
     return reference_build(acc.items(), _iv_diff(_FULL, _iv_norm(poll)))
+
+
+def reference_forward_solve(one, lead, taps, cap):
+    """Series w, exact on (-inf, cap), with w_0 = one and
+
+        lead * w_g + sum over taps (e, k, a) of a * w_((g - e)/k) = 0
+
+    at every g > 0.  Every tap must move forward (e >= 0, k >= 1,
+    not both e = 0 and k = 1), so w is supported on the closure of {0} under
+    g -> k*g + e and each w_g depends only on smaller exponents.  Exponents
+    are settled in increasing order from a heap; a settled nonzero w_g
+    scatters its contributions to the exponents it reaches below cap.
+
+    Oracle for hahn.forward_solve: the same recursion on Fraction exponents,
+    where forward_solve runs on the integers of the taps' lattice."""
+    rows = {}
+    for e, k, a in taps:
+        if e < 0 or k < 1 or (not e and k == 1):
+            raise MahlerError("tap (%s, %s) does not move the recursion forward" % (e, k))
+        rows.setdefault(k, []).append((e, a))
+    rows = [(k, sorted(row, key=lambda t: t[0])) for k, row in rows.items()]
+    inv = 1 / lead
+    w, pending, heap = {}, {}, []
+    g, v = Fraction(0), one
+    while True:
+        if v:
+            w[g] = v
+            for k, row in rows:
+                base = k * g
+                for e, a in row:
+                    t = base + e
+                    if t >= cap:
+                        break
+                    s = pending.get(t)
+                    if s is not None:
+                        pending[t] = s + a * v
+                    elif t != g:  # t == g only for e = 0 taps at the base g = 0
+                        pending[t] = a * v
+                        heapq.heappush(heap, t)
+        if not heap:
+            return _build(w.items(), [(NEG, cap)])
+        g = heapq.heappop(heap)
+        v = -pending.pop(g) * inv
 
 
 def geometric_invert(f, ceiling):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from mahler import fields
 from mahler.errors import DivisionByZero, PoleAtEvaluationPoint
 from mahler.fields import (Poly, RatFun, pole_order, poly_gcd, poly_str, q,
                            rat_str, rational_roots)
@@ -181,6 +182,101 @@ def test_ratfun_arithmetic_matches_full_reduction():
         for got, num, den in cases:
             assert (got.num.coeffs, got.den.coeffs) == _full_reduction(num, den)
     assert len(kinds) == 6
+
+
+def test_poly_arithmetic_results_are_normalized():
+    """Internal results skip the public constructor's coercion but are
+    stripped like it: cancelled leading terms drop the degree."""
+    rng = random.Random(17)
+    x = Poly.x()
+    for _ in range(200):
+        a = Poly([rand_rational(rng) for _ in range(rng.randint(0, 5))])
+        b = Poly([rand_rational(rng) for _ in range(rng.randint(0, 5))])
+        results = [a + b, a - b, a - a, -a, a * b, a * rand_rational(rng), a.derivative(),
+                   a.monic(), a.shift(rng.randint(0, 3)), (a + x ** 5) - x ** 5]
+        if b:
+            results += list(divmod(a, b))
+        for r in results:
+            assert r.coeffs == Poly(r.coeffs).coeffs
+            assert all(type(c) is Fraction for c in r.coeffs)
+    assert ((x ** 2 + x) - x ** 2).degree == 1
+
+
+def _lam_power(a, k):
+    """a*lambda**k through the full-reduction constructor."""
+    x = Poly.x()
+    if k >= 0:
+        return RatFun(Poly.const(a) * x ** k)
+    return RatFun(Poly.const(a), x ** -k)
+
+
+def test_ratfun_product_by_lambda_power_matches_full_reduction(monkeypatch):
+    rng = random.Random(53)
+    x = Poly.x()
+    rand_poly = lambda d: Poly([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                for _ in range(rng.randint(1, d + 1))]) or Poly.const(1)
+    shapes = set()
+    cases = []
+    for _ in range(400):
+        num, den = rand_poly(3), rand_poly(2)
+        j = rng.randint(0, 3)
+        if rng.random() < 0.5:
+            num = num * x ** j
+        else:
+            den = den * x ** j
+        b = RatFun(num, den)
+        a = rng.choice((1, -1, Fraction(-2, 3), Fraction(5, 2)))
+        k = rng.randint(-4, 4)
+        m = _lam_power(a, k)
+        want = _full_reduction(b.num * m.num, b.den * m.den)
+        cases.append((b, m, want))
+        shapes.add(("k < 0", "k = 0", "k > 0")[(k > 0) - (k < 0) + 1])
+        shapes.add("a = 1" if a == 1 else "a < 0" if a < 0 else "other a")
+        if j and not b.num.coeffs[0]:
+            shapes.add("num divisible by lambda")
+        if j and not b.den.coeffs[0]:
+            shapes.add("den divisible by lambda")
+    assert len(shapes) == 8
+    calls = []
+    real_gcd = fields.poly_gcd
+    monkeypatch.setattr(fields, "poly_gcd", lambda *args: calls.append(args) or real_gcd(*args))
+    for b, m, want in cases:
+        for got in (b * m, m * b):
+            assert (got.num.coeffs, got.den.coeffs) == want
+    assert not calls
+
+
+def test_ratfun_sum_of_equals_sequential_sum():
+    rng = random.Random(59)
+    lam = RatFun.lam()
+    dens = [RatFun.const(1), lam - 1, (lam - 1) ** 2, lam * (lam + 2), lam + 2, lam ** 2 + 1]
+    kinds = set()
+    for _ in range(300):
+        values = []
+        for _ in range(rng.randint(1, 7)):
+            if rng.random() < 0.2:
+                values.append(rand_rational(rng))
+            else:
+                num = RatFun(Poly([rand_rational(rng) for _ in range(rng.randint(1, 3))]))
+                values.append(num / rng.choice(dens))
+        kind = rng.choice(("plain", "cancel", "partial"))
+        if kind == "cancel":
+            values += [-v for v in values]
+            rng.shuffle(values)
+        elif kind == "partial":
+            # an equal-denominator group whose summed numerator shares a
+            # factor with the denominator
+            values += [1 / (lam - 1) ** 2, (lam - 2) / (lam - 1) ** 2]
+        want = RatFun.const(0)
+        for v in values:
+            want = want + v
+        got = RatFun.sum_of(values)
+        assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs, want.den.coeffs)
+        if kind == "cancel":
+            assert not got and got.den == 1
+        kinds.add(kind)
+    assert kinds == {"plain", "cancel", "partial"}
+    assert RatFun.sum_of([]) == 0
 
 
 def test_ratfun_eval_derivative_subst():

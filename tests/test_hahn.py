@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_conv, geometric_invert, reference_build, reference_mul
+from conftest import (brute_conv, geometric_invert, reference_build, reference_forward_solve,
+                      reference_mul)
 from mahler.errors import MahlerError, UnknownLeadingTerm, ZeroDivisor, ZeroSeries
+from mahler.fields import Poly, RatFun
 from mahler.hahn import (NEG, POS, HahnSeries, Mask, _build, _iv_diff, forward_solve, hs,
                          hs_eq_on_mask, hs_mul, monomial, one, series_from_json, zero)
 from mahler.testing import rand_param_series, rand_rational, rand_series
@@ -403,3 +405,121 @@ def test_forward_solve_satisfies_recursion_on_closure():
 def test_forward_solve_rejects_a_tap_that_does_not_move_forward(tap):
     with pytest.raises(MahlerError):
         forward_solve(Fraction(1), Fraction(1), [(Fraction(1), 1, Fraction(1)), tap], Fraction(3))
+
+
+# ---------------------------------------------------------------------------
+# the integer-lattice kernel against its Fraction-exponent oracles
+
+FINE_LATTICES = [13, 3 * 2 ** 32]
+
+
+def rand_ratfun(rng):
+    """Nonzero element of Q(lambda) over one of a few denominators, some
+    sharing factors, so that sums meet equal and unequal denominators."""
+    lam = RatFun.lam()
+    num = RatFun(Poly([rand_rational(rng, -3, 3, 2) for _ in range(rng.randint(1, 3))]))
+    den = rng.choice((RatFun.const(1), RatFun.const(1), lam - 1, lam + 2, lam * (lam - 1),
+                      lam ** 2 + 1))
+    return (num or RatFun.const(1)) / den
+
+
+COEFFS = {"Q": lambda rng: rand_rational(rng, nonzero=True), "Q(lambda)": rand_ratfun}
+
+
+def lattice_series(rng, D, coeff, n):
+    """n terms at exponents a + b/D (a small integer, 0 <= b < 4): on the
+    lattice (1/D)Z, with many pairs meeting at each product exponent."""
+    grid = [a + Fraction(b, D) for a in range(-2, 4) for b in range(4)]
+    return hs([(e, coeff(rng)) for e in rng.sample(grid, n)])
+
+
+def cap_kind(rng, f, D):
+    """f exact (its products can reach a POS top), capped at an off-lattice
+    rational, or capped 1/(2D) above one of its exponents, so that a product
+    top t has t*D = E + 1/2 with E the sum of a pair that must be formed."""
+    kind = rng.choice(("exact", "off-lattice", "half-step"))
+    if kind == "off-lattice":
+        return kind, f.cap(Fraction(rng.randint(-10, 30), 7))
+    if kind == "half-step":
+        return kind, f.cap(rng.choice(f.terms[1:])[0] + Fraction(1, 2 * D))
+    return kind, f
+
+
+@pytest.mark.parametrize("D", FINE_LATTICES)
+@pytest.mark.parametrize("ring", sorted(COEFFS))
+def test_mul_on_fine_lattice_equals_reference(D, ring):
+    rng = random.Random(D % 997 + len(ring))
+    seen = set()
+    for _ in range(120):
+        f = lattice_series(rng, D, COEFFS[ring], rng.randint(2, 8))
+        g = lattice_series(rng, D, COEFFS[ring], rng.randint(2, 8))
+        kind_f, f = cap_kind(rng, f, D)
+        kind_g, g = cap_kind(rng, g, D)
+        prod = hs_mul(f, g)
+        assert prod == reference_mul(f, g)
+        top = prod.mask.ivs[-1][1] if prod.mask.ivs else None
+        if top == POS:
+            seen.add("POS top")
+        elif top is not None and (top * D).denominator != 1:
+            seen.add("off-lattice top")
+        seen |= {kind_f, kind_g}
+    assert seen == {"POS top", "off-lattice top", "exact", "off-lattice", "half-step"}
+
+
+@pytest.mark.parametrize("D", FINE_LATTICES)
+@pytest.mark.parametrize("ring", sorted(COEFFS))
+def test_mul_drops_coefficient_sums_that_cancel(D, ring):
+    """f(z) f(-z) on the variable z**(1/D): every odd coefficient is a sum of
+    pairs that cancels to 0 and must not be stored."""
+    rng = random.Random(D % 991 + len(ring))
+    for _ in range(30):
+        n = rng.randint(2, 7)
+        cs = [COEFFS[ring](rng) for _ in range(n)]
+        base = Fraction(rng.randint(-2, 2))
+        f = hs([(base + Fraction(i, D), c) for i, c in enumerate(cs)])
+        g = hs([(base + Fraction(i, D), c if i % 2 == 0 else -c) for i, c in enumerate(cs)])
+        if rng.random() < 0.5:
+            g = g.cap(base + Fraction(2 * n - 1, 2 * D))
+        prod = hs_mul(f, g)
+        assert prod == reference_mul(f, g)
+        assert all(c for _, c in prod.terms)
+        assert all(((e - 2 * base) * D) % 2 == 0 for e, _ in prod.terms)
+        assert prod.terms
+
+
+def rand_taps(rng, p, D, ring):
+    """One to four forward taps with k in {1, p, p**2} and exponents on (1/D)Z:
+    0 (for k > 1) or a + b/D with a >= 1, so that the closure of {0} below
+    a small cap stays small even on a fine lattice."""
+    taps = []
+    for _ in range(rng.randint(1, 4)):
+        k = rng.choice((1, p, p * p))
+        if k > 1 and rng.random() < 0.3:
+            e = Fraction(0)
+        else:
+            e = Fraction(rng.randint(1, 3)) + Fraction(rng.randint(0, 2), D)
+        taps.append((e, k, COEFFS[ring](rng)))
+    return taps
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("ring", sorted(COEFFS))
+def test_forward_solve_equals_reference(p, ring):
+    rng = random.Random(50 * p + len(ring))
+    seen = set()
+    for _ in range(60):
+        D = rng.choice([1] + FINE_LATTICES)
+        taps = rand_taps(rng, p, D, ring)
+        one_, lead = COEFFS[ring](rng), COEFFS[ring](rng)
+        want = reference_forward_solve(one_, lead, taps, Fraction(7))
+        if rng.random() < 0.5 and len(want.terms) > 1:
+            # 1/(2D) above a reachable exponent: ceil keeps it, floor would not
+            cap = rng.choice(want.terms[1:])[0] + Fraction(1, 2 * D)
+            seen.add("half-step")
+        else:
+            cap = Fraction(rng.randint(1, 45), 7)
+            seen.add("off-lattice")
+        got = forward_solve(one_, lead, taps, cap)
+        assert got == reference_forward_solve(one_, lead, taps, cap)
+        seen |= {k for _, k, _ in taps}
+    assert {1, p, p * p, "half-step", "off-lattice"} <= seen
