@@ -11,7 +11,7 @@ from .errors import (DivisionByZero, InsufficientPrecision, MahlerError,
                      UnknownLeadingTerm, VerificationError, ZeroDivisor,
                      ZeroSeries)
 from .fields import Poly, RatFun, pole_order, q, rational_roots
-from .hahn import (HahnSeries, Mask, hs, hs_mul, monomial, one,
+from .hahn import (HahnSeries, Mask, hs, hs_mul, hs_sum, monomial, one,
                    series_from_json, zero)
 from .newton import (FrobeniusPlan, NewtonData, analyze, char_poly,
                      frobenius_plan, newton_polygon, slopes_of)
@@ -20,7 +20,7 @@ from .factorize import (Factorization, FirstOrderFactor, factor_operator,
                         factor_reconstruct, factorize, slope_zero_unit_solution)
 from .frobenius import (ExponentBlock, FrobeniusOutput, SolutionObject,
                         apply_to_solution, frobenius_basis, solve_gcj,
-                        solve_order1_param, specialize_solutions,
+                        solve_order1_param, solve_slope, specialize_solutions,
                         verify_independence)
 from .cli import EquationSpec, elaborate, parse_spec, run_pipeline
 
@@ -30,7 +30,7 @@ __all__ = [
     "PlanMismatch", "PoleAtEvaluationPoint", "UnknownLeadingTerm",
     "VerificationError", "ZeroDivisor", "ZeroSeries",
     "Poly", "RatFun", "pole_order", "q", "rational_roots",
-    "HahnSeries", "Mask", "hs", "hs_mul", "monomial", "one",
+    "HahnSeries", "Mask", "hs", "hs_mul", "hs_sum", "monomial", "one",
     "series_from_json", "zero",
     "FrobeniusPlan", "NewtonData", "analyze", "char_poly", "frobenius_plan",
     "newton_polygon", "slopes_of",
@@ -38,7 +38,7 @@ __all__ = [
     "Factorization", "FirstOrderFactor", "factor_operator",
     "factor_reconstruct", "factorize", "slope_zero_unit_solution",
     "ExponentBlock", "FrobeniusOutput", "SolutionObject", "apply_to_solution",
-    "frobenius_basis", "solve_gcj", "solve_order1_param",
+    "frobenius_basis", "solve_gcj", "solve_order1_param", "solve_slope",
     "specialize_solutions", "verify_independence",
     "EquationSpec", "elaborate", "parse_spec", "run_pipeline",
 ]

@@ -212,6 +212,9 @@ class RatFun:
     - product by a*lambda**k (a scalar when k = 0, k of either sign): only
       a power of lambda can cancel, so it is stripped from the low end of
       the other factor's den (k > 0) or num (k < 0) and no gcd runs;
+    - product by (lambda - c)**k (`mul_root_power`, c != 0, k of either
+      sign): only lambda - c can cancel, so it is stripped from the other
+      side by synthetic division and no gcd runs;
     - power: a power of a reduced fraction is reduced; a negative power
       and a quotient go through the reciprocal den/num, also reduced;
     - n-ary sum (`sum_of`): the numerators over each distinct denominator
@@ -306,6 +309,25 @@ class RatFun:
                 raise DivisionByZero("inverse of zero")
             return self._reciprocal() ** (-n)
         return _reduced(self.num ** n, self.den ** n)
+
+    def mul_root_power(self, c, k):
+        """self * (lambda - c)**k for a rational c and an integer k of either
+        sign.  For c != 0 the factor lambda - c is divided out of the den
+        (k > 0) or num (k < 0) as often as it goes, up to |k| times, and the
+        rest multiplies the other side.  No gcd runs."""
+        if not k or not self.num:
+            return self
+        if not c:
+            return _mul_lam_power(self.num, self.den, 1, k)
+        n, d = self.num.coeffs, self.den.coeffs
+        # a*lambda**i has no root c != 0, so a monomial side is not divided
+        if k > 0:
+            d, j = _divide_out_root(d, c, k) if any(d[:-1]) else (d, 0)
+            n = _times_root(n, c, k - j)
+        else:
+            n, j = _divide_out_root(n, c, -k) if any(n[:-1]) else (n, 0)
+            d = _times_root(d, c, -k - j)
+        return _reduced(_poly(n), _poly(d))
 
     def _reciprocal(self):
         """den/num made monic; the caller has checked num != 0."""
@@ -469,6 +491,29 @@ def _mul_lam_power(n, d, a, k):
         j = _low_zeros(n.coeffs, -k)
         return _reduced(_poly(n.coeffs[j:]) if j else n, d.shift(-k - j) if -k > j else d)
     return _reduced(n, d)
+
+
+def _divide_out_root(cs, c, k):
+    """(cs / (x - c)**j, j) for the largest j <= k with (x - c)**j dividing
+    the polynomial cs (ascending coefficients, c != 0), by synthetic division."""
+    j = 0
+    while j < k:
+        acc, quo = 0, []
+        for a in reversed(cs):
+            acc = acc * c + a
+            quo.append(acc)
+        if acc:
+            break
+        cs = quo[-2::-1]
+        j += 1
+    return cs, j
+
+
+def _times_root(cs, c, k):
+    """Coefficients of cs * (x - c)**k, k >= 0."""
+    for _ in range(k):
+        cs = [-c * cs[0]] + [a - c * b if b else a for a, b in zip(cs, cs[1:])] + [cs[-1]]
+    return cs
 
 
 def _add(n1, d1, n2, d2):

@@ -1,11 +1,13 @@
 """Construction of a full basis of solutions.
 
 The parametric order-1 solver works over Q(lambda)-coefficient series; the
-triangular solve chains it through the factorization to produce g_{c,j};
-specialization (differentiate in lambda and evaluate at c, both read off the
-Taylor coefficients at lambda = c) turns each g_{c,j} into solutions written
-on the symbols l_{c,u} (with e_c = l_{c,0}) that obey
-phi_p(l_{c,u}) = c*l_{c,u} + l_{c,u-1}.
+triangular solve (`solve_slope`) chains it through the factorization once
+per slope j, with right-hand side prod_c (lambda - c)**m_c over the slope's
+exponents (chi_j up to a constant factor when the basis is full), and reads
+every g_{c,j} off that one solution; specialization (differentiate in lambda
+and evaluate at c, both read off the Taylor coefficients at lambda = c)
+turns each g_{c,j} into solutions written on the symbols l_{c,u} (with
+e_c = l_{c,0}) that obey phi_p(l_{c,u}) = c*l_{c,u} + l_{c,u-1}.
 """
 from __future__ import annotations
 
@@ -16,7 +18,8 @@ from fractions import Fraction
 from .errors import InsufficientPrecision, PlanMismatch, VerificationError
 from .factorize import factor_operator
 from .fields import Poly, RatFun, pole_order
-from .hahn import NEG, POS, HahnSeries, Mask, _build, _iv_inter, hs_mul, monomial, zero
+from .hahn import (NEG, POS, HahnSeries, Mask, _build, _iv_inter, hs_mul, hs_sum,
+                   monomial, zero)
 from .newton import analyze, frobenius_plan
 
 
@@ -67,9 +70,8 @@ def solve_order1_param(p, mu, c, g, ceiling, depth):
         um = HahnSeries((), Mask(()))
     else:
         vb = low.first_possible()
-        um = zero()
-        for k in range(-1, -depth - 1, -1):
-            um = um + low.mal(k, p).scale(RatFun.const(c ** (-k - 1)) * lam ** k)
+        um = hs_sum(low.mal(k, p).scale(RatFun.const(c ** (-k - 1)) * lam ** k)
+                    for k in range(-1, -depth - 1, -1))
         um = um.forget(vb * Fraction(p) ** (-depth - 1), Fraction(0))
 
     if G.mask.certifies(0):
@@ -89,54 +91,80 @@ def solve_order1_param(p, mu, c, g, ceiling, depth):
     else:
         ext = [(NEG, fp)] + _iv_inter(G.mask.extended, [(fp, POS)])
         high = _build(pos_terms, ext)
-        up = zero()
-        k = 0
+        pieces, k = [], 0
         while p ** k * fp < cap:
-            up = up + high.mal(k, p).scale(RatFun.const(c ** (-k - 1)) * lam ** k)
+            pieces.append(high.mal(k, p).scale(RatFun.const(c ** (-k - 1)) * lam ** k))
             k += 1
-        up = up.cap(cap)
+        up = hs_sum(pieces).cap(cap)
 
-    u = um + u0 - up
+    u = hs_sum((um, u0, -up))
     return u.cap(cap).shift(shift)
 
 
-def solve_gcj(L, plan, fact, c, j, ceiling, depth):
-    """Parametric series g with L(g e_lambda) = z**(val a_0 - nu_j/(p-1)) (lambda-c)**(s+m) e_lambda.
+def solve_slope(L, plan, fact, j, ceiling, depth):
+    """{c: g_{c,j}} for every exponent c of slope j, from one triangular solve.
 
-    Solves the triangular system through every layer of the factorization,
-    top slope first; within a layer the factors are undone right-to-left
-    (solve, then multiply by the unit h).
+    g_{c,j} is the parametric series g with
+    L(g e_lambda) = z**(val a_0 - nu_j/(p-1)) (lambda-c)**(s+m) e_lambda.
+    The system is solved once through every layer of the factorization, top
+    slope first; within a layer the factors are undone right-to-left (solve,
+    then multiply by the unit h).  Its right-hand side carries
+    chi = prod_c (lambda - c)**m_c over the slope's exponents, which cancels
+    the poles the layer-j factors put at each c.  Every step is
+    Q(lambda)-linear and its mask ignores the coefficient values, so the
+    solution for (lambda - c)**m alone is this one divided by
+    chi / (lambda - c)**m; g_{c,j} is that times (lambda - c)**s, and as
+    reduced fractions with monic denominators are unique, it is the same
+    series a separate solve per c would give.
     """
     p = L.p
-    c = Fraction(c)
-    m, s = plan.lookup(j, c)
     if len(fact.layers) != len(plan.nus):
         raise PlanMismatch("factorization layers do not match the plan")
+    entry = plan.entries[j]
     nuj = plan.nus[j]
     ceil2 = Fraction(ceiling) + max(Fraction(0), nuj / (p - 1))
-    lamc = _lam_minus(c)
-    x = lift(fact.a.invert(ceil2).shift(plan.val_a0)).scale(lamc ** m)
+    chi = RatFun.const(1)
+    for c, m, _ in entry:
+        chi = chi.mul_root_power(c, m)
+    x = lift(fact.a.invert(ceil2).shift(plan.val_a0)).scale(chi)
     for i in reversed(range(len(fact.layers))):
         mu = nuj - fact.layers[i][0].nu
         for f in reversed(fact.layers[i]):
             x = solve_order1_param(p, mu, f.c, x, ceil2, depth)
             x = hs_mul(lift(f.h), x)
-    return x.shift(-nuj / (p - 1)).scale(lamc ** s)
+    x = x.shift(-nuj / (p - 1))
+    out = {}
+    for c, _, s in entry:
+        powers = [(cc, -mm) for cc, mm, _ in entry if cc != c] + [(c, s)]
+        out[c] = x.map_coeffs(lambda r, powers=powers: _mul_root_powers(r, powers))
+    return out
+
+
+def _mul_root_powers(r, powers):
+    """r times (lambda - c)**k for every (c, k) in powers."""
+    for c, k in powers:
+        r = r.mul_root_power(c, k)
+    return r
+
+
+def solve_gcj(L, plan, fact, c, j, ceiling, depth):
+    """The g_{c,j} of solve_slope for one exponent c of slope j."""
+    return solve_slope(L, plan, fact, j, ceiling, depth)[Fraction(c)]
 
 
 def expected_gcj_cld(L, plan, fact, c, j):
-    """Closed form for the leading coefficient of g_{c,j}."""
+    """Closed form for the leading coefficient of g_{c,j}:
+    lambda**(-R) const (lambda - c)**(s+m) / prod_f (lambda - f.c), f over
+    the factors of layer j and R the number of factors below it."""
     m, s = plan.lookup(j, c)
     rs = [len(layer) for layer in fact.layers]
     num = Fraction(1)
     for layer in fact.layers[: j + 1]:
         for f in layer:
             num *= -f.c
-    expect = RatFun.lam() ** (-sum(rs[:j]))
-    expect = expect * RatFun.const(num / L.coeffs[0].cld()) * _lam_minus(c) ** (s + m)
-    for f in fact.layers[j]:
-        expect = expect / _lam_minus(f.c)
-    return expect
+    expect = RatFun.lam() ** (-sum(rs[:j])) * RatFun.const(num / L.coeffs[0].cld())
+    return _mul_root_powers(expect, [(Fraction(c), s + m)]
+                            + [(f.c, -1) for f in fact.layers[j]])
 
 
 def check_gcj(L, plan, fact, c, j, mu, g, residual=False):
@@ -251,10 +279,8 @@ def apply_to_solution(L, y):
             moved = hs_mul(ai, fs.mal(i, p))
             for t in range(min(i, u) + 1):
                 w = math.comb(i, t) * c ** (i - t)
-                key = (c, u - t)
-                piece = moved.scale(w)
-                acc[key] = piece if key not in acc else acc[key] + piece
-    return _solution(p, acc)
+                acc.setdefault((c, u - t), []).append(moved.scale(w))
+    return _solution(p, {key: hs_sum(pieces) for key, pieces in acc.items()})
 
 
 @dataclass(frozen=True)
@@ -350,9 +376,10 @@ def frobenius_basis(L, ceiling, depth, verify=True):
     blocks = []
     for j, exps in enumerate(nd.exponents):
         mu = nd.slopes[j][0]
+        gs = solve_slope(L, plan, fact, j, ceiling, depth)
         for c, m in exps:
             _, s = plan.lookup(j, c)
-            g = solve_gcj(L, plan, fact, c, j, ceiling, depth)
+            g = gs[c]
             if verify:
                 check_gcj(L, plan, fact, c, j, mu, g)
             sols = specialize_solutions(p, g, c, s, m)

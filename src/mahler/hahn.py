@@ -178,7 +178,8 @@ def _build(terms, ext):
 
 def _build_sorted(tl, ext):
     """_build for terms already sorted by exponent, none with a zero
-    coefficient (the product and forward-solve kernels emit them so)."""
+    coefficient (a series stores its terms so, and the product and
+    forward-solve kernels emit them so)."""
     ext = _iv_norm(ext)
     if not ext or ext[0][0] != NEG:
         return HahnSeries((), _EMPTY)
@@ -275,12 +276,7 @@ class HahnSeries:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
-        ext = _iv_inter(self.mask.extended, other.mask.extended)
-        acc = dict(self.terms)
-        for e, c in other.terms:
-            s = acc.get(e)
-            acc[e] = c if s is None else s + c
-        return _build(acc.items(), ext)
+        return hs_sum((self, other))
 
     def __neg__(self):
         return HahnSeries(tuple((e, -c) for e, c in self.terms), self.mask)
@@ -308,7 +304,7 @@ class HahnSeries:
             return self
         d = Fraction(d)
         return HahnSeries(tuple((e + d, c) for e, c in self.terms),
-                          Mask(_iv_shift(self.mask.ivs, d)))
+                          Mask._of(_iv_shift(self.mask.ivs, d)))
 
     def mal(self, k, p):
         """Apply the Mahler automorphism phi_p**k: z -> z**(p**k)."""
@@ -316,23 +312,23 @@ class HahnSeries:
             return self
         s = Fraction(p) ** k
         return HahnSeries(tuple((e * s, c) for e, c in self.terms),
-                          Mask(_iv_scale(self.mask.ivs, s)))
+                          Mask._of(_iv_scale(self.mask.ivs, s)))
 
     def cap(self, bound):
         """Forget everything at or above `bound` (truncation, not restriction)."""
         ext = _iv_inter(self.mask.extended, [(NEG, bound)])
-        return _build(self.terms, ext)
+        return _build_sorted(self.terms, ext)
 
     def forget(self, lo, hi):
         """Give up certification on [lo, hi) (used to record truncated tails)."""
-        return _build(self.terms, _iv_diff(self.mask.extended, [(lo, hi)]))
+        return _build_sorted(self.terms, _iv_diff(self.mask.extended, [(lo, hi)]))
 
     def restrict(self, lo, hi):
         """The restriction of the series to [lo, hi): zero outside by fiat."""
         inside = _iv_inter(self.mask.extended, [(lo, hi)])
         outside = [iv for iv in ((NEG, lo), (hi, POS)) if iv[0] < iv[1]]
         terms = [(e, c) for e, c in self.terms if lo <= e < hi]
-        return _build(terms, _iv_union(inside, outside))
+        return _build_sorted(terms, _iv_union(inside, outside))
 
     def invert(self, ceiling):
         """Multiplicative inverse, certified on (-inf, min(ceiling, first gap) - 2v).
@@ -423,6 +419,30 @@ def one(unit=Fraction(1)):
 
 def monomial(e, c=Fraction(1)):
     return _build([(Fraction(e), _coeff(c))], _FULL)
+
+
+def hs_sum(series):
+    """Sum of a sequence of series, equal to the left fold of + (masks
+    included) but built once: one term dict, one n-ary sum per exponent,
+    one intersection of the masks and one _build.  An empty sequence sums
+    to the exact zero, and a single series is returned as it is."""
+    series = tuple(series)
+    if len(series) < 2:
+        return series[0] if series else zero()
+    ext = series[0].mask.extended
+    for f in series[1:]:
+        ext = _iv_inter(ext, f.mask.extended)
+    if not ext:
+        return HahnSeries((), _EMPTY)
+    acc = {}
+    for f in series:
+        for e, c in f.terms:
+            vs = acc.get(e)
+            if vs is None:
+                acc[e] = [c]
+            else:
+                vs.append(c)
+    return _build([(e, _sum(vs)) for e, vs in acc.items()], ext)
 
 
 def forward_solve(one, lead, taps, cap):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from .errors import ZeroDivisor
 from .fields import RatFun
-from .hahn import HahnSeries, Mask, hs_mul, zero
+from .hahn import HahnSeries, Mask, hs_mul, hs_sum, zero
 
 _Z = zero()
 
@@ -35,11 +35,10 @@ class MahlerOperator:
         return len(self.coeffs) - 1
 
     def apply(self, f):
-        out = _Z
-        for i, ai in enumerate(self.coeffs):
-            if not ai.is_exact_zero():
-                out = out + hs_mul(ai, f.mal(i, self.p))
-        return out
+        # the sum starts from the exact zero, so a lone product is rebuilt
+        # into canonical form too
+        return hs_sum([_Z] + [hs_mul(ai, f.mal(i, self.p)) for i, ai in enumerate(self.coeffs)
+                              if not ai.is_exact_zero()])
 
     def __mul__(self, other):
         """Operator composition (self after other), with the Mahler twist."""

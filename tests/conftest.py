@@ -14,9 +14,9 @@ from mahler.errors import (MahlerError, NonRationalExponent, PlanMismatch,
                            UnknownLeadingTerm, VerificationError, ZeroDivisor)
 from mahler.factorize import Factorization, FirstOrderFactor
 from mahler.fields import Poly, RatFun
-from mahler.frobenius import _solution
-from mahler.hahn import (_FULL, NEG, POS, HahnSeries, Mask, _build, _iv_diff, _iv_norm,
-                         forward_solve, hs, hs_mul, zero)
+from mahler.frobenius import _lam_minus, _solution, lift, solve_order1_param
+from mahler.hahn import (_FULL, NEG, POS, HahnSeries, Mask, _build, _iv_diff, _iv_inter,
+                         _iv_norm, forward_solve, hs, hs_mul, zero)
 from mahler.newton import analyze, frobenius_plan
 from mahler.operator import MahlerOperator
 
@@ -81,6 +81,17 @@ def reference_build(terms, ext):
         lo0 = hi0 - 1
     ext[0] = (lo0, hi0)
     return HahnSeries(tuple(tl), Mask(ext))
+
+
+def reference_add(f, g):
+    """Sum of two series by one dict merge and one build: the left fold of
+    this is the oracle for hahn.hs_sum."""
+    ext = _iv_inter(f.mask.extended, g.mask.extended)
+    acc = dict(f.terms)
+    for e, c in g.terms:
+        s = acc.get(e)
+        acc[e] = c if s is None else s + c
+    return reference_build(acc.items(), ext)
 
 
 def reference_pollution(unc, g):
@@ -281,6 +292,33 @@ def reference_factor_operator(L, ceiling, plan=None):
     if fact.a.cld() * prod != ca0:
         raise VerificationError("cld invariant of the factorization fails")
     return fact
+
+
+def reference_solve_gcj(L, plan, fact, c, j, ceiling, depth):
+    """Parametric series g with L(g e_lambda) = z**(val a_0 - nu_j/(p-1)) (lambda-c)**(s+m) e_lambda.
+
+    Solves the triangular system through every layer of the factorization,
+    top slope first; within a layer the factors are undone right-to-left
+    (solve, then multiply by the unit h).
+
+    Oracle for frobenius.solve_slope: one solve per exponent c, with
+    right-hand side (lambda - c)**m, where solve_slope shares one solve
+    among the exponents of a slope."""
+    p = L.p
+    c = Fraction(c)
+    m, s = plan.lookup(j, c)
+    if len(fact.layers) != len(plan.nus):
+        raise PlanMismatch("factorization layers do not match the plan")
+    nuj = plan.nus[j]
+    ceil2 = Fraction(ceiling) + max(Fraction(0), nuj / (p - 1))
+    lamc = _lam_minus(c)
+    x = lift(fact.a.invert(ceil2).shift(plan.val_a0)).scale(lamc ** m)
+    for i in reversed(range(len(fact.layers))):
+        mu = nuj - fact.layers[i][0].nu
+        for f in reversed(fact.layers[i]):
+            x = solve_order1_param(p, mu, f.c, x, ceil2, depth)
+            x = hs_mul(lift(f.h), x)
+    return x.shift(-nuj / (p - 1)).scale(lamc ** s)
 
 
 def ev_c(f, c):

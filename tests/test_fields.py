@@ -246,6 +246,49 @@ def test_ratfun_product_by_lambda_power_matches_full_reduction(monkeypatch):
     assert not calls
 
 
+def test_ratfun_product_by_root_power_matches_full_reduction(monkeypatch):
+    rng = random.Random(61)
+    x = Poly.x()
+    rand_poly = lambda d: Poly([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                for _ in range(rng.randint(1, d + 1))]) or Poly.const(1)
+    shapes = set()
+    cases = []
+    for _ in range(500):
+        c = rng.choice((Fraction(1), Fraction(-2, 3), Fraction(5, 2), Fraction(0)))
+        num, den = rand_poly(3), rand_poly(2)
+        j = rng.randint(0, 3)
+        side = rng.choice(("num", "den", "monomial den"))
+        if side == "num":
+            num = num * (x - c) ** j
+        elif side == "den":
+            den = den * (x - c) ** j
+        else:
+            den = x ** j * rng.choice((1, Fraction(-3, 2)))
+        b = RatFun(num, den)
+        k = rng.randint(-4, 4)
+        lin = x - c
+        want = (_full_reduction(b.num * lin ** k, b.den) if k >= 0
+                else _full_reduction(b.num, b.den * lin ** -k))
+        cases.append((b, c, k, want))
+        shapes.add(("k < 0", "k = 0", "k > 0")[(k > 0) - (k < 0) + 1])
+        if j and c and side != "monomial den":
+            shapes.add("%s divisible by lambda - c" % side)
+        if j and c and side == "monomial den":
+            shapes.add("monomial den")
+    assert len(shapes) == 6
+    calls, divided = [], []
+    real_gcd, real_divide = fields.poly_gcd, fields._divide_out_root
+    monkeypatch.setattr(fields, "poly_gcd", lambda *args: calls.append(args) or real_gcd(*args))
+    monkeypatch.setattr(fields, "_divide_out_root",
+                        lambda cs, *args: divided.append(cs) or real_divide(cs, *args))
+    for b, c, k, want in cases:
+        got = b.mul_root_power(c, k)
+        assert (got.num.coeffs, got.den.coeffs) == want
+    assert not calls
+    # a*lambda**i has no root c != 0: it is never handed to the division
+    assert divided and all(any(cs[:-1]) for cs in divided)
+
+
 def test_ratfun_sum_of_equals_sequential_sum():
     rng = random.Random(59)
     lam = RatFun.lam()

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (d_lambda, ev_c, ladder_g1_terms, ladder_g2_terms,
-                      ladder_operator, order1_coeff_oracle, reference_specialize,
-                      series_dict_on_mask)
+                      ladder_operator, order1_coeff_oracle, reference_solve_gcj,
+                      reference_specialize, series_dict_on_mask)
 from mahler.cli import elaborate, parse_spec
 from mahler.errors import MahlerError, PlanMismatch, PoleAtEvaluationPoint, VerificationError
 from mahler.fields import RatFun, pole_order
@@ -17,9 +17,10 @@ from mahler.hahn import POS, hs, hs_eq_on_mask, monomial, one, zero
 from mahler.newton import analyze, frobenius_plan
 from mahler.operator import MahlerOperator, phi_minus
 from mahler.factorize import factor_operator
+from mahler import frobenius
 from mahler.frobenius import (SolutionObject, apply_to_solution, check_gcj,
                               expected_gcj_cld, frobenius_basis,
-                              gcj_residual_mask, lift, solve_gcj,
+                              gcj_residual_mask, lift, solve_gcj, solve_slope,
                               solve_order1_param, specialize_solutions,
                               verify_independence)
 from mahler.testing import (rand_factored_operator, rand_operator, rand_param_series,
@@ -142,6 +143,60 @@ def test_gcj_closed_forms_on_ladder_operators():
         assert not gcj_residual_mask(L, plan, Fraction(1), 1, g2).empty
         for _, r in g2.terms:
             assert pole_order(r, 1) == 0
+
+
+def _readme_operator(precision):
+    return elaborate(parse_spec("p = 2\n"
+                                "a[0] = z^(-2) / (1 + z^2)\n"
+                                "a[1] = -(1 / (1 + z^4) + z^(-2))\n"
+                                "a[2] = 1 / (1 + z^4)\n"), Fraction(precision))
+
+
+def _slope_cases():
+    """(L, ceiling, depth, slopes to check): the first 60 criterion-3
+    operators, every slope with two or more exponents of 120 random factored
+    operators, both ladders and the README example."""
+    rng = random.Random(2026)
+    for _ in range(60):
+        yield rand_factored_operator(rng, Fraction(3))[0], 3, 2, None
+    rng = random.Random(1000)
+    for i in range(120):
+        ceiling = (Fraction(3), Fraction(6), Fraction(13, 2))[i % 3]
+        yield rand_factored_operator(rng, ceiling)[0], ceiling, 3, 2
+    for L in (ladder_operator(2, -2), ladder_operator(3, -3), _readme_operator(8)):
+        yield L, 8, 8, None
+
+
+def test_solve_slope_equals_one_solve_per_exponent(monkeypatch):
+    rhs = []
+    real = frobenius.solve_order1_param
+    monkeypatch.setattr(frobenius, "solve_order1_param",
+                        lambda p, mu, c, g, *args: rhs.append(g) or real(p, mu, c, g, *args))
+    seen = set()
+    for L, ceiling, depth, min_exps in _slope_cases():
+        nd = analyze(L)
+        plan = frobenius_plan(L, nd)
+        fact = factor_operator(L, ceiling, plan)
+        for j, entry in enumerate(plan.entries):
+            if min_exps and len(entry) < min_exps:
+                continue
+            del rhs[:]
+            gs = solve_slope(L, plan, fact, j, ceiling, depth)
+            # the chain starts from a right-hand side carrying prod_c (lambda - c)**m_c
+            for _, r in rhs[0].terms:
+                for c, m, _ in entry:
+                    r = r.mul_root_power(c, -m)
+                assert r.is_const()
+            assert list(gs) == [c for c, _, _ in entry]
+            for c, m, s in entry:
+                want = reference_solve_gcj(L, plan, fact, c, j, ceiling, depth)
+                assert gs[c] == want
+                assert gs[c].to_json() == want.to_json()
+                seen |= {"m >= 2"} if m >= 2 else set()
+                seen |= {"s >= 1"} if s >= 1 else set()
+            if len(entry) >= 2:
+                seen.add("several exponents")
+    assert seen == {"m >= 2", "s >= 1", "several exponents"}
 
 
 def test_check_gcj_rejects_wrong_leading_coefficient():

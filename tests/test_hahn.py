@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (brute_conv, geometric_invert, reference_build, reference_forward_solve,
-                      reference_mul)
+from conftest import (brute_conv, geometric_invert, reference_add, reference_build,
+                      reference_forward_solve, reference_mul)
 from mahler.errors import MahlerError, UnknownLeadingTerm, ZeroDivisor, ZeroSeries
 from mahler.fields import Poly, RatFun
-from mahler.hahn import (NEG, POS, HahnSeries, Mask, _build, _iv_diff, forward_solve, hs,
-                         hs_eq_on_mask, hs_mul, monomial, one, series_from_json, zero)
+from mahler.hahn import (NEG, POS, HahnSeries, Mask, _build, _iv_diff, _iv_inter, _iv_scale,
+                         _iv_shift, forward_solve, hs, hs_eq_on_mask, hs_mul, hs_sum, monomial,
+                         one, series_from_json, zero)
 from mahler.testing import rand_param_series, rand_rational, rand_series
 
 
@@ -130,6 +131,73 @@ def test_shift_scale_mal():
     back = f.mal(-1, 2)
     assert back.support() == (Fraction(1, 2), Fraction(3, 2))
     assert back.mask.ivs == ((Fraction(1, 2), Fraction(3)),)
+
+
+def holed(rng, f, n):
+    """f with n random holes forgotten (n + 1 mask intervals at most), or
+    with an empty mask when n < 0."""
+    if n < 0:
+        return f.forget(NEG, Fraction(rng.randint(2, 9)))
+    for _ in range(n):
+        lo = Fraction(rng.randint(-6, 18), rng.choice((1, 2, 3)))
+        f = f.forget(lo, lo + Fraction(rng.randint(1, 3), 2))
+    return f
+
+
+@pytest.mark.parametrize("ring", ["Q", "Q(lambda)"])
+def test_hs_sum_equals_left_fold(ring):
+    rng = random.Random(71 + len(ring))
+    lam = RatFun.lam()
+    dens = (RatFun.const(1), lam - 1, (lam - 1) ** 2, lam * (lam + 2))
+    if ring == "Q":
+        series_of, scalar = (lambda: rand_series(rng, 5)), (lambda: rand_rational(rng, nonzero=True))
+    else:
+        series_of = lambda: rand_param_series(rng, 5).map_coeffs(lambda r: r / rng.choice(dens))
+        scalar = lambda: RatFun.const(rand_rational(rng, nonzero=True)) / rng.choice(dens)
+    seen = set()
+    for _ in range(300):
+        parts = []
+        for _ in range(rng.randint(2, 5)):
+            f = parts[-1].scale(scalar()) if parts and rng.random() < 0.3 else series_of()
+            f = holed(rng, f, rng.randint(-1, 4))
+            if rng.random() < 0.3:
+                f = f.cap(Fraction(rng.randint(-2, 8)))
+            parts.append(f)
+            seen.add(len(f.mask.ivs))
+        cancel = rng.random() < 0.25
+        if cancel:
+            parts += [-f for f in parts]
+            rng.shuffle(parts)
+        want = parts[0]
+        for f in parts[1:]:
+            want = reference_add(want, f)
+        got = hs_sum(parts)
+        assert got == want
+        assert got == hs_sum(iter(parts))
+        if cancel and not got.terms and got.mask.ivs:
+            seen.add("full cancellation")
+    assert seen >= {0, 1, 2, 3, 4, 5, "full cancellation"}
+    f = holed(rng, series_of(), 2).shift(Fraction(1, 3))
+    assert hs_sum([f]) is f
+    assert hs_sum([]).is_exact_zero()
+    assert f + zero() == reference_add(f, zero()) and f - f == reference_add(f, -f)
+
+
+def test_order_preserving_maps_equal_renormalized_masks():
+    rng = random.Random(73)
+    for _ in range(200):
+        f = holed(rng, rand_series(rng, 5), rng.randint(-1, 4))
+        d = Fraction(rng.randint(-7, 7), rng.choice((1, 2, 5)))
+        assert f.shift(d).mask == Mask(_iv_shift(f.mask.ivs, d))
+        k, p = rng.randint(-2, 2), rng.choice((2, 3))
+        assert f.mal(k, p).mask == Mask(_iv_scale(f.mask.ivs, Fraction(p) ** k))
+        lo = Fraction(rng.randint(-4, 8), 2)
+        hi = lo + Fraction(rng.randint(1, 6), 2)
+        assert f.cap(hi) == reference_build(f.terms, _iv_inter(f.mask.extended, [(NEG, hi)]))
+        assert f.forget(lo, hi) == reference_build(f.terms, _iv_diff(f.mask.extended, [(lo, hi)]))
+        inside = [(e, c) for e, c in f.terms if lo <= e < hi]
+        assert f.restrict(lo, hi) == reference_build(
+            inside, _iv_inter(f.mask.extended, [(lo, hi)]) + [(NEG, lo), (hi, POS)])
 
 
 def test_map_coeffs_drops_zero_images():
