@@ -216,10 +216,17 @@ class RatFun:
       sign): only lambda - c can cancel, so it is stripped from the other
       side by synthetic division and no gcd runs;
     - power: a power of a reduced fraction is reduced; a negative power
-      and a quotient go through the reciprocal den/num, also reduced;
+      and a quotient go through the reciprocal den/num, also reduced; a
+      power of a*lambda**k is built directly as a**n * lambda**(k*n), with
+      no Poly product;
     - n-ary sum (`sum_of`): the numerators over each distinct denominator
       are added first, one gcd per distinct denominator reduces each
       partial sum, and the partial sums are then added as above.
+
+    The Horner-type kernels behind `taylor`, `mul_root_power` and
+    `pole_order` (Taylor shift and synthetic division by lambda - c) run on
+    integers: for c = a/b the polynomial is rescaled to an integer one in
+    b*lambda, and each output coefficient becomes one Fraction at the end.
     """
 
     __slots__ = ("num", "den")
@@ -304,6 +311,10 @@ class RatFun:
         return _coerce(other) / self
 
     def __pow__(self, n):
+        mono = _lam_power(self.num, self.den) if self.num else None
+        if mono is not None:
+            a, k = mono
+            return _mul_lam_power(Poly.const(a ** n), _ONE, 1, k * n)
         if n < 0:
             if not self.num:
                 raise DivisionByZero("inverse of zero")
@@ -373,13 +384,14 @@ class RatFun:
     def taylor(self, c, n):
         """First n Taylor coefficients R_0..R_{n-1} of num/den at lambda = c.
 
-        n rounds of Horner synthetic division by lambda - c give the first n
-        coefficients of num(c + h) and den(c + h); a truncated power-series
-        division then gives those of the quotient.  Raises
-        PoleAtEvaluationPoint when den(c) = 0.
+        n rounds of integer synthetic division by lambda - c (`_taylor_head`)
+        give the first n coefficients of num(c + h) and den(c + h); a
+        truncated power-series division then gives those of the quotient.
+        Raises PoleAtEvaluationPoint when den(c) = 0, also for n = 0, which
+        returns [].
         """
         c = Fraction(c)
-        dj = _taylor_head(self.den.coeffs, c, n)
+        dj = _taylor_head(self.den.coeffs, c, max(n, 1))
         if not dj[0]:
             raise PoleAtEvaluationPoint("pole at lambda = %s" % c)
         nj = _taylor_head(self.num.coeffs, c, n)
@@ -412,18 +424,37 @@ class RatFun:
     __repr__ = __str__
 
 
+def _int_lattice(cs, b):
+    """(M, L) for the polynomial P = sum cs[i] x**i of degree d: L is the lcm
+    of the coefficient denominators, so cs = N/L with integers N_i, and M
+    lists M_i = N_i * b**(d - i) from the top down.  Then
+    L * b**d * P(x) = Q(b*x) for the integer polynomial Q = sum M_i y**i."""
+    L = math.lcm(*(a.denominator for a in cs))
+    M, w = [], 1
+    for a in reversed(cs):
+        M.append(a.numerator * (L // a.denominator) * w)
+        w *= b
+    return M, L
+
+
 def _taylor_head(cs, c, n):
-    """Coefficients of h**0..h**(n-1) in sum cs[i] x**i at x = c + h: each
-    round of synthetic division by x - c yields one as its remainder."""
-    out = []
-    for _ in range(n):
-        acc, quo = Fraction(0), []
-        for a in reversed(cs):
-            acc = acc * c + a
-            quo.append(acc)
-        out.append(acc)
-        cs = quo[-2::-1]
-    return out
+    """Coefficients of h**0..h**(n-1) in P = sum cs[i] x**i at x = c + h.
+
+    An integer Taylor shift: with c = a/b and L * b**d * P(x) = Q(b*x)
+    (`_int_lattice`), P(c + h) = Q(a + b*h) / (L * b**d).  Round k of integer
+    synthetic division of Q by y - a leaves the remainder S_k, the y**k
+    coefficient of Q(a + y), so the h**k coefficient of P(c + h) is
+    S_k * b**k / (L * b**d): one Fraction per output coefficient."""
+    a, b = c.numerator, c.denominator
+    top, L = _int_lattice(cs, b)
+    den, bk, out = L * b ** max(len(cs) - 1, 0), 1, []
+    for k in range(min(n, len(top))):
+        acc = top[0]
+        for i in range(1, len(top) - k):
+            acc = top[i] = acc * a + top[i]
+        out.append(Fraction(acc * bk, den))
+        bk *= b
+    return out + [Fraction(0)] * (n - len(out))
 
 
 _ZERO = Poly()
@@ -495,18 +526,35 @@ def _mul_lam_power(n, d, a, k):
 
 def _divide_out_root(cs, c, k):
     """(cs / (x - c)**j, j) for the largest j <= k with (x - c)**j dividing
-    the polynomial cs (ascending coefficients, c != 0), by synthetic division."""
+    the polynomial P = sum cs[i] x**i (ascending coefficients).
+
+    Synthetic division by y - a of the integer Q with
+    L * b**d * P(x) = Q(b*x) (c = a/b, `_int_lattice`): x - c divides P
+    exactly when the integer remainder Q(a) is 0, and the quotient
+    Q1 = Q // (y - a) keeps the same relation with d - 1, so the divisions
+    repeat on integers.  The final quotient's coefficient of x**i is
+    A_i / (L * b**(d - j - i)), with A_i that of Q1's y**i."""
+    if k <= 0:
+        return cs, 0
+    a, b = c.numerator, c.denominator
+    top, L = _int_lattice(cs, b)
     j = 0
     while j < k:
         acc, quo = 0, []
-        for a in reversed(cs):
-            acc = acc * c + a
+        for m in top:
+            acc = acc * a + m
             quo.append(acc)
         if acc:
             break
-        cs = quo[-2::-1]
+        top = quo[:-1]
         j += 1
-    return cs, j
+    if not j:
+        return cs, 0
+    out, w = [], L
+    for m in top:
+        out.append(Fraction(m, w))
+        w *= b
+    return out[::-1], j
 
 
 def _times_root(cs, c, k):
@@ -551,12 +599,7 @@ def _coerce(x):
 
 def pole_order(f, c):
     """Multiplicity of (lambda - c) in the denominator of a reduced f."""
-    c = Fraction(c)
-    n, den = 0, f.den
-    while den.degree > 0 and not den.eval(c):
-        den = den // Poly((-c, Fraction(1)))
-        n += 1
-    return n
+    return _divide_out_root(f.den.coeffs, Fraction(c), f.den.degree)[1]
 
 
 def _primitive(p):

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import InsufficientPrecision, PlanMismatch, VerificationError
 from .factorize import factor_operator
-from .fields import Poly, RatFun, pole_order
+from .fields import RatFun, pole_order
 from .hahn import (NEG, POS, HahnSeries, Mask, _build, _iv_inter, hs_mul, hs_sum,
                    monomial, zero)
 from .newton import analyze, frobenius_plan
@@ -26,10 +26,6 @@ from .newton import analyze, frobenius_plan
 def lift(f):
     """Reinterpret a series over Q as a series over Q(lambda)."""
     return f.map_coeffs(RatFun.const)
-
-
-def _lam_minus(c):
-    return RatFun(Poly((-Fraction(c), Fraction(1))))
 
 
 def _first_uncertified_above(ext, start):
@@ -76,7 +72,9 @@ def solve_order1_param(p, mu, c, g, ceiling, depth):
 
     if G.mask.certifies(0):
         g0 = G.coeff_at(Fraction(0))
-        u0 = monomial(0, g0 / _lam_minus(c)) if g0 else zero()
+        if g0 and not isinstance(g0, RatFun):
+            g0 = RatFun.const(g0)
+        u0 = monomial(0, g0.mul_root_power(c, -1)) if g0 else zero()
     else:
         u0 = _build((), [(NEG, Fraction(0))])
 
@@ -202,7 +200,8 @@ def gcj_residual_mask(L, plan, c, j, g):
     """Check L^[e_lambda](g) against its closed form; returns the certified mask."""
     c = Fraction(c)
     m, s = plan.lookup(j, c)
-    rhs = monomial(plan.val_a0 - plan.nus[j] / (L.p - 1), _lam_minus(c) ** (s + m))
+    lead = RatFun.const(1).mul_root_power(c, s + m)
+    rhs = monomial(plan.val_a0 - plan.nus[j] / (L.p - 1), lead)
     res = L.gauge_exp_param().apply(g) - rhs
     if not res.is_zero():
         raise VerificationError("defining equation residual is nonzero")

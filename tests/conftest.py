@@ -14,7 +14,7 @@ from mahler.errors import (MahlerError, NonRationalExponent, PlanMismatch,
                            UnknownLeadingTerm, VerificationError, ZeroDivisor)
 from mahler.factorize import Factorization, FirstOrderFactor
 from mahler.fields import Poly, RatFun
-from mahler.frobenius import _lam_minus, _solution, lift, solve_order1_param
+from mahler.frobenius import _solution, lift, solve_order1_param
 from mahler.hahn import (_FULL, NEG, POS, HahnSeries, Mask, _build, _iv_diff, _iv_inter,
                          _iv_norm, forward_solve, hs, hs_mul, zero)
 from mahler.newton import analyze, frobenius_plan
@@ -294,6 +294,10 @@ def reference_factor_operator(L, ceiling, plan=None):
     return fact
 
 
+def _lam_minus(c):
+    return RatFun(Poly((-Fraction(c), Fraction(1))))
+
+
 def reference_solve_gcj(L, plan, fact, c, j, ceiling, depth):
     """Parametric series g with L(g e_lambda) = z**(val a_0 - nu_j/(p-1)) (lambda-c)**(s+m) e_lambda.
 
@@ -319,6 +323,53 @@ def reference_solve_gcj(L, plan, fact, c, j, ceiling, depth):
             x = solve_order1_param(p, mu, f.c, x, ceil2, depth)
             x = hs_mul(lift(f.h), x)
     return x.shift(-nuj / (p - 1)).scale(lamc ** s)
+
+
+def reference_taylor_head(cs, c, n):
+    """Coefficients of h**0..h**(n-1) in sum cs[i] x**i at x = c + h: each
+    round of synthetic division by x - c yields one as its remainder.
+
+    Oracle for fields._taylor_head: the same rounds in Fraction arithmetic,
+    where the library runs them on integers."""
+    out = []
+    for _ in range(n):
+        acc, quo = Fraction(0), []
+        for a in reversed(cs):
+            acc = acc * c + a
+            quo.append(acc)
+        out.append(acc)
+        cs = quo[-2::-1]
+    return out
+
+
+def reference_divide_out_root(cs, c, k):
+    """(cs / (x - c)**j, j) for the largest j <= k with (x - c)**j dividing
+    the polynomial cs (ascending coefficients, c != 0), by synthetic division.
+
+    Oracle for fields._divide_out_root, in Fraction arithmetic."""
+    j = 0
+    while j < k:
+        acc, quo = 0, []
+        for a in reversed(cs):
+            acc = acc * c + a
+            quo.append(acc)
+        if acc:
+            break
+        cs = quo[-2::-1]
+        j += 1
+    return cs, j
+
+
+def reference_pole_order(f, c):
+    """Multiplicity of (lambda - c) in the denominator of a reduced f.
+
+    Oracle for fields.pole_order: evaluation and Poly division."""
+    c = Fraction(c)
+    n, den = 0, f.den
+    while den.degree > 0 and not den.eval(c):
+        den = den // Poly((-c, Fraction(1)))
+        n += 1
+    return n
 
 
 def ev_c(f, c):

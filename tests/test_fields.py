@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import reference_divide_out_root, reference_pole_order, reference_taylor_head
 from mahler import fields
 from mahler.errors import DivisionByZero, PoleAtEvaluationPoint
 from mahler.fields import (Poly, RatFun, pole_order, poly_gcd, poly_str, q,
@@ -370,13 +371,83 @@ def test_taylor_head_is_value_and_pole_raises():
         except PoleAtEvaluationPoint:
             with pytest.raises(PoleAtEvaluationPoint):
                 f.taylor(c, 3)
+            with pytest.raises(PoleAtEvaluationPoint):
+                f.taylor(c, 0)
             poles += 1
             continue
         assert f.taylor(c, 1) == [value]
+        assert f.taylor(c, 0) == []
     assert poles >= 20
     lam = RatFun.lam()
     with pytest.raises(PoleAtEvaluationPoint):
         ((lam + 1) / (lam - 2) ** 2).taylor(2, 3)
+
+
+_HORNER_POINTS = (Fraction(0), Fraction(1), Fraction(-2, 3), Fraction(7, 5), Fraction(-13, 4))
+
+
+def _horner_cases(rng, count):
+    """(cs, c, j): a polynomial of degree 0..40 with coefficients of mixed
+    and large denominators, divisible by (x - c)**j for j = 0..4, and c one
+    of _HORNER_POINTS or (every third case) a random rational."""
+    coeff = (lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+             lambda: Fraction(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 20)),
+             lambda: Fraction(rng.randint(-3, 3)))
+    for i in range(count):
+        if i % 3:
+            c = _HORNER_POINTS[i % 5]
+        else:
+            c = Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 4))
+        d = rng.randint(0, 40)
+        j = rng.randint(0, min(4, d))
+        kinds = rng.sample(coeff, rng.randint(1, 3))
+        base = Poly([rng.choice(kinds)() for _ in range(d - j)] + [Fraction(rng.randint(1, 5))])
+        yield (base * Poly((-c, Fraction(1))) ** j).coeffs, c, j
+
+
+def test_integer_horner_kernels_match_fraction_reference():
+    rng = random.Random(97)
+    seen = set()
+    for cs, c, j in _horner_cases(rng, 500):
+        d = len(cs) - 1
+        n = rng.randint(1, d + 3)
+        got = fields._taylor_head(cs, c, n)
+        assert got == reference_taylor_head(cs, c, n)
+        assert all(type(v) is Fraction for v in got)
+        for k in {0, j, rng.randint(0, d + 1)}:
+            quo, jj = fields._divide_out_root(cs, c, k)
+            want, wj = reference_divide_out_root(cs, c, k)
+            assert (list(quo), jj) == (list(want), wj)
+            assert all(type(v) is Fraction for v in quo)
+        f = RatFun(1, Poly(cs))
+        assert pole_order(f, c) == reference_pole_order(f, c)
+        seen |= {"j = %d" % j, "n > degree" if n > d else "n <= degree"}
+        seen |= {"c = %s" % c} if c in _HORNER_POINTS else set()
+        seen |= {"large denominators"} if any(v.denominator > 10 ** 6 for v in cs) else set()
+    assert len(seen) == 13
+    c = Fraction(2, 3)
+    for n in (1, 4):   # the zero polynomial
+        assert fields._taylor_head((), c, n) == reference_taylor_head((), c, n)
+        assert fields._divide_out_root((), c, n) == ([], n)
+
+
+def test_ratfun_power_of_lambda_monomial_builds_no_poly_product(monkeypatch):
+    cases = []
+    for a in (1, -1, Fraction(-2, 3), Fraction(5, 2)):
+        for k in range(-40, 41):
+            f = _lam_power(a, k)
+            for n in range(-5, 6):
+                want = RatFun.const(1)
+                for _ in range(abs(n)):
+                    want = want * f
+                cases.append((f, n, want if n >= 0 else 1 / want))
+    calls = []
+    real_mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda *args: calls.append(args) or real_mul(*args))
+    for f, n, want in cases:
+        got = f ** n
+        assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs, want.den.coeffs)
+    assert not calls
 
 
 def test_pole_order():

@@ -1,5 +1,6 @@
 """Parametric order-1 solver, triangular solve, specialization, verification."""
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from mahler.hahn import POS, hs, hs_eq_on_mask, monomial, one, zero
 from mahler.newton import analyze, frobenius_plan
 from mahler.operator import MahlerOperator, phi_minus
 from mahler.factorize import factor_operator
-from mahler import frobenius
+from mahler import fields, frobenius
 from mahler.frobenius import (SolutionObject, apply_to_solution, check_gcj,
                               expected_gcj_cld, frobenius_basis,
                               gcj_residual_mask, lift, solve_gcj, solve_slope,
@@ -197,6 +198,40 @@ def test_solve_slope_equals_one_solve_per_exponent(monkeypatch):
             if len(entry) >= 2:
                 seen.add("several exponents")
     assert seen == {"m >= 2", "s >= 1", "several exponents"}
+
+
+def test_order1_solver_divides_by_lambda_minus_c_without_gcd(monkeypatch):
+    """The exponent-0 coefficient is divided by lambda - c with one synthetic
+    division: on the first 60 criterion-3 operators, no RatFun product or
+    quotient inside solve_order1_param runs a poly_gcd.  (Its series sums
+    may: they reduce once per distinct denominator.)"""
+    inside = {"order1": 0, "product": 0}
+    gcds, divisions = [], []
+
+    def nested(key, real):
+        def call(*args):
+            inside[key] += 1
+            try:
+                return real(*args)
+            finally:
+                inside[key] -= 1
+        return call
+
+    real_gcd, real_root = fields.poly_gcd, RatFun.mul_root_power
+    monkeypatch.setattr(frobenius, "solve_order1_param",
+                        nested("order1", frobenius.solve_order1_param))
+    monkeypatch.setattr(fields, "_mul", nested("product", fields._mul))
+    monkeypatch.setattr(fields, "poly_gcd", lambda *args: (
+        inside["order1"] and inside["product"] and gcds.append(args)) or real_gcd(*args))
+    monkeypatch.setattr(RatFun, "mul_root_power", lambda r, c, k: (
+        inside["order1"] and k == -1 and divisions.append(r)) or real_root(r, c, k))
+    for L, ceiling, depth, _ in itertools.islice(_slope_cases(), 60):
+        plan = frobenius_plan(L, analyze(L))
+        fact = factor_operator(L, ceiling, plan)
+        for j in range(len(plan.entries)):
+            solve_slope(L, plan, fact, j, ceiling, depth)
+    assert len(divisions) > 100
+    assert not gcds
 
 
 def test_check_gcj_rejects_wrong_leading_coefficient():
