@@ -17,7 +17,7 @@ from .newton import (FrobeniusPlan, NewtonData, analyze, char_poly,
                      frobenius_plan, newton_polygon, slopes_of)
 from .operator import MahlerOperator, phi_minus
 from .factorize import (Factorization, FirstOrderFactor, factor_operator,
-                        factor_reconstruct, factorize, slope_zero_unit_solution)
+                        factor_reconstruct, slope_zero_unit_solution)
 from .frobenius import (ExponentBlock, FrobeniusOutput, SolutionObject,
                         apply_to_solution, frobenius_basis, solve_gcj,
                         solve_order1_param, solve_slope, specialize_solutions,
@@ -36,7 +36,7 @@ __all__ = [
     "newton_polygon", "slopes_of",
     "MahlerOperator", "phi_minus",
     "Factorization", "FirstOrderFactor", "factor_operator",
-    "factor_reconstruct", "factorize", "slope_zero_unit_solution",
+    "factor_reconstruct", "slope_zero_unit_solution",
     "ExponentBlock", "FrobeniusOutput", "SolutionObject", "apply_to_solution",
     "frobenius_basis", "solve_gcj", "solve_order1_param", "solve_slope",
     "specialize_solutions", "verify_independence",

@@ -143,6 +143,3 @@ def factor_reconstruct(fact, ceiling):
             B = MahlerOperator(p, [hinv.scale(-f.c), hinv.mal(1, p).shift(f.nu)])
             M = M * B
     return M
-
-
-factorize = factor_operator

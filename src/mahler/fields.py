@@ -196,32 +196,25 @@ class RatFun:
     """Rational function num/den over Q, kept reduced with monic denominator.
 
     A reduced fraction with a monic denominator is unique, so equal values
-    have identical num and den.  The public constructor takes arbitrary
-    input and divides out gcd(num, den) (no gcd when den is constant).
-    Arithmetic reduces from its already-reduced operands (Henrici's
-    cross-cancellation, carried over from Z to Q[lambda]):
+    have identical num and den.  There is one reduction, the public
+    constructor's: it divides out gcd(num, den) (no gcd when den is
+    constant) and makes den monic.  General products, sums, quotients and
+    negative powers form the unreduced num/den and pass it through the
+    constructor.  The products the solver makes need no gcd:
 
-    - product: only n1 with d2 and n2 with d1 can share a factor, so only
-      those two gcds are taken, each skipped when the denominator is
-      constant;
-    - sum and difference: with equal denominators d, cancel
-      gcd(n1 +- n2, d); otherwise, with g = gcd(d1, d2) and
-      t = n1 (d2/g) +- n2 (d1/g), the result t / (d1 d2 / g) can only
-      share a factor with g, so it is reduced when g = 1 and needs
-      gcd(t, g) alone otherwise;
     - product by a*lambda**k (a scalar when k = 0, k of either sign): only
       a power of lambda can cancel, so it is stripped from the low end of
       the other factor's den (k > 0) or num (k < 0) and no gcd runs;
     - product by (lambda - c)**k (`mul_root_power`, c != 0, k of either
       sign): only lambda - c can cancel, so it is stripped from the other
       side by synthetic division and no gcd runs;
-    - power: a power of a reduced fraction is reduced; a negative power
-      and a quotient go through the reciprocal den/num, also reduced; a
-      power of a*lambda**k is built directly as a**n * lambda**(k*n), with
-      no Poly product;
+    - power: a power of a reduced fraction is reduced; a power of
+      a*lambda**k is built directly as a**n * lambda**(k*n), with no Poly
+      product;
     - n-ary sum (`sum_of`): the numerators over each distinct denominator
-      are added first, one gcd per distinct denominator reduces each
-      partial sum, and the partial sums are then added as above.
+      are added first, so the constructor runs once per distinct
+      denominator that holds two or more terms, and once per pairwise sum
+      of the partial sums.
 
     The Horner-type kernels behind `taylor`, `mul_root_power` and
     `pole_order` (Taylor shift and synthetic division by lambda - c) run on
@@ -305,7 +298,7 @@ class RatFun:
             return NotImplemented
         if not other.num:
             raise DivisionByZero("division by zero rational function")
-        return self * other._reciprocal()
+        return self * RatFun(other.den, other.num)
 
     def __rtruediv__(self, other):
         return _coerce(other) / self
@@ -318,7 +311,7 @@ class RatFun:
         if n < 0:
             if not self.num:
                 raise DivisionByZero("inverse of zero")
-            return self._reciprocal() ** (-n)
+            return RatFun(self.den, self.num) ** (-n)
         return _reduced(self.num ** n, self.den ** n)
 
     def mul_root_power(self, c, k):
@@ -340,18 +333,12 @@ class RatFun:
             d = _times_root(d, c, -k - j)
         return _reduced(_poly(n), _poly(d))
 
-    def _reciprocal(self):
-        """den/num made monic; the caller has checked num != 0."""
-        lead = self.num.coeffs[-1]
-        if lead == 1:
-            return _reduced(self.den, self.num)
-        inv = 1 / lead
-        return _reduced(self.den * inv, self.num * inv)
-
     @staticmethod
     def sum_of(values):
-        """Sum of a sequence of RatFuns and rationals, reduced once per
-        distinct denominator instead of after every pairwise +."""
+        """Sum of a sequence of RatFuns and rationals.  The numerators over
+        each distinct denominator are added first; a group of two or more
+        terms is reduced by the constructor, a single term is already
+        reduced, and the partial sums are then added pairwise."""
         groups = []  # (den, [num, ...]) per distinct denominator
         for v in values:
             v = _coerce(v)
@@ -364,22 +351,14 @@ class RatFun:
                     groups.append((v.den, [v.num]))
         out = _reduced(_ZERO, _ONE)
         for den, nums in groups:
-            t = sum(nums[1:], nums[0])
-            if not t:
-                continue
-            if len(nums) > 1 and den.degree > 0:
-                g = poly_gcd(den, t)
-                if g.degree > 0:
-                    t, den = t // g, den // g
-            out = _add(out.num, out.den, t, den) if out.num else _reduced(t, den)
+            part = RatFun(sum(nums[1:], nums[0]), den) if len(nums) > 1 else _reduced(nums[0], den)
+            if part.num:
+                out = _add(out.num, out.den, part.num, part.den) if out.num else part
         return out
 
     def eval_at(self, c):
         """Value at lambda = c; raises PoleAtEvaluationPoint on a pole."""
-        d = self.den.eval(c)
-        if not d:
-            raise PoleAtEvaluationPoint("pole at lambda = %s" % Fraction(c))
-        return self.num.eval(c) / d
+        return self.taylor(c, 1)[0]
 
     def taylor(self, c, n):
         """First n Taylor coefficients R_0..R_{n-1} of num/den at lambda = c.
@@ -469,7 +448,8 @@ def _reduced(num, den):
 
 
 def _mul(n1, d1, n2, d2):
-    """n1/d1 * n2/d2 for reduced operands."""
+    """n1/d1 * n2/d2 for reduced operands: no gcd when one is a*lambda**k,
+    else the constructor reduces the product."""
     if not n1 or not n2:
         return _reduced(_ZERO, _ONE)
     mono = _lam_power(n2, d2)
@@ -478,15 +458,7 @@ def _mul(n1, d1, n2, d2):
     mono = _lam_power(n1, d1)
     if mono is not None:
         return _mul_lam_power(n2, d2, *mono)
-    if d2.degree > 0 and n1.degree > 0:
-        g = poly_gcd(d2, n1)
-        if g.degree > 0:
-            n1, d2 = n1 // g, d2 // g
-    if d1.degree > 0 and n2.degree > 0:
-        g = poly_gcd(d1, n2)
-        if g.degree > 0:
-            n2, d1 = n2 // g, d1 // g
-    return _reduced(n1 * n2, d1 * d2)
+    return RatFun(n1 * n2, d1 * d2)
 
 
 def _lam_power(n, d):
@@ -565,26 +537,11 @@ def _times_root(cs, c, k):
 
 
 def _add(n1, d1, n2, d2):
-    """n1/d1 + n2/d2 for reduced operands."""
+    """n1/d1 + n2/d2 over the common denominator, reduced by the
+    constructor (one gcd when that denominator is not constant)."""
     if d1 == d2:
-        t = n1 + n2
-        if not t:
-            return _reduced(_ZERO, _ONE)
-        if d1.degree > 0:
-            g = poly_gcd(d1, t)
-            if g.degree > 0:
-                return _reduced(t // g, d1 // g)
-        return _reduced(t, d1)
-    # unequal reduced denominators: the sum is nonzero
-    g = _ONE if d1.degree == 0 or d2.degree == 0 else poly_gcd(d1, d2)
-    if g.degree == 0:
-        return _reduced(n1 * d2 + n2 * d1, d1 * d2)
-    d1, d2g = d1 // g, d2 // g
-    t = n1 * d2g + n2 * d1
-    h = poly_gcd(g, t)
-    if h.degree > 0:
-        t, d2 = t // h, d2 // h
-    return _reduced(t, d1 * d2)
+        return RatFun(n1 + n2, d1)
+    return RatFun(n1 * d2 + n2 * d1, d1 * d2)
 
 
 def _coerce(x):
@@ -637,7 +594,9 @@ def rational_roots(p):
     square-free part, made a primitive integer polynomial with leading
     coefficient a, becomes monic under y = a*x; its integer roots a*r are
     isolated by bisecting integer intervals inside the Cauchy bound with a
-    Sturm chain, so no integer is ever factored.
+    Sturm chain, so no integer is ever factored.  Each root's multiplicity
+    is the number of integer synthetic divisions by x - r that leave no
+    remainder (`_divide_out_root`), which also yields the residual.
     """
     if not p:
         raise DivisionByZero("rational_roots of the zero polynomial")
@@ -667,14 +626,8 @@ def rational_roots(p):
             mid = (lo + hi) // 2
             vmid = _sign_changes(chain, mid)
             stack += [(lo, mid, vlo, vmid), (mid, hi, vmid, vhi)]
-    roots, residual = [], p
+    roots, cs = [], p.coeffs
     for r in sorted(found):
-        lin = Poly((-r, Fraction(1)))
-        m = 0
-        while True:
-            quo, rem = divmod(residual, lin)
-            if rem:
-                break
-            residual, m = quo, m + 1
+        cs, m = _divide_out_root(cs, r, len(cs) - 1)
         roots.append((r, m))
-    return roots, residual
+    return roots, _poly(cs)

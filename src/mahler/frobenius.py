@@ -165,15 +165,15 @@ def expected_gcj_cld(L, plan, fact, c, j):
                             + [(f.c, -1) for f in fact.layers[j]])
 
 
-def check_gcj(L, plan, fact, c, j, mu, g, residual=False):
-    """Certified invariants of g_{c,j}: valuation, leading coefficient,
-    regularity at lambda = c, and (optionally) the defining residual.
+def check_gcj(L, plan, fact, c, j, mu, g):
+    """Certified invariants of g_{c,j}: valuation, leading coefficient and
+    regularity at lambda = c.
 
-    frobenius_basis calls it with residual=False: --verify already checks
-    the residual of every specialized solution, so the residual of g itself
-    (gcj_residual_mask) is only checked by the tests.  A g whose leading
-    term the ceiling leaves uncertified, with its first mask gap at or below
-    -mu, raises InsufficientPrecision."""
+    The defining residual of g is not checked here: --verify checks the
+    residual of every specialized solution, and gcj_residual_mask computes
+    that of g itself.  A g whose leading term the ceiling leaves
+    uncertified, with its first mask gap at or below -mu, raises
+    InsufficientPrecision."""
     c = Fraction(c)
     m, s = plan.lookup(j, c)
     bound, exact = g.val_bound()
@@ -190,10 +190,6 @@ def check_gcj(L, plan, fact, c, j, mu, g, residual=False):
     for _, r in g.terms:
         if pole_order(r, c):
             raise VerificationError("coefficient of g has a pole at lambda = %s" % c)
-    if residual:
-        rmask = gcj_residual_mask(L, plan, c, j, g)
-        if rmask.empty:
-            raise VerificationError("defining residual certified nowhere")
 
 
 def gcj_residual_mask(L, plan, c, j, g):

@@ -591,12 +591,6 @@ def _mul_pollution(unc, g):
     return out
 
 
-# functional alias matching the documented operation name
-
-def hs_eq_on_mask(f, g):
-    return f.eq_on_mask(g)
-
-
 def series_from_json(data, coeff=Fraction):
     mask = Mask.from_json(data.get("mask", []))
     terms = [(Fraction(t["exp"]), coeff(t["coeff"])) for t in data.get("terms", [])]

@@ -16,7 +16,7 @@ from conftest import (canon, ladder_g1_terms, ladder_g2_terms, ladder_operator,
 from mahler.factorize import factor_operator, factor_reconstruct
 from mahler.fields import Poly, RatFun, pole_order
 from mahler.frobenius import frobenius_basis, lift, solve_order1_param
-from mahler.hahn import hs_eq_on_mask, monomial, one
+from mahler.hahn import monomial, one
 from mahler.newton import analyze, frobenius_plan
 from mahler.operator import MahlerOperator
 from mahler.testing import (rand_factored_operator, rand_operator,
@@ -171,7 +171,7 @@ def test_criterion_5_order1_oracle():
                 assert order1_coeff_oracle(p, mu, c, g, e) == 0
         A = MahlerOperator(p, [monomial(0, RatFun.const(-c)),
                                monomial(-mu, lam)])
-        eq, common = hs_eq_on_mask(A.apply(f), g)
+        eq, common = A.apply(f).eq_on_mask(g)
         assert eq and not common.empty
         rho = {cc: max((pole_order(r, cc) for _, r in g.terms), default=0)
                for cc in cs}
@@ -206,7 +206,7 @@ def _factorization_invariants(L, ceiling):
     R = factor_reconstruct(fact, ceiling)
     assert R.order == L.order
     for mine, theirs in zip(R.coeffs, L.coeffs):
-        eq, common = hs_eq_on_mask(mine, theirs)
+        eq, common = mine.eq_on_mask(theirs)
         assert eq and not common.empty
 
 
@@ -232,7 +232,7 @@ def _parts_stable(y_lo, y_hi):
             assert all(not present.mask.certifies(e) or v == 0
                        for e, v in present.terms)
             continue
-        eq, common = hs_eq_on_mask(a, b)
+        eq, common = a.eq_on_mask(b)
         assert eq and not common.empty
 
 
@@ -240,7 +240,7 @@ def _bases_stable(lo, hi):
     assert len(lo.blocks) == len(hi.blocks)
     for bl, bh in zip(lo.blocks, hi.blocks):
         assert (bl.j, bl.c, bl.s, bl.m) == (bh.j, bh.c, bh.s, bh.m)
-        eq, common = hs_eq_on_mask(bl.g, bh.g)
+        eq, common = bl.g.eq_on_mask(bh.g)
         assert eq and not common.empty
         for yl, yh in zip(bl.solutions, bh.solutions):
             _parts_stable(yl, yh)
@@ -260,6 +260,6 @@ def test_criterion_7_refinement_stability():
         p, mu, c, g = _order1_instance(rng)
         f_lo = solve_order1_param(p, mu, c, g, 6, 5)
         f_hi = solve_order1_param(p, mu, c, g, 12, 10)
-        eq, common = hs_eq_on_mask(f_lo, f_hi)
+        eq, common = f_lo.eq_on_mask(f_hi)
         assert eq and not common.empty
     _stamp("7 refinement", t0)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from mahler.cli import (BinOp, EquationSpec, Neg, Num, Zpow, elaborate,
                         expr_str, main, parse_spec, render_pretty, run_pipeline)
 from mahler.errors import (NonRationalExponentLiteral, ParseError, ZeroDivisor,
                            VerificationError)
-from mahler.hahn import hs, hs_eq_on_mask, hs_mul, monomial, one
+from mahler.hahn import hs, hs_mul, monomial, one
 
 EXAMPLE = (
     "p = 2\n"
@@ -101,10 +102,10 @@ def test_expr_str_keeps_structure():
 def test_elaborate_inverts_series():
     spec = parse_spec("p = 2\na[0] = (1 + z) / (1 + z)\na[1] = 1 / (1 + z^2)\n")
     L = elaborate(spec, 8)
-    eq, common = hs_eq_on_mask(L.coeffs[0], one())
+    eq, common = L.coeffs[0].eq_on_mask(one())
     assert eq and common.certifies(0) and common.certifies(7)
     back = hs_mul(L.coeffs[1], hs([(0, 1), (2, 1)]))
-    eq, common = hs_eq_on_mask(back, one())
+    eq, common = back.eq_on_mask(one())
     assert eq and not common.empty
 
 
@@ -307,3 +308,17 @@ def test_python_dash_m_mahler(tmp_path):
     proc = _fresh_python(tmp_path, "-m", "mahler", "--verify")
     assert proc.returncode == 0, proc.stderr
     assert "verification: ok" in proc.stdout
+
+
+def test_public_api_is_exactly_all():
+    names = {}
+    exec("from mahler import *", names)
+    del names["__builtins__"]
+    assert set(names) == set(mahler.__all__) and len(mahler.__all__) == len(set(mahler.__all__))
+    assert all(names[n] is getattr(mahler, n) for n in mahler.__all__)
+    # every public binding that is not a submodule is exported
+    public = {n for n, v in vars(mahler).items()
+              if not n.startswith("_") and not isinstance(v, types.ModuleType)}
+    assert public == set(mahler.__all__)
+    assert mahler.factorize is sys.modules["mahler.factorize"]
+    assert isinstance(mahler.factorize, types.ModuleType)

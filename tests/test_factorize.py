@@ -10,11 +10,10 @@ from conftest import ladder_operator, reference_factor_operator
 from test_cli import EXAMPLE
 from mahler.cli import elaborate, parse_spec
 from mahler.errors import MahlerError, NonRationalExponent, PlanMismatch, VerificationError
-from mahler.hahn import hs, hs_eq_on_mask, monomial, one, zero
+from mahler.hahn import hs, monomial, one, zero
 from mahler.newton import FrobeniusPlan, analyze, frobenius_plan
 from mahler.operator import MahlerOperator, phi_minus
-from mahler.factorize import (factor_operator, factor_reconstruct, factorize,
-                              slope_zero_unit_solution)
+from mahler.factorize import factor_operator, factor_reconstruct, slope_zero_unit_solution
 from mahler.testing import rand_factored_operator, rand_operator, rand_tangent_unit
 
 
@@ -27,7 +26,7 @@ def test_unit_solution_for_a_single_factor():
             hinv = h.invert(20)
             M = MahlerOperator(p, [hinv.scale(-c), hinv.mal(1, p)])
             got = slope_zero_unit_solution(M, c, 12)
-            eq, common = hs_eq_on_mask(got, h)
+            eq, common = got.eq_on_mask(h)
             assert eq and not common.empty
             assert got.coeff_at(0) == 1
 
@@ -63,7 +62,6 @@ def test_factor_first_order():
     assert f.nu == 0 and f.c == 1
     assert f.h.terms == ((Fraction(0), Fraction(1)),)
     assert fact.a.val() == 0 and fact.a.cld() == 1
-    assert factorize is factor_operator
 
 
 def test_factor_ladder_operators():
@@ -76,7 +74,7 @@ def test_factor_ladder_operators():
         assert (second.nu, second.c) == (-Fraction(nu), 1)
         assert first.h.terms == ((Fraction(0), Fraction(1)),)
         h = hs([(0, 1), (-Fraction(nu) / (p - 1), 1)])
-        eq, common = hs_eq_on_mask(second.h, h)
+        eq, common = second.h.eq_on_mask(h)
         assert eq and not common.empty
         assert fact.a.val() == nu
         assert fact.a.cld() * (-first.c) * (-second.c) == L.coeffs[0].cld()
@@ -102,7 +100,7 @@ def test_factor_reconstruct_round_trip():
         M = factor_reconstruct(fact, 4)
         assert M.order == L.order
         for x, y in zip(M.coeffs, L.coeffs):
-            eq, common = hs_eq_on_mask(x, y)
+            eq, common = x.eq_on_mask(y)
             assert eq and not common.empty
 
 
@@ -148,8 +146,7 @@ def test_factor_with_a_plan_never_analyzes(monkeypatch):
 
     def boom(L):
         raise AssertionError("analyze called although a plan was supplied")
-    # the package attribute mahler.factorize is the function alias, so patch
-    # the submodule itself
+    # patch the submodule, where factor_operator looks analyze up
     monkeypatch.setattr(importlib.import_module("mahler.factorize"), "analyze", boom)
     for L, plan in cases:
         fact = factor_operator(L, 4, plan)

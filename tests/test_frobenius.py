@@ -14,7 +14,7 @@ from conftest import (d_lambda, ev_c, ladder_g1_terms, ladder_g2_terms,
 from mahler.cli import elaborate, parse_spec
 from mahler.errors import MahlerError, PlanMismatch, PoleAtEvaluationPoint, VerificationError
 from mahler.fields import RatFun, pole_order
-from mahler.hahn import POS, hs, hs_eq_on_mask, monomial, one, zero
+from mahler.hahn import POS, hs, monomial, one, zero
 from mahler.newton import analyze, frobenius_plan
 from mahler.operator import MahlerOperator, phi_minus
 from mahler.factorize import factor_operator
@@ -106,7 +106,7 @@ def test_order1_back_substitution():
         A = MahlerOperator(p, [monomial(0, RatFun.const(-c)),
                                monomial(-mu, lam)])
         res = A.apply(f)
-        eq, common = hs_eq_on_mask(res, g)
+        eq, common = res.eq_on_mask(g)
         assert eq and not common.empty
 
 
@@ -135,13 +135,14 @@ def test_gcj_closed_forms_on_ladder_operators():
         plan = frobenius_plan(L, nd)
         fact = factor_operator(L, 6, plan)
         g1 = solve_gcj(L, plan, fact, Fraction(1), 0, 6, 6)
-        check_gcj(L, plan, fact, Fraction(1), 0, nd.slopes[0][0], g1, residual=True)
+        check_gcj(L, plan, fact, Fraction(1), 0, nd.slopes[0][0], g1)
+        assert not gcj_residual_mask(L, plan, Fraction(1), 0, g1).empty
         assert series_dict_on_mask(g1, ladder_g1_terms(p, nu, 6))
         g2 = solve_gcj(L, plan, fact, Fraction(1), 1, 6, 6)
-        check_gcj(L, plan, fact, Fraction(1), 1, nd.slopes[1][0], g2, residual=True)
+        check_gcj(L, plan, fact, Fraction(1), 1, nd.slopes[1][0], g2)
+        assert not gcj_residual_mask(L, plan, Fraction(1), 1, g2).empty
         assert series_dict_on_mask(g2, ladder_g2_terms(p, nu, -10))
         assert g2.cld() == expected_gcj_cld(L, plan, fact, Fraction(1), 1)
-        assert not gcj_residual_mask(L, plan, Fraction(1), 1, g2).empty
         for _, r in g2.terms:
             assert pole_order(r, 1) == 0
 
@@ -232,6 +233,30 @@ def test_order1_solver_divides_by_lambda_minus_c_without_gcd(monkeypatch):
             solve_slope(L, plan, fact, j, ceiling, depth)
     assert len(divisions) > 100
     assert not gcds
+
+
+def test_every_q_lambda_product_has_a_lambda_power_operand(monkeypatch):
+    """Every Q(lambda) product that frobenius_basis makes, verification
+    included, has an a*lambda**k operand, so it takes the gcd-free path:
+    the ladders, the README example and the first 60 criterion-3
+    operators."""
+    products = []
+    real = fields._mul
+
+    def checked(n1, d1, n2, d2):
+        if n1 and n2:
+            assert (fields._lam_power(n1, d1) is not None
+                    or fields._lam_power(n2, d2) is not None), (n1, d1, n2, d2)
+            products.append(1)
+        return real(n1, d1, n2, d2)
+    monkeypatch.setattr(fields, "_mul", checked)
+    cases = [(ladder_operator(2, -2), 8, 8), (ladder_operator(3, -3), 8, 8),
+             (_readme_operator(8), 8, 8)]
+    rng = random.Random(2026)
+    cases += [(rand_factored_operator(rng, Fraction(3))[0], 3, 2) for _ in range(60)]
+    for L, ceiling, depth in cases:
+        assert frobenius_basis(L, ceiling, depth, verify=True).verification["ok"]
+    assert len(products) > 1000
 
 
 def test_check_gcj_rejects_wrong_leading_coefficient():

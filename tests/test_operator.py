@@ -7,7 +7,7 @@ import pytest
 from conftest import apply_brute
 from mahler.errors import ZeroDivisor
 from mahler.fields import RatFun
-from mahler.hahn import hs, hs_eq_on_mask, monomial, one, zero
+from mahler.hahn import hs, monomial, one, zero
 from mahler.operator import MahlerOperator, phi_minus
 from mahler.testing import rand_operator, rand_series, rand_tangent_unit
 
@@ -94,9 +94,9 @@ def test_right_divide_recovers_quotient_and_remainder():
         Q, R = A.right_divide(B, 12)
         assert Q.order == Q0.order and R.order == 0
         for x, y in zip(Q.coeffs, Q0.coeffs):
-            eq, common = hs_eq_on_mask(x, y)
+            eq, common = x.eq_on_mask(y)
             assert eq and not common.empty
-        eq, common = hs_eq_on_mask(R.coeffs[0], R0.coeffs[0])
+        eq, common = R.coeffs[0].eq_on_mask(R0.coeffs[0])
         assert eq and not common.empty
 
 
@@ -162,7 +162,7 @@ def test_gauge_unit_is_conjugation():
         f = rand_series(rng, terms=3)
         lhs = L.gauge_unit(g, ceiling).apply(f)
         rhs = g.invert(ceiling) * L.apply(g * f)
-        eq, common = hs_eq_on_mask(lhs, rhs)
+        eq, common = lhs.eq_on_mask(rhs)
         assert eq and not common.empty
 
 
