@@ -11,6 +11,7 @@ e_c = l_{c,0}) that obey phi_p(l_{c,u}) = c*l_{c,u} + l_{c,u-1}.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,8 +19,7 @@ from fractions import Fraction
 from .errors import InsufficientPrecision, PlanMismatch, VerificationError
 from .factorize import factor_operator
 from .fields import RatFun, pole_order
-from .hahn import (NEG, POS, HahnSeries, Mask, _build, _iv_inter, hs_mul, hs_sum,
-                   monomial, zero)
+from .hahn import NEG, POS, HahnSeries, hs_mul, hs_sum, monomial, zero
 from .newton import analyze, frobenius_plan
 
 
@@ -28,25 +28,19 @@ def lift(f):
     return f.map_coeffs(RatFun.const)
 
 
-def _first_uncertified_above(ext, start):
-    t = start
-    for lo, hi in ext:
-        if hi <= t:
-            continue
-        if lo > t:
-            break
-        t = hi
-    return t
-
-
 def solve_order1_param(p, mu, c, g, ceiling, depth):
     """The unique f over Q(lambda) with (z**(-mu) lambda phi_p - c) f = g.
 
-    In the frame twisted by z**(mu/(p-1)) the right-hand side splits at
-    exponent 0; the negative part is summed over phi**k, k = -1..-depth
-    (leaving a recorded mask gap just below 0 for the dropped tail), the
-    exponent-0 coefficient is divided by lambda - c, and the positive part is
-    summed over phi**k, k >= 0 until the terms leave the requested ceiling.
+    In the frame twisted by z**(mu/(p-1)) the right-hand side splits into
+    three parts:
+      - the negative part, summed over phi**k for k = -1..-depth (leaving a
+        recorded mask gap just below 0 for the dropped tail);
+      - the exponent-0 coefficient, divided by lambda - c; when 0 is not
+        certified nothing from 0 up is, and the solution stops there;
+      - the positive part from fp up, summed over phi**k for k >= 0 until
+        the terms leave the requested ceiling.  fp is the first positive
+        exponent or the mask's next gap above 0 (`Mask.next_gap`), whichever
+        is smaller: nothing lies strictly between 0 and fp.
     """
     c = Fraction(c)
     if not c:
@@ -59,44 +53,27 @@ def solve_order1_param(p, mu, c, g, ceiling, depth):
     G = g.shift(-shift)
     lam = RatFun.lam()
 
+    def geometric(X, ks):
+        """sum over k in ks of c**(-k-1) lambda**k phi**k(X)"""
+        return hs_sum(X.mal(k, p).scale(RatFun.const(c ** (-k - 1)) * lam ** k) for k in ks)
+
     low = G.restrict(NEG, Fraction(0))
-    if low.is_exact_zero():
-        um = low
-    elif low.mask.empty:
-        um = HahnSeries((), Mask(()))
-    else:
-        vb = low.first_possible()
-        um = hs_sum(low.mal(k, p).scale(RatFun.const(c ** (-k - 1)) * lam ** k)
-                    for k in range(-1, -depth - 1, -1))
-        um = um.forget(vb * Fraction(p) ** (-depth - 1), Fraction(0))
+    um = low
+    if not low.is_exact_zero():
+        um = geometric(low, range(-1, -depth - 1, -1)).forget(
+            low.first_possible() * Fraction(p) ** (-depth - 1), Fraction(0))
+    if not G.mask.certifies(0):
+        return hs_sum((um, zero().cap(0))).cap(cap).shift(shift)
 
-    if G.mask.certifies(0):
-        g0 = G.coeff_at(Fraction(0))
-        if g0 and not isinstance(g0, RatFun):
-            g0 = RatFun.const(g0)
-        u0 = monomial(0, g0.mul_root_power(c, -1)) if g0 else zero()
-    else:
-        u0 = _build((), [(NEG, Fraction(0))])
+    g0 = G.coeff_at(Fraction(0))
+    if g0 and not isinstance(g0, RatFun):
+        g0 = RatFun.const(g0)
+    u0 = monomial(0, g0.mul_root_power(c, -1)) if g0 else zero()
 
-    pos_terms = [(e, r) for e, r in G.terms if e > 0]
-    fp = _first_uncertified_above(G.mask.extended, Fraction(0))
-    if pos_terms and pos_terms[0][0] < fp:
-        fp = pos_terms[0][0]
-    if fp == POS:
-        up = zero()
-    elif fp <= 0:
-        up = _build((), [(NEG, Fraction(0))])
-    else:
-        ext = [(NEG, fp)] + _iv_inter(G.mask.extended, [(fp, POS)])
-        high = _build(pos_terms, ext)
-        pieces, k = [], 0
-        while p ** k * fp < cap:
-            pieces.append(high.mal(k, p).scale(RatFun.const(c ** (-k - 1)) * lam ** k))
-            k += 1
-        up = hs_sum(pieces).cap(cap)
-
-    u = hs_sum((um, u0, -up))
-    return u.cap(cap).shift(shift)
+    fp = min(next((e for e, _ in G.terms if e > 0), POS), G.mask.next_gap(Fraction(0)))
+    ks = itertools.takewhile(lambda k: p ** k * fp < cap, itertools.count())
+    up = geometric(G.restrict(fp, POS), ks).cap(cap)
+    return hs_sum((um, u0, -up)).cap(cap).shift(shift)
 
 
 def solve_slope(L, plan, fact, j, ceiling, depth):
@@ -175,7 +152,6 @@ def check_gcj(L, plan, fact, c, j, mu, g):
     uncertified, with its first mask gap at or below -mu, raises
     InsufficientPrecision."""
     c = Fraction(c)
-    m, s = plan.lookup(j, c)
     bound, exact = g.val_bound()
     if not exact and bound <= -mu:
         gap = "is empty" if g.mask.empty else "has its first gap at %s" % bound
@@ -248,17 +224,13 @@ def specialize_solutions(p, g, c, s, m_count):
     coefficient of g serves every part, and each part keeps g's mask.
     """
     c = Fraction(c)
-    jets = [(e, r.taylor(c, s + m_count)) for e, r in g.terms]
+    jets = g.map_coeffs(lambda r: r.taylor(c, s + m_count))
     out = []
     for m in range(m_count):
         t = s + m
         w = math.factorial(t)
-        parts = {}
-        for u in range(t + 1):
-            k = t - u
-            parts[(c, u)] = HahnSeries(tuple((e, w * jet[k]) for e, jet in jets if jet[k]),
-                                       g.mask)
-        out.append(_solution(p, parts))
+        out.append(_solution(p, {(c, u): jets.map_coeffs(lambda jet, k=t - u: w * jet[k])
+                                 for u in range(t + 1)}))
     return out
 
 
@@ -323,7 +295,7 @@ class FrobeniusOutput:
         }
 
 
-def verify_independence(out, nd=None):
+def verify_independence(out):
     """Triangular valuation pattern of the parts across (j, m), per exponent.
 
     For the solution indexed (c, j, m): parts below m must have valuation
@@ -331,17 +303,13 @@ def verify_independence(out, nd=None):
     -mu_j, parts above m must stay strictly above -mu_j.
     """
     details = []
-    ok_all = True
     for block in out.blocks:
         for m, sol in enumerate(block.solutions):
             target = -block.mu
             ok = True
             for u in range(block.s + m + 1):
                 fs = sol.part(block.c, u)
-                if fs is None:
-                    bound, exact = POS, True
-                else:
-                    bound, exact = fs.val_bound()
+                bound, exact = (POS, True) if fs is None else fs.val_bound()
                 if u < m:
                     good = bound >= target
                 elif u == m:
@@ -350,8 +318,7 @@ def verify_independence(out, nd=None):
                     good = bound > target
                 ok = ok and good
             details.append({"c": str(block.c), "j": block.j, "m": m, "ok": ok})
-            ok_all = ok_all and ok
-    return {"ok": ok_all, "solutions": details}
+    return {"ok": all(d["ok"] for d in details), "solutions": details}
 
 
 def frobenius_basis(L, ceiling, depth, verify=True):
@@ -369,23 +336,21 @@ def frobenius_basis(L, ceiling, depth, verify=True):
         return FrobeniusOutput(p, nd, plan, None, (), True, report)
     fact = factor_operator(L, ceiling, plan)
     blocks = []
-    for j, exps in enumerate(nd.exponents):
+    for j, entry in enumerate(plan.entries):
         mu = nd.slopes[j][0]
         gs = solve_slope(L, plan, fact, j, ceiling, depth)
-        for c, m in exps:
-            _, s = plan.lookup(j, c)
+        for c, m, s in entry:
             g = gs[c]
             if verify:
                 check_gcj(L, plan, fact, c, j, mu, g)
             sols = specialize_solutions(p, g, c, s, m)
             blocks.append(ExponentBlock(j, mu, c, s, m, g, tuple(sols)))
-    out = FrobeniusOutput(p, nd, plan, fact, tuple(blocks), False, {})
-    total = len(out.solutions)
-    if total != L.order:
-        raise VerificationError("built %d solutions for an order-%d operator"
-                                % (total, L.order))
     # ok is None when the checks were skipped: only a run can claim success
     report = {"ok": True if verify else None, "partial": False, "solutions": []}
+    out = FrobeniusOutput(p, nd, plan, fact, tuple(blocks), False, report)
+    if len(out.solutions) != L.order:
+        raise VerificationError("built %d solutions for an order-%d operator"
+                                % (len(out.solutions), L.order))
     if verify:
         for block in out.blocks:
             for m, sol in enumerate(block.solutions):
@@ -399,7 +364,7 @@ def frobenius_basis(L, ceiling, depth, verify=True):
                         for c, u, fs in res.parts],
                 })
                 report["ok"] = report["ok"] and good
-        indep = verify_independence(out, nd)
+        indep = verify_independence(out)
         report["independence"] = indep
         report["ok"] = report["ok"] and indep["ok"]
-    return FrobeniusOutput(p, nd, plan, fact, tuple(blocks), False, report)
+    return out

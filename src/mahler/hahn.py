@@ -57,10 +57,6 @@ def _iv_inter(a, b):
     return out
 
 
-def _iv_union(a, b):
-    return _iv_norm(list(a) + list(b))
-
-
 def _iv_diff(a, b):
     out = []
     for lo, hi in a:
@@ -136,6 +132,18 @@ class Mask:
     def first_gap(self):
         """First exponent above which (and at which) nothing is certified."""
         return self.ivs[0][1]
+
+    def next_gap(self, x):
+        """Smallest exponent t >= x that is not certified (x itself when x
+        is uncertified, +inf when everything from x up is)."""
+        t = x
+        for lo, hi in self.extended:
+            if hi <= t:
+                continue
+            if lo > t:
+                break
+            t = hi
+        return t
 
     def __eq__(self, other):
         return isinstance(other, Mask) and self.ivs == other.ivs
@@ -327,8 +335,10 @@ class HahnSeries:
         """The restriction of the series to [lo, hi): zero outside by fiat."""
         inside = _iv_inter(self.mask.extended, [(lo, hi)])
         outside = [iv for iv in ((NEG, lo), (hi, POS)) if iv[0] < iv[1]]
-        terms = [(e, c) for e, c in self.terms if lo <= e < hi]
-        return _build_sorted(terms, _iv_union(inside, outside))
+        exps = [e for e, _ in self.terms]
+        i = bisect_left(exps, lo)
+        j = bisect_left(exps, hi, i)
+        return _build_sorted(self.terms[i:j], inside + outside)
 
     def invert(self, ceiling):
         """Multiplicative inverse, certified on (-inf, min(ceiling, first gap) - 2v).
@@ -377,8 +387,8 @@ class HahnSeries:
             body = " + ".join("(%s)*z^(%s)" % (c, e) for e, c in self.terms)
         return "%s  %r" % (body, self.mask)
 
-    def to_json(self, coeff=str):
-        return {"terms": [{"exp": str(e), "coeff": coeff(c)} for e, c in self.terms],
+    def to_json(self):
+        return {"terms": [{"exp": str(e), "coeff": str(c)} for e, c in self.terms],
                 "mask": self.mask.to_json()}
 
 
@@ -591,7 +601,7 @@ def _mul_pollution(unc, g):
     return out
 
 
-def series_from_json(data, coeff=Fraction):
+def series_from_json(data):
     mask = Mask.from_json(data.get("mask", []))
-    terms = [(Fraction(t["exp"]), coeff(t["coeff"])) for t in data.get("terms", [])]
+    terms = [(Fraction(t["exp"]), Fraction(t["coeff"])) for t in data.get("terms", [])]
     return hs(terms, mask)

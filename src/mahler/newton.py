@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import UnknownLeadingTerm, ZeroSeries
+from .errors import UnknownLeadingTerm, VerificationError, ZeroSeries
 from .fields import Poly, rational_roots
 from .hahn import NEG
 
@@ -143,7 +143,10 @@ def analyze(L):
     charpolys, exponents, residuals = [], [], []
     for mu, r in slopes:
         chi = char_poly(L, mu)
-        assert chi.degree == r and chi.coeffs[0]
+        if chi.degree != r or not chi.coeffs[0]:
+            raise VerificationError(
+                "characteristic polynomial at slope %s has degree %d; expected "
+                "r = %d with a nonzero constant term" % (mu, chi.degree, r))
         roots, residual = rational_roots(chi)
         exponents.append(tuple((c, m) for c, m in roots))
         charpolys.append(chi)

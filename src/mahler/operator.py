@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from .errors import ZeroDivisor
 from .fields import RatFun
-from .hahn import HahnSeries, Mask, hs_mul, hs_sum, zero
+from .hahn import hs_mul, hs_sum, zero
 
 _Z = zero()
 
@@ -131,8 +131,8 @@ class MahlerOperator:
                 parts.append("[%r]*phi^%d" % (self.coeffs[i], i))
         return " + ".join(parts)
 
-    def to_json(self, coeff=str):
-        return {"p": self.p, "coeffs": [c.to_json(coeff) for c in self.coeffs]}
+    def to_json(self):
+        return {"p": self.p, "coeffs": [c.to_json() for c in self.coeffs]}
 
 
 def phi_minus(p, c, nu=0):

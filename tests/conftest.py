@@ -16,7 +16,7 @@ from mahler.factorize import Factorization, FirstOrderFactor
 from mahler.fields import Poly, RatFun
 from mahler.frobenius import _solution, lift, solve_order1_param
 from mahler.hahn import (_FULL, NEG, POS, HahnSeries, Mask, _build, _iv_diff, _iv_inter,
-                         _iv_norm, forward_solve, hs, hs_mul, zero)
+                         _iv_norm, forward_solve, hs, hs_mul, hs_sum, monomial, zero)
 from mahler.newton import analyze, frobenius_plan
 from mahler.operator import MahlerOperator
 
@@ -323,6 +323,81 @@ def reference_solve_gcj(L, plan, fact, c, j, ceiling, depth):
             x = solve_order1_param(p, mu, f.c, x, ceil2, depth)
             x = hs_mul(lift(f.h), x)
     return x.shift(-nuj / (p - 1)).scale(lamc ** s)
+
+
+def _first_uncertified_above(ext, start):
+    t = start
+    for lo, hi in ext:
+        if hi <= t:
+            continue
+        if lo > t:
+            break
+        t = hi
+    return t
+
+
+def reference_solve_order1_param(p, mu, c, g, ceiling, depth):
+    """The unique f over Q(lambda) with (z**(-mu) lambda phi_p - c) f = g.
+
+    In the frame twisted by z**(mu/(p-1)) the right-hand side splits at
+    exponent 0; the negative part is summed over phi**k, k = -1..-depth
+    (leaving a recorded mask gap just below 0 for the dropped tail), the
+    exponent-0 coefficient is divided by lambda - c, and the positive part is
+    summed over phi**k, k >= 0 until the terms leave the requested ceiling.
+
+    Oracle for frobenius.solve_order1_param: the same sums, with the
+    positive part built from a hand-made interval list and every special
+    case on its own branch, where the solver uses restrict and
+    Mask.next_gap."""
+    c = Fraction(c)
+    if not c:
+        # chi has a nonzero constant term, so 0 is never an exponent
+        raise PlanMismatch("c = 0 is not an exponent of an order-1 factor")
+    if g.is_exact_zero():
+        return g
+    shift = Fraction(mu) / (p - 1)
+    cap = Fraction(ceiling) - shift
+    G = g.shift(-shift)
+    lam = RatFun.lam()
+
+    low = G.restrict(NEG, Fraction(0))
+    if low.is_exact_zero():
+        um = low
+    elif low.mask.empty:
+        um = HahnSeries((), Mask(()))
+    else:
+        vb = low.first_possible()
+        um = hs_sum(low.mal(k, p).scale(RatFun.const(c ** (-k - 1)) * lam ** k)
+                    for k in range(-1, -depth - 1, -1))
+        um = um.forget(vb * Fraction(p) ** (-depth - 1), Fraction(0))
+
+    if G.mask.certifies(0):
+        g0 = G.coeff_at(Fraction(0))
+        if g0 and not isinstance(g0, RatFun):
+            g0 = RatFun.const(g0)
+        u0 = monomial(0, g0.mul_root_power(c, -1)) if g0 else zero()
+    else:
+        u0 = _build((), [(NEG, Fraction(0))])
+
+    pos_terms = [(e, r) for e, r in G.terms if e > 0]
+    fp = _first_uncertified_above(G.mask.extended, Fraction(0))
+    if pos_terms and pos_terms[0][0] < fp:
+        fp = pos_terms[0][0]
+    if fp == POS:
+        up = zero()
+    elif fp <= 0:
+        up = _build((), [(NEG, Fraction(0))])
+    else:
+        ext = [(NEG, fp)] + _iv_inter(G.mask.extended, [(fp, POS)])
+        high = _build(pos_terms, ext)
+        pieces, k = [], 0
+        while p ** k * fp < cap:
+            pieces.append(high.mal(k, p).scale(RatFun.const(c ** (-k - 1)) * lam ** k))
+            k += 1
+        up = hs_sum(pieces).cap(cap)
+
+    u = hs_sum((um, u0, -up))
+    return u.cap(cap).shift(shift)
 
 
 def reference_taylor_head(cs, c, n):

@@ -16,7 +16,7 @@ from conftest import (canon, ladder_g1_terms, ladder_g2_terms, ladder_operator,
 from mahler.factorize import factor_operator, factor_reconstruct
 from mahler.fields import Poly, RatFun, pole_order
 from mahler.frobenius import frobenius_basis, lift, solve_order1_param
-from mahler.hahn import monomial, one
+from mahler.hahn import monomial
 from mahler.newton import analyze, frobenius_plan
 from mahler.operator import MahlerOperator
 from mahler.testing import (rand_factored_operator, rand_operator,

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import mahler
-from mahler.cli import (BinOp, EquationSpec, Neg, Num, Zpow, elaborate,
+from mahler.cli import (BinOp, Neg, Num, Zpow, elaborate,
                         expr_str, main, parse_spec, render_pretty, run_pipeline)
 from mahler.errors import (NonRationalExponentLiteral, ParseError, ZeroDivisor,
                            VerificationError)

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 from conftest import (d_lambda, ev_c, ladder_g1_terms, ladder_g2_terms,
                       ladder_operator, order1_coeff_oracle, reference_solve_gcj,
-                      reference_specialize, series_dict_on_mask)
+                      reference_solve_order1_param, reference_specialize,
+                      series_dict_on_mask)
 from mahler.cli import elaborate, parse_spec
 from mahler.errors import MahlerError, PlanMismatch, PoleAtEvaluationPoint, VerificationError
 from mahler.fields import RatFun, pole_order
-from mahler.hahn import POS, hs, monomial, one, zero
+from mahler.hahn import NEG, POS, hs, monomial, one, zero
 from mahler.newton import analyze, frobenius_plan
 from mahler.operator import MahlerOperator, phi_minus
 from mahler.factorize import factor_operator
@@ -93,6 +94,83 @@ def test_order1_agrees_with_orbit_recursion_oracle():
         for e in (star, star - 1, star + Fraction(1, 2), Fraction(-5), Fraction(2)):
             if f.mask.certifies(e) and e not in dict(f.terms):
                 assert order1_coeff_oracle(p, mu, c, g, e) == 0
+
+
+def _order1_cases():
+    """Seeded (p, mu, c, g, ceiling, depth) for the order-1 solver, with g
+    over Q or Q(lambda) in every mask shape the solver distinguishes."""
+    rng = random.Random(7411)
+    cs = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3),
+          Fraction(2, 3))
+    eps = Fraction(1, 1000)
+    for i in range(480):
+        p = rng.choice((2, 3))
+        mu = Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+        star = mu / (p - 1)   # exponent 0 of the twisted frame
+        base = rng.choice(("param", "lifted", "rational", "zero"))
+        if base == "param":
+            g = rand_param_series(rng)
+        elif base == "lifted":
+            g = lift(rand_series(rng))
+        elif base == "rational":
+            g = rand_series(rng)
+        else:
+            g = zero()
+        if rng.random() < 0.4 and base != "zero":
+            value = rand_param_series(rng).terms[0][1] if base == "param" \
+                else Fraction(rng.randint(1, 5), rng.randint(1, 3))
+            g = g + monomial(star, value if base != "lifted" else RatFun.const(value))
+        a = star + Fraction(rng.randint(-6, 8), rng.randint(1, 3))
+        b = a + Fraction(rng.randint(1, 4), rng.randint(1, 2))
+        shape = i % 8
+        if shape == 1:
+            g = g.cap(a)
+        elif shape == 2:
+            g = g.forget(a, b)
+        elif shape == 3:
+            top = b + Fraction(rng.randint(1, 3))
+            g = g.forget(a, b).forget(top, top + Fraction(rng.randint(1, 3), 2))
+        elif shape == 4:
+            g = g.forget(star - Fraction(rng.randint(0, 3), 2), star + eps)
+        elif shape == 5:
+            g = g.restrict(star + eps, POS) if rng.random() < 0.5 \
+                else g.restrict(NEG, star + rng.choice((0, eps)))
+        elif shape == 6:
+            g = g.forget(NEG, POS)
+        yield (p, mu, rng.choice(cs), g, Fraction(rng.randint(2, 8)), rng.randint(1, 5))
+
+
+def test_order1_matches_reference_solver():
+    """solve_order1_param equals the interval-list oracle bit for bit: terms,
+    masks and the stored lower end of each mask's first interval."""
+    seen = set()
+    for p, mu, c, g, ceiling, depth in _order1_cases():
+        got = solve_order1_param(p, mu, c, g, ceiling, depth)
+        want = reference_solve_order1_param(p, mu, c, g, ceiling, depth)
+        assert got == want
+        assert got.to_json() == want.to_json()
+        G = g.shift(-mu / (p - 1))
+        if g.is_exact_zero():
+            seen.add("exact zero")
+        elif G.mask.empty:
+            seen.add("empty mask")
+        elif not G.mask.certifies(0):
+            seen.add("0 uncertified")
+        else:
+            g0 = G.coeff_at(0)
+            seen.add("g0 " + ("zero" if not g0 else type(g0).__name__))
+            if all(e <= 0 for e, _ in G.terms) and G.mask.next_gap(Fraction(0)) == POS:
+                seen.add("fp = +inf")
+        if len(G.mask.ivs) >= 2:
+            seen.add("islands")
+        exact = G.mask.extended == [(NEG, POS)]
+        if exact and G.terms and all(e > 0 for e, _ in G.terms):
+            seen.add("exact positive-only")
+        if G.terms and all(e < 0 for e, _ in G.terms):
+            seen.add("negative-only")
+    assert seen == {"exact zero", "empty mask", "0 uncertified", "g0 zero",
+                    "g0 Fraction", "g0 RatFun", "fp = +inf", "islands",
+                    "exact positive-only", "negative-only"}
 
 
 def test_order1_back_substitution():

@@ -71,6 +71,34 @@ def test_mask_normalization_and_queries():
     assert Mask([(2, 2)]).empty
 
 
+@pytest.mark.parametrize("ivs, x, gap", [
+    # x inside the head, at or below its stored lower end: the head's end
+    ([(-1, 2), (3, 5), (7, POS)], Fraction(0), 2),
+    ([(-1, 2), (3, 5), (7, POS)], Fraction(-9), 2),
+    # x at or inside a gap: x itself
+    ([(-1, 2), (3, 5), (7, POS)], Fraction(2), 2),
+    ([(-1, 2), (3, 5), (7, POS)], Fraction(5, 2), Fraction(5, 2)),
+    # x on an island's lower end, or inside it: that island's end
+    ([(-1, 2), (3, 5), (7, POS)], Fraction(3), 5),
+    ([(-1, 2), (3, 5), (7, POS)], Fraction(9, 2), 5),
+    # an island that reaches +inf
+    ([(-1, 2), (3, 5), (7, POS)], Fraction(7), POS),
+    # touching islands merge, so the walk runs through both
+    ([(0, 1), (2, 3), (3, 4)], Fraction(2), 4),
+    ([(0, 1), (2, 3), (3, 4)], Fraction(0), 1),
+    # an empty mask certifies nothing
+    ([], Fraction(5), 5),
+    ([], Fraction(0), 0),
+])
+def test_mask_next_gap(ivs, x, gap):
+    m = Mask(ivs)
+    got = m.next_gap(x)
+    assert got == gap
+    assert not m.certifies(got)
+    # everything from x up to the gap is certified
+    assert all(m.certifies(t) for t in (x, (x + got) / 2) if t < got)
+
+
 def test_mask_json_round_trip():
     m = Mask([(Fraction(-1, 3), Fraction(5, 2)), (4, POS)])
     assert Mask.from_json(m.to_json()) == m

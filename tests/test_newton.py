@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import canon, hull_walk, ladder_operator, subst_scale
-from mahler.errors import UnknownLeadingTerm, ZeroSeries
+from mahler import newton
+from mahler.errors import UnknownLeadingTerm, VerificationError, ZeroSeries
 from mahler.fields import Poly
 from mahler.hahn import HahnSeries, Mask, hs, monomial, one, zero
 from mahler.newton import analyze, char_poly, frobenius_plan, newton_polygon, slopes_of
@@ -23,6 +24,16 @@ def test_first_order_data():
     assert nd.exponents == (((Fraction(1), 1),),)
     assert nd.residuals[0].degree == 0
     assert nd.full
+
+
+@pytest.mark.parametrize("chi, degree", [(Poly((1, 2, 3)), 2), (Poly((0, 1)), 1)])
+def test_analyze_rejects_a_characteristic_polynomial_it_cannot_use(monkeypatch, chi, degree):
+    """A chi of the wrong degree, or one with a zero constant term, is a typed
+    error naming the slope, the degree and r, also under python -O."""
+    monkeypatch.setattr(newton, "char_poly", lambda L, mu: chi)
+    with pytest.raises(VerificationError, match=r"slope 0 has degree %d; expected r = 1 "
+                       % degree):
+        analyze(phi_minus(2, 1))
 
 
 def test_two_slope_ladder_data():
