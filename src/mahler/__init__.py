@@ -10,7 +10,7 @@ from .errors import (DivisionByZero, InsufficientPrecision, MahlerError,
                      ParseError, PlanMismatch, PoleAtEvaluationPoint,
                      UnknownLeadingTerm, VerificationError, ZeroDivisor,
                      ZeroSeries)
-from .fields import Poly, RatFun, pole_order, q, rational_roots
+from .fields import Poly, RatFun, pole_order, rational_roots
 from .hahn import (HahnSeries, Mask, hs, hs_mul, hs_sum, monomial, one,
                    series_from_json, zero)
 from .newton import (FrobeniusPlan, NewtonData, analyze, char_poly,
@@ -29,7 +29,7 @@ __all__ = [
     "NonRationalExponent", "NonRationalExponentLiteral", "ParseError",
     "PlanMismatch", "PoleAtEvaluationPoint", "UnknownLeadingTerm",
     "VerificationError", "ZeroDivisor", "ZeroSeries",
-    "Poly", "RatFun", "pole_order", "q", "rational_roots",
+    "Poly", "RatFun", "pole_order", "rational_roots",
     "HahnSeries", "Mask", "hs", "hs_mul", "hs_sum", "monomial", "one",
     "series_from_json", "zero",
     "FrobeniusPlan", "NewtonData", "analyze", "char_poly", "frobenius_plan",

@@ -105,7 +105,11 @@ def _tokens(text):
                 j = i
                 while j < len(line) and line[j].isdigit():
                     j += 1
-                out.append(("INT", line[i:j], ln, i + 1))
+                try:
+                    value = int(line[i:j])
+                except ValueError as exc:  # a digit int() does not read, or too many
+                    raise ParseError(str(exc), ln, i + 1) from None
+                out.append(("INT", value, ln, i + 1))
                 i = j
             elif ch.isalpha() or ch == "_":
                 j = i
@@ -134,7 +138,7 @@ class _Parser:
     def eat(self, kind):
         k, v, ln, col = self.cur()
         if k != kind:
-            raise ParseError("expected %s, found %r" % (kind, v or k), ln, col)
+            raise ParseError("expected %s, found %r" % (kind, str(v) or k), ln, col)
         self.i += 1
         return v, ln, col
 
@@ -164,7 +168,7 @@ class _Parser:
         k, v, ln, col = self.cur()
         if k == "INT":
             self.i += 1
-            return Num(Fraction(int(v)))
+            return Num(Fraction(v))
         if k == "(":
             self.i += 1
             e = self.expr()
@@ -182,10 +186,10 @@ class _Parser:
         k, v, ln, col = self.cur()
         if k == "INT":
             self.i += 1
-            return Fraction(int(v))
+            return Fraction(v)
         if k == "-":
             self.i += 1
-            return -Fraction(int(self.eat("INT")[0]))
+            return -Fraction(self.eat("INT")[0])
         if k == "(":
             self.i += 1
             sign = 1
@@ -196,11 +200,11 @@ class _Parser:
                 k2, v2, l2, c2 = self.cur()
                 raise NonRationalExponentLiteral(
                     "exponent of z must be a rational literal", l2, c2)
-            num = int(self.eat("INT")[0])
+            num = self.eat("INT")[0]
             den = 1
             if self.cur()[0] == "/":
                 self.i += 1
-                den = int(self.eat("INT")[0])
+                den = self.eat("INT")[0]
                 if not den:
                     raise ParseError("zero denominator in exponent", ln, col)
             if self.cur()[0] != ")":
@@ -247,12 +251,12 @@ def parse_spec(text):
         if v == "p":
             P.i += 1
             P.eat("=")
-            p = int(P.eat("INT")[0])
+            p = P.eat("INT")[0]
             P.eat("EOL")
         elif v == "a":
             P.i += 1
             P.eat("[")
-            idx = int(P.eat("INT")[0])
+            idx = P.eat("INT")[0]
             P.eat("]")
             P.eat("=")
             if idx in coeffs:
@@ -331,10 +335,7 @@ def run_pipeline(spec, precision=Fraction(8), depth=8, verify=False):
 def _fmt_series(fs, limit=8):
     bits = []
     for e, c in fs.terms[:limit]:
-        cs = str(c)
-        if not isinstance(c, Fraction) and ("+" in cs[1:] or "-" in cs[1:] or "/" in cs):
-            cs = "(%s)" % cs
-        bits.append(cs if not e else "%s*z^(%s)" % (cs, e))
+        bits.append(str(c) if not e else "%s*z^(%s)" % (c, e))
     if len(fs.terms) > limit:
         bits.append("...")
     gap = fs.mask.first_gap() if not fs.mask.empty else None

@@ -8,15 +8,6 @@ from fractions import Fraction
 from .errors import DivisionByZero, PoleAtEvaluationPoint
 
 
-def q(a, b=None):
-    """Rational constructor accepting ints, "n/d" strings and Fractions."""
-    return Fraction(a) if b is None else Fraction(a, b)
-
-
-def rat_str(x):
-    return str(Fraction(x))
-
-
 class Poly:
     """Dense univariate polynomial over Q, coefficients by ascending degree."""
 

@@ -24,11 +24,13 @@ from .errors import MahlerError, UnknownLeadingTerm, ZeroDivisor, ZeroSeries
 
 NEG = float("-inf")
 POS = float("inf")
+_exp = itemgetter(0)  # the exponent of an (exp, coeff) term
 
 
 # ---------------------------------------------------------------------------
 # interval-list algebra; intervals are (lo, hi) half-open pairs, lo < hi,
-# endpoints rational except for the +-inf sentinels
+# endpoints rational except for the +-inf sentinels.  A normalized region is
+# sorted with a gap between intervals; _iv_inter and _iv_diff keep it so.
 
 
 def _iv_norm(ivs):
@@ -81,14 +83,6 @@ def _iv_contains(ivs, x):
     return False
 
 
-def _iv_shift(ivs, d):
-    return [(lo + d, hi + d) for lo, hi in ivs]
-
-
-def _iv_scale(ivs, s):
-    return [(NEG if lo == NEG else lo * s, POS if hi == POS else hi * s) for lo, hi in ivs]
-
-
 class Mask:
     """Certification mask: disjoint sorted half-open intervals of exponents."""
 
@@ -99,10 +93,7 @@ class Mask:
         for lo, hi in _iv_norm(ivs):
             if lo == NEG:
                 raise ValueError("stored mask intervals need a rational lower endpoint")
-            lo = lo if isinstance(lo, Fraction) else Fraction(lo)
-            if hi != POS and not isinstance(hi, Fraction):
-                hi = Fraction(hi)
-            norm.append((lo, hi))
+            norm.append((_rat(lo), hi if hi == POS else _rat(hi)))
         self.ivs = tuple(norm)
 
     @classmethod
@@ -173,7 +164,8 @@ _EMPTY = Mask(())
 def _build(terms, ext):
     """Canonical series from (exp, coeff) pairs and an extended certified set.
 
-    The head interval of `ext` must reach down to -inf: the stored mask's
+    The one builder that takes any region (it normalizes `ext`).  The head
+    interval of `ext` must reach down to -inf: the stored mask's
     no-support-below guarantee is only deducible when some ray (-inf, hi) is
     certified.  The head is converted to the stored [lo, hi) form with lo at
     the lowest retained exponent (the choice of lo is arbitrary below the
@@ -181,26 +173,25 @@ def _build(terms, ext):
     finite head carries a claim the mask cannot represent, so everything is
     conservatively dropped.  Exponents in `terms` must be distinct.
     """
-    return _build_sorted(sorted((t for t in terms if t[1]), key=itemgetter(0)), ext)
+    return _build_sorted(sorted((t for t in terms if t[1]), key=_exp), _iv_norm(ext))
 
 
 def _build_sorted(tl, ext):
     """_build for terms already sorted by exponent, none with a zero
     coefficient (a series stores its terms so, and the product and
-    forward-solve kernels emit them so)."""
-    ext = _iv_norm(ext)
+    forward-solve kernels emit them so), and a normalized `ext`, which is
+    only read (Mask.extended, _FULL, or _iv_inter and _iv_diff of those)."""
     if not ext or ext[0][0] != NEG:
         return HahnSeries((), _EMPTY)
     # one sweep over the intervals in order: each bisects the exponents
     # left after the previous one
-    exps = [e for e, _ in tl]
     kept, i, n = [], 0, len(tl)
     for lo, hi in ext:
         if i == n:
             break
         if lo != NEG:
-            i = bisect_left(exps, lo, i)
-        j = n if hi == POS else bisect_left(exps, hi, i)
+            i = bisect_left(tl, lo, i, key=_exp)
+        j = n if hi == POS else bisect_left(tl, hi, i, key=_exp)
         kept += tl[i:j]
         i = j
     hi0 = ext[0][1]
@@ -210,9 +201,8 @@ def _build_sorted(tl, ext):
         lo0 = Fraction(0)
     else:
         lo0 = hi0 - 1
-    ext[0] = (lo0, hi0)
     return HahnSeries(tuple(kept), Mask._of(
-        [(_rat(lo), hi if hi == POS else _rat(hi)) for lo, hi in ext]))
+        [(_rat(lo), hi if hi == POS else _rat(hi)) for lo, hi in ((lo0, hi0), *ext[1:])]))
 
 
 def _rat(x):
@@ -298,7 +288,7 @@ class HahnSeries:
     def scale(self, a):
         """Multiply every coefficient by the scalar a."""
         if not a:
-            return _build((), _FULL)
+            return zero()
         return HahnSeries(tuple((e, c * a) for e, c in self.terms), self.mask)
 
     def map_coeffs(self, fn):
@@ -312,7 +302,8 @@ class HahnSeries:
             return self
         d = Fraction(d)
         return HahnSeries(tuple((e + d, c) for e, c in self.terms),
-                          Mask._of(_iv_shift(self.mask.ivs, d)))
+                          Mask._of([(lo + d, POS if hi == POS else hi + d)
+                                    for lo, hi in self.mask.ivs]))
 
     def mal(self, k, p):
         """Apply the Mahler automorphism phi_p**k: z -> z**(p**k)."""
@@ -320,7 +311,8 @@ class HahnSeries:
             return self
         s = Fraction(p) ** k
         return HahnSeries(tuple((e * s, c) for e, c in self.terms),
-                          Mask._of(_iv_scale(self.mask.ivs, s)))
+                          Mask._of([(lo * s, POS if hi == POS else hi * s)
+                                    for lo, hi in self.mask.ivs]))
 
     def cap(self, bound):
         """Forget everything at or above `bound` (truncation, not restriction)."""
@@ -329,16 +321,15 @@ class HahnSeries:
 
     def forget(self, lo, hi):
         """Give up certification on [lo, hi) (used to record truncated tails)."""
-        return _build_sorted(self.terms, _iv_diff(self.mask.extended, [(lo, hi)]))
+        return _build_sorted(self.terms, _iv_diff(self.mask.extended,
+                                                  [(lo, hi)] if lo < hi else []))
 
     def restrict(self, lo, hi):
         """The restriction of the series to [lo, hi): zero outside by fiat."""
-        inside = _iv_inter(self.mask.extended, [(lo, hi)])
-        outside = [iv for iv in ((NEG, lo), (hi, POS)) if iv[0] < iv[1]]
-        exps = [e for e, _ in self.terms]
-        i = bisect_left(exps, lo)
-        j = bisect_left(exps, hi, i)
-        return _build_sorted(self.terms[i:j], inside + outside)
+        i = bisect_left(self.terms, lo, key=_exp)
+        j = bisect_left(self.terms, hi, i, key=_exp)
+        return _build_sorted(self.terms[i:j],
+                             _iv_diff(_FULL, _iv_diff([(lo, hi)], self.mask.extended)))
 
     def invert(self, ceiling):
         """Multiplicative inverse, certified on (-inf, min(ceiling, first gap) - 2v).
@@ -358,7 +349,7 @@ class HahnSeries:
         c = self.terms[0][1]
         inv_c = 1 / c
         if len(self.terms) == 1 and self.mask.extended == _FULL:
-            return _build([(-v, inv_c)], _FULL)
+            return _build_sorted([(-v, inv_c)], _FULL)
         cap = min(Fraction(ceiling), self.mask.first_gap()) - v
         taps = [(e - v, 1, a) for e, a in self.terms[1:]]
         return forward_solve(inv_c, c, taps, cap).shift(-v)
@@ -371,7 +362,7 @@ class HahnSeries:
         a, b = dict(self.terms), dict(other.terms)
         equal = all(a.get(e, 0) == b.get(e, 0)
                     for e in set(a) | set(b) if _iv_contains(common, e))
-        return equal, _build((), common).mask
+        return equal, _build_sorted((), common).mask
 
     def __eq__(self, other):
         return (isinstance(other, HahnSeries) and self.terms == other.terms
@@ -420,22 +411,22 @@ def hs(terms=(), mask=None):
 
 
 def zero():
-    return _build((), _FULL)
+    return _build_sorted((), _FULL)
 
 
 def one(unit=Fraction(1)):
-    return _build([(Fraction(0), _coeff(unit))], _FULL)
+    return monomial(0, unit)
 
 
 def monomial(e, c=Fraction(1)):
-    return _build([(Fraction(e), _coeff(c))], _FULL)
+    return _build_sorted([(Fraction(e), _coeff(c))] if c else (), _FULL)
 
 
 def hs_sum(series):
     """Sum of a sequence of series, equal to the left fold of + (masks
     included) but built once: one term dict, one n-ary sum per exponent,
-    one intersection of the masks and one _build.  An empty sequence sums
-    to the exact zero, and a single series is returned as it is."""
+    one intersection of the masks and one _build_sorted.  An empty sequence
+    sums to the exact zero, and a single series is returned as it is."""
     series = tuple(series)
     if len(series) < 2:
         return series[0] if series else zero()
@@ -452,7 +443,8 @@ def hs_sum(series):
                 acc[e] = [c]
             else:
                 vs.append(c)
-    return _build([(e, _sum(vs)) for e, vs in acc.items()], ext)
+    return _build_sorted([(e, s) for e, vs in sorted(acc.items(), key=_exp)
+                          for s in (_sum(vs),) if s], ext)
 
 
 def forward_solve(one, lead, taps, cap):
@@ -518,9 +510,9 @@ def hs_mul(f, g):
     are built per output term, and zero sums are dropped."""
     fe, ge = f.mask.extended, g.mask.extended
     if not fe or not ge:
-        return _build((), ())
+        return HahnSeries((), _EMPTY)
     if (not f.terms and fe == _FULL) or (not g.terms and ge == _FULL):
-        return _build((), _FULL)
+        return zero()
     if len(f.terms) == 1 and fe == _FULL:
         return g.shift(f.terms[0][0]).scale(f.terms[0][1])
     if len(g.terms) == 1 and ge == _FULL:

@@ -159,14 +159,12 @@ def frobenius_plan(L, nd=None):
     """Gauge twists nu_j and offsets s_{c,j} driving the solution construction."""
     nd = nd or analyze(L)
     p = L.p
-    mus = [mu for mu, _ in nd.slopes]
-    rs = [r for _, r in nd.slopes]
-    nus = []
-    for j in range(len(mus)):
-        acc = mus[0]
-        for i in range(1, j + 1):
-            acc += p ** sum(rs[:i]) * (mus[i] - mus[i - 1])
-        nus.append((p - 1) * acc)
+    # nu_j = nu_(j-1) + (p-1) p**(r_0 + ... + r_(j-1)) (mu_j - mu_(j-1)), from nu = mu = 0
+    nus, nu, prev, weight = [], 0, 0, 1
+    for mu, r in nd.slopes:
+        nu += (p - 1) * weight * (mu - prev)
+        nus.append(nu)
+        prev, weight = mu, weight * p ** r
     seen = {}
     entries = []
     for j, exps in enumerate(nd.exponents):

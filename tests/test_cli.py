@@ -2,6 +2,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -28,6 +29,7 @@ PHI_MINUS_ONE = "p = 2\na[0] = -1\na[1] = 1\n"
 LOW_PRECISION = "p = 2\na[0] = -z^6\na[1] = 2*z^(-1)\na[2] = z^(-1)/2 - 3/4\n"
 IRRATIONAL = "p = 2\na[0] = 1\na[2] = 1\n"
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(mahler.__file__)))
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
 def test_parse_example_and_round_trip():
@@ -225,6 +227,57 @@ def test_main_input_error_codes(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["error"]["type"] == "ParseError"
     assert data["error"]["line"] == 2
+
+
+@pytest.mark.parametrize("text, line, col, message", [
+    ("p = 2\na[0] = 1 $ z\na[1] = 1\n", 2, 10, "unexpected character '$'"),
+    ("p = 2 3\na[0] = 1\na[1] = 1\n", 1, 7, "expected EOL, found '3'"),
+    ("p = 2\n3 = 1\na[1] = 1\n", 2, 1, "expected 'p = ...' or 'a[i] = ...'"),
+    # digits that str.isdigit accepts and int() does not read
+    ("p = 2\na[0] = 1 + \u00b2\na[1] = 1\n", 2, 12,
+     "invalid literal for int() with base 10: '\u00b2'"),
+    ("p = 2\na[0] = %s\na[1] = 1\n" % ("7" * 5000), 2, 8, "Exceeds the limit (4300 digits)"),
+], ids=["character", "token", "key", "digit", "digit count"])
+def test_main_reports_parse_errors_at_their_position(tmp_path, capsys, text, line, col, message):
+    f = tmp_path / "eq.txt"
+    f.write_text(text, encoding="utf-8")
+    assert main([str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [ParseError]: line %d, col %d: " % (line, col))
+    assert message in err
+    assert main([str(f), "--json"]) == 2
+    info = json.loads(capsys.readouterr().out)["error"]
+    assert (info["type"], info["line"], info["col"]) == ("ParseError", line, col)
+    assert message in info["message"]
+
+
+def test_main_rejects_a_coefficient_that_cancels_to_uncertified(tmp_path, capsys):
+    f = tmp_path / "eq.txt"
+    f.write_text("p = 2\na[0] = 1/(1+z) - 1/(1+z)\na[1] = 1\n")
+    assert main([str(f)]) == 2
+    assert capsys.readouterr().err == (
+        "error [UnknownLeadingTerm]: a_0 and a_n need certified leading terms\n")
+    assert main([str(f), "--json"]) == 2
+    info = json.loads(capsys.readouterr().out)["error"]
+    assert info == {"type": "UnknownLeadingTerm",
+                    "message": "a_0 and a_n need certified leading terms"}
+
+
+def test_readme_examples_run(tmp_path, capsys):
+    """The README's Library block and its equation file run as printed."""
+    with open(README, encoding="utf-8") as fh:
+        blocks = re.findall(r"^```(\w*)\n(.*?)^```$", fh.read(), re.M | re.S)
+    [library] = [body for lang, body in blocks if lang == "python"]
+    [equation] = [body for lang, body in blocks if body.startswith("p = ")]
+    names = {}
+    exec(library, names)
+    assert names["out"].verification["ok"]
+    f = tmp_path / "equation.txt"
+    f.write_text(equation)
+    assert main([str(f), "--verify"]) == 0
+    assert "verification: ok" in capsys.readouterr().out
+    assert main([str(f), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["spec"]["p"] == 2
 
 
 def test_main_verification_failure_code(tmp_path, capsys, monkeypatch):

@@ -9,8 +9,9 @@ import pytest
 from conftest import ladder_operator, reference_factor_operator
 from test_cli import EXAMPLE
 from mahler.cli import elaborate, parse_spec
-from mahler.errors import MahlerError, NonRationalExponent, PlanMismatch, VerificationError
-from mahler.hahn import hs, monomial, one, zero
+from mahler.errors import (MahlerError, NonRationalExponent, PlanMismatch, UnknownLeadingTerm,
+                           VerificationError)
+from mahler.hahn import HahnSeries, Mask, hs, monomial, one, zero
 from mahler.newton import FrobeniusPlan, analyze, frobenius_plan
 from mahler.operator import MahlerOperator, phi_minus
 from mahler.factorize import factor_operator, factor_reconstruct, slope_zero_unit_solution
@@ -237,3 +238,24 @@ def test_peel_rejects_a_corrupted_unit_solution(monkeypatch):
             factor_operator(L, 4)
         assert str(exc.value) == ("layer 1, peel 1, c = %s: sum_i c**i a_i phi**i(h) "
                                   "is not certified zero" % c)
+
+
+def test_unit_solution_rejects_a_coefficient_with_no_certified_region():
+    M = MahlerOperator(2, [one(), HahnSeries((), Mask(())), one().scale(-1)])
+    with pytest.raises(UnknownLeadingTerm, match="coefficient with no certified region"):
+        slope_zero_unit_solution(M, 1, 8)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda a: a.shift(1), "val of the order-0 leftover differs from val a_0"),
+    (lambda a: a.scale(2), "cld invariant of the factorization fails"),
+])
+def test_factor_operator_checks_the_order0_leftover(monkeypatch, corrupt, message):
+    """Both checks hold by construction, so only a corrupted leftover a
+    (the last remainder of the peels) reaches them."""
+    module = sys.modules["mahler.factorize"]
+    real = module.Factorization
+    monkeypatch.setattr(module, "Factorization",
+                        lambda p, a, layers: real(p, corrupt(a), layers))
+    with pytest.raises(VerificationError, match=message):
+        factor_operator(ladder_operator(2, -2), 6)

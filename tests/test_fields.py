@@ -8,16 +8,8 @@ import pytest
 from conftest import reference_divide_out_root, reference_pole_order, reference_taylor_head
 from mahler import fields
 from mahler.errors import DivisionByZero, PoleAtEvaluationPoint
-from mahler.fields import (Poly, RatFun, pole_order, poly_gcd, poly_str, q,
-                           rat_str, rational_roots)
+from mahler.fields import Poly, RatFun, pole_order, poly_gcd, poly_str, rational_roots
 from mahler.testing import rand_rational
-
-
-def test_q_and_rat_str():
-    assert q(3) == Fraction(3)
-    assert q(1, 3) == Fraction(1, 3)
-    assert q("-7/2") == Fraction(-7, 2)
-    assert rat_str(Fraction(-7, 2)) == "-7/2"
 
 
 def test_poly_construction_normalizes():

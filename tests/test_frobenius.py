@@ -547,3 +547,44 @@ def test_generic_operators_fail_only_with_mahler_errors(seed):
         frobenius_basis(L, 3, 2, verify=True)
     except MahlerError:
         pass
+
+
+def _ladder_parts():
+    L = ladder_operator(2, -2)
+    nd = analyze(L)
+    plan = frobenius_plan(L, nd)
+    fact = factor_operator(L, 6, plan)
+    return L, nd, plan, fact, solve_gcj(L, plan, fact, Fraction(1), 0, 6, 6)
+
+
+def test_solve_slope_rejects_a_factorization_with_other_layers():
+    L, _, plan, fact, _ = _ladder_parts()
+    short = dataclasses.replace(fact, layers=fact.layers[:1])
+    with pytest.raises(PlanMismatch, match="factorization layers do not match the plan"):
+        solve_slope(L, plan, short, 0, 6, 6)
+
+
+def test_check_gcj_rejects_wrong_valuation_and_poles():
+    L, nd, plan, fact, g = _ladder_parts()
+    mu = nd.slopes[0][0]
+    with pytest.raises(VerificationError, match="val of g is 1, expected 0"):
+        check_gcj(L, plan, fact, Fraction(1), 0, mu, g.shift(1))
+    polar = g + monomial(g.val() + 1, RatFun.const(1).mul_root_power(Fraction(1), -1))
+    with pytest.raises(VerificationError, match="pole at lambda = 1"):
+        check_gcj(L, plan, fact, Fraction(1), 0, mu, polar)
+
+
+def test_gcj_residual_mask_rejects_a_wrong_solution():
+    L, _, plan, _, g = _ladder_parts()
+    bad = g + monomial(g.val() + 1, RatFun.const(1))
+    with pytest.raises(VerificationError, match="defining equation residual is nonzero"):
+        gcj_residual_mask(L, plan, Fraction(1), 0, bad)
+
+
+def test_frobenius_basis_counts_its_solutions(monkeypatch):
+    """One solution per unit of multiplicity holds by construction, so only
+    a specialization that loses one reaches the count check."""
+    real = frobenius.specialize_solutions
+    monkeypatch.setattr(frobenius, "specialize_solutions", lambda *args: real(*args)[1:])
+    with pytest.raises(VerificationError, match="built 0 solutions for an order-2 operator"):
+        frobenius_basis(ladder_operator(2, -2), 6, 6)

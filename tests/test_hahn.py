@@ -4,14 +4,27 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (brute_conv, geometric_invert, reference_add, reference_build,
-                      reference_forward_solve, reference_mul)
+from conftest import (brute_conv, geometric_invert, ladder_operator, reference_add,
+                      reference_build, reference_forward_solve, reference_mul)
+from test_cli import EXAMPLE
+from mahler import hahn
+from mahler.cli import elaborate, parse_spec
 from mahler.errors import MahlerError, UnknownLeadingTerm, ZeroDivisor, ZeroSeries
 from mahler.fields import Poly, RatFun
-from mahler.hahn import (NEG, POS, HahnSeries, Mask, _build, _iv_diff, _iv_inter, _iv_scale,
-                         _iv_shift, forward_solve, hs, hs_mul, hs_sum, monomial,
-                         one, series_from_json, zero)
-from mahler.testing import rand_param_series, rand_rational, rand_series
+from mahler.frobenius import frobenius_basis
+from mahler.hahn import (_FULL, NEG, POS, HahnSeries, Mask, _build, _build_sorted,
+                         _iv_contains, _iv_diff, _iv_inter, forward_solve, hs, hs_mul, hs_sum,
+                         monomial, one, series_from_json, zero)
+from mahler.testing import (rand_factored_operator, rand_param_series, rand_rational,
+                            rand_series)
+
+
+def _iv_shift(ivs, d):
+    return [(lo + d, hi + d) for lo, hi in ivs]
+
+
+def _iv_scale(ivs, s):
+    return [(NEG if lo == NEG else lo * s, POS if hi == POS else hi * s) for lo, hi in ivs]
 
 
 def rand_masked(rng, f):
@@ -154,6 +167,9 @@ def test_shift_scale_mal():
     assert f.shift(Fraction(1, 2)).mask.ivs == ((Fraction(3, 2), Fraction(13, 2)),)
     assert f.scale(3).terms == ((Fraction(1), Fraction(6)), (Fraction(3), Fraction(-3)))
     assert f.scale(0).is_exact_zero()
+    # inf + d would convert d to a float, which overflows past 2**1024
+    far = Fraction(10) ** 400
+    assert one().shift(far).mask.ivs == ((far, POS),) == one().shift(1).mal(1, far).mask.ivs
     m = f.mal(2, 2)
     assert m.support() == (Fraction(4), Fraction(12)) and m.mask.ivs == ((4, 24),)
     back = f.mal(-1, 2)
@@ -242,6 +258,7 @@ def test_cap_forget_restrict():
     assert c.mask.ivs == ((Fraction(0), Fraction(4)),)
     h = f.forget(1, 3)
     assert h.support() == (Fraction(0), Fraction(5))
+    assert f.forget(3, 3) == f and f.forget(3, 1) == f  # an empty [lo, hi) forgets nothing
     assert not h.mask.certifies(2) and h.mask.certifies(4)
     r = f.restrict(1, 4)
     assert r.support() == (Fraction(2),)
@@ -257,6 +274,75 @@ def test_restrict_of_empty_mask():
     # zero by definition, so both rays stay certified
     assert got.mask.certifies(-5) and got.mask.certifies(2)
     assert not got.mask.certifies(Fraction(1, 2))
+
+
+def _normalized(ivs):
+    return (all(lo < hi for lo, hi in ivs)
+            and all(a[1] < b[0] for a, b in zip(ivs, ivs[1:])))
+
+
+def _rand_region(rng):
+    """Normalized region: up to four intervals on a half-integer grid, the
+    first possibly from -inf and the last possibly to +inf."""
+    ends = [Fraction(x, 2) for x in sorted(rng.sample(range(-8, 9), 2 * rng.randint(0, 4)))]
+    if ends and rng.random() < 0.4:
+        ends[0] = NEG
+    if ends and rng.random() < 0.4:
+        ends[-1] = POS
+    return list(zip(ends[::2], ends[1::2]))
+
+
+def test_inter_and_diff_of_normalized_regions_are_normalized():
+    rng = random.Random(2718)
+    probes = [NEG, POS] + [Fraction(x, 4) for x in range(-17, 18)]  # every end and midpoint
+    seen = set()
+    for _ in range(3000):
+        a, b = _rand_region(rng), _rand_region(rng)
+        for op, member in ((_iv_inter, lambda x: _iv_contains(a, x) and _iv_contains(b, x)),
+                           (_iv_diff, lambda x: _iv_contains(a, x) and not _iv_contains(b, x))):
+            out = op(a, b)
+            assert _normalized(out), (op.__name__, a, b, out)
+            assert all(_iv_contains(out, x) == member(x) for x in probes)
+            seen |= {"-inf end"} if out and out[0][0] == NEG else set()
+            seen |= {"+inf end"} if out and out[-1][1] == POS else set()
+            seen |= {"several intervals"} if len(out) > 1 else set()
+    assert seen == {"-inf end", "+inf end", "several intervals"}
+
+
+def test_build_sorted_reads_its_region_and_never_writes_it(monkeypatch):
+    def no_norm(ivs):
+        raise AssertionError("region renormalized")
+    monkeypatch.setattr(hahn, "_iv_norm", no_norm)
+    ext = [(NEG, Fraction(3)), (Fraction(4), POS)]
+    f = _build_sorted(((Fraction(1), Fraction(2)), (Fraction(7, 2), Fraction(5))), ext)
+    assert ext == [(NEG, Fraction(3)), (Fraction(4), POS)]
+    assert f.terms == ((Fraction(1), Fraction(2)),)
+    assert f.mask.ivs == ((Fraction(1), Fraction(3)), (Fraction(4), POS))
+    assert zero().mask.ivs == ((Fraction(0), POS),)
+    assert _FULL == [(NEG, POS)] and zero().is_exact_zero()
+    assert monomial(-2, 0) == zero() and one().mask.ivs == ((Fraction(0), POS),)
+
+
+def test_every_built_region_is_normalized(monkeypatch):
+    """No region is renormalized inside the module, so every region that
+    reaches _build_sorted must already be normalized: checked while
+    solving the ladders and the README example at precision 32 and the
+    first 60 criterion-3 operators."""
+    regions = []
+    real = hahn._build_sorted
+
+    def checked(tl, ext):
+        regions.append(ext)
+        assert _normalized(ext), ext
+        return real(tl, ext)
+    cases = [(L, 32, 32) for L in (ladder_operator(2, -2), ladder_operator(3, -3),
+                                   elaborate(parse_spec(EXAMPLE), 32))]
+    rng = random.Random(2026)
+    cases += [(rand_factored_operator(rng, Fraction(3))[0], 3, 2) for _ in range(60)]
+    monkeypatch.setattr(hahn, "_build_sorted", checked)
+    for L, ceiling, depth in cases:
+        assert frobenius_basis(L, ceiling, depth, verify=True).verification["ok"]
+    assert len(regions) > 1000
 
 
 def test_mul_matches_brute_convolution_inside_mask():
