@@ -13,16 +13,20 @@ powers of z; exponents of z are bare integers or parenthesized rationals.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (InsufficientPrecision, MahlerError, NonRationalExponentLiteral,
-                     ParseError, PlanMismatch, VerificationError)
+                     ParseError, PlanMismatch, VerificationError, ZeroSeries)
 from .fields import poly_str
 from .frobenius import frobenius_basis
 from .hahn import POS, hs_mul, monomial, zero
 from .operator import MahlerOperator
+
+# exit code by error type, the first match wins; any other error exits 2
+_EXIT_CODES = ((VerificationError, 1), (PlanMismatch, 1), (InsufficientPrecision, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -51,19 +55,15 @@ class BinOp:
     right: object
 
 
+# binary precedence: `_Parser.expr` climbs it and `expr_str` parenthesizes by it
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
-
-
-def _prec(e):
-    if isinstance(e, BinOp):
-        return _PREC[e.op]
-    if isinstance(e, Neg):
-        return 3
-    return 4
+_TOP = max(_PREC.values())
 
 
 def expr_str(e, parent=0):
-    """Canonical form; parse(expr_str(e)) rebuilds e."""
+    """Canonical form; parse(expr_str(e)) rebuilds e.  Unary minus binds at
+    level 3 and atoms at 4; a chain of one level is printed in one loop."""
+    prec = 4
     if isinstance(e, Num):
         s = str(e.value)
     elif isinstance(e, Zpow):
@@ -77,11 +77,14 @@ def expr_str(e, parent=0):
         inner = expr_str(e.arg, 3)
         if isinstance(e.arg, Neg):
             inner = "(%s)" % inner
-        s = "-" + inner
+        s, prec = "-" + inner, 3
     else:
-        s = "%s %s %s" % (expr_str(e.left, _PREC[e.op]), e.op,
-                          expr_str(e.right, _PREC[e.op] + 1))
-    if _prec(e) < parent:
+        prec, x, tail = _PREC[e.op], e, []
+        while isinstance(x, BinOp) and _PREC[x.op] == prec:
+            tail += [expr_str(x.right, prec + 1), x.op]
+            x = x.left
+        s = " ".join([expr_str(x, prec)] + tail[::-1])
+    if prec < parent:
         s = "(%s)" % s
     return s
 
@@ -142,20 +145,14 @@ class _Parser:
         self.i += 1
         return v, ln, col
 
-    def expr(self):
-        e = self.term()
-        while self.cur()[0] in ("+", "-"):
+    def expr(self, prec=1):
+        """Precedence climbing over _PREC: a left-associative chain at level
+        prec, each operand one level up (`unary` above the top level)."""
+        e = self.unary() if prec == _TOP else self.expr(prec + 1)
+        while _PREC.get(self.cur()[0]) == prec:
             op = self.cur()[0]
             self.i += 1
-            e = BinOp(op, e, self.term())
-        return e
-
-    def term(self):
-        e = self.unary()
-        while self.cur()[0] in ("*", "/"):
-            op = self.cur()[0]
-            self.i += 1
-            e = BinOp(op, e, self.unary())
+            e = BinOp(op, e, self.unary() if prec == _TOP else self.expr(prec + 1))
         return e
 
     def unary(self):
@@ -196,23 +193,18 @@ class _Parser:
             if self.cur()[0] == "-":
                 sign = -1
                 self.i += 1
-            if self.cur()[0] != "INT":
-                k2, v2, l2, c2 = self.cur()
-                raise NonRationalExponentLiteral(
-                    "exponent of z must be a rational literal", l2, c2)
-            num = self.eat("INT")[0]
-            den = 1
-            if self.cur()[0] == "/":
-                self.i += 1
-                den = self.eat("INT")[0]
-                if not den:
-                    raise ParseError("zero denominator in exponent", ln, col)
-            if self.cur()[0] != ")":
-                k2, v2, l2, c2 = self.cur()
-                raise NonRationalExponentLiteral(
-                    "exponent of z must be a rational literal", l2, c2)
-            self.i += 1
-            return Fraction(sign * num, den)
+            if self.cur()[0] == "INT":
+                num, den = self.eat("INT")[0], 1
+                if self.cur()[0] == "/":
+                    self.i += 1
+                    den = self.eat("INT")[0]
+                    if not den:
+                        raise ParseError("zero denominator in exponent", ln, col)
+                if self.cur()[0] == ")":
+                    self.i += 1
+                    return Fraction(sign * num, den)
+            raise NonRationalExponentLiteral(
+                "exponent of z must be a rational literal", *self.cur()[2:])
         raise ParseError(
             "exponent of z must be an integer or a parenthesized rational", ln, col)
 
@@ -261,7 +253,10 @@ def parse_spec(text):
             P.eat("=")
             if idx in coeffs:
                 raise ParseError("a[%d] given twice" % idx, ln, col)
-            coeffs[idx] = P.expr()
+            try:
+                coeffs[idx] = P.expr()
+            except RecursionError:
+                raise ParseError("expression nested too deeply", *P.cur()[2:]) from None
             P.eat("EOL")
         else:
             raise ParseError("unknown key %r" % v, ln, col)
@@ -286,30 +281,52 @@ def parse_spec(text):
 
 
 def _eval_expr(e, ceiling):
+    """Series of an expression; the left spine of binary operators is a loop."""
     if isinstance(e, Num):
-        return monomial(0, e.value) if e.value else zero()
+        return monomial(0, e.value)
     if isinstance(e, Zpow):
         return monomial(e.exp, Fraction(1))
     if isinstance(e, Neg):
         return _eval_expr(e.arg, ceiling).scale(Fraction(-1))
-    lhs = _eval_expr(e.left, ceiling)
-    rhs = _eval_expr(e.right, ceiling)
-    if e.op == "+":
-        return lhs + rhs
-    if e.op == "-":
-        return lhs - rhs
-    if e.op == "*":
-        return hs_mul(lhs, rhs)
-    return hs_mul(lhs, rhs.invert(ceiling))
+    chain = []
+    while isinstance(e, BinOp):
+        chain.append(e)
+        e = e.left
+    acc = _eval_expr(e, ceiling)
+    for b in reversed(chain):
+        rhs = _eval_expr(b.right, ceiling)
+        if b.op in "*/":
+            acc = hs_mul(acc, rhs if b.op == "*" else rhs.invert(ceiling))
+        else:
+            acc = acc + rhs if b.op == "+" else acc - rhs
+    return acc
 
 
 def elaborate(spec, ceiling):
-    """Evaluate the coefficient expressions to series at the given ceiling."""
+    """Evaluate the coefficient expressions to series at the given ceiling;
+    ZeroSeries when the top one is the exact zero (the order would drop)."""
     ceiling = Fraction(ceiling)
-    coeffs = [zero() if e is None else _eval_expr(e, ceiling) for e in spec.coeffs]
-    return MahlerOperator(spec.p, coeffs)
+    L = MahlerOperator(spec.p, [zero() if e is None else _eval_expr(e, ceiling)
+                                for e in spec.coeffs])
+    if L.order < spec.order:
+        raise ZeroSeries("a[%d] is the exact zero" % spec.order)
+    return L
 
 
+@contextlib.contextmanager
+def _long_ints():
+    """No int-to-str digit limit inside the block (Python 3.10.7 and later
+    have one): exact output may hold integers of any size."""
+    limit = getattr(sys, "set_int_max_str_digits", lambda n: None)
+    old = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit(0)
+    try:
+        yield
+    finally:
+        limit(old)
+
+
+@_long_ints()
 def run_pipeline(spec, precision=Fraction(8), depth=8, verify=False):
     """Parse result -> operator -> full analysis; returns
     (report, exit code, FrobeniusOutput)."""
@@ -344,6 +361,7 @@ def _fmt_series(fs, limit=8):
     return " + ".join(bits) if bits else ("0" if not fs.mask.empty else "(nothing certified)")
 
 
+@_long_ints()
 def render_pretty(out):
     nd = out.newton
     lines = []
@@ -492,15 +510,9 @@ def main(argv=None):
         if args.cmd == "analyze":
             return cmd_analyze(args)
         return cmd_selftest(args)
-    except (VerificationError, PlanMismatch) as exc:
-        _diagnostic(exc, args.as_json)
-        return 1
-    except InsufficientPrecision as exc:
-        _diagnostic(exc, args.as_json)
-        return 4
     except (MahlerError, ValueError, ZeroDivisionError, OSError) as exc:
         _diagnostic(exc, args.as_json)
-        return 2
+        return next((code for kind, code in _EXIT_CODES if isinstance(exc, kind)), 2)
 
 
 if __name__ == "__main__":

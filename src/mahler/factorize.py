@@ -6,6 +6,7 @@ L_j per slope (ascending), each layer a product of r_j factors
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -67,7 +68,7 @@ def slope_zero_unit_solution(M, c, ceiling):
     for bi in bs:
         if bi.is_zero() and bi.mask.empty:
             raise UnknownLeadingTerm("coefficient with no certified region")
-        if bi.first_possible() < 0:
+        if bi.val_bound()[0] < 0:
             raise PlanMismatch("smallest slope is not zero")
         gap = bi.mask.first_gap()
         if gap < cap:
@@ -125,10 +126,7 @@ def factor_operator(L, ceiling, plan=None):
     fact = Factorization(p, M.coeffs[0], tuple(layers))
     if fact.a.val() != va0:
         raise VerificationError("val of the order-0 leftover differs from val a_0")
-    prod = Fraction(1)
-    for f in fact.all_factors():
-        prod *= -f.c
-    if fact.a.cld() * prod != ca0:
+    if fact.a.cld() * math.prod(-f.c for f in fact.all_factors()) != ca0:
         raise VerificationError("cld invariant of the factorization fails")
     return fact
 

@@ -119,11 +119,8 @@ class Poly:
         return divmod(self, other)[1]
 
     def eval(self, c):
-        c = Fraction(c)
-        acc = Fraction(0)
-        for a in reversed(self.coeffs):
-            acc = acc * c + a
-        return acc
+        """Value at x = c, by the integer Horner kernel of `_taylor_head`."""
+        return _taylor_head(self.coeffs, Fraction(c), 1)[0]
 
     def derivative(self):
         return _poly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
@@ -553,8 +550,7 @@ def pole_order(f, c):
 def _primitive(p):
     """Coefficients of the positive rational multiple of p that is a primitive
     integer polynomial (ascending degree)."""
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    ints = _int_lattice(p.coeffs, 1)[0][::-1]
     g = math.gcd(*ints)
     return [c // g for c in ints]
 

@@ -61,7 +61,7 @@ def solve_order1_param(p, mu, c, g, ceiling, depth):
     um = low
     if not low.is_exact_zero():
         um = geometric(low, range(-1, -depth - 1, -1)).forget(
-            low.first_possible() * Fraction(p) ** (-depth - 1), Fraction(0))
+            low.val_bound()[0] * Fraction(p) ** (-depth - 1), Fraction(0))
     if not G.mask.certifies(0):
         return hs_sum((um, zero().cap(0))).cap(cap).shift(shift)
 
@@ -98,9 +98,7 @@ def solve_slope(L, plan, fact, j, ceiling, depth):
     entry = plan.entries[j]
     nuj = plan.nus[j]
     ceil2 = Fraction(ceiling) + max(Fraction(0), nuj / (p - 1))
-    chi = RatFun.const(1)
-    for c, m, _ in entry:
-        chi = chi.mul_root_power(c, m)
+    chi = _mul_root_powers(RatFun.const(1), [(c, m) for c, m, _ in entry])
     x = lift(fact.a.invert(ceil2).shift(plan.val_a0)).scale(chi)
     for i in reversed(range(len(fact.layers))):
         mu = nuj - fact.layers[i][0].nu
@@ -133,10 +131,7 @@ def expected_gcj_cld(L, plan, fact, c, j):
     the factors of layer j and R the number of factors below it."""
     m, s = plan.lookup(j, c)
     rs = [len(layer) for layer in fact.layers]
-    num = Fraction(1)
-    for layer in fact.layers[: j + 1]:
-        for f in layer:
-            num *= -f.c
+    num = math.prod(-f.c for layer in fact.layers[: j + 1] for f in layer)
     expect = RatFun.lam() ** (-sum(rs[:j])) * RatFun.const(num / L.coeffs[0].cld())
     return _mul_root_powers(expect, [(Fraction(c), s + m)]
                             + [(f.c, -1) for f in fact.layers[j]])

@@ -76,13 +76,6 @@ def _iv_diff(a, b):
     return out
 
 
-def _iv_contains(ivs, x):
-    for lo, hi in ivs:
-        if lo <= x < hi:
-            return True
-    return False
-
-
 class Mask:
     """Certification mask: disjoint sorted half-open intervals of exponents."""
 
@@ -115,7 +108,8 @@ class Mask:
         return [(NEG, self.ivs[0][1])] + list(self.ivs[1:])
 
     def certifies(self, x):
-        return _iv_contains(self.extended, x)
+        """Whether x is certified: the next gap at or above x is not x itself."""
+        return self.next_gap(x) != x
 
     def lower(self):
         return self.ivs[0][0]
@@ -244,7 +238,8 @@ class HahnSeries:
         return self.terms[0][1]
 
     def val_bound(self):
-        """(bound, exact): the valuation when certified, else a sound lower bound."""
+        """(bound, exact): the smallest exponent where the true series might
+        be nonzero, and whether it is the certified valuation."""
         if self.mask.empty:
             return NEG, False
         gap = self.mask.first_gap()
@@ -252,13 +247,6 @@ class HahnSeries:
             e = self.terms[0][0]
             return (e, True) if e < gap else (gap, False)
         return (POS, True) if gap == POS else (gap, False)
-
-    def first_possible(self):
-        """Smallest exponent where the true series might be nonzero."""
-        if self.mask.empty:
-            return NEG
-        gap = self.mask.first_gap()
-        return min(gap, self.terms[0][0]) if self.terms else gap
 
     def coeff_at(self, e):
         """Certified coefficient at exponent e (0 when certified absent)."""
@@ -358,11 +346,11 @@ class HahnSeries:
 
     def eq_on_mask(self, other):
         """(equal, common): compare coefficients on the common certified region."""
-        common = _iv_inter(self.mask.extended, other.mask.extended)
+        common = _build_sorted((), _iv_inter(self.mask.extended, other.mask.extended)).mask
         a, b = dict(self.terms), dict(other.terms)
         equal = all(a.get(e, 0) == b.get(e, 0)
-                    for e in set(a) | set(b) if _iv_contains(common, e))
-        return equal, _build_sorted((), common).mask
+                    for e in set(a) | set(b) if common.certifies(e))
+        return equal, common
 
     def __eq__(self, other):
         return (isinstance(other, HahnSeries) and self.terms == other.terms

@@ -76,7 +76,7 @@ def _coeff_vals(L):
         if ai.is_zero():
             if i in (0, L.order):
                 raise UnknownLeadingTerm("a_0 and a_n need certified leading terms")
-            floors.append((i, ai.first_possible()))
+            floors.append((i, ai.val_bound()[0]))
             continue
         pts.append((i, ai.val()))
     return pts, floors

@@ -72,10 +72,8 @@ class MahlerOperator:
         The divisor's leading coefficient is inverted at `ceiling`.
         """
         p = self.p
-        bcs = list(other.coeffs)
-        while bcs and bcs[-1].is_exact_zero():
-            bcs.pop()
-        if not bcs:
+        bcs = other.coeffs  # ends in an exact zero only for the zero operator
+        if bcs[-1].is_exact_zero():
             raise ZeroDivisor("right division by the zero operator")
         s = len(bcs) - 1
         btop_inv = bcs[-1].invert(ceiling)

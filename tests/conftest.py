@@ -190,7 +190,7 @@ def geometric_invert(f, ceiling):
     one = reference_build([(Fraction(0), c * inv_c)], _FULL)
     t = f.shift(-v).scale(inv_c) - one
     bound = Fraction(ceiling) - v
-    fp = t.first_possible()
+    fp = t.val_bound()[0]
     assert fp > 0
     total, power, m = one, one, 0
     while m * fp <= bound:
@@ -213,7 +213,7 @@ def reference_unit_solution(M, c, ceiling):
     for bi in bs:
         if bi.is_zero() and bi.mask.empty:
             raise UnknownLeadingTerm("coefficient with no certified region")
-        if bi.first_possible() < 0:
+        if bi.val_bound()[0] < 0:
             raise PlanMismatch("smallest slope is not zero")
         gap = bi.mask.first_gap()
         if gap < cap:
@@ -366,7 +366,7 @@ def reference_solve_order1_param(p, mu, c, g, ceiling, depth):
     elif low.mask.empty:
         um = HahnSeries((), Mask(()))
     else:
-        vb = low.first_possible()
+        vb = low.val_bound()[0]
         um = hs_sum(low.mal(k, p).scale(RatFun.const(c ** (-k - 1)) * lam ** k)
                     for k in range(-1, -depth - 1, -1))
         um = um.forget(vb * Fraction(p) ** (-depth - 1), Fraction(0))

@@ -1,4 +1,5 @@
 """Input language, elaboration, pipeline driver and command entry point."""
+import dataclasses
 import io
 import json
 import os
@@ -13,8 +14,9 @@ import pytest
 import mahler
 from mahler.cli import (BinOp, Neg, Num, Zpow, elaborate,
                         expr_str, main, parse_spec, render_pretty, run_pipeline)
-from mahler.errors import (NonRationalExponentLiteral, ParseError, ZeroDivisor,
-                           VerificationError)
+from mahler.errors import (InsufficientPrecision, NonRationalExponentLiteral, ParseError,
+                           ZeroDivisor, VerificationError)
+from mahler.frobenius import SolutionObject
 from mahler.hahn import hs, hs_mul, monomial, one
 
 EXAMPLE = (
@@ -261,6 +263,114 @@ def test_main_rejects_a_coefficient_that_cancels_to_uncertified(tmp_path, capsys
     info = json.loads(capsys.readouterr().out)["error"]
     assert info == {"type": "UnknownLeadingTerm",
                     "message": "a_0 and a_n need certified leading terms"}
+
+
+@pytest.mark.parametrize("top", ["1 - 1", "0*z", "z - z"])
+def test_main_rejects_a_top_coefficient_that_cancels_to_zero(tmp_path, capsys, top):
+    f = tmp_path / "eq.txt"
+    f.write_text("p = 2\na[0] = 1\na[1] = %s\n" % top)
+    assert main([str(f), "--verify"]) == 2
+    assert capsys.readouterr() == ("", "error [ZeroSeries]: a[1] is the exact zero\n")
+    assert main([str(f), "--verify", "--json"]) == 2
+    info = json.loads(capsys.readouterr().out)["error"]
+    assert info == {"type": "ZeroSeries", "message": "a[1] is the exact zero"}
+
+
+def _str_digit_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def test_main_renders_integers_beyond_the_str_digit_limit(tmp_path, capsys):
+    """The tokenizer reads a 3,000-digit literal; its square has 6,000 digits,
+    more than str() converts by default, and is reported exactly."""
+    digits = "7" * 3000
+    f = tmp_path / "eq.txt"
+    f.write_text("p = 2\na[0] = %s * %s\na[1] = 1\n" % (digits, digits))
+    limit = _str_digit_limit()
+    assert main([str(f), "--verify", "--json"]) == 0
+    assert _str_digit_limit() == limit
+    report = json.loads(capsys.readouterr().out)
+    assert report["verification"]["ok"] is True
+    assert main([str(f), "--verify"]) == 0
+    assert _str_digit_limit() == limit
+    text = capsys.readouterr().out
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda n: None)
+    set_limit(0)
+    try:
+        square = str(int(digits) ** 2)
+    finally:
+        set_limit(limit)
+    assert report["newton"]["charpolys"][0][0] == square
+    assert "chi = X + %s;" % square in text
+
+
+def test_long_sum_verifies_and_round_trips(tmp_path, capsys):
+    """A 2,000-term chain is evaluated and printed without recursing down it."""
+    f = tmp_path / "eq.txt"
+    f.write_text("p = 2\na[0] = %s\na[1] = 1\n" % " + ".join(["z"] * 2000))
+    assert main([str(f), "--verify", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verification"]["ok"] is True
+    text = report["spec"]["coefficients"][0]
+    assert text == " + ".join(["z"] * 2000)
+    again = parse_spec("p = 2\na[0] = %s\na[1] = 1\n" % text)
+    assert expr_str(again.coeffs[0]) == text
+    assert elaborate(again, 8).coeffs[0] == monomial(1, 2000)
+
+
+def test_deep_nesting_is_a_parse_error(tmp_path, capsys):
+    f = tmp_path / "eq.txt"
+    f.write_text("p = 2\na[0] = %sz%s\na[1] = 1\n" % ("(" * 2000, ")" * 2000))
+    assert main([str(f)]) == 2
+    err = capsys.readouterr().err
+    assert re.match(r"error \[ParseError\]: line 2, col \d+: expression nested too deeply\n$",
+                    err)
+    assert main([str(f), "--json"]) == 2
+    info = json.loads(capsys.readouterr().out)["error"]
+    assert (info["type"], info["line"], info["message"]) == (
+        "ParseError", 2, "expression nested too deeply")
+    assert 8 < info["col"] <= 2008
+
+
+def test_main_reports_a_failed_residual_check(tmp_path, capsys, monkeypatch):
+    """A residual that is certified but nonzero fails --verify with code 1."""
+    def nonzero_residual(L, y):
+        return SolutionObject(L.p, ((Fraction(1), 0, one()),))
+    monkeypatch.setattr("mahler.frobenius.apply_to_solution", nonzero_residual)
+    f = tmp_path / "eq.txt"
+    f.write_text(PHI_MINUS_ONE)
+    assert main([str(f), "--verify"]) == 1
+    text = capsys.readouterr().out
+    assert "residual check: FAILED (1)\n" in text
+    assert text.endswith("verification: not verified\n")
+    assert main([str(f), "--verify", "--json"]) == 1
+    ver = json.loads(capsys.readouterr().out)["verification"]
+    assert ver["ok"] is False and ver["solutions"][0]["residual_zero"] is False
+
+
+def test_selftest_reports_failures(capsys, monkeypatch):
+    """Of every three instances the first raises and the second is partial."""
+    real = mahler.cli.frobenius_basis
+    calls = []
+
+    def flaky(L, ceiling, depth, verify=True):
+        calls.append(L)
+        if len(calls) % 3 == 1:
+            raise InsufficientPrecision("ceiling too low")
+        out = real(L, ceiling, depth, verify=verify)
+        return dataclasses.replace(out, partial=True) if len(calls) % 3 == 2 else out
+    monkeypatch.setattr("mahler.cli.frobenius_basis", flaky)
+    assert main(["selftest", "--seed", "7", "--count", "3"]) == 1
+    assert capsys.readouterr().out == (
+        "instance   0: FAILED (InsufficientPrecision: ceiling too low)\n"
+        "instance   1: FAILED\n"
+        "instance   2: ok\n"
+        "1/3 passed\n")
+    assert main(["selftest", "--seed", "7", "--count", "3", "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data == {"seed": 7, "count": 3, "failures": 2,
+                    "results": ["FAILED (InsufficientPrecision: ceiling too low)",
+                                "FAILED", "ok"]}
 
 
 def test_readme_examples_run(tmp_path, capsys):

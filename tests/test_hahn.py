@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (brute_conv, geometric_invert, ladder_operator, reference_add,
-                      reference_build, reference_forward_solve, reference_mul)
+from conftest import (_iv_contains, brute_conv, geometric_invert, ladder_operator,
+                      reference_add, reference_build, reference_forward_solve, reference_mul)
 from test_cli import EXAMPLE
 from mahler import hahn
 from mahler.cli import elaborate, parse_spec
@@ -13,7 +13,7 @@ from mahler.errors import MahlerError, UnknownLeadingTerm, ZeroDivisor, ZeroSeri
 from mahler.fields import Poly, RatFun
 from mahler.frobenius import frobenius_basis
 from mahler.hahn import (_FULL, NEG, POS, HahnSeries, Mask, _build, _build_sorted,
-                         _iv_contains, _iv_diff, _iv_inter, forward_solve, hs, hs_mul, hs_sum,
+                         _iv_diff, _iv_inter, forward_solve, hs, hs_mul, hs_sum,
                          monomial, one, series_from_json, zero)
 from mahler.testing import (rand_factored_operator, rand_param_series, rand_rational,
                             rand_series)
@@ -121,7 +121,7 @@ def test_val_family():
     f = hs([(-2, 5), (1, 3)])
     assert f.val() == -2 and f.cld() == 5
     assert f.val_bound() == (Fraction(-2), True)
-    assert f.first_possible() == -2
+    assert f.val_bound()[0] == -2
     with pytest.raises(ZeroSeries):
         zero().val()
     g = hs([(3, 1)], mask=[(3, 10)]).forget(0, 4)
@@ -131,7 +131,7 @@ def test_val_family():
     assert g.val_bound() == (Fraction(0), False)
     empty = HahnSeries((), Mask(()))
     assert empty.val_bound() == (NEG, False)
-    assert empty.first_possible() == NEG
+    assert empty.val_bound()[0] == NEG
     assert zero().val_bound() == (POS, True)
 
 

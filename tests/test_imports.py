@@ -1,11 +1,13 @@
-"""Every module under src/ and tests/ uses each name it imports."""
+"""Every module under src/ and tests/ uses each name it imports, and every
+private module-level name in src/ is used somewhere in src/."""
 import ast
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+SOURCES = sorted((ROOT / "src").rglob("*.py"))
+MODULES = SOURCES + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source):
@@ -43,3 +45,54 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_private_names(sources):
+    """Module-level `_name` bindings (not dunders) of the given module sources
+    that no source reads, as a name or an attribute, outside the binding's
+    own statement."""
+    trees = [ast.parse(source) for source in sources]
+    reads = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            if name:
+                reads[name] = reads.get(name, 0) + 1
+    out = []
+    for tree in trees:
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    own = sum(1 for n in ast.walk(stmt)
+                              if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                                  and n.id == name)
+                              or (isinstance(n, ast.Attribute) and n.attr == name))
+                    if reads.get(name, 0) <= own:
+                        out.append(name)
+    return sorted(out)
+
+
+def test_private_checker_finds_unreferenced_names():
+    source = ("_A, _B = 1, 2\n"
+              "__all__ = []\n"
+              "def _rec(n):\n"
+              "    return _rec(n - 1) if n else _A\n"
+              "def _used():\n"
+              "    return 0\n"
+              "class _K:\n"
+              "    pass\n")
+    other = "import m\nprint(m._used(), m._K)\n"
+    assert unreferenced_private_names([source, other]) == ["_B", "_rec"]
+
+
+def test_no_unreferenced_private_names_in_src():
+    sources = [path.read_text(encoding="utf-8") for path in SOURCES]
+    assert unreferenced_private_names(sources) == []
