@@ -9,6 +9,8 @@ Input files are key/value lines:
 
 Expressions use +, -, *, /, unary -, parentheses, rational literals and
 powers of z; exponents of z are bare integers or parenthesized rationals.
+Each coefficient is kept as a postfix program, so parsing, evaluating and
+printing are loops over a stack and no nesting depth makes them recurse.
 """
 from __future__ import annotations
 
@@ -30,63 +32,44 @@ _EXIT_CODES = ((VerificationError, 1), (PlanMismatch, 1), (InsufficientPrecision
 
 
 # ---------------------------------------------------------------------------
-# expression trees
+# postfix programs
+#
+# A coefficient is a tuple of (kind, value) steps: ("num", q) pushes the
+# rational q, ("z", e) pushes z^e, ("neg", None) negates the top operand and
+# (op, None) for an op in _PREC combines the top two.
 
 
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class Zpow:
-    exp: Fraction
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: object
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: object
-    right: object
-
-
-# binary precedence: `_Parser.expr` climbs it and `expr_str` parenthesizes by it
+# binary precedence: `_Parser.expr` pops by it and `expr_str` parenthesizes by it
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
-_TOP = max(_PREC.values())
+_NEG = max(_PREC.values()) + 1  # unary minus binds above every binary operator
 
 
-def expr_str(e, parent=0):
-    """Canonical form; parse(expr_str(e)) rebuilds e.  Unary minus binds at
-    level 3 and atoms at 4; a chain of one level is printed in one loop."""
-    prec = 4
-    if isinstance(e, Num):
-        s = str(e.value)
-    elif isinstance(e, Zpow):
-        if e.exp == 1:
-            s = "z"
-        elif e.exp.denominator == 1 and e.exp >= 0:
-            s = "z^%d" % e.exp
+def expr_str(prog):
+    """Canonical text; parse_spec reads it back to the same program.  An
+    operand is parenthesized when it binds looser than its place allows:
+    the left one of level P below P, the right one at or below P, the
+    argument of a negation unless it is a literal.  The program is read
+    backwards, so each operand's place is known before the operand, and the
+    text comes out last piece first."""
+    pieces, todo, steps = [], [0], reversed(prog)
+    while todo:  # a piece of text, or the lowest level the next operand takes bare
+        task = todo.pop()
+        if isinstance(task, str):
+            pieces.append(task)
+            continue
+        kind, v = next(steps)
+        if kind == "num":
+            pieces.append(str(v))
+        elif kind == "z":
+            pieces.append("z" if v == 1 else "z^%d" % v if v.denominator == 1 and v >= 0
+                          else "z^(%s)" % v)
         else:
-            s = "z^(%s)" % e.exp
-    elif isinstance(e, Neg):
-        inner = expr_str(e.arg, 3)
-        if isinstance(e.arg, Neg):
-            inner = "(%s)" % inner
-        s, prec = "-" + inner, 3
-    else:
-        prec, x, tail = _PREC[e.op], e, []
-        while isinstance(x, BinOp) and _PREC[x.op] == prec:
-            tail += [expr_str(x.right, prec + 1), x.op]
-            x = x.left
-        s = " ".join([expr_str(x, prec)] + tail[::-1])
-    if prec < parent:
-        s = "(%s)" % s
-    return s
+            level = _PREC.get(kind, _NEG)
+            if level < task:
+                pieces.append(")")
+                todo.append("(")
+            todo += ["-", _NEG + 1] if kind == "neg" else [level, " %s " % kind, level + 1]
+    return "".join(reversed(pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -145,38 +128,46 @@ class _Parser:
         self.i += 1
         return v, ln, col
 
-    def expr(self, prec=1):
-        """Precedence climbing over _PREC: a left-associative chain at level
-        prec, each operand one level up (`unary` above the top level)."""
-        e = self.unary() if prec == _TOP else self.expr(prec + 1)
-        while _PREC.get(self.cur()[0]) == prec:
-            op = self.cur()[0]
+    def expr(self):
+        """Shunting-yard: the postfix program of one expression, read in one
+        loop.  The operator stack holds (level, step); `(` sits at level 0,
+        so no binary operator pops past it."""
+        out, ops, depth = [], [], 0
+        while True:
+            k = self.cur()[0]
+            while k in ("-", "("):  # operand position: prefixes, then a literal
+                ops.append((_NEG, ("neg", None)) if k == "-" else (0, None))
+                depth += k == "("
+                self.i += 1
+                k = self.cur()[0]
+            out.append(self.atom())
+            k = self.cur()[0]
+            while k not in _PREC:  # operator position: close groups, or stop
+                if not depth:
+                    out.extend(step for _, step in reversed(ops))
+                    return tuple(out)
+                self.eat(")")
+                while ops[-1][0]:
+                    out.append(ops.pop()[1])
+                ops.pop()
+                depth -= 1
+                k = self.cur()[0]
+            while ops and ops[-1][0] >= _PREC[k]:
+                out.append(ops.pop()[1])
+            ops.append((_PREC[k], (k, None)))
             self.i += 1
-            e = BinOp(op, e, self.unary() if prec == _TOP else self.expr(prec + 1))
-        return e
-
-    def unary(self):
-        if self.cur()[0] == "-":
-            self.i += 1
-            return Neg(self.unary())
-        return self.atom()
 
     def atom(self):
         k, v, ln, col = self.cur()
         if k == "INT":
             self.i += 1
-            return Num(Fraction(v))
-        if k == "(":
-            self.i += 1
-            e = self.expr()
-            self.eat(")")
-            return e
+            return ("num", Fraction(v))
         if k == "NAME" and v == "z":
             self.i += 1
             if self.cur()[0] == "^":
                 self.i += 1
-                return Zpow(self.exponent())
-            return Zpow(Fraction(1))
+                return ("z", self.exponent())
+            return ("z", Fraction(1))
         raise ParseError("expected a number, 'z', or '('", ln, col)
 
     def exponent(self):
@@ -211,7 +202,8 @@ class _Parser:
 
 @dataclass(frozen=True)
 class EquationSpec:
-    """Parsed input: radix and one expression per coefficient (None = absent)."""
+    """Parsed input: radix and one postfix program (see `expr_str`) per
+    coefficient (None = absent)."""
 
     p: int
     coeffs: tuple
@@ -243,6 +235,8 @@ def parse_spec(text):
         if v == "p":
             P.i += 1
             P.eat("=")
+            if p is not None:
+                raise ParseError("p given twice", ln, col)
             p = P.eat("INT")[0]
             P.eat("EOL")
         elif v == "a":
@@ -253,10 +247,7 @@ def parse_spec(text):
             P.eat("=")
             if idx in coeffs:
                 raise ParseError("a[%d] given twice" % idx, ln, col)
-            try:
-                coeffs[idx] = P.expr()
-            except RecursionError:
-                raise ParseError("expression nested too deeply", *P.cur()[2:]) from None
+            coeffs[idx] = P.expr()
             P.eat("EOL")
         else:
             raise ParseError("unknown key %r" % v, ln, col)
@@ -271,7 +262,7 @@ def parse_spec(text):
         raise ParseError("the equation must have order at least 1")
     for end in (0, n):
         e = coeffs.get(end)
-        if e is None or e == Num(Fraction(0)):
+        if e is None or e == (("num", 0),):
             raise ParseError("a[0] and a[%d] must be present and nonzero" % n)
     return EquationSpec(p, tuple(coeffs.get(i) for i in range(n + 1)))
 
@@ -280,26 +271,24 @@ def parse_spec(text):
 # elaboration
 
 
-def _eval_expr(e, ceiling):
-    """Series of an expression; the left spine of binary operators is a loop."""
-    if isinstance(e, Num):
-        return monomial(0, e.value)
-    if isinstance(e, Zpow):
-        return monomial(e.exp, Fraction(1))
-    if isinstance(e, Neg):
-        return _eval_expr(e.arg, ceiling).scale(Fraction(-1))
-    chain = []
-    while isinstance(e, BinOp):
-        chain.append(e)
-        e = e.left
-    acc = _eval_expr(e, ceiling)
-    for b in reversed(chain):
-        rhs = _eval_expr(b.right, ceiling)
-        if b.op in "*/":
-            acc = hs_mul(acc, rhs if b.op == "*" else rhs.invert(ceiling))
+def _eval_expr(prog, ceiling):
+    """Series of a postfix program, by one stack loop."""
+    stack = []
+    for kind, v in prog:
+        if kind == "num":
+            stack.append(monomial(0, v))
+        elif kind == "z":
+            stack.append(monomial(v, Fraction(1)))
+        elif kind == "neg":
+            stack.append(stack.pop().scale(Fraction(-1)))
         else:
-            acc = acc + rhs if b.op == "+" else acc - rhs
-    return acc
+            rhs = stack.pop()
+            acc = stack.pop()
+            if kind in "*/":
+                stack.append(hs_mul(acc, rhs if kind == "*" else rhs.invert(ceiling)))
+            else:
+                stack.append(acc + rhs if kind == "+" else acc - rhs)
+    return stack[0]
 
 
 def elaborate(spec, ceiling):

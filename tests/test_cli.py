@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -12,10 +13,9 @@ from fractions import Fraction
 import pytest
 
 import mahler
-from mahler.cli import (BinOp, Neg, Num, Zpow, elaborate,
-                        expr_str, main, parse_spec, render_pretty, run_pipeline)
-from mahler.errors import (InsufficientPrecision, NonRationalExponentLiteral, ParseError,
-                           ZeroDivisor, VerificationError)
+from mahler.cli import elaborate, expr_str, main, parse_spec, render_pretty, run_pipeline
+from mahler.errors import (InsufficientPrecision, MahlerError, NonRationalExponentLiteral,
+                           ParseError, ZeroDivisor, VerificationError)
 from mahler.frobenius import SolutionObject
 from mahler.hahn import hs, hs_mul, monomial, one
 
@@ -94,12 +94,11 @@ def test_exponent_forms_elaborate_exactly():
 
 def test_expr_str_keeps_structure():
     spec = parse_spec("p = 2\na[0] = -(-1)\na[1] = 1 - (2 - 3) * z\n")
-    assert spec.coeffs[0] == Neg(Neg(Num(Fraction(1))))
+    assert spec.coeffs[0] == (("num", Fraction(1)), ("neg", None), ("neg", None))
     assert expr_str(spec.coeffs[0]) == "-(-1)"
     e = spec.coeffs[1]
-    assert e == BinOp("-", Num(Fraction(1)),
-                      BinOp("*", BinOp("-", Num(Fraction(2)), Num(Fraction(3))),
-                            Zpow(Fraction(1))))
+    assert e == (("num", Fraction(1)), ("num", Fraction(2)), ("num", Fraction(3)), ("-", None),
+                 ("z", Fraction(1)), ("*", None), ("-", None))
     assert expr_str(e) == "1 - (2 - 3) * z"
 
 
@@ -318,18 +317,84 @@ def test_long_sum_verifies_and_round_trips(tmp_path, capsys):
     assert elaborate(again, 8).coeffs[0] == monomial(1, 2000)
 
 
-def test_deep_nesting_is_a_parse_error(tmp_path, capsys):
+def test_deep_nesting_parses(tmp_path, capsys):
+    """5,000 parentheses around z parse, verify and print as z."""
     f = tmp_path / "eq.txt"
-    f.write_text("p = 2\na[0] = %sz%s\na[1] = 1\n" % ("(" * 2000, ")" * 2000))
+    f.write_text("p = 2\na[0] = %sz%s\na[1] = 1\n" % ("(" * 5000, ")" * 5000))
+    assert main([str(f), "--verify", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verification"]["ok"] is True
+    assert report["spec"]["coefficients"][0] == "z"
+
+
+@pytest.mark.parametrize("n", [985, 3000])
+def test_long_unary_minus_chain_verifies(tmp_path, capsys, n):
+    """n leading minus signs are one loop in the parser, the evaluator and
+    the printer; no depth limit applies to them."""
+    text = "p = 2\na[0] = %sz\na[1] = 1\n" % ("-" * n)
+    f = tmp_path / "eq.txt"
+    f.write_text(text)
+    assert main([str(f), "--verify", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verification"]["ok"] is True
+    spec = parse_spec(text)
+    assert elaborate(spec, 8).coeffs[0] == monomial(1, (-1) ** n)
+    printed = report["spec"]["coefficients"][0]
+    assert printed == "-(" * (n - 1) + "-z" + ")" * (n - 1)
+    assert parse_spec("p = 2\na[0] = %s\na[1] = 1\n" % printed) == spec
+
+
+def test_p_given_twice_is_a_parse_error(tmp_path, capsys):
+    f = tmp_path / "eq.txt"
+    f.write_text("p = 2\na[0] = 1\na[1] = 1\np = 3\n")
     assert main([str(f)]) == 2
-    err = capsys.readouterr().err
-    assert re.match(r"error \[ParseError\]: line 2, col \d+: expression nested too deeply\n$",
-                    err)
+    assert capsys.readouterr() == ("", "error [ParseError]: line 4, col 1: p given twice\n")
     assert main([str(f), "--json"]) == 2
     info = json.loads(capsys.readouterr().out)["error"]
-    assert (info["type"], info["line"], info["message"]) == (
-        "ParseError", 2, "expression nested too deeply")
-    assert 8 < info["col"] <= 2008
+    assert info == {"type": "ParseError", "message": "p given twice",
+                    "line": 4, "col": 1}
+
+
+_ATOMS = ["0", "1", "3", "12", "z", "z^2", "z^-1", "z^(1/2)", "z^(-3/2)"]
+
+
+def _random_expr(rng, depth=0):
+    """Random expression text; unary chains and parenthesis nests are strings
+    of up to 3,000 signs, so this generator itself recurses at most 4 deep."""
+    r = rng.random()
+    if depth == 4 or r < 0.3:
+        return rng.choice(_ATOMS)
+    n = rng.choice([1, 2, 3, rng.randint(4, 3000)])
+    if r < 0.5:
+        return "-" * n + _random_expr(rng, depth + 1)
+    if r < 0.7:
+        return "(" * n + _random_expr(rng, depth + 1) + ")" * n
+    return "%s %s %s" % (_random_expr(rng, depth + 1), rng.choice("+-*/"),
+                         _random_expr(rng, depth + 1))
+
+
+def _coeffs_or_error(spec):
+    try:
+        return elaborate(spec, 4).coeffs
+    except MahlerError as exc:
+        return type(exc).__name__
+
+
+def test_printed_programs_are_a_fixpoint():
+    """The printed text of a random program parses back to that program and
+    prints identically, and both elaborate to the same operator."""
+    rng = random.Random(14)
+    deep = 0
+    for _ in range(150):
+        text = "p = 2\na[0] = 1\na[1] = %s\na[2] = 1\n" % _random_expr(rng)
+        deep += "-" * 500 in text or "(" * 500 in text
+        spec = parse_spec(text)
+        printed = expr_str(spec.coeffs[1])
+        again = parse_spec("p = 2\na[0] = 1\na[1] = %s\na[2] = 1\n" % printed)
+        assert again == spec
+        assert expr_str(again.coeffs[1]) == printed
+        assert _coeffs_or_error(again) == _coeffs_or_error(spec)
+    assert deep >= 20
 
 
 def test_main_reports_a_failed_residual_check(tmp_path, capsys, monkeypatch):

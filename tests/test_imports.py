@@ -1,5 +1,6 @@
-"""Every module under src/ and tests/ uses each name it imports, and every
-private module-level name in src/ is used somewhere in src/."""
+"""Every module under src/ and tests/ uses each name it imports, every
+private module-level name in src/ is used somewhere in src/, and no function
+of the command-line front end calls itself."""
 import ast
 from pathlib import Path
 
@@ -96,3 +97,42 @@ def test_private_checker_finds_unreferenced_names():
 def test_no_unreferenced_private_names_in_src():
     sources = [path.read_text(encoding="utf-8") for path in SOURCES]
     assert unreferenced_private_names(sources) == []
+
+
+def self_calls(source):
+    """Functions and methods (as `name` or `Class.name`) whose body calls
+    them by name, as `name(...)` or `self.name(...)`."""
+    out = []
+
+    def visit(body, owner):
+        for stmt in body:
+            if isinstance(stmt, ast.ClassDef):
+                visit(stmt.body, stmt.name + ".")
+            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = stmt.name
+                calls = [n.func for n in ast.walk(stmt) if isinstance(n, ast.Call)]
+                if any((isinstance(f, ast.Name) and not owner and f.id == name)
+                       or (isinstance(f, ast.Attribute) and owner and f.attr == name
+                           and isinstance(f.value, ast.Name) and f.value.id == "self")
+                       for f in calls):
+                    out.append(owner + name)
+    visit(ast.parse(source).body, "")
+    return sorted(out)
+
+
+def test_self_call_checker_finds_recursion():
+    source = ("def fact(n):\n"
+              "    return n * fact(n - 1) if n else 1\n"
+              "def loop(n):\n"
+              "    return [x for x in range(n)]\n"
+              "class P:\n"
+              "    def expr(self):\n"
+              "        return self.atom() + self.expr()\n"
+              "    def atom(self):\n"
+              "        return atom()\n")
+    assert self_calls(source) == ["P.expr", "fact"]
+
+
+def test_cli_front_end_does_not_recurse():
+    source = (ROOT / "src" / "mahler" / "cli.py").read_text(encoding="utf-8")
+    assert self_calls(source) == []
