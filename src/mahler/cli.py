@@ -390,9 +390,9 @@ def render_pretty(out):
 
 
 def _diagnostic(exc, as_json):
-    info = {"type": type(exc).__name__, "message": str(exc.args[0] if exc.args else exc)}
-    if isinstance(exc, ParseError):
-        info["line"], info["col"] = exc.line, exc.col
+    info = {"type": type(exc).__name__, "message": str(exc)}
+    if isinstance(exc, ParseError):  # the position goes in keys of its own
+        info.update(message=exc.args[0], line=exc.line, col=exc.col)
     if as_json:
         import json
         print(json.dumps({"error": info}, indent=2))
@@ -425,11 +425,17 @@ def _positive_int(text):
 
 
 def cmd_analyze(args):
-    if args.file == "-":
-        text = sys.stdin.read()
+    if args.file == "-":  # a text stream with no byte buffer is read as text
+        data = getattr(sys.stdin, "buffer", sys.stdin).read()
     else:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(args.file, "rb") as fh:
+            data = fh.read()
+    try:
+        text = data if isinstance(data, str) else data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # line and column of the first bad byte, counted as _tokens counts
+        lines = (data[:exc.start].decode("utf-8") + "?").splitlines()
+        raise ParseError("input is not UTF-8 text", len(lines), len(lines[-1])) from None
     spec = parse_spec(text)
     report, code, out = run_pipeline(spec, args.precision, args.depth, args.verify)
     if args.as_json:

@@ -198,11 +198,7 @@ class RatFun:
       side by synthetic division and no gcd runs;
     - power: a power of a reduced fraction is reduced; a power of
       a*lambda**k is built directly as a**n * lambda**(k*n), with no Poly
-      product;
-    - n-ary sum (`sum_of`): the numerators over each distinct denominator
-      are added first, so the constructor runs once per distinct
-      denominator that holds two or more terms, and once per pairwise sum
-      of the partial sums.
+      product.
 
     The Horner-type kernels behind `taylor`, `mul_root_power` and
     `pole_order` (Taylor shift and synthetic division by lambda - c) run on
@@ -320,29 +316,6 @@ class RatFun:
             n, j = _divide_out_root(n, c, -k) if any(n[:-1]) else (n, 0)
             d = _times_root(d, c, -k - j)
         return _reduced(_poly(n), _poly(d))
-
-    @staticmethod
-    def sum_of(values):
-        """Sum of a sequence of RatFuns and rationals.  The numerators over
-        each distinct denominator are added first; a group of two or more
-        terms is reduced by the constructor, a single term is already
-        reduced, and the partial sums are then added pairwise."""
-        groups = []  # (den, [num, ...]) per distinct denominator
-        for v in values:
-            v = _coerce(v)
-            if v.num:
-                for den, nums in groups:
-                    if den.coeffs == v.den.coeffs:
-                        nums.append(v.num)
-                        break
-                else:
-                    groups.append((v.den, [v.num]))
-        out = _reduced(_ZERO, _ONE)
-        for den, nums in groups:
-            part = RatFun(sum(nums[1:], nums[0]), den) if len(nums) > 1 else _reduced(nums[0], den)
-            if part.num:
-                out = _add(out.num, out.den, part.num, part.den) if out.num else part
-        return out
 
     def eval_at(self, c):
         """Value at lambda = c; raises PoleAtEvaluationPoint on a pole."""

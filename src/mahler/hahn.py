@@ -155,26 +155,16 @@ _FULL = [(NEG, POS)]
 _EMPTY = Mask(())
 
 
-def _build(terms, ext):
-    """Canonical series from (exp, coeff) pairs and an extended certified set.
-
-    The one builder that takes any region (it normalizes `ext`).  The head
-    interval of `ext` must reach down to -inf: the stored mask's
-    no-support-below guarantee is only deducible when some ray (-inf, hi) is
-    certified.  The head is converted to the stored [lo, hi) form with lo at
-    the lowest retained exponent (the choice of lo is arbitrary below the
-    support, any value keeps the same certified region).  An `ext` with a
-    finite head carries a claim the mask cannot represent, so everything is
-    conservatively dropped.  Exponents in `terms` must be distinct.
-    """
-    return _build_sorted(sorted((t for t in terms if t[1]), key=_exp), _iv_norm(ext))
-
-
 def _build_sorted(tl, ext):
-    """_build for terms already sorted by exponent, none with a zero
-    coefficient (a series stores its terms so, and the product and
-    forward-solve kernels emit them so), and a normalized `ext`, which is
-    only read (Mask.extended, _FULL, or _iv_inter and _iv_diff of those)."""
+    """Canonical series from terms sorted by distinct exponents, none with a
+    zero coefficient (a series stores its terms so, and the kernels emit
+    them so), and a normalized extended certified set `ext`, which is only
+    read.  The head of `ext` must reach down to -inf, since the stored
+    mask's no-support-below guarantee is only deducible from a certified ray
+    (-inf, hi); a finite head carries a claim the mask cannot represent, so
+    everything is conservatively dropped.  The head becomes the stored
+    [lo, hi) with lo at the lowest retained exponent (any lo below the
+    support keeps the same certified region)."""
     if not ext or ext[0][0] != NEG:
         return HahnSeries((), _EMPTY)
     # one sweep over the intervals in order: each bisects the exponents
@@ -377,21 +367,17 @@ def _coeff(c):
 
 
 def hs(terms=(), mask=None):
-    """Build a series from a dict or pair list; mask None means exactly known."""
-    if isinstance(terms, dict):
-        items = [(Fraction(e), _coeff(c)) for e, c in terms.items()]
-    else:
-        acc = {}
-        for e, c in terms:
-            e = Fraction(e)
-            acc[e] = acc.get(e, 0) + _coeff(c)
-        items = list(acc.items())
-    items = [(e, c) for e, c in items if c]
+    """Build a series from a dict or pair list; mask None means exactly known.
+    Coefficients at equal exponents are added."""
+    acc = {}
+    for e, c in terms.items() if isinstance(terms, dict) else terms:
+        e, c = Fraction(e), _coeff(c)
+        acc[e] = acc[e] + c if e in acc else c
+    items = sorted(((e, c) for e, c in acc.items() if c), key=_exp)
     if mask is None:
-        return _build(items, _FULL)
+        return _build_sorted(items, _FULL)
     if not isinstance(mask, Mask):
         mask = Mask([(Fraction(lo), hi if hi == POS else Fraction(hi)) for lo, hi in mask])
-    items.sort()
     for e, _ in items:
         if not mask.certifies(e):
             raise ValueError("term at %s lies outside the mask" % e)
@@ -412,9 +398,10 @@ def monomial(e, c=Fraction(1)):
 
 def hs_sum(series):
     """Sum of a sequence of series, equal to the left fold of + (masks
-    included) but built once: one term dict, one n-ary sum per exponent,
-    one intersection of the masks and one _build_sorted.  An empty sequence
-    sums to the exact zero, and a single series is returned as it is."""
+    included) but built once: one term dict, one left fold of the
+    coefficients' own + per exponent, one intersection of the masks and one
+    _build_sorted.  An empty sequence sums to the exact zero, and a single
+    series is returned as it is."""
     series = tuple(series)
     if len(series) < 2:
         return series[0] if series else zero()
@@ -432,7 +419,7 @@ def hs_sum(series):
             else:
                 vs.append(c)
     return _build_sorted([(e, s) for e, vs in sorted(acc.items(), key=_exp)
-                          for s in (_sum(vs),) if s], ext)
+                          for s in (sum(vs[1:], vs[0]),) if s], ext)
 
 
 def forward_solve(one, lead, taps, cap):
@@ -493,9 +480,9 @@ def hs_mul(f, g):
     formed only when E1 + E2 < ceil(top*D).  When every coefficient is a
     Fraction, each factor's coefficients become integer numerators over one
     common denominator and the convolution sums ints; otherwise the products
-    at each exponent are added by one n-ary sum (the coefficient type's
-    `sum_of` when it has one).  One Fraction exponent and one coefficient
-    are built per output term, and zero sums are dropped."""
+    at each exponent are collected in a list and added by one left fold of
+    their own +.  One Fraction exponent and one coefficient are built per
+    output term, and zero sums are dropped."""
     fe, ge = f.mask.extended, g.mask.extended
     if not fe or not ge:
         return HahnSeries((), _EMPTY)
@@ -539,7 +526,7 @@ def hs_mul(f, g):
         terms = [(Fraction(E, D), Fraction(s, den)) for E, s in sorted(acc.items()) if s]
     else:
         terms = [(Fraction(E, D), v) for E, vs in sorted(acc.items())
-                 for v in (_sum(vs),) if v]
+                 for v in (sum(vs[1:], vs[0]),) if v]
     return _build_sorted(terms, ext)
 
 
@@ -558,15 +545,6 @@ def _numerators(terms):
     common denominator, that denominator)."""
     den = math.lcm(*{c.denominator for _, c in terms})
     return [(E, c.numerator * (den // c.denominator)) for E, c in terms], den
-
-
-def _sum(values):
-    """Sum of a nonempty list of coefficients: the type's own n-ary
-    `sum_of` when it has one, else pairwise."""
-    if len(values) == 1:
-        return values[0]
-    nary = getattr(type(values[0]), "sum_of", None)
-    return sum(values[1:], values[0]) if nary is None else nary(values)
 
 
 def _mul_pollution(unc, g):

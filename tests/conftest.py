@@ -15,8 +15,8 @@ from mahler.errors import (MahlerError, NonRationalExponent, PlanMismatch,
 from mahler.factorize import Factorization, FirstOrderFactor
 from mahler.fields import Poly, RatFun
 from mahler.frobenius import _solution, lift, solve_order1_param
-from mahler.hahn import (_FULL, NEG, POS, HahnSeries, Mask, _build, _iv_diff, _iv_inter,
-                         _iv_norm, forward_solve, hs, hs_mul, hs_sum, monomial, zero)
+from mahler.hahn import (_FULL, NEG, POS, HahnSeries, Mask, _iv_diff, _iv_inter, _iv_norm,
+                         forward_solve, hs, hs_mul, hs_sum, monomial, zero)
 from mahler.newton import analyze, frobenius_plan
 from mahler.operator import MahlerOperator
 
@@ -65,8 +65,9 @@ def reference_build(terms, ext):
     finite head carries a claim the mask cannot represent, so everything is
     conservatively dropped.
 
-    Oracle for hahn._build: a linear membership scan per term and a second
-    normalization inside Mask, where _build sweeps once."""
+    Oracle for hahn._build_sorted on the sorted nonzero terms and the
+    normalized `ext`: a linear membership scan per term and a second
+    normalization inside Mask, where _build_sorted sweeps once."""
     ext = _iv_norm(ext)
     if not ext or ext[0][0] != NEG:
         return HahnSeries((), Mask(()))
@@ -169,7 +170,7 @@ def reference_forward_solve(one, lead, taps, cap):
                         pending[t] = a * v
                         heapq.heappush(heap, t)
         if not heap:
-            return _build(w.items(), [(NEG, cap)])
+            return reference_build(w.items(), [(NEG, cap)])
         g = heapq.heappop(heap)
         v = -pending.pop(g) * inv
 
@@ -377,7 +378,7 @@ def reference_solve_order1_param(p, mu, c, g, ceiling, depth):
             g0 = RatFun.const(g0)
         u0 = monomial(0, g0.mul_root_power(c, -1)) if g0 else zero()
     else:
-        u0 = _build((), [(NEG, Fraction(0))])
+        u0 = reference_build((), [(NEG, Fraction(0))])
 
     pos_terms = [(e, r) for e, r in G.terms if e > 0]
     fp = _first_uncertified_above(G.mask.extended, Fraction(0))
@@ -386,10 +387,10 @@ def reference_solve_order1_param(p, mu, c, g, ceiling, depth):
     if fp == POS:
         up = zero()
     elif fp <= 0:
-        up = _build((), [(NEG, Fraction(0))])
+        up = reference_build((), [(NEG, Fraction(0))])
     else:
         ext = [(NEG, fp)] + _iv_inter(G.mask.extended, [(fp, POS)])
-        high = _build(pos_terms, ext)
+        high = reference_build(pos_terms, ext)
         pieces, k = [], 0
         while p ** k * fp < cap:
             pieces.append(high.mal(k, p).scale(RatFun.const(c ** (-k - 1)) * lam ** k))

@@ -1,5 +1,6 @@
 """Input language, elaboration, pipeline driver and command entry point."""
 import dataclasses
+import errno
 import io
 import json
 import os
@@ -209,6 +210,23 @@ def test_main_stdin(monkeypatch, capsys):
     assert "y[c=1" in capsys.readouterr().out
 
 
+def test_main_stdin_bytes_are_decoded_as_a_file_is(monkeypatch, capsys):
+    """stdin's byte buffer goes through the same UTF-8 decode as a file, so a
+    bad byte gets one diagnosis whatever error handler stdin was opened with."""
+    bad = b"p = 2\na[0] = 1\na[1] = \xff\n"
+    for data, code in ((PHI_MINUS_ONE.encode(), 0), (bad, 2)):
+        for errors in ("strict", "surrogateescape"):
+            stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors=errors)
+            monkeypatch.setattr("sys.stdin", stdin)
+            assert main(["analyze", "-"]) == code
+            out, err = capsys.readouterr()
+            if code:
+                assert (out, err) == ("", "error [ParseError]: line 3, col 8: "
+                                          "input is not UTF-8 text\n")
+            else:
+                assert "y[c=1" in out
+
+
 def test_main_partial_exit_code(tmp_path, capsys):
     f = tmp_path / "eq.txt"
     f.write_text(IRRATIONAL)
@@ -273,6 +291,35 @@ def test_main_rejects_a_top_coefficient_that_cancels_to_zero(tmp_path, capsys, t
     assert main([str(f), "--verify", "--json"]) == 2
     info = json.loads(capsys.readouterr().out)["error"]
     assert info == {"type": "ZeroSeries", "message": "a[1] is the exact zero"}
+
+
+@pytest.mark.parametrize("data, position", [
+    (None, None),
+    ("directory", None),
+    (b"p = 2\na[0] = 1\na[1] = \xff\n", (3, 8)),
+    # columns count characters, and \r\n is one line break
+    ("p = 2\r\na[0] = 1 # \u00e9\r\n\u00e9 ".encode() + b"\xfe\n", (3, 3)),
+], ids=["missing", "directory", "not utf-8", "not utf-8 after crlf and multibyte"])
+def test_main_reports_unreadable_input_with_its_full_message(tmp_path, capsys, data, position):
+    path = tmp_path / "eq.txt"
+    if data is None:
+        want = ("FileNotFoundError", "[Errno %d] %s: %r"
+                % (errno.ENOENT, os.strerror(errno.ENOENT), str(path)))
+    elif data == "directory":
+        path.mkdir()
+        want = ("IsADirectoryError", "[Errno %d] %s: %r"
+                % (errno.EISDIR, os.strerror(errno.EISDIR), str(path)))
+    else:
+        path.write_bytes(data)
+        want = ("ParseError", "input is not UTF-8 text")
+    assert main([str(path)]) == 2
+    prefix = "line %d, col %d: " % position if position else ""
+    assert capsys.readouterr() == ("", "error [%s]: %s%s\n" % (want[0], prefix, want[1]))
+    assert main([str(path), "--json"]) == 2
+    info = json.loads(capsys.readouterr().out)["error"]
+    if position:
+        assert (info.pop("line"), info.pop("col")) == position
+    assert info == {"type": want[0], "message": want[1]}
 
 
 def _str_digit_limit():

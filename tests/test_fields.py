@@ -9,6 +9,7 @@ from conftest import reference_divide_out_root, reference_pole_order, reference_
 from mahler import fields
 from mahler.errors import DivisionByZero, PoleAtEvaluationPoint
 from mahler.fields import Poly, RatFun, pole_order, poly_gcd, poly_str, rational_roots
+from mahler.hahn import hs_sum, monomial
 from mahler.testing import rand_rational
 
 
@@ -282,37 +283,59 @@ def test_ratfun_product_by_root_power_matches_full_reduction(monkeypatch):
     assert divided and all(any(cs[:-1]) for cs in divided)
 
 
-def test_ratfun_sum_of_equals_sequential_sum():
+def _num_den(x):
+    x = x if isinstance(x, RatFun) else RatFun.const(x)
+    return x.num.coeffs, x.den.coeffs
+
+
+def test_ratfun_sums_equal_one_full_reduction(monkeypatch):
+    """A left fold of + and hs_sum over one exponent both give the reduced
+    fraction that one gcd of the sum over the product of all denominators
+    gives; over constant denominators neither runs a gcd."""
     rng = random.Random(59)
     lam = RatFun.lam()
     dens = [RatFun.const(1), lam - 1, (lam - 1) ** 2, lam * (lam + 2), lam + 2, lam ** 2 + 1]
+    calls = []
+    real_gcd = fields.poly_gcd
+    monkeypatch.setattr(fields, "poly_gcd", lambda *args: calls.append(args) or real_gcd(*args))
     kinds = set()
-    for _ in range(300):
+    for case in range(400):
+        constant = case >= 300
         values = []
         for _ in range(rng.randint(1, 7)):
             if rng.random() < 0.2:
                 values.append(rand_rational(rng))
             else:
                 num = RatFun(Poly([rand_rational(rng) for _ in range(rng.randint(1, 3))]))
-                values.append(num / rng.choice(dens))
-        kind = rng.choice(("plain", "cancel", "partial"))
-        if kind == "cancel":
+                values.append(num if constant else num / rng.choice(dens))
+        kind = "constant" if constant else rng.choice(("plain", "cancel", "partial"))
+        if kind == "cancel" or (constant and rng.random() < 0.5):
             values += [-v for v in values]
             rng.shuffle(values)
         elif kind == "partial":
-            # an equal-denominator group whose summed numerator shares a
+            # an equal-denominator pair whose summed numerator shares a
             # factor with the denominator
             values += [1 / (lam - 1) ** 2, (lam - 2) / (lam - 1) ** 2]
-        want = RatFun.const(0)
-        for v in values:
-            want = want + v
-        got = RatFun.sum_of(values)
-        assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs, want.den.coeffs)
+        pairs = [(v.num, v.den) if isinstance(v, RatFun) else (Poly.const(v), Poly.const(1))
+                 for v in values]
+        num, den = Poly(), Poly.const(1)
+        for i, (n, _) in enumerate(pairs):
+            for k, (_, d) in enumerate(pairs):
+                n = n if k == i else n * d
+            num = num + n
+        for _, d in pairs:
+            den = den * d
+        want = _num_den(RatFun(num, den))
+        calls.clear()
+        assert _num_den(sum(values[1:], values[0])) == want
+        got = hs_sum([monomial(0, v) for v in values])
+        assert _num_den(dict(got.terms).get(Fraction(0), 0)) == want
+        if constant:
+            assert not calls
         if kind == "cancel":
-            assert not got and got.den == 1
+            assert want == ((), (1,))
         kinds.add(kind)
-    assert kinds == {"plain", "cancel", "partial"}
-    assert RatFun.sum_of([]) == 0
+    assert kinds == {"plain", "cancel", "partial", "constant"}
 
 
 def test_ratfun_eval_derivative_subst():

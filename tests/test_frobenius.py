@@ -1,6 +1,8 @@
 """Parametric order-1 solver, triangular solve, specialization, verification."""
 import dataclasses
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -588,3 +590,41 @@ def test_frobenius_basis_counts_its_solutions(monkeypatch):
     monkeypatch.setattr(frobenius, "specialize_solutions", lambda *args: real(*args)[1:])
     with pytest.raises(VerificationError, match="built 0 solutions for an order-2 operator"):
         frobenius_basis(ladder_operator(2, -2), 6, 6)
+
+
+# SHA-256 over the outputs of `_digest_runs`, in order
+BASIS_DIGEST = "702b4c5ea454793279eb3868ed492fcceb3c734d0eec737d128ed6b97bf2b35f"
+
+
+def _digest_runs():
+    """(L, ceiling, depth) for 680 runs: 200 criterion-3 operators, 60 random
+    factored operators from a fresh seed at each of three ceilings, and 300
+    generic operators, many of which end in a typed error."""
+    rng = random.Random(2026)
+    for _ in range(200):
+        yield rand_factored_operator(rng, Fraction(3))[0], Fraction(3), 2
+    for ceiling in (Fraction(3), Fraction(6), Fraction(13, 2)):
+        rng = random.Random(1000)
+        for _ in range(60):
+            yield rand_factored_operator(rng, ceiling)[0], ceiling, 3
+    rng = random.Random(11)
+    for _ in range(300):
+        yield rand_operator(rng), Fraction(3), 2
+
+
+def test_basis_outputs_match_the_recorded_digest():
+    """Every output of `frobenius_basis` on `_digest_runs` -- the JSON report
+    (`json.dumps(..., sort_keys=True)`) or, for a typed error, the error
+    type's name -- is bit-identical to the recorded one.  A change that means
+    to alter outputs updates BASIS_DIGEST and declares both values in
+    CHANGES.md."""
+    digest, n = hashlib.sha256(), 0
+    for L, ceiling, depth in _digest_runs():
+        try:
+            out = json.dumps(frobenius_basis(L, ceiling, depth).to_json(), sort_keys=True)
+        except MahlerError as exc:
+            out = type(exc).__name__
+        digest.update(out.encode())
+        n += 1
+    assert n == 680
+    assert digest.hexdigest() == BASIS_DIGEST
