@@ -436,6 +436,13 @@ def forward_solve(one, lead, taps, cap):
     Exponents are settled in increasing order from a heap; a settled
     nonzero w_g scatters its contributions to the exponents it reaches
     below the cap.
+
+    When one, lead and every tap coefficient are Fractions, the values run
+    on integers as well: denominators are cleared once, each w_g is an
+    integer numerator over a power of the scaled lead, and one Fraction is
+    built per output term (_forward_ints).  Other coefficients, such as
+    those over Q(lambda), are combined by their own + and *, and each
+    settled sum is multiplied by 1/lead.
     """
     rows = {}
     for e, k, a in taps:
@@ -445,6 +452,9 @@ def forward_solve(one, lead, taps, cap):
     D = _lattice(e for e, _, _ in taps)
     cut = math.ceil(cap * D)  # t < cap iff D*t < cut
     rows = [(k, sorted(_on_lattice(row, D), key=itemgetter(0))) for k, row in rows.items()]
+    if type(one) is Fraction and type(lead) is Fraction and all(
+            type(a) is Fraction for _, row in rows for _, a in row):
+        return _build_sorted(_forward_ints(one, lead, rows, cut, D), [(NEG, cap)])
     inv = 1 / lead
     w, pending, heap = [], {}, []
     g, v = 0, one
@@ -467,6 +477,68 @@ def forward_solve(one, lead, taps, cap):
             return _build_sorted(w, [(NEG, cap)])
         g = heapq.heappop(heap)
         v = -pending.pop(g) * inv
+
+
+def _forward_ints(one, lead, rows, cut, D):
+    """forward_solve's terms when one, lead and every tap coefficient are
+    Fractions: the recursion on integers, fraction-free as in Bareiss's
+    elimination.
+
+    Q, the lcm of the denominators of lead and of the taps, makes ell =
+    Q*lead and each A = Q*a integers, both negated if need be so that
+    ell > 0 (lead = -1 then runs as ell = 1).  A settled w_g is stored
+    unreduced as an integer W over od * ell**d: od is the denominator of
+    one and d the depth of g, one more than the largest depth summed into
+    g; when ell = 1 every depth stays 0 and no power of ell is formed.  A
+    pending sum is a pair (S, d), and a contribution of another depth meets
+    it after one side is multiplied by a power of ell.  The only gcd is
+    Fraction's, once per output term.
+    """
+    Q = math.lcm(lead.denominator, *(a.denominator for _, row in rows for _, a in row))
+    ell = lead.numerator * (Q // lead.denominator)
+    sign = -1 if ell < 0 else 1
+    ell *= sign
+    rows = [(k, [(e, sign * a.numerator * (Q // a.denominator)) for e, a in row])
+            for k, row in rows]
+    step = int(ell != 1)
+    powers = [1]
+
+    def power(n):
+        while len(powers) <= n:
+            powers.append(powers[-1] * ell)
+        return powers[n]
+
+    w, pending, heap = [], {}, []
+    g, W, d = 0, one.numerator, 0
+    while True:
+        if W:
+            w.append((g, W, d))
+            for k, row in rows:
+                base = k * g
+                for e, A in row:
+                    t = base + e
+                    if t >= cut:
+                        break
+                    s = pending.get(t)
+                    if s is None:
+                        if t != g:  # t == g only for e = 0 taps at the base g = 0
+                            pending[t] = (A * W, d)
+                            heapq.heappush(heap, t)
+                        continue
+                    S, ds = s
+                    if ds == d:
+                        pending[t] = (S + A * W, d)
+                    elif ds > d:
+                        pending[t] = (S + A * W * power(ds - d), ds)
+                    else:
+                        pending[t] = (S * power(d - ds) + A * W, d)
+        if not heap:
+            break
+        g = heapq.heappop(heap)
+        S, d = pending.pop(g)
+        W, d = -S, d + step
+    od = one.denominator
+    return [(Fraction(g, D), Fraction(W, od * power(d))) for g, W, d in w]
 
 
 def hs_mul(f, g):

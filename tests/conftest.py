@@ -144,7 +144,10 @@ def reference_forward_solve(one, lead, taps, cap):
     scatters its contributions to the exponents it reaches below cap.
 
     Oracle for hahn.forward_solve: the same recursion on Fraction exponents,
-    where forward_solve runs on the integers of the taps' lattice."""
+    each value formed by its coefficients' own arithmetic and divided by
+    lead as it settles.  forward_solve runs on the integers of the taps'
+    lattice instead, and over Q its values are integer numerators over
+    powers of the scaled lead, one Fraction per output term."""
     rows = {}
     for e, k, a in taps:
         if e < 0 or k < 1 or (not e and k == 1):

@@ -1,6 +1,7 @@
 """Input language, elaboration, pipeline driver and command entry point."""
 import dataclasses
 import errno
+import hashlib
 import io
 import json
 import os
@@ -31,6 +32,7 @@ PHI_MINUS_ONE = "p = 2\na[0] = -1\na[1] = 1\n"
 # valid, but precision 3 or 6 leaves the leading term of g_{1/2,0} uncertified
 LOW_PRECISION = "p = 2\na[0] = -z^6\na[1] = 2*z^(-1)\na[2] = z^(-1)/2 - 3/4\n"
 IRRATIONAL = "p = 2\na[0] = 1\na[2] = 1\n"
+DENSE = "p = 2\na[0] = 1/(1+z^(1/13))\na[1] = -1\n"
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(mahler.__file__)))
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -500,6 +502,20 @@ def test_readme_examples_run(tmp_path, capsys):
     assert "verification: ok" in capsys.readouterr().out
     assert main([str(f), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["spec"]["p"] == 2
+
+
+@pytest.mark.parametrize("precision, digest", [
+    ("16", "3bf09d23559cada1fb5654a1706528a2de6937c68259dbc5862dea8f84ed3c87"),
+    ("32", "aebe639061f76c35e60602f60bacf39c4a61c832cf5492417d374a22a799f2cf"),
+])
+def test_dense_report_matches_the_recorded_digest(tmp_path, capsys, precision, digest):
+    """The dense equation above the benchmark's precisions (depth 8,
+    --verify --json): its report is byte-identical to the one recorded when
+    the forward recursion still ran on Fractions."""
+    f = tmp_path / "eq.txt"
+    f.write_text(DENSE)
+    assert main([str(f), "--precision", precision, "--depth", "8", "--verify", "--json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_main_verification_failure_code(tmp_path, capsys, monkeypatch):

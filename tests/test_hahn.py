@@ -1,4 +1,5 @@
 """Truncated Hahn series: mask algebra, ring operations, inversion."""
+import math
 import random
 from fractions import Fraction
 
@@ -705,3 +706,77 @@ def test_forward_solve_equals_reference(p, ring):
         assert got == reference_forward_solve(one_, lead, taps, cap)
         seen |= {k for _, k, _ in taps}
     assert {1, p, p * p, "half-step", "off-lattice"} <= seen
+
+
+def fraction_free_events(taps, cap, w):
+    """The meetings of the integer recursion on Q, read off a solution w:
+    each exponent t below cap receives the depths of its sources in the
+    order they settle (depth 0 at exponent 0, else one more than the
+    deepest source).  "deeper later" and "shallower later" mark a pending
+    sum that meets a contribution deeper or shallower than itself, and
+    "cancel" an exponent that receives contributions but settles to 0."""
+    depth, received, events = {}, {}, set()
+    for g, _ in w.terms:
+        depth[g] = 1 + max(received[g]) if g else 0
+        for e, k, _ in taps:
+            t = k * g + e
+            if t < cap and t != g:
+                received.setdefault(t, []).append(depth[g])
+    for t, ds in received.items():
+        for i in range(1, len(ds)):
+            top = max(ds[:i])
+            if ds[i] != top:
+                events.add("deeper later" if ds[i] > top else "shallower later")
+        if t not in depth:
+            events.add("cancel")
+    return events
+
+
+def test_forward_solve_fraction_free_equals_reference():
+    """forward_solve over Q runs on integer numerators over powers of the
+    scaled lead ell = Q*lead (Q clearing the denominators of lead and taps);
+    every term, the mask and each coefficient's type match the oracle for
+    ell = 1, ell = -1 and ell not a unit, across meetings of unequal depth,
+    cancelling sums, a start with a denominator and both kinds of cap."""
+    rng = random.Random(16)
+    seen = set()
+    for _ in range(300):
+        D = rng.choice((1, 3))
+        integral = rng.random() < 0.4
+
+        def coeff():
+            if integral:
+                return Fraction(rng.choice((-3, -2, -1, 1, 2)))
+            return rand_rational(rng, nonzero=True)
+
+        taps = [(e, k, coeff()) for e, k, _ in rand_taps(rng, 2, D, "Q")]
+        if rng.random() < 0.3:
+            # from exponent 0 both taps reach e, and their terms cancel there
+            e, k, a = rng.choice(taps)
+            taps.append((e, rng.choice((1, 2, 4)) if e else k, -a))
+        if rng.random() < 0.3:
+            # exponent 2s + b can hear from b (depth 1) after 2s (depth 2)
+            step = Fraction(rng.randint(1, D), D)
+            far = 2 * step + Fraction(rng.randint(1, D), D)
+            taps += [(e, 1, coeff()) for e in (step, 2 * step, far)]
+        lead = rng.choice((Fraction(1), Fraction(-1), coeff()))
+        one_ = rng.choice((Fraction(1), rand_rational(rng, nonzero=True)))
+        want = reference_forward_solve(one_, lead, taps, Fraction(7))
+        if rng.random() < 0.5 and len(want.terms) > 1:
+            cap = rng.choice(want.terms[1:])[0] + Fraction(1, 2 * D)
+            seen.add("half-step")
+        else:
+            cap = Fraction(rng.randint(1, 45), 7)
+            seen.add("off-lattice")
+        got = forward_solve(one_, lead, taps, cap)
+        want = reference_forward_solve(one_, lead, taps, cap)
+        assert got.terms == want.terms and got.mask == want.mask
+        assert all(type(c) is Fraction for _, c in got.terms)
+        ell = int(lead * math.lcm(lead.denominator, *(a.denominator for _, _, a in taps)))
+        seen.add("ell = %d" % ell if ell in (1, -1) else "ell other")
+        if one_.denominator != 1:
+            seen.add("one with a denominator")
+        events = fraction_free_events(taps, cap, got)
+        seen |= events if ell not in (1, -1) else events & {"cancel"}
+    assert seen == {"ell = 1", "ell = -1", "ell other", "deeper later", "shallower later",
+                    "cancel", "one with a denominator", "half-step", "off-lattice"}
