@@ -212,13 +212,6 @@ class EquationSpec:
     def order(self):
         return len(self.coeffs) - 1
 
-    def pretty(self):
-        lines = ["p = %d" % self.p]
-        for i, e in enumerate(self.coeffs):
-            if e is not None:
-                lines.append("a[%d] = %s" % (i, expr_str(e)))
-        return "\n".join(lines) + "\n"
-
 
 def parse_spec(text):
     toks = _tokens(text)
@@ -237,7 +230,9 @@ def parse_spec(text):
             P.eat("=")
             if p is not None:
                 raise ParseError("p given twice", ln, col)
-            p = P.eat("INT")[0]
+            p, pln, pcol = P.eat("INT")
+            if p < 2:
+                raise ParseError("p must be an integer >= 2", pln, pcol)
             P.eat("EOL")
         elif v == "a":
             P.i += 1
@@ -253,8 +248,6 @@ def parse_spec(text):
             raise ParseError("unknown key %r" % v, ln, col)
     if p is None:
         raise ParseError("missing 'p = ...' line")
-    if p < 2:
-        raise ParseError("p must be an integer >= 2")
     if not coeffs:
         raise ParseError("no coefficients given")
     n = max(coeffs)

@@ -118,10 +118,6 @@ class Poly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def eval(self, c):
-        """Value at x = c, by the integer Horner kernel of `_taylor_head`."""
-        return _taylor_head(self.coeffs, Fraction(c), 1)[0]
-
     def derivative(self):
         return _poly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
 
@@ -233,9 +229,6 @@ class RatFun:
     def lam(cls):
         return _reduced(Poly.x(), _ONE)
 
-    def is_const(self):
-        return self.num.degree <= 0 and self.den.degree == 0
-
     def __bool__(self):
         return bool(self.num)
 
@@ -317,10 +310,6 @@ class RatFun:
             d = _times_root(d, c, -k - j)
         return _reduced(_poly(n), _poly(d))
 
-    def eval_at(self, c):
-        """Value at lambda = c; raises PoleAtEvaluationPoint on a pole."""
-        return self.taylor(c, 1)[0]
-
     def taylor(self, c, n):
         """First n Taylor coefficients R_0..R_{n-1} of num/den at lambda = c.
 
@@ -342,16 +331,6 @@ class RatFun:
                 acc -= dj[i] * out[k - i]
             out.append(acc / dj[0])
         return out
-
-    def derivative(self):
-        return RatFun(self.num.derivative() * self.den - self.num * self.den.derivative(),
-                      self.den * self.den)
-
-    def subst_scale(self, c):
-        """f(c * lambda) for a nonzero rational c."""
-        c = Fraction(c)
-        scale = lambda p: Poly(tuple(a * c ** i for i, a in enumerate(p.coeffs)))
-        return RatFun(scale(self.num), scale(self.den))
 
     def __str__(self):
         ns = poly_str(self.num, "λ")

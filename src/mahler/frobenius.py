@@ -142,10 +142,9 @@ def check_gcj(L, plan, fact, c, j, mu, g):
     regularity at lambda = c.
 
     The defining residual of g is not checked here: --verify checks the
-    residual of every specialized solution, and gcj_residual_mask computes
-    that of g itself.  A g whose leading term the ceiling leaves
-    uncertified, with its first mask gap at or below -mu, raises
-    InsufficientPrecision."""
+    residual of every specialized solution.  A g whose leading term the
+    ceiling leaves uncertified, with its first mask gap at or below -mu,
+    raises InsufficientPrecision."""
     c = Fraction(c)
     bound, exact = g.val_bound()
     if not exact and bound <= -mu:
@@ -163,18 +162,6 @@ def check_gcj(L, plan, fact, c, j, mu, g):
             raise VerificationError("coefficient of g has a pole at lambda = %s" % c)
 
 
-def gcj_residual_mask(L, plan, c, j, g):
-    """Check L^[e_lambda](g) against its closed form; returns the certified mask."""
-    c = Fraction(c)
-    m, s = plan.lookup(j, c)
-    lead = RatFun.const(1).mul_root_power(c, s + m)
-    rhs = monomial(plan.val_a0 - plan.nus[j] / (L.p - 1), lead)
-    res = L.gauge_exp_param().apply(g) - rhs
-    if not res.is_zero():
-        raise VerificationError("defining equation residual is nonzero")
-    return res.mask
-
-
 @dataclass(frozen=True)
 class SolutionObject:
     """Element sum f_{c,u}(z) l_{c,u} of the solution module."""
@@ -187,10 +174,6 @@ class SolutionObject:
             if cc == c and uu == u:
                 return fs
         return None
-
-    def is_zero(self):
-        """No certified nonzero coefficient in any part."""
-        return all(fs.is_zero() for _, _, fs in self.parts)
 
     def certified_zero(self):
         """Every part vanishes and is certified somewhere."""

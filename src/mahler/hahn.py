@@ -111,9 +111,6 @@ class Mask:
         """Whether x is certified: the next gap at or above x is not x itself."""
         return self.next_gap(x) != x
 
-    def lower(self):
-        return self.ivs[0][0]
-
     def first_gap(self):
         """First exponent above which (and at which) nothing is certified."""
         return self.ivs[0][1]
@@ -210,9 +207,6 @@ class HahnSeries:
 
     def is_exact_zero(self):
         return not self.terms and self.mask.extended == _FULL
-
-    def support(self):
-        return tuple(e for e, _ in self.terms)
 
     def val(self):
         """Valuation; requires a certified leading term."""
@@ -334,14 +328,6 @@ class HahnSeries:
 
     # -- comparisons ----------------------------------------------------------
 
-    def eq_on_mask(self, other):
-        """(equal, common): compare coefficients on the common certified region."""
-        common = _build_sorted((), _iv_inter(self.mask.extended, other.mask.extended)).mask
-        a, b = dict(self.terms), dict(other.terms)
-        equal = all(a.get(e, 0) == b.get(e, 0)
-                    for e in set(a) | set(b) if common.certifies(e))
-        return equal, common
-
     def __eq__(self, other):
         return (isinstance(other, HahnSeries) and self.terms == other.terms
                 and self.mask == other.mask)
@@ -377,7 +363,7 @@ def hs(terms=(), mask=None):
     if mask is None:
         return _build_sorted(items, _FULL)
     if not isinstance(mask, Mask):
-        mask = Mask([(Fraction(lo), hi if hi == POS else Fraction(hi)) for lo, hi in mask])
+        mask = Mask(mask)
     for e, _ in items:
         if not mask.certifies(e):
             raise ValueError("term at %s lies outside the mask" % e)

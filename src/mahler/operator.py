@@ -5,7 +5,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ZeroDivisor
-from .fields import RatFun
 from .hahn import hs_mul, hs_sum, zero
 
 _Z = zero()
@@ -54,18 +53,6 @@ class MahlerOperator:
                 out[i + j] = out[i + j] + hs_mul(ai, bj.mal(i, p))
         return MahlerOperator(p, out)
 
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return MahlerOperator(self.p, out)
-
-    def __sub__(self, other):
-        return self + MahlerOperator(other.p, [-c for c in other.coeffs])
-
     def right_divide(self, other, ceiling):
         """Euclidean division self = Q * other + R with order(R) < order(other).
 
@@ -101,26 +88,6 @@ class MahlerOperator:
         mu = Fraction(mu)
         return MahlerOperator(p, [ai.shift(mu * (p ** i - 1) / (p - 1))
                                   for i, ai in enumerate(self.coeffs)])
-
-    def gauge_exp(self, c):
-        """Conjugate by e_c: a_i -> c**i a_i."""
-        c = Fraction(c)
-        return MahlerOperator(self.p, [ai.scale(c ** i) for i, ai in enumerate(self.coeffs)])
-
-    def gauge_exp_param(self):
-        """Conjugate by e_lambda: coefficients lifted to Q(lambda), a_i -> lambda**i a_i."""
-        lam = RatFun.lam()
-        out = []
-        for i, ai in enumerate(self.coeffs):
-            li = lam ** i
-            out.append(ai.map_coeffs(lambda c, li=li: RatFun.const(c) * li))
-        return MahlerOperator(self.p, out)
-
-    def gauge_unit(self, g, ceiling):
-        """Conjugate by a unit series g of valuation 0: a_i -> a_i phi^i(g) / g."""
-        ginv = g.invert(ceiling)
-        return MahlerOperator(self.p, [hs_mul(hs_mul(ai, g.mal(i, self.p)), ginv)
-                                       for i, ai in enumerate(self.coeffs)])
 
     def __repr__(self):
         parts = []

@@ -1,12 +1,10 @@
-"""Random instance generators for property tests and the CLI self-test."""
+"""Random factored operators for the CLI self-test and the benchmark corpus."""
 from __future__ import annotations
 
 from fractions import Fraction
 
 from .factorize import Factorization, FirstOrderFactor, factor_reconstruct
-from .fields import Poly, RatFun
 from .hahn import hs
-from .operator import MahlerOperator
 
 
 def rand_rational(rng, lo=-6, hi=6, max_den=4, nonzero=False):
@@ -16,16 +14,6 @@ def rand_rational(rng, lo=-6, hi=6, max_den=4, nonzero=False):
             return q
 
 
-def rand_exponent(rng, lo=-3, hi=6, max_den=3):
-    return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
-
-
-def rand_series(rng, terms=4, lo=-3, hi=6):
-    """Exact finitely supported series, never zero."""
-    support = {rand_exponent(rng, lo, hi) for _ in range(rng.randint(1, terms))}
-    return hs(sorted((e, rand_rational(rng, nonzero=True)) for e in support))
-
-
 def rand_tangent_unit(rng, terms=5):
     """1 plus a finitely supported tail of positive exponents."""
     t = {Fraction(0): Fraction(1)}
@@ -33,25 +21,6 @@ def rand_tangent_unit(rng, terms=5):
         e = Fraction(rng.randint(1, 8), rng.randint(1, 3))
         t[e] = rand_rational(rng, nonzero=True)
     return hs(sorted(t.items()))
-
-
-def rand_operator(rng, max_order=3, terms=3, ps=(2, 3, 5)):
-    """Generic operator with exact coefficients and a_0, a_n nonzero."""
-    n = rng.randint(1, max_order)
-    return MahlerOperator(rng.choice(ps),
-                          [rand_series(rng, terms) for _ in range(n + 1)])
-
-
-def rand_param_series(rng, terms=3, deg=2, lo=-3, hi=3):
-    """Exact finitely supported series with polynomial-in-lambda coefficients."""
-    out = {}
-    for _ in range(rng.randint(1, terms)):
-        e = rand_exponent(rng, lo, hi)
-        cs = [rand_rational(rng, -3, 3, 2) for _ in range(rng.randint(1, deg + 1))]
-        if not any(cs):
-            cs[0] = Fraction(1)
-        out[e] = RatFun(Poly(cs))
-    return hs(sorted(out.items()))
 
 
 _CS = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-2), Fraction(3),

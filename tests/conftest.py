@@ -1,4 +1,6 @@
-"""Shared reference operators and independent oracles.
+"""Shared reference operators, random instances, independent oracles and
+the test-only tools (gauge transforms, masked comparison, evaluation in
+lambda) that the library itself never calls.
 
 Every oracle here recomputes its answer from first principles (dictionary
 convolutions, orbit recursions, direct hull walks, explicit double sums) so
@@ -11,7 +13,8 @@ import math
 from fractions import Fraction
 
 from mahler.errors import (MahlerError, NonRationalExponent, PlanMismatch,
-                           UnknownLeadingTerm, VerificationError, ZeroDivisor)
+                           PoleAtEvaluationPoint, UnknownLeadingTerm, VerificationError,
+                           ZeroDivisor)
 from mahler.factorize import Factorization, FirstOrderFactor
 from mahler.fields import Poly, RatFun
 from mahler.frobenius import _solution, lift, solve_order1_param
@@ -19,6 +22,109 @@ from mahler.hahn import (_FULL, NEG, POS, HahnSeries, Mask, _iv_diff, _iv_inter,
                          forward_solve, hs, hs_mul, hs_sum, monomial, zero)
 from mahler.newton import analyze, frobenius_plan
 from mahler.operator import MahlerOperator
+from mahler.testing import rand_rational
+
+
+def rand_exponent(rng, lo=-3, hi=6, max_den=3):
+    return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
+
+
+def rand_series(rng, terms=4, lo=-3, hi=6):
+    """Exact finitely supported series, never zero."""
+    support = {rand_exponent(rng, lo, hi) for _ in range(rng.randint(1, terms))}
+    return hs(sorted((e, rand_rational(rng, nonzero=True)) for e in support))
+
+
+def rand_operator(rng, max_order=3, terms=3, ps=(2, 3, 5)):
+    """Generic operator with exact coefficients and a_0, a_n nonzero."""
+    n = rng.randint(1, max_order)
+    return MahlerOperator(rng.choice(ps),
+                          [rand_series(rng, terms) for _ in range(n + 1)])
+
+
+def rand_param_series(rng, terms=3, deg=2, lo=-3, hi=3):
+    """Exact finitely supported series with polynomial-in-lambda coefficients."""
+    out = {}
+    for _ in range(rng.randint(1, terms)):
+        e = rand_exponent(rng, lo, hi)
+        cs = [rand_rational(rng, -3, 3, 2) for _ in range(rng.randint(1, deg + 1))]
+        if not any(cs):
+            cs[0] = Fraction(1)
+        out[e] = RatFun(Poly(cs))
+    return hs(sorted(out.items()))
+
+
+def support(f):
+    """The exponents of the stored terms."""
+    return tuple(e for e, _ in f.terms)
+
+
+def eq_on_mask(f, g):
+    """(equal, common): whether f and g agree at every exponent both
+    certify, and the mask of that common region."""
+    common = reference_build((), _iv_inter(f.mask.extended, g.mask.extended)).mask
+    a, b = dict(f.terms), dict(g.terms)
+    equal = all(a.get(e, 0) == b.get(e, 0)
+                for e in set(a) | set(b) if common.certifies(e))
+    return equal, common
+
+
+def poly_eval(poly, c):
+    """Value at x = c by Horner's rule in Fraction arithmetic."""
+    acc = Fraction(0)
+    for a in reversed(poly.coeffs):
+        acc = acc * c + a
+    return acc
+
+
+def eval_at(r, c):
+    """Value of a reduced rational function at lambda = c, as num(c)/den(c);
+    raises PoleAtEvaluationPoint where den(c) = 0."""
+    c = Fraction(c)
+    den = poly_eval(r.den, c)
+    if not den:
+        raise PoleAtEvaluationPoint("pole at lambda = %s" % c)
+    return poly_eval(r.num, c) / den
+
+
+def derivative(r):
+    """d/dlambda of a rational function, by the quotient rule."""
+    return RatFun(r.num.derivative() * r.den - r.num * r.den.derivative(), r.den * r.den)
+
+
+def gauge_exp(L, c):
+    """Conjugate by e_c: a_i -> c**i a_i."""
+    c = Fraction(c)
+    return MahlerOperator(L.p, [ai.scale(c ** i) for i, ai in enumerate(L.coeffs)])
+
+
+def gauge_exp_param(L):
+    """Conjugate by e_lambda: coefficients lifted to Q(lambda), a_i -> lambda**i a_i."""
+    lam = RatFun.lam()
+    out = []
+    for i, ai in enumerate(L.coeffs):
+        li = lam ** i
+        out.append(ai.map_coeffs(lambda c, li=li: RatFun.const(c) * li))
+    return MahlerOperator(L.p, out)
+
+
+def gauge_unit(L, g, ceiling):
+    """Conjugate by a unit series g of valuation 0: a_i -> a_i phi^i(g) / g."""
+    ginv = g.invert(ceiling)
+    return MahlerOperator(L.p, [hs_mul(hs_mul(ai, g.mal(i, L.p)), ginv)
+                                for i, ai in enumerate(L.coeffs)])
+
+
+def gcj_residual_mask(L, plan, c, j, g):
+    """Check L^[e_lambda](g) against its closed form; returns the certified mask."""
+    c = Fraction(c)
+    m, s = plan.lookup(j, c)
+    lead = RatFun.const(1).mul_root_power(c, s + m)
+    rhs = monomial(plan.val_a0 - plan.nus[j] / (L.p - 1), lead)
+    res = gauge_exp_param(L).apply(g) - rhs
+    if not res.is_zero():
+        raise VerificationError("defining equation residual is nonzero")
+    return res.mask
 
 
 def ladder_operator(p, nu, ceiling=Fraction(30)):
@@ -231,7 +337,7 @@ def reference_unit_solution(M, c, ceiling):
     taps = [(Fraction(0), p ** i, heads[i]) for i in range(1, len(bs)) if heads[i]]
     taps += [(e, p ** i, v) for i, bi in enumerate(bs) for e, v in bi.terms if 0 < e < cap]
     h = forward_solve(Fraction(1), b00, taps, cap)
-    residual = M.gauge_exp(c).apply(h)
+    residual = gauge_exp(M, c).apply(h)
     if not residual.is_zero() or residual.mask.empty:
         raise VerificationError("unit solution does not annihilate the operator")
     return h
@@ -445,7 +551,7 @@ def reference_pole_order(f, c):
     Oracle for fields.pole_order: evaluation and Poly division."""
     c = Fraction(c)
     n, den = 0, f.den
-    while den.degree > 0 and not den.eval(c):
+    while den.degree > 0 and not poly_eval(den, c):
         den = den // Poly((-c, Fraction(1)))
         n += 1
     return n
@@ -453,12 +559,12 @@ def reference_pole_order(f, c):
 
 def ev_c(f, c):
     """Evaluate every coefficient at lambda = c."""
-    return f.map_coeffs(lambda r: r.eval_at(c))
+    return f.map_coeffs(lambda r: eval_at(r, c))
 
 
 def d_lambda(f):
     """Differentiate every coefficient with respect to lambda."""
-    return f.map_coeffs(lambda r: r.derivative())
+    return f.map_coeffs(derivative)
 
 
 def reference_specialize(p, g, c, s, m_count):

@@ -11,17 +11,16 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import (canon, ladder_g1_terms, ladder_g2_terms, ladder_operator,
-                      order1_coeff_oracle, series_dict_on_mask, subst_scale)
+from conftest import (canon, eq_on_mask, gauge_exp, gauge_unit, ladder_g1_terms,
+                      ladder_g2_terms, ladder_operator, order1_coeff_oracle, rand_operator,
+                      rand_param_series, rand_series, series_dict_on_mask, subst_scale)
 from mahler.factorize import factor_operator, factor_reconstruct
 from mahler.fields import Poly, RatFun, pole_order
 from mahler.frobenius import frobenius_basis, lift, solve_order1_param
 from mahler.hahn import monomial
 from mahler.newton import analyze, frobenius_plan
 from mahler.operator import MahlerOperator
-from mahler.testing import (rand_factored_operator, rand_operator,
-                            rand_param_series, rand_rational, rand_series,
-                            rand_tangent_unit)
+from mahler.testing import rand_factored_operator, rand_rational, rand_tangent_unit
 
 lam = RatFun.lam()
 LADDERS = ((2, -2), (3, -3))
@@ -110,7 +109,7 @@ def test_criterion_4_gauge_lemmas():
         assert nd.exponents == ndt.exponents
 
         c = rand_rational(rng, lo=-3, hi=3, max_den=2, nonzero=True)
-        nde = analyze(L.gauge_exp(c))
+        nde = analyze(gauge_exp(L, c))
         assert nd.slopes == nde.slopes
         for chi, chig in zip(nd.charpolys, nde.charpolys):
             assert canon(chig) == canon(subst_scale(chi, c))
@@ -118,7 +117,7 @@ def test_criterion_4_gauge_lemmas():
             assert sorted((e / c, m) for e, m in exps) == sorted(expsg)
 
         g = rand_tangent_unit(rng, terms=3)
-        ndu = analyze(L.gauge_unit(g, Fraction(25)))
+        ndu = analyze(gauge_unit(L, g, Fraction(25)))
         assert nd.slopes == ndu.slopes
         assert nd.charpolys == ndu.charpolys
         assert nd.exponents == ndu.exponents
@@ -171,7 +170,7 @@ def test_criterion_5_order1_oracle():
                 assert order1_coeff_oracle(p, mu, c, g, e) == 0
         A = MahlerOperator(p, [monomial(0, RatFun.const(-c)),
                                monomial(-mu, lam)])
-        eq, common = A.apply(f).eq_on_mask(g)
+        eq, common = eq_on_mask(A.apply(f), g)
         assert eq and not common.empty
         rho = {cc: max((pole_order(r, cc) for _, r in g.terms), default=0)
                for cc in cs}
@@ -206,7 +205,7 @@ def _factorization_invariants(L, ceiling):
     R = factor_reconstruct(fact, ceiling)
     assert R.order == L.order
     for mine, theirs in zip(R.coeffs, L.coeffs):
-        eq, common = mine.eq_on_mask(theirs)
+        eq, common = eq_on_mask(mine, theirs)
         assert eq and not common.empty
 
 
@@ -232,7 +231,7 @@ def _parts_stable(y_lo, y_hi):
             assert all(not present.mask.certifies(e) or v == 0
                        for e, v in present.terms)
             continue
-        eq, common = a.eq_on_mask(b)
+        eq, common = eq_on_mask(a, b)
         assert eq and not common.empty
 
 
@@ -240,7 +239,7 @@ def _bases_stable(lo, hi):
     assert len(lo.blocks) == len(hi.blocks)
     for bl, bh in zip(lo.blocks, hi.blocks):
         assert (bl.j, bl.c, bl.s, bl.m) == (bh.j, bh.c, bh.s, bh.m)
-        eq, common = bl.g.eq_on_mask(bh.g)
+        eq, common = eq_on_mask(bl.g, bh.g)
         assert eq and not common.empty
         for yl, yh in zip(bl.solutions, bh.solutions):
             _parts_stable(yl, yh)
@@ -260,6 +259,6 @@ def test_criterion_7_refinement_stability():
         p, mu, c, g = _order1_instance(rng)
         f_lo = solve_order1_param(p, mu, c, g, 6, 5)
         f_hi = solve_order1_param(p, mu, c, g, 12, 10)
-        eq, common = f_lo.eq_on_mask(f_hi)
+        eq, common = eq_on_mask(f_lo, f_hi)
         assert eq and not common.empty
     _stamp("7 refinement", t0)

@@ -2,6 +2,7 @@
 import dataclasses
 import errno
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -15,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 import mahler
+from conftest import eq_on_mask
 from mahler.cli import elaborate, expr_str, main, parse_spec, render_pretty, run_pipeline
 from mahler.errors import (InsufficientPrecision, MahlerError, NonRationalExponentLiteral,
                            ParseError, ZeroDivisor, VerificationError)
@@ -41,8 +43,10 @@ def test_parse_example_and_round_trip():
     spec = parse_spec(EXAMPLE)
     assert spec.p == 2 and spec.order == 2
     assert all(e is not None for e in spec.coeffs)
-    assert spec.pretty() == EXAMPLE
-    assert parse_spec(spec.pretty()) == spec
+    printed = "p = %d\n" % spec.p + "".join(
+        "a[%d] = %s\n" % (i, expr_str(e)) for i, e in enumerate(spec.coeffs) if e is not None)
+    assert printed == EXAMPLE
+    assert parse_spec(printed) == spec
 
 
 def test_parse_layout_freedom():
@@ -108,10 +112,10 @@ def test_expr_str_keeps_structure():
 def test_elaborate_inverts_series():
     spec = parse_spec("p = 2\na[0] = (1 + z) / (1 + z)\na[1] = 1 / (1 + z^2)\n")
     L = elaborate(spec, 8)
-    eq, common = L.coeffs[0].eq_on_mask(one())
+    eq, common = eq_on_mask(L.coeffs[0], one())
     assert eq and common.certifies(0) and common.certifies(7)
     back = hs_mul(L.coeffs[1], hs([(0, 1), (2, 1)]))
-    eq, common = back.eq_on_mask(one())
+    eq, common = eq_on_mask(back, one())
     assert eq and not common.empty
 
 
@@ -254,11 +258,12 @@ def test_main_input_error_codes(tmp_path, capsys):
     ("p = 2\na[0] = 1 $ z\na[1] = 1\n", 2, 10, "unexpected character '$'"),
     ("p = 2 3\na[0] = 1\na[1] = 1\n", 1, 7, "expected EOL, found '3'"),
     ("p = 2\n3 = 1\na[1] = 1\n", 2, 1, "expected 'p = ...' or 'a[i] = ...'"),
+    ("p = 1\na[0] = 1\na[1] = z\n", 1, 5, "p must be an integer >= 2"),
     # digits that str.isdigit accepts and int() does not read
     ("p = 2\na[0] = 1 + \u00b2\na[1] = 1\n", 2, 12,
      "invalid literal for int() with base 10: '\u00b2'"),
     ("p = 2\na[0] = %s\na[1] = 1\n" % ("7" * 5000), 2, 8, "Exceeds the limit (4300 digits)"),
-], ids=["character", "token", "key", "digit", "digit count"])
+], ids=["character", "token", "key", "radix", "digit", "digit count"])
 def test_main_reports_parse_errors_at_their_position(tmp_path, capsys, text, line, col, message):
     f = tmp_path / "eq.txt"
     f.write_text(text, encoding="utf-8")
@@ -502,6 +507,29 @@ def test_readme_examples_run(tmp_path, capsys):
     assert "verification: ok" in capsys.readouterr().out
     assert main([str(f), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["spec"]["p"] == 2
+
+
+def _resolves(name):
+    for obj in (mahler, mahler.MahlerOperator):
+        for part in name.split("."):
+            obj = getattr(obj, part, None)
+        if obj is not None:
+            return True
+    try:
+        importlib.import_module(name)
+    except ImportError:
+        return False
+    return True
+
+
+def test_readme_entry_points_resolve():
+    """Every backticked name in the README's list of lower-level entry
+    points is an attribute of `mahler` or of `MahlerOperator`, or a module."""
+    with open(README, encoding="utf-8") as fh:
+        entries = fh.read().split("Lower-level entry points:\n\n", 1)[1].split("\n\n", 1)[0]
+    names = re.findall(r"`([A-Za-z_][\w.]*)`", entries)
+    assert "solve_slope" in names
+    assert [name for name in names if not _resolves(name)] == []
 
 
 @pytest.mark.parametrize("precision, digest", [

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (d_lambda, ev_c, ladder_g1_terms, ladder_g2_terms,
-                      ladder_operator, order1_coeff_oracle, reference_solve_gcj,
+from conftest import (d_lambda, eq_on_mask, ev_c, gcj_residual_mask, ladder_g1_terms,
+                      ladder_g2_terms, ladder_operator, order1_coeff_oracle, rand_operator,
+                      rand_param_series, rand_series, reference_solve_gcj,
                       reference_solve_order1_param, reference_specialize,
                       series_dict_on_mask)
 from mahler.cli import elaborate, parse_spec
@@ -23,12 +24,10 @@ from mahler.operator import MahlerOperator, phi_minus
 from mahler.factorize import factor_operator
 from mahler import fields, frobenius
 from mahler.frobenius import (SolutionObject, apply_to_solution, check_gcj,
-                              expected_gcj_cld, frobenius_basis,
-                              gcj_residual_mask, lift, solve_gcj, solve_slope,
+                              expected_gcj_cld, frobenius_basis, lift, solve_gcj, solve_slope,
                               solve_order1_param, specialize_solutions,
                               verify_independence)
-from mahler.testing import (rand_factored_operator, rand_operator, rand_param_series,
-                            rand_series)
+from mahler.testing import rand_factored_operator
 
 lam = RatFun.lam()
 
@@ -186,7 +185,7 @@ def test_order1_back_substitution():
         A = MahlerOperator(p, [monomial(0, RatFun.const(-c)),
                                monomial(-mu, lam)])
         res = A.apply(f)
-        eq, common = res.eq_on_mask(g)
+        eq, common = eq_on_mask(res, g)
         assert eq and not common.empty
 
 
@@ -268,7 +267,7 @@ def test_solve_slope_equals_one_solve_per_exponent(monkeypatch):
             for _, r in rhs[0].terms:
                 for c, m, _ in entry:
                     r = r.mul_root_power(c, -m)
-                assert r.is_const()
+                assert r.num.degree <= 0 and r.den.degree == 0
             assert list(gs) == [c for c, _, _ in entry]
             for c, m, s in entry:
                 want = reference_solve_gcj(L, plan, fact, c, j, ceiling, depth)
@@ -368,7 +367,7 @@ def test_specialize_drops_exact_zero_parts():
     g = monomial(0, (lam - 2) ** 2)
     (y,) = specialize_solutions(2, g, c, 0, 1)
     assert y.parts == ()
-    assert y.is_zero() and y.certified_zero()
+    assert y.certified_zero()
 
 
 def _assert_specialize_matches_reference(p, g, c, s, m_count):
@@ -473,7 +472,7 @@ def test_residual_detects_corrupted_solution():
     y_bad = SolutionObject(2, ((Fraction(1), 0, hs([(0, 1), (1, 1)])),))
     res = apply_to_solution(L, y_bad)
     assert not res.certified_zero()
-    assert not res.is_zero()
+    assert any(not fs.is_zero() for _, _, fs in res.parts)
 
 
 def test_ladder_basis_report():

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (_iv_contains, brute_conv, geometric_invert, ladder_operator,
-                      reference_add, reference_build, reference_forward_solve, reference_mul)
+from conftest import (_iv_contains, brute_conv, eq_on_mask, geometric_invert, ladder_operator,
+                      rand_param_series, rand_series, reference_add, reference_build,
+                      reference_forward_solve, reference_mul, support)
 from test_cli import EXAMPLE
 from mahler import hahn
 from mahler.cli import elaborate, parse_spec
@@ -16,8 +17,7 @@ from mahler.frobenius import frobenius_basis
 from mahler.hahn import (_FULL, NEG, POS, HahnSeries, Mask, _build_sorted, _iv_diff,
                          _iv_inter, _iv_norm, forward_solve, hs, hs_mul, hs_sum,
                          monomial, one, series_from_json, zero)
-from mahler.testing import (rand_factored_operator, rand_param_series, rand_rational,
-                            rand_series)
+from mahler.testing import rand_factored_operator, rand_rational
 
 
 def _iv_shift(ivs, d):
@@ -49,7 +49,7 @@ def test_hs_basic_construction():
     assert f.terms == ((Fraction(0), Fraction(1)), (Fraction(2), Fraction(3)))
     assert f.mask.ivs == ((Fraction(0), POS),)
     g = hs({Fraction(1, 2): Fraction(5)})
-    assert g.support() == (Fraction(1, 2),)
+    assert support(g) == (Fraction(1, 2),)
     assert zero().is_exact_zero() and zero().is_zero()
     assert one().terms == ((Fraction(0), Fraction(1)),)
     assert monomial(Fraction(-3, 2), 4).terms == ((Fraction(-3, 2), Fraction(4)),)
@@ -71,6 +71,8 @@ def test_explicit_mask_validation():
         hs([(7, 1)], mask=[(0, 5)])
     with pytest.raises(ValueError):
         Mask([(NEG, 3)])
+    with pytest.raises(ValueError, match="rational lower endpoint"):
+        hs([(1, 1)], mask=[(NEG, 3)])
 
 
 def test_mask_normalization_and_queries():
@@ -80,7 +82,7 @@ def test_mask_normalization_and_queries():
     assert m2.extended == [(NEG, Fraction(1)), (Fraction(4), POS)]
     assert m2.certifies(-100) and m2.certifies(Fraction(1, 2)) and m2.certifies(7)
     assert not m2.certifies(1) and not m2.certifies(3)
-    assert m2.lower() == 0 and m2.first_gap() == 1
+    assert m2.ivs == ((Fraction(0), Fraction(1)), (Fraction(4), POS)) and m2.first_gap() == 1
     assert Mask(()).empty
     assert Mask([(2, 2)]).empty
 
@@ -164,7 +166,7 @@ def test_add_and_neg():
 
 def test_shift_scale_mal():
     f = hs([(1, 2), (3, -1)], mask=[(1, 6)])
-    assert f.shift(Fraction(1, 2)).support() == (Fraction(3, 2), Fraction(7, 2))
+    assert support(f.shift(Fraction(1, 2))) == (Fraction(3, 2), Fraction(7, 2))
     assert f.shift(Fraction(1, 2)).mask.ivs == ((Fraction(3, 2), Fraction(13, 2)),)
     assert f.scale(3).terms == ((Fraction(1), Fraction(6)), (Fraction(3), Fraction(-3)))
     assert f.scale(0).is_exact_zero()
@@ -172,9 +174,9 @@ def test_shift_scale_mal():
     far = Fraction(10) ** 400
     assert one().shift(far).mask.ivs == ((far, POS),) == one().shift(1).mal(1, far).mask.ivs
     m = f.mal(2, 2)
-    assert m.support() == (Fraction(4), Fraction(12)) and m.mask.ivs == ((4, 24),)
+    assert support(m) == (Fraction(4), Fraction(12)) and m.mask.ivs == ((4, 24),)
     back = f.mal(-1, 2)
-    assert back.support() == (Fraction(1, 2), Fraction(3, 2))
+    assert support(back) == (Fraction(1, 2), Fraction(3, 2))
     assert back.mask.ivs == ((Fraction(1, 2), Fraction(3)),)
 
 
@@ -255,18 +257,18 @@ def test_map_coeffs_drops_zero_images():
 def test_cap_forget_restrict():
     f = hs([(0, 1), (2, 3), (5, 7)])
     c = f.cap(4)
-    assert c.support() == (Fraction(0), Fraction(2))
+    assert support(c) == (Fraction(0), Fraction(2))
     assert c.mask.ivs == ((Fraction(0), Fraction(4)),)
     h = f.forget(1, 3)
-    assert h.support() == (Fraction(0), Fraction(5))
+    assert support(h) == (Fraction(0), Fraction(5))
     assert f.forget(3, 3) == f and f.forget(3, 1) == f  # an empty [lo, hi) forgets nothing
     assert not h.mask.certifies(2) and h.mask.certifies(4)
     r = f.restrict(1, 4)
-    assert r.support() == (Fraction(2),)
+    assert support(r) == (Fraction(2),)
     assert r.coeff_at(100) == 0 and r.coeff_at(-100) == 0
     assert r.coeff_at(2) == 3
     low = f.restrict(NEG, 1)
-    assert low.support() == (Fraction(0),) and low.coeff_at(3) == 0
+    assert support(low) == (Fraction(0),) and low.coeff_at(3) == 0
 
 
 def test_restrict_of_empty_mask():
@@ -472,7 +474,7 @@ def test_invert_multiplies_back_to_one():
         f = rand_series(rng)
         finv = f.invert(10)
         prod = f * finv
-        eq, common = prod.eq_on_mask(one())
+        eq, common = eq_on_mask(prod, one())
         assert eq and not common.empty
         assert prod.coeff_at(0) == 1
     g = hs([(0, 2), (3, 1), (Fraction(7, 2), -5)])
@@ -533,12 +535,12 @@ def test_invert_rejects_uncertified_leading_term():
 def test_eq_on_mask():
     f = hs([(0, 1), (2, 5)])
     g = hs([(0, 1), (2, 5), (9, 1)]).cap(8)
-    eq, common = f.eq_on_mask(g)
+    eq, common = eq_on_mask(f, g)
     assert eq and common.first_gap() == 8
     h = hs([(0, 1), (2, 4)])
-    eq2, _ = f.eq_on_mask(h)
+    eq2, _ = eq_on_mask(f, h)
     assert not eq2
-    eq3, _ = f.eq_on_mask(h.forget(2, 3))
+    eq3, _ = eq_on_mask(f, h.forget(2, 3))
     assert eq3
 
 

@@ -1,7 +1,10 @@
 """Every module under src/ and tests/ uses each name it imports, every
-private module-level name in src/ is used somewhere in src/, and no function
-of the command-line front end calls itself."""
+private module-level name in src/ is used somewhere in src/, every function
+and method in src/ has a reader there (or is exported, or traced by the
+benchmark), and no function of the command-line front end calls itself."""
 import ast
+import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,13 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src").rglob("*.py"))
 MODULES = SOURCES + sorted((ROOT / "tests").glob("*.py"))
+
+
+def exported(tree):
+    """The names listed in the module's `__all__`."""
+    return {elt.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for elt in node.value.elts}
 
 
 def unused_imports(source):
@@ -24,10 +34,7 @@ def unused_imports(source):
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            used |= {elt.value for elt in node.value.elts}
+    used |= exported(tree)
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
@@ -48,18 +55,19 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def reads(node):
+    """How often each name is read under `node`, as a name or an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+                   or isinstance(n, ast.Attribute))
+
+
 def unreferenced_private_names(sources):
     """Module-level `_name` bindings (not dunders) of the given module sources
     that no source reads, as a name or an attribute, outside the binding's
     own statement."""
     trees = [ast.parse(source) for source in sources]
-    reads = {}
-    for tree in trees:
-        for node in ast.walk(tree):
-            name = (node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-                    else node.attr if isinstance(node, ast.Attribute) else None)
-            if name:
-                reads[name] = reads.get(name, 0) + 1
+    total = sum(map(reads, trees), Counter())
     out = []
     for tree in trees:
         for stmt in tree.body:
@@ -71,13 +79,9 @@ def unreferenced_private_names(sources):
             else:
                 continue
             for name in names:
-                if name.startswith("_") and not name.startswith("__"):
-                    own = sum(1 for n in ast.walk(stmt)
-                              if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
-                                  and n.id == name)
-                              or (isinstance(n, ast.Attribute) and n.attr == name))
-                    if reads.get(name, 0) <= own:
-                        out.append(name)
+                if (name.startswith("_") and not name.startswith("__")
+                        and total[name] <= reads(stmt)[name]):
+                    out.append(name)
     return sorted(out)
 
 
@@ -97,6 +101,113 @@ def test_private_checker_finds_unreferenced_names():
 def test_no_unreferenced_private_names_in_src():
     sources = [path.read_text(encoding="utf-8") for path in SOURCES]
     assert unreferenced_private_names(sources) == []
+
+
+def tracer_targets(source):
+    """Attribute names bound by the `targets()` list of the benchmark's
+    span tracer, read from its source: entries are (owner, attribute, span
+    name, hook) tuples."""
+    tree = ast.parse(source)
+    [fn] = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "targets"]
+    [ret] = [n for n in ast.walk(fn) if isinstance(n, ast.Return)]
+    return {entry.elts[1].value for entry in ret.value.elts}
+
+
+def unread_functions(sources, traced=()):
+    """Module-level functions and class methods (as `name` or `Class.name`)
+    of the given module sources whose name no source reads, as a name or an
+    attribute, outside the definition itself.  Dunders, names listed in an
+    `__all__` and the `traced` names are exempt."""
+    trees = [ast.parse(source) for source in sources]
+    total = sum(map(reads, trees), Counter())
+    exempt = set(traced).union(*map(exported, trees))
+    out = []
+    for tree in trees:
+        for stmt in tree.body:
+            if isinstance(stmt, ast.FunctionDef):
+                defs = [("", stmt)]
+            elif isinstance(stmt, ast.ClassDef):
+                defs = [(stmt.name + ".", d) for d in stmt.body if isinstance(d, ast.FunctionDef)]
+            else:
+                continue
+            for owner, d in defs:
+                name = d.name
+                dunder = name.startswith("__") and name.endswith("__")
+                if not dunder and name not in exempt and total[name] <= reads(d)[name]:
+                    out.append(owner + name)
+    return sorted(out)
+
+
+def test_unread_function_checker():
+    source = ("__all__ = ['exported']\n"
+              "def exported():\n"
+              "    return 0\n"
+              "def unread(n):\n"
+              "    return unread(n - 1) if n else 0\n"
+              "def traced():\n"
+              "    return 0\n"
+              "def used():\n"
+              "    return 0\n"
+              "class K:\n"
+              "    def __add__(self, other):\n"
+              "        return self\n"
+              "    def method(self):\n"
+              "        return used()\n"
+              "    def lonely(self):\n"
+              "        return self.method()\n")
+    tracer = ("def targets():\n"
+              "    m = object()\n"
+              "    return [(m, 'traced', 'm.traced', None)]\n")
+    assert tracer_targets(tracer) == {"traced"}
+    assert unread_functions([source]) == ["K.lonely", "traced", "unread"]
+    assert unread_functions([source], tracer_targets(tracer)) == ["K.lonely", "unread"]
+
+
+def test_every_function_in_src_has_a_reader():
+    sources = [path.read_text(encoding="utf-8") for path in SOURCES]
+    traced = tracer_targets((ROOT / "bench" / "tracer.py").read_text(encoding="utf-8"))
+    assert unread_functions(sources, traced) == []
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "bench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bindings(modules):
+    """Every attribute of the given modules, and of the classes they define."""
+    out = {}
+    for mod in modules:
+        for key, value in vars(mod).items():
+            out[mod.__name__, key] = value
+            if isinstance(value, type) and value.__module__ == mod.__name__:
+                for attr, member in vars(value).items():
+                    out[mod.__name__, key, attr] = member
+    return out
+
+
+def test_tracer_targets_resolve_and_uninstall_restores_every_binding():
+    """The tracer-bound names that the unread-function check exempts exist,
+    and tracing leaves no wrapper behind."""
+    tracer = _load_tracer()
+    targets = tracer.targets()
+    for owner, attr, _, _ in targets:
+        assert callable(vars(owner).get(attr)), (owner.__name__, attr)
+    modules = tracer.mahler_modules()
+    before = _bindings(modules)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        during = _bindings(modules)
+    finally:
+        t.uninstall()
+    wrapped = {key[-1] for key, value in before.items() if during[key] is not value}
+    assert wrapped == {attr for _, attr, _, _ in targets}
+    after = _bindings(modules)
+    assert after.keys() == before.keys()
+    assert [key for key, value in before.items() if after[key] is not value] == []
 
 
 def self_calls(source):
