@@ -217,7 +217,7 @@ def parse_spec(text):
     toks = _tokens(text)
     P = _Parser(toks)
     p = None
-    coeffs = {}
+    coeffs, keys = {}, {}  # keys: where each a[i] is given
     while P.cur()[0] != "EOF":
         if P.cur()[0] == "EOL":
             P.i += 1
@@ -243,6 +243,7 @@ def parse_spec(text):
             if idx in coeffs:
                 raise ParseError("a[%d] given twice" % idx, ln, col)
             coeffs[idx] = P.expr()
+            keys[idx] = ln, col
             P.eat("EOL")
         else:
             raise ParseError("unknown key %r" % v, ln, col)
@@ -252,11 +253,13 @@ def parse_spec(text):
         raise ParseError("no coefficients given")
     n = max(coeffs)
     if n < 1:
-        raise ParseError("the equation must have order at least 1")
+        raise ParseError("the equation must have order at least 1", *keys[0])
     for end in (0, n):
         e = coeffs.get(end)
         if e is None or e == (("num", 0),):
-            raise ParseError("a[0] and a[%d] must be present and nonzero" % n)
+            # a missing a[0] is reported at the a[n] key
+            raise ParseError("a[0] and a[%d] must be present and nonzero" % n,
+                             *keys[end if e is not None else n])
     return EquationSpec(p, tuple(coeffs.get(i) for i in range(n + 1)))
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from .errors import InsufficientPrecision, PlanMismatch, VerificationError
 from .factorize import factor_operator
 from .fields import RatFun, pole_order
-from .hahn import NEG, POS, HahnSeries, hs_mul, hs_sum, monomial, zero
+from .hahn import NEG, POS, HahnSeries, hs_mul, hs_mul_sums, hs_sum, monomial, zero
 from .newton import analyze, frobenius_plan
 
 
@@ -214,18 +214,19 @@ def specialize_solutions(p, g, c, s, m_count):
 
 def apply_to_solution(L, y):
     """Apply the operator to an l-expansion, using
-    phi_p**i(l_{c,u}) = sum_t binom(i,t) c**(i-t) l_{c,u-t}."""
-    p = L.p
-    acc = {}
-    for i, ai in enumerate(L.coeffs):
-        if ai.is_exact_zero():
-            continue
-        for c, u, fs in y.parts:
-            moved = hs_mul(ai, fs.mal(i, p))
+    phi_p**i(l_{c,u}) = sum_t binom(i,t) c**(i-t) l_{c,u-t}.
+
+    The part of L(y) at l_{c,v} is the sum over i, t of
+    binom(i,t) c**(i-t) a_i phi_p**i(f_{c,v+t}).  `hs_mul_sums` forms each
+    product a_i phi_p**i(f) once, for every key it feeds, and folds each
+    key's weighted products on integers."""
+    coeffs = [(i, ai) for i, ai in enumerate(L.coeffs) if not ai.is_exact_zero()]
+    sums = {}
+    for n, (i, _) in enumerate(coeffs):
+        for m, (c, u, _) in enumerate(y.parts):
             for t in range(min(i, u) + 1):
-                w = math.comb(i, t) * c ** (i - t)
-                acc.setdefault((c, u - t), []).append(moved.scale(w))
-    return _solution(p, {key: hs_sum(pieces) for key, pieces in acc.items()})
+                sums.setdefault((c, u - t), []).append((math.comb(i, t) * c ** (i - t), n, m))
+    return _solution(L.p, hs_mul_sums(L.p, coeffs, [fs for _, _, fs in y.parts], sums))
 
 
 @dataclass(frozen=True)

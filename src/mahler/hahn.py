@@ -164,17 +164,7 @@ def _build_sorted(tl, ext):
     support keeps the same certified region)."""
     if not ext or ext[0][0] != NEG:
         return HahnSeries((), _EMPTY)
-    # one sweep over the intervals in order: each bisects the exponents
-    # left after the previous one
-    kept, i, n = [], 0, len(tl)
-    for lo, hi in ext:
-        if i == n:
-            break
-        if lo != NEG:
-            i = bisect_left(tl, lo, i, key=_exp)
-        j = n if hi == POS else bisect_left(tl, hi, i, key=_exp)
-        kept += tl[i:j]
-        i = j
+    kept = _kept(tl, ext)
     hi0 = ext[0][1]
     if kept and kept[0][0] < hi0:
         lo0 = kept[0][0]
@@ -184,6 +174,22 @@ def _build_sorted(tl, ext):
         lo0 = hi0 - 1
     return HahnSeries(tuple(kept), Mask._of(
         [(_rat(lo), hi if hi == POS else _rat(hi)) for lo, hi in ((lo0, hi0), *ext[1:])]))
+
+
+def _kept(tl, ext):
+    """The terms of tl (sorted by distinct exponents) whose exponents lie in
+    the normalized region ext: one sweep over the intervals in order, each
+    bisecting the exponents left after the previous one."""
+    kept, i, n = [], 0, len(tl)
+    for lo, hi in ext:
+        if i == n:
+            break
+        if lo != NEG:
+            i = bisect_left(tl, lo, i, key=_exp)
+        j = n if hi == POS else bisect_left(tl, hi, i, key=_exp)
+        kept += tl[i:j]
+        i = j
+    return kept
 
 
 def _rat(x):
@@ -529,18 +535,78 @@ def _forward_ints(one, lead, rows, cut, D):
 
 def hs_mul(f, g):
     """Product.  A coefficient of f*g is certified unless it can receive a
-    contribution involving an uncertified coefficient: the uncertified region
-    of one factor shifted by any possible support point of the other.  Pairs
-    at or above the top of the certified region are never formed.
+    contribution involving an uncertified coefficient (`_mul_region`).
+    Pairs at or above the top of the certified region are never formed.
 
-    The pairs are formed on integers: with D the lcm of the exponent
-    denominators of both factors, exponent e becomes E = D*e, and a pair is
-    formed only when E1 + E2 < ceil(top*D).  When every coefficient is a
-    Fraction, each factor's coefficients become integer numerators over one
-    common denominator and the convolution sums ints; otherwise the products
-    at each exponent are collected in a list and added by one left fold of
-    their own +.  One Fraction exponent and one coefficient are built per
-    output term, and zero sums are dropped."""
+    Over Q this is the one-product case of `hs_mul_sums`.  Over Q(lambda)
+    the same steps run, but the products at each exponent are collected in
+    a list and added by one left fold of their own +."""
+    if all(type(c) is Fraction for t in (f.terms, g.terms) for _, c in t):
+        return hs_mul_sums(1, [(0, f)], [g], {0: [(1, 0, 0)]})[0]
+    short = _mul_shortcut(f, g)
+    if short is not None:
+        return short
+    M = _grid((f, g))
+    (fe, fi), (ge, gi) = _on_grid(f, M), _on_grid(g, M)
+    ext = _mul_region(fe, fi, ge, gi)
+    top = ext[-1][1]
+    g_exps = [E for E, _ in gi]
+    acc = {}
+    for E1, c1 in fi:
+        n = len(gi) if top == POS else bisect_left(g_exps, top - E1)
+        if not n:
+            break
+        for E2, c2 in gi[:n]:
+            vs = acc.get(E1 + E2)
+            if vs is None:
+                acc[E1 + E2] = [c1 * c2]
+            else:
+                vs.append(c1 * c2)
+    terms = [(Fraction(E, M), v) for E, vs in sorted(acc.items())
+             for v in (sum(vs[1:], vs[0]),) if v]
+    return _build_sorted(terms, _off_grid(ext, M))
+
+
+def hs_mul_sums(p, fs, gs, sums):
+    """{key: sum of w * f_n * phi_p**k_n(g_m) over the (w, n, m) in sums[key]},
+    with (k_n, f_n) = fs[n], g_m = gs[m], every series over Q and w rational;
+    equal, masks included, to hs_sum of hs_mul(f_n, g_m.mal(k_n, p)).scale(w).
+
+    Everything runs on one integer lattice (1/M)Z, M clearing the
+    denominators of every exponent and finite mask endpoint, so phi_p**k
+    multiplies integers by p**k.  Each product is formed once: its region
+    and its convolution of integer numerators.  Per key, the regions are
+    intersected and the weighted sums folded over one common denominator;
+    one Fraction is built per kept term.  A key with a single product takes
+    hs_mul's shortcuts (`_mul_shortcut`) first."""
+    M = _grid([f for _, f in fs] + gs)
+    f_grid = [_numerators(_on_grid(f, M)) for _, f in fs]
+    g_grid = [_numerators(_on_grid(g, M)) for g in gs]
+    products, out = {}, {}
+    for key, ws in sums.items():
+        if len(ws) == 1 and ws[0][0]:
+            w, n, m = ws[0]
+            (k, f), g = fs[n], gs[m]
+            short = _mul_shortcut(f, g.mal(k, p))
+            if short is not None:
+                out[key] = short if w == 1 else short.scale(w)
+                continue
+        pieces = []
+        for w, n, m in ws:
+            if not w:
+                continue  # a zero multiple is the exact zero
+            prod = products.get((n, m))
+            if prod is None:
+                prod = products[n, m] = _grid_product(f_grid[n], g_grid[m], p ** fs[n][0])
+            pieces.append((w, prod))
+        out[key] = _weighted_sum(M, pieces)
+    return out
+
+
+def _mul_shortcut(f, g):
+    """f*g when a factor has an empty mask (certifies nothing), is an exact
+    zero, or is an exact monomial (shifts and scales the other, whose stored
+    mask is kept); None otherwise."""
     fe, ge = f.mask.extended, g.mask.extended
     if not fe or not ge:
         return HahnSeries((), _EMPTY)
@@ -550,42 +616,100 @@ def hs_mul(f, g):
         return g.shift(f.terms[0][0]).scale(f.terms[0][1])
     if len(g.terms) == 1 and ge == _FULL:
         return f.shift(g.terms[0][0]).scale(g.terms[0][1])
+    return None
+
+
+def _grid(series):
+    """Smallest M with every exponent and finite mask endpoint of the given
+    series in (1/M)Z."""
+    return _lattice([e for f in series for e, _ in f.terms]
+                    + [x for f in series for iv in f.mask.ivs for x in iv if x != POS])
+
+
+def _on_grid(f, M):
+    """(extended certified region, terms) of f with every exponent and
+    finite endpoint x replaced by the integer M*x."""
+    return ([(lo if lo == NEG else lo.numerator * (M // lo.denominator),
+              hi if hi == POS else hi.numerator * (M // hi.denominator))
+             for lo, hi in f.mask.extended], _on_lattice(f.terms, M))
+
+
+def _off_grid(ext, M):
+    """A region on integers M*x back on the rationals x."""
+    return [(lo if lo == NEG else Fraction(lo, M), hi if hi == POS else Fraction(hi, M))
+            for lo, hi in ext]
+
+
+def _mul_region(fe, fi, ge, gi):
+    """Extended certified region of a product, from the extended regions and
+    the terms (sorted by exponent) of its factors, exponents and endpoints
+    all on one lattice: every exponent but those that can receive a
+    contribution involving an uncertified coefficient.  Those are the
+    finite gaps of one factor shifted by each exponent of the other, its
+    final ray (lo, +inf) shifted by the other's least exponent, and, when
+    both factors have one, the ray from the sum of their first uncertified
+    exponents.  A factor with an empty mask certifies nothing."""
+    if not fe or not ge:
+        return []
     unc_f, unc_g = _iv_diff(_FULL, fe), _iv_diff(_FULL, ge)
-    poll = _mul_pollution(unc_f, g) + _mul_pollution(unc_g, f)
+    poll = []
+    for unc, terms in ((unc_f, gi), (unc_g, fi)):
+        if unc and terms:
+            poll += [(lo + E, hi + E) for lo, hi in unc if hi != POS for E, _ in terms]
+            if unc[-1][1] == POS:
+                poll.append((unc[-1][0] + terms[0][0], POS))
     if unc_f and unc_g:
         poll.append((unc_f[0][0] + unc_g[0][0], POS))
-    ext = _iv_diff(_FULL, _iv_norm(poll))
-    top = ext[-1][1]
-    D = _lattice(e for t in (f.terms, g.terms) for e, _ in t)
-    fi, gi = _on_lattice(f.terms, D), _on_lattice(g.terms, D)
-    cut = None if top == POS else math.ceil(top * D)  # e < top iff D*e < cut
-    ints = all(type(c) is Fraction for t in (f.terms, g.terms) for _, c in t)
-    if ints:
-        (fi, fden), (gi, gden) = _numerators(fi), _numerators(gi)
+    return _iv_diff(_FULL, _iv_norm(poll))
+
+
+def _grid_product(f, g, s):
+    """(region, {E: integer sum}, denominator) of f times g with g's
+    exponents multiplied by s, for f and g given by _numerators on one
+    lattice."""
+    fe, fi, fden = f
+    ge, gi, gden = g
+    if s != 1:
+        ge = [(lo * s, hi * s) for lo, hi in ge]
+        gi = [(E * s, N) for E, N in gi]
+    ext = _mul_region(fe, fi, ge, gi)
+    return ext, _convolve(fi, gi, ext[-1][1] if ext else NEG), fden * gden
+
+
+def _convolve(fi, gi, top):
+    """{E1 + E2: sum of N1 * N2} over the pairs of terms (E1, N1) of fi and
+    (E2, N2) of gi (sorted by integer exponent) with E1 + E2 < top."""
     g_exps = [E for E, _ in gi]
     acc = {}
-    for E1, c1 in fi:
-        n = len(gi) if cut is None else bisect_left(g_exps, cut - E1)
+    for E1, N1 in fi:
+        n = len(gi) if top == POS else bisect_left(g_exps, top - E1)
         if not n:
             break
-        if ints:
-            for E2, c2 in gi[:n]:
-                E = E1 + E2
-                acc[E] = acc.get(E, 0) + c1 * c2
-        else:
-            for E2, c2 in gi[:n]:
-                vs = acc.get(E1 + E2)
-                if vs is None:
-                    acc[E1 + E2] = [c1 * c2]
-                else:
-                    vs.append(c1 * c2)
-    if ints:
-        den = fden * gden
-        terms = [(Fraction(E, D), Fraction(s, den)) for E, s in sorted(acc.items()) if s]
-    else:
-        terms = [(Fraction(E, D), v) for E, vs in sorted(acc.items())
-                 for v in (sum(vs[1:], vs[0]),) if v]
-    return _build_sorted(terms, ext)
+        for E2, N2 in gi[:n]:
+            E = E1 + E2
+            acc[E] = acc.get(E, 0) + N1 * N2
+    return acc
+
+
+def _weighted_sum(M, pieces):
+    """The series sum of w * product over the (w, product) in pieces, each
+    product a _grid_product on (1/M)Z: the regions intersected, the sums
+    folded into integer numerators over one common denominator, one Fraction
+    per kept term and one _build_sorted.  No pieces make the exact zero."""
+    ext = _FULL
+    for _, (region, _, _) in pieces:
+        ext = _iv_inter(ext, region)
+    if not ext:
+        return HahnSeries((), _EMPTY)
+    den = math.lcm(*(w.denominator * d for w, (_, _, d) in pieces))
+    acc = {}
+    for w, (_, sums, d) in pieces:
+        k = w.numerator * (den // (w.denominator * d))
+        for E, s in sums.items():
+            acc[E] = acc.get(E, 0) + k * s
+    return _build_sorted([(Fraction(E, M), Fraction(S, den))
+                          for E, S in _kept(sorted(acc.items()), ext) if S],
+                         _off_grid(ext, M))
 
 
 def _lattice(exps):
@@ -598,23 +722,13 @@ def _on_lattice(terms, D):
     return [(e.numerator * (D // e.denominator), c) for e, c in terms]
 
 
-def _numerators(terms):
-    """(terms with Fraction coefficients as integer numerators over one
-    common denominator, that denominator)."""
+def _numerators(grid):
+    """(region, terms, den) for a series on a lattice, (region, terms), with
+    Fraction coefficients: the coefficients become integer numerators over
+    their common denominator den."""
+    ext, terms = grid
     den = math.lcm(*{c.denominator for _, c in terms})
-    return [(E, c.numerator * (den // c.denominator)) for E, c in terms], den
-
-
-def _mul_pollution(unc, g):
-    """Product regions reachable from uncertified exponents in `unc` paired
-    with the stored support of g.  A final ray (lo, +inf) of `unc` pollutes
-    the single ray (lo + min supp g, +inf)."""
-    if not g.terms:
-        return []
-    out = [(lo + e, hi + e) for lo, hi in unc if hi != POS for e, _ in g.terms]
-    if unc and unc[-1][1] == POS:
-        out.append((unc[-1][0] + g.terms[0][0], POS))
-    return out
+    return ext, [(E, c.numerator * (den // c.denominator)) for E, c in terms], den
 
 
 def series_from_json(data):

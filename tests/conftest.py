@@ -54,6 +54,29 @@ def rand_param_series(rng, terms=3, deg=2, lo=-3, hi=3):
     return hs(sorted(out.items()))
 
 
+def pipeline_mask(rng, f, p):
+    """f with a mask of one of the kinds the pipeline makes, endpoints off
+    the lattice of f's exponents: capped at a ceiling minus nu/(p-1),
+    holed from a forget bound vb * p**(-depth-1), holed several times with
+    its +inf ray kept, or emptied."""
+    lo = f.terms[0][0]
+    kind = rng.choice(("ceiling", "forget bound", "gaps and ray", "empty"))
+    if kind == "ceiling":
+        nu = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+        return kind, f.cap(Fraction(rng.randint(0, 8)) - nu / (p - 1))
+    if kind == "forget bound":
+        b = (lo - 1) * Fraction(p) ** (-rng.randint(2, 8) - 1)
+        return kind, f.forget(b, max(b + Fraction(1, 2), Fraction(0)))
+    if kind == "gaps and ray":
+        cut = lo + Fraction(rng.randint(0, 3), rng.choice((5, 7, 13)))
+        for _ in range(rng.randint(2, 4)):
+            width = Fraction(rng.randint(1, 3), rng.choice((2, p ** 3, 11)))
+            f = f.forget(cut, cut + width)
+            cut += width + Fraction(rng.randint(1, 4), rng.choice((3, p ** 2)))
+        return kind, f
+    return kind, f.forget(NEG, lo + 1)
+
+
 def support(f):
     """The exponents of the stored terms."""
     return tuple(e for e, _ in f.terms)
@@ -585,6 +608,26 @@ def reference_specialize(p, g, c, s, m_count):
             parts[(c, u)] = ev_c(derivs[t - u], c).scale(w)
         out.append(_solution(p, parts))
     return out
+
+
+def reference_apply_to_solution(L, y):
+    """Apply the operator to an l-expansion, using
+    phi_p**i(l_{c,u}) = sum_t binom(i,t) c**(i-t) l_{c,u-t}.
+
+    Oracle for frobenius.apply_to_solution: the library's earlier fold, one
+    product per (i, part), scaled per key and summed by hs_sum, with the
+    products formed by reference_mul."""
+    p = L.p
+    acc = {}
+    for i, ai in enumerate(L.coeffs):
+        if ai.is_exact_zero():
+            continue
+        for c, u, fs in y.parts:
+            moved = reference_mul(ai, fs.mal(i, p))
+            for t in range(min(i, u) + 1):
+                w = math.comb(i, t) * c ** (i - t)
+                acc.setdefault((c, u - t), []).append(moved.scale(w))
+    return _solution(p, {key: hs_sum(pieces) for key, pieces in acc.items()})
 
 
 def apply_brute(L, f):

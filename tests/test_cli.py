@@ -263,7 +263,14 @@ def test_main_input_error_codes(tmp_path, capsys):
     ("p = 2\na[0] = 1 + \u00b2\na[1] = 1\n", 2, 12,
      "invalid literal for int() with base 10: '\u00b2'"),
     ("p = 2\na[0] = %s\na[1] = 1\n" % ("7" * 5000), 2, 8, "Exceeds the limit (4300 digits)"),
-], ids=["character", "token", "key", "radix", "digit", "digit count"])
+    # checked once every key is read: a zero end points at its own key, a
+    # missing a[0] at the a[n] key, and order 0 at the a[0] key
+    ("p = 2\na[0] = 0\na[1] = z\n", 2, 1, "a[0] and a[1] must be present and nonzero"),
+    ("p = 2\na[0] = 1\n  a[3] = 0\n", 3, 3, "a[0] and a[3] must be present and nonzero"),
+    ("p = 2\na[1] = z\n  a[3] = 1\n", 3, 3, "a[0] and a[3] must be present and nonzero"),
+    ("p = 2\na[0] = 5\n", 2, 1, "the equation must have order at least 1"),
+], ids=["character", "token", "key", "radix", "digit", "digit count", "zero a[0]",
+        "zero a[n]", "missing a[0]", "order 0"])
 def test_main_reports_parse_errors_at_their_position(tmp_path, capsys, text, line, col, message):
     f = tmp_path / "eq.txt"
     f.write_text(text, encoding="utf-8")
@@ -543,6 +550,28 @@ def test_dense_report_matches_the_recorded_digest(tmp_path, capsys, precision, d
     f = tmp_path / "eq.txt"
     f.write_text(DENSE)
     assert main([str(f), "--precision", precision, "--depth", "8", "--verify", "--json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# the p = 2 and p = 3 ladders (phi - z^nu) h^-1 (phi - 1) of the benchmark
+LADDER_P2 = ("p = 2\na[0] = z^(-2) / (1 + z^(2))\n"
+             "a[1] = -(1 / (1 + z^(4)) + z^(-2) / (1 + z^(2)))\na[2] = 1 / (1 + z^(4))\n")
+LADDER_P3 = ("p = 3\na[0] = z^(-3) / (1 + z^(3/2))\n"
+             "a[1] = -(1 / (1 + z^(9/2)) + z^(-3) / (1 + z^(3/2)))\na[2] = 1 / (1 + z^(9/2))\n")
+
+
+@pytest.mark.parametrize("text, digest", [
+    (EXAMPLE, "1d3d3ed43420349fcf3f549b936819d197c5fbc38a75ebf3b1e054abda33860d"),
+    (LADDER_P2, "31c3d28f46c0d1fd66b43b848761274605efbb777d1c3420efff9934b4c17233"),
+    (LADDER_P3, "554f0d5b73819ef054f55b4f477fc5cb9bbd130b902b4637ac7da234a765cf87"),
+], ids=["readme", "ladder p2", "ladder p3"])
+def test_ladder_report_matches_the_recorded_digest(tmp_path, capsys, text, digest):
+    """The README example and the ladders at precision and depth 32 with
+    --verify --json: each report, residual masks included, is byte-identical
+    to the one recorded when the residual was still folded on Fractions."""
+    f = tmp_path / "eq.txt"
+    f.write_text(text)
+    assert main([str(f), "--precision", "32", "--depth", "32", "--verify", "--json"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 

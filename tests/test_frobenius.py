@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -11,14 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (d_lambda, eq_on_mask, ev_c, gcj_residual_mask, ladder_g1_terms,
-                      ladder_g2_terms, ladder_operator, order1_coeff_oracle, rand_operator,
-                      rand_param_series, rand_series, reference_solve_gcj,
+                      ladder_g2_terms, ladder_operator, order1_coeff_oracle, pipeline_mask,
+                      rand_exponent, rand_operator, rand_param_series, rand_series,
+                      reference_apply_to_solution, reference_solve_gcj,
                       reference_solve_order1_param, reference_specialize,
                       series_dict_on_mask)
 from mahler.cli import elaborate, parse_spec
 from mahler.errors import MahlerError, PlanMismatch, PoleAtEvaluationPoint, VerificationError
 from mahler.fields import RatFun, pole_order
-from mahler.hahn import NEG, POS, hs, monomial, one, zero
+from mahler.hahn import NEG, POS, HahnSeries, hs, monomial, one, zero
 from mahler.newton import analyze, frobenius_plan
 from mahler.operator import MahlerOperator, phi_minus
 from mahler.factorize import factor_operator
@@ -473,6 +475,101 @@ def test_residual_detects_corrupted_solution():
     res = apply_to_solution(L, y_bad)
     assert not res.certified_zero()
     assert any(not fs.is_zero() for _, _, fs in res.parts)
+
+
+def _rand_residual_case(rng):
+    """A random operator and a random l-expansion.  Coefficients and parts
+    mostly get masks of the pipeline's kinds (`pipeline_mask`: off-lattice
+    endpoints, several gaps, empty); now and then a coefficient is an exact
+    monomial or, inside, the exact zero, a part is missing or keeps its mask
+    but no terms, and c = 0."""
+    L = rand_operator(rng)
+    p = L.p
+    coeffs = []
+    for i, a in enumerate(L.coeffs):
+        kind = rng.choice(("gapped", "gapped", "exact", "monomial", "zero"))
+        if kind == "zero" and 0 < i < L.order:
+            a = zero()
+        elif kind == "monomial":
+            a = monomial(rand_exponent(rng), Fraction(rng.choice((-3, 1, 2)), 2))
+        elif kind == "gapped":
+            a = pipeline_mask(rng, a, p)[1]
+        coeffs.append(a)
+    c = rng.choice((Fraction(1), Fraction(2), Fraction(-1, 2), Fraction(3), Fraction(0)))
+    parts = []
+    for u in range(rng.randint(1, 4)):
+        if rng.random() < 0.2:
+            continue
+        f = rand_series(rng, 6)
+        if rng.random() < 0.8:
+            f = pipeline_mask(rng, f, p)[1]
+        if rng.random() < 0.15:
+            f = HahnSeries((), f.mask)  # no terms, the mask kept
+        parts.append((c, u, f))
+    return MahlerOperator(p, coeffs), SolutionObject(p, tuple(parts))
+
+
+def test_residual_equals_reference_on_the_criterion3_basis():
+    """Every solution of the 200 criterion-3 operators."""
+    rng = random.Random(2026)
+    count = 0
+    for _ in range(200):
+        L, _ = rand_factored_operator(rng, Fraction(3))
+        for sol in frobenius_basis(L, 3, 2, verify=False).solutions:
+            assert apply_to_solution(L, sol) == reference_apply_to_solution(L, sol)
+            count += 1
+    assert count > 300
+
+
+def test_residual_equals_reference_on_gapped_random_solutions():
+    rng = random.Random(181)
+    seen = set()
+    for _ in range(400):
+        L, y = _rand_residual_case(rng)
+        assert apply_to_solution(L, y) == reference_apply_to_solution(L, y)
+        for _, _, f in y.parts:
+            if len(f.mask.ivs) >= 3:
+                seen.add("gapped")
+            D = math.lcm(*(e.denominator for e, _ in f.terms))
+            if any(x != POS and (x * D).denominator > 1 for iv in f.mask.ivs for x in iv):
+                seen.add("off-lattice")
+            if f.mask.empty:
+                seen.add("empty")
+            elif not f.terms:
+                seen.add("no terms")
+        if any(a.is_exact_zero() for a in L.coeffs[1:-1]):
+            seen.add("zero interior")
+    assert seen == {"gapped", "off-lattice", "empty", "no terms", "zero interior"}
+
+
+@pytest.mark.parametrize("case", ["zero interior", "empty part", "single contribution",
+                                  "single monomial contribution", "zero weight"])
+def test_residual_equals_reference_on_edge_cases(case):
+    """An exact-zero a_1; a part with an empty mask; keys fed by one product
+    only (part u = 0 absent, so (c, 0) is reached from u = 1 alone), through
+    the general product and through an exact monomial; c = 0, whose weights
+    c**(i-t) vanish for t < i."""
+    f = hs([(Fraction(-1, 3), 2), (0, -1), (Fraction(5, 2), Fraction(3, 7))]).forget(
+        Fraction(1, 5), Fraction(4, 5)).cap(Fraction(29, 8))
+    a = hs([(0, 1), (Fraction(1, 2), -2), (3, 1)]).cap(Fraction(17, 4))
+    c = Fraction(2)
+    if case == "zero interior":
+        L, parts = MahlerOperator(2, [a, zero(), a.shift(1)]), [(c, 0, f), (c, 1, f)]
+    elif case == "empty part":
+        L, parts = MahlerOperator(3, [a, a]), [(c, 0, f), (c, 1, f.forget(NEG, POS))]
+    elif case == "single contribution":
+        L, parts = MahlerOperator(2, [a, a.shift(-1)]), [(c, 1, f)]
+    elif case == "single monomial contribution":
+        # the stored lower end -4 lies below the support: hs_mul's shortcut
+        # keeps it, where a product built from the region would not
+        part = hs([(1, 2), (2, 3)], mask=[(-4, Fraction(5, 2)), (3, 4)])
+        L, parts = MahlerOperator(2, [a, monomial(Fraction(1, 3), 5)]), [(c, 1, part)]
+    else:
+        L, parts = MahlerOperator(2, [a, a, a]), [(Fraction(0), 0, f), (Fraction(0), 2, f)]
+    y = SolutionObject(L.p, tuple(parts))
+    res = apply_to_solution(L, y)
+    assert res == reference_apply_to_solution(L, y)
+    assert res.parts
 
 
 def test_ladder_basis_report():

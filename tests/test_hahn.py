@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (_iv_contains, brute_conv, eq_on_mask, geometric_invert, ladder_operator,
-                      rand_param_series, rand_series, reference_add, reference_build,
-                      reference_forward_solve, reference_mul, support)
+                      pipeline_mask, rand_param_series, rand_series, reference_add,
+                      reference_build, reference_forward_solve, reference_mul, support)
 from test_cli import EXAMPLE
 from mahler import hahn
 from mahler.cli import elaborate, parse_spec
@@ -387,6 +387,31 @@ def test_mul_equals_unbounded_reference():
         assert prod == reference_mul(f, g)
         masks.add(len(prod.mask.ivs))
     assert max(masks) >= 3
+
+
+@pytest.mark.parametrize("ring", ["Q", "Q(lambda)"])
+def test_mul_region_on_pipeline_masks_equals_reference(ring):
+    """The product region, computed on integers after scaling exponents and
+    mask endpoints by one common denominator, equals the Fraction oracle's
+    (terms and stored masks both) when the endpoints lie off the terms'
+    lattice."""
+    rng = random.Random(29 + len(ring))
+    make = rand_series if ring == "Q" else rand_param_series
+    seen = set()
+    for _ in range(300):
+        p = rng.choice((2, 3, 5))
+        kind_f, f = pipeline_mask(rng, make(rng), p)
+        kind_g, g = pipeline_mask(rng, make(rng), p)
+        assert hs_mul(f, g) == reference_mul(f, g)
+        seen |= {kind_f, kind_g}
+        for h in (f, g):
+            D = math.lcm(*(e.denominator for e, _ in h.terms))
+            if any(x != POS and (x * D).denominator > 1 for iv in h.mask.ivs for x in iv):
+                seen.add("off-lattice")
+            if len(h.mask.ivs) >= 3 and h.mask.ivs[-1][1] == POS:
+                seen.add("several gaps, +inf ray")
+    assert seen == {"ceiling", "forget bound", "gaps and ray", "empty", "off-lattice",
+                    "several gaps, +inf ray"}
 
 
 def rand_islands(rng, f):
