@@ -11,8 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonRationalExponent, PlanMismatch, UnknownLeadingTerm, VerificationError
-from .hahn import HahnSeries, forward_solve, hs_mul, series_from_json
-from .newton import analyze, frobenius_plan
+from .hahn import HahnSeries, forward_solve, hs_mul_sums
 from .operator import MahlerOperator
 
 
@@ -26,11 +25,6 @@ class FirstOrderFactor:
 
     def to_json(self):
         return {"nu": str(self.nu), "c": str(self.c), "h": self.h.to_json()}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(Fraction(data["nu"]), Fraction(data["c"]),
-                   series_from_json(data["h"]))
 
 
 @dataclass(frozen=True)
@@ -84,19 +78,18 @@ def slope_zero_unit_solution(M, c, ceiling):
     return forward_solve(Fraction(1), b00, taps, cap)
 
 
-def factor_operator(L, ceiling, plan=None):
+def factor_operator(L, ceiling, plan):
     """Peel first-order right factors slope by slope; certifies each peel.
 
-    The slopes and exponents come from the FrobeniusPlan (built from one
-    analyze(L) when none is given): layer j gauges by nu_j and peels each
-    exponent c of entries[j], smallest first, m times.  Each peel checks that
-    the gauged remainder has slope 0 with chi(c) = 0 (PlanMismatch otherwise),
-    solves for the unit h and divides with no inverse, Mg h = Q (phi - c) + r,
-    by Horner's rule on a_i phi**i(h); r = sum_i c**i a_i phi**i(h), the peel's
-    one certificate, must be certified zero (VerificationError otherwise).
+    The slopes and exponents come from the FrobeniusPlan: layer j gauges by
+    nu_j and peels each exponent c of entries[j], smallest first, m times.
+    Each peel checks that the gauged remainder has slope 0 with chi(c) = 0
+    (PlanMismatch otherwise), solves for the unit h and divides with no
+    inverse, Mg h = Q (phi - c) + r.  One `hs_mul_sums` call forms each
+    b_i = a_i phi**i(h) once and folds every t_k = sum_(i >= k) c**(i-k) b_i
+    on integers: r = t_0, the peel's one certificate, must be certified zero
+    (VerificationError otherwise), and Q has the coefficients t_1, ..., t_n.
     """
-    if plan is None:
-        plan = frobenius_plan(L, analyze(L))
     if sum(m for entry in plan.entries for _, m, _ in entry) < L.order:
         raise NonRationalExponent("some slope has no rational exponent left to factor out")
     p = L.p
@@ -110,15 +103,15 @@ def factor_operator(L, ceiling, plan=None):
         for c, m, _ in entry:
             for _ in range(m):
                 h = slope_zero_unit_solution(Mg, c, ceiling)
-                # Horner in place: t = [r, q_0, ..., q_(n-1)] from t_i = a_i phi**i(h)
-                t = [hs_mul(ai, h.mal(i, p)) for i, ai in enumerate(Mg.coeffs)]
-                for k in range(len(t) - 2, -1, -1):
-                    t[k] = t[k] + t[k + 1].scale(c)
+                n = Mg.order
+                t = hs_mul_sums(p, list(enumerate(Mg.coeffs)), [h],
+                                {k: [(c ** (i - k), i, 0) for i in range(k, n + 1)]
+                                 for k in range(n + 1)})
                 if not t[0].is_zero() or t[0].mask.empty:
                     raise VerificationError("layer %d, peel %d, c = %s: sum_i c**i a_i phi**i(h) "
                                             "is not certified zero" % (j + 1, len(layer) + 1, c))
                 layer.append(FirstOrderFactor(nu, c, h))
-                Mg = MahlerOperator(p, t[1:])
+                Mg = MahlerOperator(p, [t[k] for k in range(1, n + 1)])
         M = Mg.gauge_theta(nu)
         layers.append(tuple(layer))
     if M.order:

@@ -155,9 +155,9 @@ def analyze(L):
                       tuple(residuals))
 
 
-def frobenius_plan(L, nd=None):
-    """Gauge twists nu_j and offsets s_{c,j} driving the solution construction."""
-    nd = nd or analyze(L)
+def frobenius_plan(L, nd):
+    """Gauge twists nu_j and offsets s_{c,j} driving the solution construction,
+    from the NewtonData nd = analyze(L)."""
     p = L.p
     # nu_j = nu_(j-1) + (p-1) p**(r_0 + ... + r_(j-1)) (mu_j - mu_(j-1)), from nu = mu = 0
     nus, nu, prev, weight = [], 0, 0, 1

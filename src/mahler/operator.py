@@ -96,9 +96,6 @@ class MahlerOperator:
                 parts.append("[%r]*phi^%d" % (self.coeffs[i], i))
         return " + ".join(parts)
 
-    def to_json(self):
-        return {"p": self.p, "coeffs": [c.to_json() for c in self.coeffs]}
-
 
 def phi_minus(p, c, nu=0):
     """The operator z**nu * phi - c."""

@@ -385,6 +385,24 @@ def _reference_right_divide(A, B, lead_inverse):
     return MahlerOperator(p, quo), MahlerOperator(p, work[:s])
 
 
+def reference_peel(Mg, h, c):
+    """[r, q_1, ..., q_n] of one peel Mg h = Q (phi - c) + r, by Horner's
+    rule on t_i = a_i phi**i(h) with every product from reference_mul.
+
+    Oracle for the peel in factorize.factor_operator."""
+    p = Mg.p
+    # Horner in place: t = [r, q_0, ..., q_(n-1)] from t_i = a_i phi**i(h)
+    t = [reference_mul(ai, h.mal(i, p)) for i, ai in enumerate(Mg.coeffs)]
+    for k in range(len(t) - 2, -1, -1):
+        t[k] = t[k] + t[k + 1].scale(c)
+    return t
+
+
+def plan_of(L):
+    """The FrobeniusPlan of L, from one analyze(L)."""
+    return frobenius_plan(L, analyze(L))
+
+
 def reference_factor_operator(L, ceiling, plan=None):
     """Factorization by inverting each h and right-dividing by
     (phi - c) h**-1, with the remainder and the unit solution's residual

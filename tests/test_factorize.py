@@ -2,20 +2,22 @@
 import importlib
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from conftest import (eq_on_mask, gauge_exp, ladder_operator, rand_operator,
-                      reference_factor_operator)
+from conftest import (eq_on_mask, gauge_exp, ladder_operator, plan_of, rand_operator,
+                      reference_factor_operator, reference_peel)
 from test_cli import EXAMPLE
 from mahler.cli import elaborate, parse_spec
 from mahler.errors import (MahlerError, NonRationalExponent, PlanMismatch, UnknownLeadingTerm,
                            VerificationError)
 from mahler.hahn import HahnSeries, Mask, hs, monomial, one, zero
-from mahler.newton import FrobeniusPlan, analyze, frobenius_plan
+from mahler.newton import FrobeniusPlan, analyze
 from mahler.operator import MahlerOperator, phi_minus
-from mahler.factorize import factor_operator, factor_reconstruct, slope_zero_unit_solution
+from mahler.factorize import (Factorization, FirstOrderFactor, factor_operator,
+                              factor_reconstruct, slope_zero_unit_solution)
 from mahler.testing import rand_factored_operator, rand_tangent_unit
 
 
@@ -58,7 +60,8 @@ def test_unit_solution_rejects_non_roots():
 
 
 def test_factor_first_order():
-    fact = factor_operator(phi_minus(2, 1), 10)
+    L = phi_minus(2, 1)
+    fact = factor_operator(L, 10, plan_of(L))
     assert len(fact.layers) == 1 and len(fact.layers[0]) == 1
     f = fact.layers[0][0]
     assert f.nu == 0 and f.c == 1
@@ -69,7 +72,7 @@ def test_factor_first_order():
 def test_factor_ladder_operators():
     for p, nu in ((2, -2), (3, -3)):
         L = ladder_operator(p, nu)
-        fact = factor_operator(L, 12)
+        fact = factor_operator(L, 12, plan_of(L))
         assert [len(layer) for layer in fact.layers] == [1, 1]
         first, second = fact.layers[0][0], fact.layers[1][0]
         assert (first.nu, first.c) == (0, 1)
@@ -86,7 +89,7 @@ def test_factor_matches_construction():
     rng = random.Random(71)
     for _ in range(25):
         L, built = rand_factored_operator(rng, Fraction(4))
-        fact = factor_operator(L, 4)
+        fact = factor_operator(L, 4, plan_of(L))
         assert [len(layer) for layer in fact.layers] == \
             [len(layer) for layer in built.layers]
         for got, exp in zip(fact.layers, built.layers):
@@ -98,7 +101,7 @@ def test_factor_reconstruct_round_trip():
     rng = random.Random(73)
     for _ in range(15):
         L, _ = rand_factored_operator(rng, Fraction(4))
-        fact = factor_operator(L, 4)
+        fact = factor_operator(L, 4, plan_of(L))
         M = factor_reconstruct(fact, 4)
         assert M.order == L.order
         for x, y in zip(M.coeffs, L.coeffs):
@@ -110,19 +113,19 @@ def test_factor_cld_and_val_invariants():
     rng = random.Random(79)
     for _ in range(15):
         L, _ = rand_factored_operator(rng, Fraction(4))
-        fact = factor_operator(L, 4)
+        fact = factor_operator(L, 4, plan_of(L))
         assert fact.a.val() == L.coeffs[0].val()
         prod = Fraction(1)
         for f in fact.all_factors():
             prod *= -f.c
         assert fact.a.cld() * prod == L.coeffs[0].cld()
-        plan = frobenius_plan(L)
+        plan = plan_of(L)
         assert tuple(layer[0].nu for layer in fact.layers) == plan.nus
 
 
 def test_factor_detects_plan_mismatch():
     L = ladder_operator(2, -2)
-    wrong = frobenius_plan(L.gauge_theta(2))
+    wrong = plan_of(L.gauge_theta(2))
     with pytest.raises(PlanMismatch):
         factor_operator(L, 10, wrong)
 
@@ -132,40 +135,26 @@ def test_factor_rejects_irrational_exponents():
     nd = analyze(L)
     assert not nd.full and nd.residuals[0].degree == 2
     with pytest.raises(NonRationalExponent):
-        factor_operator(L, 8)
-
-
-def test_layer_json_round_trip():
-    from mahler.factorize import FirstOrderFactor
-    f = FirstOrderFactor(Fraction(2), Fraction(-1, 3), hs([(0, 1), (1, 4)]))
-    assert FirstOrderFactor.from_json(f.to_json()) == f
+        factor_operator(L, 8, plan_of(L))
 
 
 def test_factor_with_a_plan_never_analyzes(monkeypatch):
     rng = random.Random(83)
-    cases = [(L, frobenius_plan(L)) for L, _ in
+    cases = [(L, plan_of(L)) for L, _ in
              (rand_factored_operator(rng, Fraction(4)) for _ in range(5))]
 
     def boom(L):
         raise AssertionError("analyze called although a plan was supplied")
-    # patch the submodule, where factor_operator looks analyze up
-    monkeypatch.setattr(importlib.import_module("mahler.factorize"), "analyze", boom)
+    # patch the submodule that defines analyze
+    monkeypatch.setattr(importlib.import_module("mahler.newton"), "analyze", boom)
     for L, plan in cases:
         fact = factor_operator(L, 4, plan)
         assert sum(len(layer) for layer in fact.layers) == L.order
 
 
-def test_factor_without_a_plan_equals_factor_with_one():
-    rng = random.Random(89)
-    for _ in range(15):
-        L, _ = rand_factored_operator(rng, Fraction(4))
-        assert factor_operator(L, 4).to_json() == \
-            factor_operator(L, 4, frobenius_plan(L)).to_json()
-
-
 def test_factor_rejects_a_plan_short_of_the_order():
     L = MahlerOperator(2, [one(), zero(), one()])
-    plan = frobenius_plan(L)
+    plan = plan_of(L)
     assert sum(m for entry in plan.entries for _, m, _ in entry) < L.order
     with pytest.raises(NonRationalExponent):
         factor_operator(L, 8, plan)
@@ -173,7 +162,7 @@ def test_factor_rejects_a_plan_short_of_the_order():
 
 def test_factor_rejects_a_plan_that_leaves_a_remainder():
     L = ladder_operator(2, -2)
-    plan = frobenius_plan(L)
+    plan = plan_of(L)
     short = FrobeniusPlan(plan.p, plan.val_a0, plan.nus[:1], plan.entries)
     with pytest.raises(PlanMismatch):
         factor_operator(L, 10, short)
@@ -198,7 +187,7 @@ def _factor_cases():
 def test_synthetic_division_peel_equals_right_division():
     n = 0
     for L, ceiling in _factor_cases():
-        assert factor_operator(L, ceiling).to_json() == \
+        assert factor_operator(L, ceiling, plan_of(L)).to_json() == \
             reference_factor_operator(L, ceiling).to_json()
         n += 1
     assert n == 183
@@ -214,12 +203,92 @@ def test_synthetic_division_peel_raises_like_right_division():
         except MahlerError as exc:
             want = type(exc)
         try:
-            got = factor_operator(L, 3).to_json()
+            got = factor_operator(L, 3, plan_of(L)).to_json()
         except MahlerError as exc:
             got = type(exc)
         assert got == want
         outcomes.add(want if isinstance(want, type) else "ok")
     assert "ok" in outcomes and NonRationalExponent in outcomes
+
+
+def _holed(rng, L):
+    """L with one or two holes punched by forget in about half of its
+    coefficient masks, inside the window a ceiling of 4 certifies."""
+    coeffs = []
+    for a in L.coeffs:
+        if a.terms and rng.random() < 0.5:
+            cut = a.terms[0][0] + Fraction(rng.randint(1, 12), rng.choice((2, 3, 5)))
+            for _ in range(rng.randint(1, 2)):
+                width = Fraction(rng.randint(1, 3), rng.choice((2, L.p ** 2, 7)))
+                a = a.forget(cut, cut + width)
+                cut += width + Fraction(rng.randint(1, 4), 3)
+        coeffs.append(a)
+    return MahlerOperator(L.p, coeffs)
+
+
+def _peel_cases():
+    """(L, ceiling): the 200 criterion-3 operators, 150 random factored
+    operators with holed coefficient masks, phi**2 - 1 (an exact-zero
+    interior coefficient), an exponent of multiplicity 2 and exponents
+    with denominators."""
+    rng = random.Random(2026)
+    for _ in range(200):
+        yield rand_factored_operator(rng, Fraction(3))[0], Fraction(3)
+    rng = random.Random(7)
+    for _ in range(150):
+        yield _holed(rng, rand_factored_operator(rng, 4)[0]), Fraction(4)
+    yield MahlerOperator(2, [one().scale(-1), zero(), one()]), Fraction(6)
+    rng = random.Random(17)
+    for p, cs in ((3, (1, 1)), (2, (Fraction(2, 3), Fraction(-1, 2), 3))):
+        layer = tuple(FirstOrderFactor(Fraction(0), Fraction(c), rand_tangent_unit(rng))
+                      for c in cs)
+        yield factor_reconstruct(Factorization(p, one(), (layer,)), 6), Fraction(6)
+
+
+def test_peel_equals_reference_on_gapped_inputs(monkeypatch):
+    """Every peel's remainder and the quotient it passes on, masks included,
+    equal the Horner fold of reference_mul products."""
+    module = sys.modules["mahler.factorize"]
+    solve, sums, operator = (module.slope_zero_unit_solution, module.hs_mul_sums,
+                             module.MahlerOperator)
+    last, pending, seen = [], [], Counter()
+
+    def recording_solve(M, c, ceiling):
+        h = solve(M, c, ceiling)
+        last[:] = [M, Fraction(c), h]
+        return h
+
+    def checked_sums(*args):
+        t = sums(*args)
+        M, c, h = last
+        want = reference_peel(M, h, c)
+        assert t[0] == want[0]
+        pending.append(want[1:])
+        seen["peel"] += 1
+        if any(len(a.mask.extended) > 1 for a in M.coeffs):
+            seen["gapped"] += 1
+        if any(a.is_exact_zero() for a in M.coeffs[1:-1]):
+            seen["zero interior"] += 1
+        if c.denominator > 1:
+            seen["c with a denominator"] += 1
+        return t
+
+    def checked_quotient(p, coeffs):
+        if pending:  # the quotient of the peel just checked
+            assert list(coeffs) == pending.pop()
+            seen["quotient"] += 1
+        return operator(p, coeffs)
+    monkeypatch.setattr(module, "slope_zero_unit_solution", recording_solve)
+    monkeypatch.setattr(module, "hs_mul_sums", checked_sums)
+    monkeypatch.setattr(module, "MahlerOperator", checked_quotient)
+    for L, ceiling in _peel_cases():
+        plan = plan_of(L)
+        factor_operator(L, ceiling, plan)
+        if any(m >= 2 for entry in plan.entries for _, m, _ in entry):
+            seen["repeated exponent"] += 1
+    assert seen.keys() == {"peel", "quotient", "gapped", "zero interior",
+                           "c with a denominator", "repeated exponent"}
+    assert seen["quotient"] == seen["peel"]
 
 
 def test_peel_rejects_a_corrupted_unit_solution(monkeypatch):
@@ -234,9 +303,10 @@ def test_peel_rejects_a_corrupted_unit_solution(monkeypatch):
     cases.append(ladder_operator(2, -2))
     monkeypatch.setattr(module, "forward_solve", corrupted)
     for L in cases:
-        c = frobenius_plan(L).entries[0][0][0]
+        plan = plan_of(L)
+        c = plan.entries[0][0][0]
         with pytest.raises(VerificationError) as exc:
-            factor_operator(L, 4)
+            factor_operator(L, 4, plan)
         assert str(exc.value) == ("layer 1, peel 1, c = %s: sum_i c**i a_i phi**i(h) "
                                   "is not certified zero" % c)
 
@@ -258,5 +328,6 @@ def test_factor_operator_checks_the_order0_leftover(monkeypatch, corrupt, messag
     real = module.Factorization
     monkeypatch.setattr(module, "Factorization",
                         lambda p, a, layers: real(p, corrupt(a), layers))
+    L = ladder_operator(2, -2)
     with pytest.raises(VerificationError, match=message):
-        factor_operator(ladder_operator(2, -2), 6)
+        factor_operator(L, 6, plan_of(L))

@@ -55,9 +55,17 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def reads(node):
-    """How often each name is read under `node`, as a name or an attribute."""
-    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+def reads(node, classes=frozenset()):
+    """How often each name is read under `node`, as a name or an attribute.
+    An attribute read as `Cls.name`, with Cls one of `classes`, counts as a
+    read of `Cls.name` only."""
+    def key(n):
+        if isinstance(n, ast.Name):
+            return n.id
+        if isinstance(n.value, ast.Name) and n.value.id in classes:
+            return n.value.id + "." + n.attr
+        return n.attr
+    return Counter(key(n) for n in ast.walk(node)
                    if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
                    or isinstance(n, ast.Attribute))
 
@@ -116,10 +124,12 @@ def tracer_targets(source):
 def unread_functions(sources, traced=()):
     """Module-level functions and class methods (as `name` or `Class.name`)
     of the given module sources whose name no source reads, as a name or an
-    attribute, outside the definition itself.  Dunders, names listed in an
-    `__all__` and the `traced` names are exempt."""
+    attribute, outside the definition itself.  A read written `Cls.name`,
+    with Cls a class of these sources, reads only that class's method.
+    Dunders, names listed in an `__all__` and the `traced` names are exempt."""
     trees = [ast.parse(source) for source in sources]
-    total = sum(map(reads, trees), Counter())
+    classes = {stmt.name for tree in trees for stmt in tree.body if isinstance(stmt, ast.ClassDef)}
+    total = sum((reads(tree, classes) for tree in trees), Counter())
     exempt = set(traced).union(*map(exported, trees))
     out = []
     for tree in trees:
@@ -132,8 +142,11 @@ def unread_functions(sources, traced=()):
                 continue
             for owner, d in defs:
                 name = d.name
+                keys = {name, owner + name}
+                own = reads(d, classes)
                 dunder = name.startswith("__") and name.endswith("__")
-                if not dunder and name not in exempt and total[name] <= reads(d)[name]:
+                if (not dunder and name not in exempt
+                        and sum(total[k] for k in keys) <= sum(own[k] for k in keys)):
                     out.append(owner + name)
     return sorted(out)
 
@@ -161,6 +174,19 @@ def test_unread_function_checker():
     assert tracer_targets(tracer) == {"traced"}
     assert unread_functions([source]) == ["K.lonely", "traced", "unread"]
     assert unread_functions([source], tracer_targets(tracer)) == ["K.lonely", "unread"]
+    # a read written `Cls.name` reads that class's method only
+    collision = ("class A:\n"
+                 "    @classmethod\n"
+                 "    def load(cls):\n"
+                 "        return cls()\n"
+                 "class B:\n"
+                 "    @classmethod\n"
+                 "    def load(cls):\n"
+                 "        return cls()\n"
+                 "def read():\n"
+                 "    return A.load()\n")
+    assert unread_functions([collision]) == ["B.load", "read"]
+    assert unread_functions([collision, "import m\nm.read(object().load)\n"]) == []
 
 
 def test_every_function_in_src_has_a_reader():

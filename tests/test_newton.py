@@ -56,7 +56,7 @@ def test_two_slope_ladder_data():
 
 def test_plan_values():
     L = ladder_operator(2, -2)
-    plan = frobenius_plan(L)
+    plan = frobenius_plan(L, analyze(L))
     assert plan.val_a0 == -2
     assert plan.nus == (Fraction(0), Fraction(2))
     assert plan.entries == (((Fraction(1), 1, 0),), ((Fraction(1), 1, 1),))
@@ -66,7 +66,7 @@ def test_plan_values():
         plan.lookup(0, Fraction(2))
 
     M = ladder_operator(3, -3)
-    planm = frobenius_plan(M)
+    planm = frobenius_plan(M, analyze(M))
     assert planm.nus == (Fraction(0), Fraction(3))
 
 

@@ -163,10 +163,3 @@ def test_phi_minus():
     assert B.order == 1
     assert B.coeffs[0].terms == ((Fraction(0), Fraction(-3)),)
     assert B.coeffs[1].terms == ((Fraction(1, 2), Fraction(1)),)
-
-
-def test_operator_json():
-    L = phi_minus(2, 1)
-    data = L.to_json()
-    assert data["p"] == 2
-    assert data["coeffs"][0]["terms"] == [{"exp": "0", "coeff": "-1"}]
