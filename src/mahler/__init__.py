@@ -11,8 +11,7 @@ from .errors import (DivisionByZero, InsufficientPrecision, MahlerError,
                      UnknownLeadingTerm, VerificationError, ZeroDivisor,
                      ZeroSeries)
 from .fields import Poly, RatFun, pole_order, rational_roots
-from .hahn import (HahnSeries, Mask, hs, hs_mul, hs_sum, monomial, one,
-                   series_from_json, zero)
+from .hahn import HahnSeries, Mask, hs, hs_mul, hs_sum, monomial, one, zero
 from .newton import (FrobeniusPlan, NewtonData, analyze, char_poly,
                      frobenius_plan, newton_polygon, slopes_of)
 from .operator import MahlerOperator, phi_minus
@@ -30,8 +29,7 @@ __all__ = [
     "PlanMismatch", "PoleAtEvaluationPoint", "UnknownLeadingTerm",
     "VerificationError", "ZeroDivisor", "ZeroSeries",
     "Poly", "RatFun", "pole_order", "rational_roots",
-    "HahnSeries", "Mask", "hs", "hs_mul", "hs_sum", "monomial", "one",
-    "series_from_json", "zero",
+    "HahnSeries", "Mask", "hs", "hs_mul", "hs_sum", "monomial", "one", "zero",
     "FrobeniusPlan", "NewtonData", "analyze", "char_poly", "frobenius_plan",
     "newton_polygon", "slopes_of",
     "MahlerOperator", "phi_minus",

@@ -312,7 +312,7 @@ def _long_ints():
 
 
 @_long_ints()
-def run_pipeline(spec, precision=Fraction(8), depth=8, verify=False):
+def run_pipeline(spec, precision, depth, verify):
     """Parse result -> operator -> full analysis; returns
     (report, exit code, FrobeniusOutput)."""
     L = elaborate(spec, precision)

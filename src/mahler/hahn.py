@@ -142,11 +142,6 @@ class Mask:
     def to_json(self):
         return [{"lo": str(lo), "hi": "inf" if hi == POS else str(hi)} for lo, hi in self.ivs]
 
-    @classmethod
-    def from_json(cls, data):
-        return cls([(Fraction(d["lo"]), POS if d["hi"] == "inf" else Fraction(d["hi"]))
-                    for d in data])
-
 
 _FULL = [(NEG, POS)]
 _EMPTY = Mask(())
@@ -316,7 +311,9 @@ class HahnSeries:
         z**-v w for the forward solution w of c w_0 = 1 and
         c w_g + sum_(e > 0) f_(v+e) w_(g-e) = 0.  Nothing above the window is
         certified: islands of this series' mask beyond its first gap carry no
-        certificate into the inverse.  An exact monomial inverts exactly.
+        certificate into the inverse.  An exact monomial inverts exactly,
+        over Q or Q(lambda).  Any other series goes through forward_solve,
+        which runs over Q only: over Q(lambda) it raises a MahlerError.
         """
         if not self.terms:
             raise ZeroDivisor("cannot invert a series with no certified nonzero term")
@@ -415,7 +412,7 @@ def hs_sum(series):
 
 
 def forward_solve(one, lead, taps, cap):
-    """Series w, exact on (-inf, cap), with w_0 = one and
+    """Series w over Q, exact on (-inf, cap), with w_0 = one and
 
         lead * w_g + sum over taps (e, k, a) of a * w_((g - e)/k) = 0
 
@@ -424,74 +421,40 @@ def forward_solve(one, lead, taps, cap):
     g -> k*g + e and each w_g depends only on smaller exponents.  That
     closure lies on the lattice (1/D)Z of the taps, D the lcm of the
     denominators of the e, so the recursion runs on the integers D*g with
-    the cap as ceil(cap*D); exponents become Fractions once, on output.
-    Exponents are settled in increasing order from a heap; a settled
-    nonzero w_g scatters its contributions to the exponents it reaches
-    below the cap.
+    the cap as ceil(cap*D).  Exponents are settled in increasing order from
+    a heap; a settled nonzero w_g scatters its contributions to the
+    exponents it reaches below the cap.
 
-    When one, lead and every tap coefficient are Fractions, the values run
-    on integers as well: denominators are cleared once, each w_g is an
-    integer numerator over a power of the scaled lead, and one Fraction is
-    built per output term (_forward_ints).  Other coefficients, such as
-    those over Q(lambda), are combined by their own + and *, and each
-    settled sum is multiplied by 1/lead.
+    one, lead and every tap coefficient must be Fractions, and the values
+    run on integers too, fraction-free as in Bareiss's elimination.  Q, the
+    lcm of the denominators of lead and of the taps, makes ell = Q*lead and
+    each A = Q*a integers, both negated if need be so that ell > 0 (lead =
+    -1 then runs as ell = 1).  A settled w_g is stored unreduced as an
+    integer W over od * ell**d: od is the denominator of one and d the
+    depth of g, one more than the largest depth summed into g; when ell = 1
+    every depth stays 0 and no power of ell is formed.  A pending sum is a
+    pair (S, d), and a contribution of another depth meets it after one
+    side is multiplied by a power of ell.  Exponents and coefficients become
+    Fractions once per output term; the only gcd is Fraction's.
     """
     rows = {}
     for e, k, a in taps:
         if e < 0 or k < 1 or (not e and k == 1):
             raise MahlerError("tap (%s, %s) does not move the recursion forward" % (e, k))
         rows.setdefault(k, []).append((e, a))
+    for c in (one, lead, *(a for _, _, a in taps)):
+        if type(c) is not Fraction:
+            raise MahlerError("the forward recursion runs over Q; got a %s coefficient"
+                              % type(c).__name__)
     D = _lattice(e for e, _, _ in taps)
     cut = math.ceil(cap * D)  # t < cap iff D*t < cut
-    rows = [(k, sorted(_on_lattice(row, D), key=itemgetter(0))) for k, row in rows.items()]
-    if type(one) is Fraction and type(lead) is Fraction and all(
-            type(a) is Fraction for _, row in rows for _, a in row):
-        return _build_sorted(_forward_ints(one, lead, rows, cut, D), [(NEG, cap)])
-    inv = 1 / lead
-    w, pending, heap = [], {}, []
-    g, v = 0, one
-    while True:
-        if v:
-            w.append((Fraction(g, D), v))
-            for k, row in rows:
-                base = k * g
-                for e, a in row:
-                    t = base + e
-                    if t >= cut:
-                        break
-                    s = pending.get(t)
-                    if s is not None:
-                        pending[t] = s + a * v
-                    elif t != g:  # t == g only for e = 0 taps at the base g = 0
-                        pending[t] = a * v
-                        heapq.heappush(heap, t)
-        if not heap:
-            return _build_sorted(w, [(NEG, cap)])
-        g = heapq.heappop(heap)
-        v = -pending.pop(g) * inv
-
-
-def _forward_ints(one, lead, rows, cut, D):
-    """forward_solve's terms when one, lead and every tap coefficient are
-    Fractions: the recursion on integers, fraction-free as in Bareiss's
-    elimination.
-
-    Q, the lcm of the denominators of lead and of the taps, makes ell =
-    Q*lead and each A = Q*a integers, both negated if need be so that
-    ell > 0 (lead = -1 then runs as ell = 1).  A settled w_g is stored
-    unreduced as an integer W over od * ell**d: od is the denominator of
-    one and d the depth of g, one more than the largest depth summed into
-    g; when ell = 1 every depth stays 0 and no power of ell is formed.  A
-    pending sum is a pair (S, d), and a contribution of another depth meets
-    it after one side is multiplied by a power of ell.  The only gcd is
-    Fraction's, once per output term.
-    """
-    Q = math.lcm(lead.denominator, *(a.denominator for _, row in rows for _, a in row))
+    Q = math.lcm(lead.denominator, *(a.denominator for _, _, a in taps))
     ell = lead.numerator * (Q // lead.denominator)
     sign = -1 if ell < 0 else 1
     ell *= sign
-    rows = [(k, [(e, sign * a.numerator * (Q // a.denominator)) for e, a in row])
-            for k, row in rows]
+    rows = [(k, sorted(((e, sign * a.numerator * (Q // a.denominator))
+                        for e, a in _on_lattice(row, D)), key=itemgetter(0)))
+            for k, row in rows.items()]
     step = int(ell != 1)
     powers = [1]
 
@@ -530,7 +493,8 @@ def _forward_ints(one, lead, rows, cut, D):
         S, d = pending.pop(g)
         W, d = -S, d + step
     od = one.denominator
-    return [(Fraction(g, D), Fraction(W, od * power(d))) for g, W, d in w]
+    return _build_sorted([(Fraction(g, D), Fraction(W, od * power(d))) for g, W, d in w],
+                         [(NEG, cap)])
 
 
 def hs_mul(f, g):
@@ -729,9 +693,3 @@ def _numerators(grid):
     ext, terms = grid
     den = math.lcm(*{c.denominator for _, c in terms})
     return ext, [(E, c.numerator * (den // c.denominator)) for E, c in terms], den
-
-
-def series_from_json(data):
-    mask = Mask.from_json(data.get("mask", []))
-    terms = [(Fraction(t["exp"]), Fraction(t["coeff"])) for t in data.get("terms", [])]
-    return hs(terms, mask)

@@ -27,14 +27,15 @@ _CS = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-2), Fraction(3),
        Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3)]
 
 
-def rand_factored_operator(rng, ceiling, max_order=4, h_terms=5, ps=(2, 3)):
+def rand_factored_operator(rng, ceiling, max_order=4):
     """Operator built as a * product of (z^nu phi - c) h^-1 factors.
 
     The slope data is drawn so that the Newton polygon of the product has
     the prescribed slopes: distinct ascending mu_j, nu_j from the exponent
-    ladder recursion. Returns (operator, factorization).
+    ladder recursion; p is 2 or 3 and each unit h has up to five terms.
+    Returns (operator, factorization).
     """
-    p = rng.choice(ps)
+    p = rng.choice((2, 3))
     n = rng.choice([1, 1, 2, 2, 3, max_order])
     sizes = []
     left = n
@@ -53,7 +54,7 @@ def rand_factored_operator(rng, ceiling, max_order=4, h_terms=5, ps=(2, 3)):
     layers = []
     for j, r in enumerate(sizes):
         layers.append(tuple(
-            FirstOrderFactor(nus[j], rng.choice(_CS), rand_tangent_unit(rng, h_terms))
+            FirstOrderFactor(nus[j], rng.choice(_CS), rand_tangent_unit(rng))
             for _ in range(r)))
     a = rand_tangent_unit(rng, 3).scale(rand_rational(rng, nonzero=True))
     a = a.shift(Fraction(rng.randint(-1, 1)))

@@ -148,7 +148,7 @@ def test_pipeline_on_example():
 
 
 def test_pipeline_first_order():
-    report, code, out = run_pipeline(parse_spec(PHI_MINUS_ONE), verify=True)
+    report, code, out = run_pipeline(parse_spec(PHI_MINUS_ONE), Fraction(8), 8, verify=True)
     assert code == 0 and len(out.solutions) == 1
     (block,) = report["blocks"]
     (sol,) = block["solutions"]
@@ -160,7 +160,7 @@ def test_pipeline_first_order():
 
 
 def test_pipeline_partial():
-    report, code, out = run_pipeline(parse_spec(IRRATIONAL))
+    report, code, out = run_pipeline(parse_spec(IRRATIONAL), Fraction(8), 8, verify=False)
     assert code == 3 and report["partial"] is True
     assert report["blocks"] == []
     assert report["verification"]["reason"] == "non-rational exponents"

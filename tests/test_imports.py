@@ -1,9 +1,12 @@
 """Every module under src/ and tests/ uses each name it imports, every
 private module-level name in src/ is used somewhere in src/, every function
 and method in src/ has a reader there (or is exported, or traced by the
-benchmark), and no function of the command-line front end calls itself."""
+benchmark), every exported name is read by the package or the benchmark,
+traced, or named in README, and no function of the command-line front end
+calls itself."""
 import ast
 import importlib.util
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -193,6 +196,36 @@ def test_every_function_in_src_has_a_reader():
     sources = [path.read_text(encoding="utf-8") for path in SOURCES]
     traced = tracer_targets((ROOT / "bench" / "tracer.py").read_text(encoding="utf-8"))
     assert unread_functions(sources, traced) == []
+
+
+def unbacked_exports(init_source, readers, traced=(), readme=""):
+    """Names in the `__all__` of the package's `__init__` source that no
+    reader source reads, as a name or an attribute, that are not among the
+    `traced` names and that README never names inside inline backticks."""
+    read = sum((reads(ast.parse(source)) for source in readers), Counter())
+    named = {word for span in re.findall(r"`([^`\n]+)`", readme)
+             for word in re.findall(r"[A-Za-z_]\w*", span)}
+    return sorted(name for name in exported(ast.parse(init_source))
+                  if not read[name] and name not in traced and name not in named)
+
+
+def test_unbacked_export_checker():
+    init = ("from .core import read, attr, traced, documented, bare, loose\n"
+            "__all__ = ['read', 'attr', 'traced', 'documented', 'bare', 'loose']\n")
+    readers = ["from .core import read\nread()\n", "import pkg\npkg.attr\n"]
+    readme = ("Call `documented(x)`.  The bare word loose is not backticked,\n"
+              "```python\nbare()\n```\n")
+    assert unbacked_exports(init, readers, {"traced"}, readme) == ["bare", "loose"]
+
+
+def test_every_export_is_read_traced_or_documented():
+    readers = [path.read_text(encoding="utf-8") for path in SOURCES
+               if path.name != "__init__.py"]
+    readers += [path.read_text(encoding="utf-8") for path in sorted((ROOT / "bench").glob("*.py"))]
+    traced = tracer_targets((ROOT / "bench" / "tracer.py").read_text(encoding="utf-8"))
+    init = (ROOT / "src" / "mahler" / "__init__.py").read_text(encoding="utf-8")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert unbacked_exports(init, readers, traced, readme) == []
 
 
 def _load_tracer():
