@@ -184,7 +184,8 @@ class RatFun:
     constructor's: it divides out gcd(num, den) (no gcd when den is
     constant) and makes den monic.  General products, sums, quotients and
     negative powers form the unreduced num/den and pass it through the
-    constructor.  The products the solver makes need no gcd:
+    constructor, but r + 0 and 0 + r are r (0 seeds a product's folds).
+    The products the solver makes need no gcd:
 
     - product by a*lambda**k (a scalar when k = 0, k of either sign): only
       a power of lambda can cancel, so it is stripped from the low end of
@@ -245,6 +246,8 @@ class RatFun:
         return _reduced(-self.num, self.den)
 
     def __add__(self, other):
+        if type(other) is int and not other:
+            return self
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented

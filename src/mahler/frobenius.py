@@ -300,7 +300,7 @@ def verify_independence(out):
     return {"ok": all(d["ok"] for d in details), "solutions": details}
 
 
-def frobenius_basis(L, ceiling, depth, verify=True):
+def frobenius_basis(L, ceiling, depth, verify):
     """Newton analysis, factorization, triangular solve and specialization.
 
     Returns a FrobeniusOutput; when some characteristic polynomial has

@@ -503,8 +503,8 @@ def hs_mul(f, g):
     Pairs at or above the top of the certified region are never formed.
 
     Over Q this is the one-product case of `hs_mul_sums`.  Over Q(lambda)
-    the same steps run, but the products at each exponent are collected in
-    a list and added by one left fold of their own +."""
+    `_convolve` runs on the coefficients themselves: their own *, and at each
+    exponent one left fold of their own + from 0 (`RatFun + 0` runs no gcd)."""
     if all(type(c) is Fraction for t in (f.terms, g.terms) for _, c in t):
         return hs_mul_sums(1, [(0, f)], [g], {0: [(1, 0, 0)]})[0]
     short = _mul_shortcut(f, g)
@@ -513,21 +513,7 @@ def hs_mul(f, g):
     M = _grid((f, g))
     (fe, fi), (ge, gi) = _on_grid(f, M), _on_grid(g, M)
     ext = _mul_region(fe, fi, ge, gi)
-    top = ext[-1][1]
-    g_exps = [E for E, _ in gi]
-    acc = {}
-    for E1, c1 in fi:
-        n = len(gi) if top == POS else bisect_left(g_exps, top - E1)
-        if not n:
-            break
-        for E2, c2 in gi[:n]:
-            vs = acc.get(E1 + E2)
-            if vs is None:
-                acc[E1 + E2] = [c1 * c2]
-            else:
-                vs.append(c1 * c2)
-    terms = [(Fraction(E, M), v) for E, vs in sorted(acc.items())
-             for v in (sum(vs[1:], vs[0]),) if v]
+    terms = [(Fraction(E, M), v) for E, v in sorted(_convolve(fi, gi, ext[-1][1]).items()) if v]
     return _build_sorted(terms, _off_grid(ext, M))
 
 
@@ -642,7 +628,8 @@ def _grid_product(f, g, s):
 
 def _convolve(fi, gi, top):
     """{E1 + E2: sum of N1 * N2} over the pairs of terms (E1, N1) of fi and
-    (E2, N2) of gi (sorted by integer exponent) with E1 + E2 < top."""
+    (E2, N2) of gi (sorted by integer exponent) with E1 + E2 < top.  Each sum
+    is the left fold 0 + N1*N2 + ... of integers, or of RatFuns for hs_mul."""
     g_exps = [E for E, _ in gi]
     acc = {}
     for E1, N1 in fi:

@@ -59,7 +59,7 @@ def test_criterion_2_closed_forms():
     depth = 8
     for p, nu in LADDERS:
         L = ladder_operator(p, nu)
-        out = frobenius_basis(L, 8, depth)
+        out = frobenius_basis(L, 8, depth, verify=True)
         assert not out.partial and out.verification["ok"]
         b1, b2 = out.blocks
         assert series_dict_on_mask(b1.g, ladder_g1_terms(p, nu, 8))
@@ -249,11 +249,12 @@ def test_criterion_7_refinement_stability():
     t0 = time.perf_counter()
     for p, nu in LADDERS:
         L = ladder_operator(p, nu, ceiling=Fraction(40))
-        _bases_stable(frobenius_basis(L, 8, 8), frobenius_basis(L, 16, 16))
+        _bases_stable(frobenius_basis(L, 8, 8, verify=True),
+                      frobenius_basis(L, 16, 16, verify=True))
     rng = random.Random(2030)
     for _ in range(20):
         L, _ = rand_factored_operator(rng, Fraction(6))
-        _bases_stable(frobenius_basis(L, 3, 2), frobenius_basis(L, 6, 4))
+        _bases_stable(frobenius_basis(L, 3, 2, verify=True), frobenius_basis(L, 6, 4, verify=True))
     rng = random.Random(2031)
     for _ in range(20):
         p, mu, c, g = _order1_instance(rng)

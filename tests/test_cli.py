@@ -479,7 +479,7 @@ def test_selftest_reports_failures(capsys, monkeypatch):
     real = mahler.cli.frobenius_basis
     calls = []
 
-    def flaky(L, ceiling, depth, verify=True):
+    def flaky(L, ceiling, depth, verify):
         calls.append(L)
         if len(calls) % 3 == 1:
             raise InsufficientPrecision("ceiling too low")

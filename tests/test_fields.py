@@ -339,6 +339,20 @@ def test_ratfun_sums_equal_one_full_reduction(monkeypatch):
     assert kinds == {"plain", "cancel", "partial", "constant"}
 
 
+def test_ratfun_plus_integer_zero_is_itself(monkeypatch):
+    """r + 0 and 0 + r return r itself, with no coercion and no gcd, also
+    when r's denominator is not constant: 0 seeds each exponent's fold in a
+    series product."""
+    lam = RatFun.lam()
+    r = (lam + 3) / ((lam - 1) * (lam ** 2 + 1))
+    calls = []
+    real_gcd = fields.poly_gcd
+    monkeypatch.setattr(fields, "poly_gcd", lambda *args: calls.append(args) or real_gcd(*args))
+    assert r + 0 is r
+    assert 0 + r is r
+    assert not calls
+
+
 def test_ratfun_eval_derivative_subst():
     lam = RatFun.lam()
     f = 1 / (lam - 1)

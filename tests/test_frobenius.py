@@ -443,7 +443,7 @@ def test_phi_power_binomial_action_matches_iteration():
 
 def test_basis_for_double_exponent():
     L = phi_minus(2, 1) * phi_minus(2, 1)
-    out = frobenius_basis(L, 8, 6)
+    out = frobenius_basis(L, 8, 6, verify=True)
     assert not out.partial and out.verification["ok"]
     (block,) = out.blocks
     assert (block.c, block.m, block.s) == (Fraction(1), 2, 0)
@@ -457,7 +457,7 @@ def test_basis_for_double_exponent():
 
 def test_independence_passes_and_detects_duplicates():
     L = phi_minus(2, 1) * phi_minus(2, 1)
-    out = frobenius_basis(L, 8, 6)
+    out = frobenius_basis(L, 8, 6, verify=True)
     assert verify_independence(out)["ok"]
     (block,) = out.blocks
     y1, y2 = block.solutions
@@ -575,7 +575,7 @@ def test_residual_equals_reference_on_edge_cases(case):
 def test_ladder_basis_report():
     for p, nu in ((2, -2), (3, -3)):
         L = ladder_operator(p, nu)
-        out = frobenius_basis(L, 8, 8)
+        out = frobenius_basis(L, 8, 8, verify=True)
         assert not out.partial
         rep = out.verification
         assert rep["ok"] and not rep["partial"]
@@ -590,7 +590,7 @@ def test_ladder_basis_report():
 def test_ladder_second_solution_shape():
     depth = 8
     L = ladder_operator(2, -2)
-    out = frobenius_basis(L, 8, depth)
+    out = frobenius_basis(L, 8, depth, verify=True)
     y2 = out.blocks[1].solutions[0]
     ladder = y2.part(Fraction(1), 0)
     expect = {Fraction(-2) * Fraction(2) ** k: Fraction(1)
@@ -605,7 +605,7 @@ def test_ladder_second_solution_shape():
 
 def test_partial_basis_for_irrational_exponents():
     L = MahlerOperator(2, [one(), zero(), one()])
-    out = frobenius_basis(L, 6, 4)
+    out = frobenius_basis(L, 6, 4, verify=True)
     assert out.partial and out.blocks == () and out.factorization is None
     assert out.verification == {"ok": False, "partial": True,
                                 "reason": "non-rational exponents"}
@@ -616,14 +616,14 @@ def test_random_factored_bases_verify():
     rng = random.Random(103)
     for _ in range(20):
         L, _ = rand_factored_operator(rng, Fraction(3))
-        out = frobenius_basis(L, 3, 2)
+        out = frobenius_basis(L, 3, 2, verify=True)
         assert not out.partial
         assert out.verification["ok"]
         assert len(out.solutions) == L.order
 
 
 def test_output_json_shape():
-    out = frobenius_basis(phi_minus(2, 1), 6, 4)
+    out = frobenius_basis(phi_minus(2, 1), 6, 4, verify=True)
     data = out.to_json()
     assert set(data) == {"p", "newton", "plan", "factorization", "blocks",
                          "partial", "verification"}
@@ -685,7 +685,7 @@ def test_frobenius_basis_counts_its_solutions(monkeypatch):
     real = frobenius.specialize_solutions
     monkeypatch.setattr(frobenius, "specialize_solutions", lambda *args: real(*args)[1:])
     with pytest.raises(VerificationError, match="built 0 solutions for an order-2 operator"):
-        frobenius_basis(ladder_operator(2, -2), 6, 6)
+        frobenius_basis(ladder_operator(2, -2), 6, 6, verify=True)
 
 
 # SHA-256 over the outputs of `_digest_runs`, in order
@@ -717,7 +717,8 @@ def test_basis_outputs_match_the_recorded_digest():
     digest, n = hashlib.sha256(), 0
     for L, ceiling, depth in _digest_runs():
         try:
-            out = json.dumps(frobenius_basis(L, ceiling, depth).to_json(), sort_keys=True)
+            out = json.dumps(frobenius_basis(L, ceiling, depth, verify=True).to_json(),
+                             sort_keys=True)
         except MahlerError as exc:
             out = type(exc).__name__
         digest.update(out.encode())

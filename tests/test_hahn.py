@@ -9,7 +9,7 @@ from conftest import (_iv_contains, brute_conv, eq_on_mask, geometric_invert, la
                       pipeline_mask, rand_param_series, rand_series, reference_add,
                       reference_build, reference_forward_solve, reference_mul, support)
 from test_cli import EXAMPLE
-from mahler import hahn
+from mahler import fields, hahn
 from mahler.cli import elaborate, parse_spec
 from mahler.errors import MahlerError, UnknownLeadingTerm, ZeroDivisor, ZeroSeries
 from mahler.fields import Poly, RatFun
@@ -488,6 +488,24 @@ def test_mul_monomial_fast_path_keeps_masks():
     assert (f * zero()).is_exact_zero()
 
 
+def test_param_mul_with_one_pair_per_exponent_runs_no_gcd(monkeypatch):
+    """Over Q(lambda) each exponent's sum starts from the integer 0, and
+    0 + r is r itself: when every output exponent receives one pair, the
+    product by a series over Q (lifted) runs no poly_gcd, even over the
+    denominators lambda - 1 and lambda**2 + 1."""
+    lam = RatFun.lam()
+    f = hs([(0, 1 / (lam - 1)), (1, (lam + 2) / (lam ** 2 + 1))], mask=[(0, 5)])
+    g = hs([(0, RatFun.const(2)), (Fraction(1, 2), RatFun.const(Fraction(-3, 4)))])
+    want = reference_mul(f, g)
+    calls = []
+    real_gcd = fields.poly_gcd
+    monkeypatch.setattr(fields, "poly_gcd", lambda *args: calls.append(args) or real_gcd(*args))
+    prod = hs_mul(f, g)
+    assert not calls
+    assert [e for e, _ in prod.terms] == [0, Fraction(1, 2), 1, Fraction(3, 2)]
+    assert prod == want
+
+
 def test_invert_multiplies_back_to_one():
     rng = random.Random(11)
     for _ in range(25):
@@ -713,14 +731,19 @@ def rand_taps(rng, p, D, ring):
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("ring", sorted(COEFFS))
 def test_forward_solve_equals_reference(p, ring):
-    """Over Q, equal to the oracle; over Q(lambda), which the oracle still
-    solves, a MahlerError."""
+    """Over Q, equal to the oracle at a cap on or off the lattice; over
+    Q(lambda), a MahlerError."""
     rng = random.Random(50 * p + len(ring))
     seen = set()
     for _ in range(60):
         D = rng.choice([1] + FINE_LATTICES)
         taps = rand_taps(rng, p, D, ring)
         one_, lead = COEFFS[ring](rng), COEFFS[ring](rng)
+        seen |= {k for _, k, _ in taps}
+        if ring != "Q":
+            with pytest.raises(MahlerError, match="runs over Q"):
+                forward_solve(one_, lead, taps, Fraction(7))
+            continue
         want = reference_forward_solve(one_, lead, taps, Fraction(7))
         if rng.random() < 0.5 and len(want.terms) > 1:
             # 1/(2D) above a reachable exponent: ceil keeps it, floor would not
@@ -729,14 +752,11 @@ def test_forward_solve_equals_reference(p, ring):
         else:
             cap = Fraction(rng.randint(1, 45), 7)
             seen.add("off-lattice")
-        if ring == "Q":
-            got = forward_solve(one_, lead, taps, cap)
-            assert got == reference_forward_solve(one_, lead, taps, cap)
-        else:
-            with pytest.raises(MahlerError, match="runs over Q"):
-                forward_solve(one_, lead, taps, cap)
-        seen |= {k for _, k, _ in taps}
-    assert {1, p, p * p, "half-step", "off-lattice"} <= seen
+        got = forward_solve(one_, lead, taps, cap)
+        assert got == reference_forward_solve(one_, lead, taps, cap)
+    assert {1, p, p * p} <= seen
+    if ring == "Q":
+        assert {"half-step", "off-lattice"} <= seen
 
 
 def fraction_free_events(taps, cap, w):
