@@ -189,7 +189,8 @@ class RatFun:
 
     - product by a*lambda**k (a scalar when k = 0, k of either sign): only
       a power of lambda can cancel, so it is stripped from the low end of
-      the other factor's den (k > 0) or num (k < 0) and no gcd runs;
+      the other factor's den (k > 0) or num (k < 0) and no gcd runs; an
+      int or Fraction operand is taken as a*lambda**0 without a RatFun;
     - product by (lambda - c)**k (`mul_root_power`, c != 0, k of either
       sign): only lambda - c can cancel, so it is stripped from the other
       side by synthetic division and no gcd runs;
@@ -265,6 +266,8 @@ class RatFun:
         return _coerce(other) - self
 
     def __mul__(self, other):
+        if type(other) is int or type(other) is Fraction:
+            return _mul_lam_power(self.num, self.den, other, 0) if other else _reduced(_ZERO, _ONE)
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented

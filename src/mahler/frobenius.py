@@ -23,11 +23,6 @@ from .hahn import NEG, POS, HahnSeries, hs_mul, hs_mul_sums, hs_sum, monomial, z
 from .newton import analyze, frobenius_plan
 
 
-def lift(f):
-    """Reinterpret a series over Q as a series over Q(lambda)."""
-    return f.map_coeffs(RatFun.const)
-
-
 def solve_order1_param(p, mu, c, g, ceiling, depth):
     """The unique f over Q(lambda) with (z**(-mu) lambda phi_p - c) f = g.
 
@@ -99,12 +94,12 @@ def solve_slope(L, plan, fact, j, ceiling, depth):
     nuj = plan.nus[j]
     ceil2 = Fraction(ceiling) + max(Fraction(0), nuj / (p - 1))
     chi = _mul_root_powers(RatFun.const(1), [(c, m) for c, m, _ in entry])
-    x = lift(fact.a.invert(ceil2).shift(plan.val_a0)).scale(chi)
+    x = fact.a.invert(ceil2).shift(plan.val_a0).scale(chi)
     for i in reversed(range(len(fact.layers))):
         mu = nuj - fact.layers[i][0].nu
         for f in reversed(fact.layers[i]):
             x = solve_order1_param(p, mu, f.c, x, ceil2, depth)
-            x = hs_mul(lift(f.h), x)
+            x = hs_mul(f.h, x)
     x = x.shift(-nuj / (p - 1))
     out = {}
     for c, _, s in entry:

@@ -377,8 +377,8 @@ def zero():
     return _build_sorted((), _FULL)
 
 
-def one(unit=Fraction(1)):
-    return monomial(0, unit)
+def one():
+    return monomial(0)
 
 
 def monomial(e, c=Fraction(1)):
@@ -387,28 +387,15 @@ def monomial(e, c=Fraction(1)):
 
 def hs_sum(series):
     """Sum of a sequence of series, equal to the left fold of + (masks
-    included) but built once: one term dict, one left fold of the
-    coefficients' own + per exponent, one intersection of the masks and one
-    _build_sorted.  An empty sequence sums to the exact zero, and a single
-    series is returned as it is."""
+    included) but built once: the series' numerators on one lattice
+    (`_numerators`) go through `_weighted_sum` with weight 1, over Q,
+    Q(lambda) or a mix of both.  An empty sequence sums to the exact zero,
+    and a single series is returned as it is."""
     series = tuple(series)
     if len(series) < 2:
         return series[0] if series else zero()
-    ext = series[0].mask.extended
-    for f in series[1:]:
-        ext = _iv_inter(ext, f.mask.extended)
-    if not ext:
-        return HahnSeries((), _EMPTY)
-    acc = {}
-    for f in series:
-        for e, c in f.terms:
-            vs = acc.get(e)
-            if vs is None:
-                acc[e] = [c]
-            else:
-                vs.append(c)
-    return _build_sorted([(e, s) for e, vs in sorted(acc.items(), key=_exp)
-                          for s in (sum(vs[1:], vs[0]),) if s], ext)
+    M = _grid(series)
+    return _weighted_sum(M, [(1, _numerators(f, M)) for f in series])
 
 
 def forward_solve(one, lead, taps, cap):
@@ -498,40 +485,29 @@ def forward_solve(one, lead, taps, cap):
 
 
 def hs_mul(f, g):
-    """Product.  A coefficient of f*g is certified unless it can receive a
-    contribution involving an uncertified coefficient (`_mul_region`).
-    Pairs at or above the top of the certified region are never formed.
-
-    Over Q this is the one-product case of `hs_mul_sums`.  Over Q(lambda)
-    `_convolve` runs on the coefficients themselves: their own *, and at each
-    exponent one left fold of their own + from 0 (`RatFun + 0` runs no gcd)."""
-    if all(type(c) is Fraction for t in (f.terms, g.terms) for _, c in t):
-        return hs_mul_sums(1, [(0, f)], [g], {0: [(1, 0, 0)]})[0]
-    short = _mul_shortcut(f, g)
-    if short is not None:
-        return short
-    M = _grid((f, g))
-    (fe, fi), (ge, gi) = _on_grid(f, M), _on_grid(g, M)
-    ext = _mul_region(fe, fi, ge, gi)
-    terms = [(Fraction(E, M), v) for E, v in sorted(_convolve(fi, gi, ext[-1][1]).items()) if v]
-    return _build_sorted(terms, _off_grid(ext, M))
+    """Product, over Q or Q(lambda): the one-product case of `hs_mul_sums`.
+    A coefficient of f*g is certified unless it can receive a contribution
+    involving an uncertified coefficient (`_mul_region`).  Pairs at or
+    above the top of the certified region are never formed."""
+    return hs_mul_sums(1, [(0, f)], [g], {0: [(1, 0, 0)]})[0]
 
 
 def hs_mul_sums(p, fs, gs, sums):
     """{key: sum of w * f_n * phi_p**k_n(g_m) over the (w, n, m) in sums[key]},
-    with (k_n, f_n) = fs[n], g_m = gs[m], every series over Q and w rational;
-    equal, masks included, to hs_sum of hs_mul(f_n, g_m.mal(k_n, p)).scale(w).
+    with (k_n, f_n) = fs[n], g_m = gs[m], every series over Q or Q(lambda)
+    and w rational; equal, masks included, to hs_sum of
+    hs_mul(f_n, g_m.mal(k_n, p)).scale(w).
 
-    Everything runs on one integer lattice (1/M)Z, M clearing the
-    denominators of every exponent and finite mask endpoint, so phi_p**k
-    multiplies integers by p**k.  Each product is formed once: its region
-    and its convolution of integer numerators.  Per key, the regions are
-    intersected and the weighted sums folded over one common denominator;
-    one Fraction is built per kept term.  A key with a single product takes
-    hs_mul's shortcuts (`_mul_shortcut`) first."""
+    Everything runs on one lattice (1/M)Z, M clearing the denominators of
+    every exponent and finite mask endpoint, so phi_p**k multiplies integers
+    by p**k.  Each product is formed once: its region and its convolution
+    of numerators (`_numerators`).  Per key, the regions are intersected
+    and the weighted sums folded over one common denominator
+    (`_weighted_sum`).  A key with a single product takes the shortcuts of
+    `_mul_shortcut` first."""
     M = _grid([f for _, f in fs] + gs)
-    f_grid = [_numerators(_on_grid(f, M)) for _, f in fs]
-    g_grid = [_numerators(_on_grid(g, M)) for g in gs]
+    f_grid = [_numerators(f, M) for _, f in fs]
+    g_grid = [_numerators(g, M) for g in gs]
     products, out = {}, {}
     for key, ws in sums.items():
         if len(ws) == 1 and ws[0][0]:
@@ -571,23 +547,9 @@ def _mul_shortcut(f, g):
 
 def _grid(series):
     """Smallest M with every exponent and finite mask endpoint of the given
-    series in (1/M)Z."""
+    series in (1/M)Z (finite endpoints are Fractions, infinite ones floats)."""
     return _lattice([e for f in series for e, _ in f.terms]
-                    + [x for f in series for iv in f.mask.ivs for x in iv if x != POS])
-
-
-def _on_grid(f, M):
-    """(extended certified region, terms) of f with every exponent and
-    finite endpoint x replaced by the integer M*x."""
-    return ([(lo if lo == NEG else lo.numerator * (M // lo.denominator),
-              hi if hi == POS else hi.numerator * (M // hi.denominator))
-             for lo, hi in f.mask.extended], _on_lattice(f.terms, M))
-
-
-def _off_grid(ext, M):
-    """A region on integers M*x back on the rationals x."""
-    return [(lo if lo == NEG else Fraction(lo, M), hi if hi == POS else Fraction(hi, M))
-            for lo, hi in ext]
+                    + [x for f in series for iv in f.mask.ivs for x in iv if type(x) is Fraction])
 
 
 def _mul_region(fe, fi, ge, gi):
@@ -614,22 +576,20 @@ def _mul_region(fe, fi, ge, gi):
 
 
 def _grid_product(f, g, s):
-    """(region, {E: integer sum}, denominator) of f times g with g's
-    exponents multiplied by s, for f and g given by _numerators on one
-    lattice."""
+    """(region, sums, den) of f times g with g's exponents multiplied by s,
+    for f and g given by _numerators on one lattice, with den = the product
+    of their dens.  sums holds the pairs (E, sum of N1 * N2) over the pairs
+    of terms (E1, N1) of f and (E2, N2) of g with E = E1 + E2 below the
+    top of the region.  Each sum is the left fold 0 + N1*N2 + ... of the
+    numerators' own * and +: integers over Q, RatFuns over Q(lambda) (where
+    0 + r is r and runs no gcd)."""
     fe, fi, fden = f
     ge, gi, gden = g
     if s != 1:
         ge = [(lo * s, hi * s) for lo, hi in ge]
         gi = [(E * s, N) for E, N in gi]
     ext = _mul_region(fe, fi, ge, gi)
-    return ext, _convolve(fi, gi, ext[-1][1] if ext else NEG), fden * gden
-
-
-def _convolve(fi, gi, top):
-    """{E1 + E2: sum of N1 * N2} over the pairs of terms (E1, N1) of fi and
-    (E2, N2) of gi (sorted by integer exponent) with E1 + E2 < top.  Each sum
-    is the left fold 0 + N1*N2 + ... of integers, or of RatFuns for hs_mul."""
+    top = ext[-1][1] if ext else NEG
     g_exps = [E for E, _ in gi]
     acc = {}
     for E1, N1 in fi:
@@ -639,14 +599,17 @@ def _convolve(fi, gi, top):
         for E2, N2 in gi[:n]:
             E = E1 + E2
             acc[E] = acc.get(E, 0) + N1 * N2
-    return acc
+    return ext, acc.items(), fden * gden
 
 
 def _weighted_sum(M, pieces):
-    """The series sum of w * product over the (w, product) in pieces, each
-    product a _grid_product on (1/M)Z: the regions intersected, the sums
-    folded into integer numerators over one common denominator, one Fraction
-    per kept term and one _build_sorted.  No pieces make the exact zero."""
+    """The series sum of w * part over the (w, part) in pieces, each part a
+    (region, sums, den) on (1/M)Z as `_numerators` and `_grid_product` give
+    it: the regions intersected, and the sums scaled to one common
+    denominator den and folded per exponent from the integer 0 by the
+    numerators' own +, then one _build_sorted.  A kept sum S becomes
+    Fraction(S, den) for an integer S, S itself when den is 1, and
+    S * (1/den) otherwise.  No pieces make the exact zero."""
     ext = _FULL
     for _, (region, _, _) in pieces:
         ext = _iv_inter(ext, region)
@@ -656,11 +619,14 @@ def _weighted_sum(M, pieces):
     acc = {}
     for w, (_, sums, d) in pieces:
         k = w.numerator * (den // (w.denominator * d))
-        for E, s in sums.items():
-            acc[E] = acc.get(E, 0) + k * s
-    return _build_sorted([(Fraction(E, M), Fraction(S, den))
-                          for E, S in _kept(sorted(acc.items()), ext) if S],
-                         _off_grid(ext, M))
+        for E, s in sums:
+            acc[E] = acc.get(E, 0) + (s if k == 1 else k * s)
+    inv = Fraction(1, den)
+    return _build_sorted(
+        [(Fraction(E, M), Fraction(S, den) if type(S) is int else S if den == 1 else S * inv)
+         for E, S in _kept(sorted(acc.items()), ext) if S],
+        [(lo if lo == NEG else Fraction(lo, M), hi if hi == POS else Fraction(hi, M))
+         for lo, hi in ext])
 
 
 def _lattice(exps):
@@ -673,10 +639,18 @@ def _on_lattice(terms, D):
     return [(e.numerator * (D // e.denominator), c) for e, c in terms]
 
 
-def _numerators(grid):
-    """(region, terms, den) for a series on a lattice, (region, terms), with
-    Fraction coefficients: the coefficients become integer numerators over
-    their common denominator den."""
-    ext, terms = grid
-    den = math.lcm(*{c.denominator for _, c in terms})
+def _numerators(f, M):
+    """(region, terms, den) of f on the lattice (1/M)Z: the extended
+    certified region and the terms with every exponent and finite (Fraction)
+    endpoint x replaced by the integer M*x.  Over Q the coefficients become
+    integer numerators over their common denominator den.  A series with a
+    coefficient that is not a Fraction (over Q(lambda)) keeps its
+    coefficients, with den 1."""
+    ext = [(lo if type(lo) is float else lo.numerator * (M // lo.denominator),
+            hi if type(hi) is float else hi.numerator * (M // hi.denominator))
+           for lo, hi in f.mask.extended]
+    terms = _on_lattice(f.terms, M)
+    if any(type(c) is not Fraction for _, c in f.terms):
+        return ext, terms, 1
+    den = math.lcm(*{c.denominator for _, c in f.terms})
     return ext, [(E, c.numerator * (den // c.denominator)) for E, c in terms], den

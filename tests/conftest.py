@@ -17,12 +17,17 @@ from mahler.errors import (MahlerError, NonRationalExponent, PlanMismatch,
                            ZeroDivisor)
 from mahler.factorize import Factorization, FirstOrderFactor
 from mahler.fields import Poly, RatFun
-from mahler.frobenius import _solution, lift, solve_order1_param
+from mahler.frobenius import _solution, solve_order1_param
 from mahler.hahn import (_FULL, NEG, POS, HahnSeries, Mask, _iv_diff, _iv_inter, _iv_norm,
                          forward_solve, hs, hs_mul, hs_sum, monomial, zero)
 from mahler.newton import analyze, frobenius_plan
 from mahler.operator import MahlerOperator
 from mahler.testing import rand_rational
+
+
+def lift(f):
+    """Reinterpret a series over Q as a series over Q(lambda)."""
+    return f.map_coeffs(RatFun.const)
 
 
 def rand_exponent(rng, lo=-3, hi=6, max_den=3):

@@ -12,11 +12,11 @@ import time
 from fractions import Fraction
 
 from conftest import (canon, eq_on_mask, gauge_exp, gauge_unit, ladder_g1_terms,
-                      ladder_g2_terms, ladder_operator, order1_coeff_oracle, rand_operator,
+                      ladder_g2_terms, ladder_operator, lift, order1_coeff_oracle, rand_operator,
                       rand_param_series, rand_series, series_dict_on_mask, subst_scale)
 from mahler.factorize import factor_operator, factor_reconstruct
 from mahler.fields import Poly, RatFun, pole_order
-from mahler.frobenius import frobenius_basis, lift, solve_order1_param
+from mahler.frobenius import frobenius_basis, solve_order1_param
 from mahler.hahn import monomial
 from mahler.newton import analyze, frobenius_plan
 from mahler.operator import MahlerOperator

@@ -4,10 +4,13 @@ Each equation below has a power-series solution whose coefficients come from
 a combinatorial definition that no mahler code computes.  The CLI run (at
 precision 64, depth 4, with --verify --json) must verify, and its
 power-series solution, divided by its constant term, must equal the
-definition for every n < 64 with the mask [0, 64).
+definition for every n < 64 with the mask [0, 64).  The homogenized
+Fredholm equation is checked on the exponents its masks certify.
 """
 import json
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -52,14 +55,34 @@ CLASSICS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CLASSICS))
-def test_power_series_solution_equals_its_definition(name, tmp_path, capsys):
-    text, coeff = CLASSICS[name]
+def run_cli(text, tmp_path, capsys):
+    """The --verify --json report of the CLI at PRECISION, depth 4; it must
+    exit 0 and verify."""
     f = tmp_path / "eq.txt"
     f.write_text(text)
     rc = main([str(f), "--precision", str(PRECISION), "--depth", "4", "--verify", "--json"])
     data = json.loads(capsys.readouterr().out)
     assert rc == 0 and data["verification"]["ok"] is True
+    return data
+
+
+def test_readme_thue_morse_example_prints_its_line(tmp_path, capsys):
+    """README's worked example: the solution line it quotes is the one the
+    CLI prints at precision 16, and the run verifies."""
+    f = tmp_path / "thue-morse.txt"
+    f.write_text(CLASSICS["thue-morse"][0])
+    assert main([str(f), "--precision", "16", "--verify"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    [line] = [line for line in out if line.startswith("y[")]
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    assert line in readme.read_text(encoding="utf-8").splitlines()
+    assert "verification: ok" in out
+
+
+@pytest.mark.parametrize("name", sorted(CLASSICS))
+def test_power_series_solution_equals_its_definition(name, tmp_path, capsys):
+    text, coeff = CLASSICS[name]
+    data = run_cli(text, tmp_path, capsys)
     # the power-series solution: one part, exponent c = 1, no logarithm
     sols = [sol for block in data["blocks"] for sol in block["solutions"]
             if [part["c"] for part in sol] == ["1"]]
@@ -70,3 +93,43 @@ def test_power_series_solution_equals_its_definition(name, tmp_path, capsys):
     assert [terms.get(n, 0) / terms[0] for n in range(PRECISION)] == \
         [coeff(n) for n in range(PRECISION)]
     assert series["mask"] == [{"lo": "0", "hi": str(PRECISION)}]
+
+
+def certifies(mask, x):
+    """Whether a JSON mask certifies the exponent x: below the end of its
+    first interval (no support lies below that interval) or inside a later
+    one."""
+    ivs = [(Fraction(iv["lo"]), math.inf if iv["hi"] == "inf" else Fraction(iv["hi"]))
+           for iv in mask]
+    return bool(ivs) and (x < ivs[0][1] or any(lo <= x < hi for lo, hi in ivs[1:]))
+
+
+def certified_terms(series):
+    """{exponent: coefficient} of a JSON series on its certified exponents."""
+    terms = {Fraction(t["exp"]): Fraction(t["coeff"]) for t in series["terms"]}
+    return {e: c for e, c in terms.items() if certifies(series["mask"], e)}
+
+
+def test_fredholm_solutions_on_their_certified_exponents(tmp_path, capsys):
+    """F = sum of z**(2**k) over k >= 0 satisfies phi F - F = -z, so
+    phi**2 F - (1 + z) phi F + z F = 0, whose solutions are F (up to a
+    constant factor) and the constant 1.  Only certified exponents are
+    compared, so wider masks keep the test valid."""
+    data = run_cli("p = 2\na[0] = z\na[1] = -(1 + z)\na[2] = 1\n", tmp_path, capsys)
+    sols = [sol for block in data["blocks"] for sol in block["solutions"]]
+    assert len(sols) == 2 and all([part["c"] for part in sol] == ["1"] for sol in sols)
+    parts = [{t["u"]: t["series"] for t in sol[0]["terms"]} for sol in sols]
+    fred = [p for p in parts if min(certified_terms(p[0]), default=None) == 1]
+    const = [p for p in parts if p not in fred]
+    assert len(fred) == 1 and len(const) == 1
+    # the solution of valuation 1, divided by its z**1 coefficient, is F
+    series = fred[0][0]
+    terms = certified_terms(series)
+    assert all(certifies(series["mask"], n) for n in range(PRECISION))
+    assert {e: c / terms[1] for e, c in terms.items() if e < PRECISION} == \
+        {Fraction(2) ** k: 1 for k in range(6)}
+    # the other is the constant 1 on l[1,0], with no l[1,1] term
+    low, log = const[0][0], const[0].get(1)
+    assert certified_terms(low) == {0: 1}
+    assert all(certifies(low["mask"], n) for n in range(PRECISION - 1))
+    assert log is None or certified_terms(log) == {}

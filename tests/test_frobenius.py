@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (d_lambda, eq_on_mask, ev_c, gcj_residual_mask, ladder_g1_terms,
-                      ladder_g2_terms, ladder_operator, order1_coeff_oracle, pipeline_mask,
-                      rand_exponent, rand_operator, rand_param_series, rand_series,
+                      ladder_g2_terms, ladder_operator, lift, order1_coeff_oracle,
+                      pipeline_mask, rand_exponent, rand_operator, rand_param_series, rand_series,
                       reference_apply_to_solution, reference_solve_gcj,
                       reference_solve_order1_param, reference_specialize,
                       series_dict_on_mask)
@@ -26,7 +26,7 @@ from mahler.operator import MahlerOperator, phi_minus
 from mahler.factorize import factor_operator
 from mahler import fields, frobenius
 from mahler.frobenius import (SolutionObject, apply_to_solution, check_gcj,
-                              expected_gcj_cld, frobenius_basis, lift, solve_gcj, solve_slope,
+                              expected_gcj_cld, frobenius_basis, solve_gcj, solve_slope,
                               solve_order1_param, specialize_solutions,
                               verify_independence)
 from mahler.testing import rand_factored_operator

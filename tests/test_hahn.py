@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (_iv_contains, brute_conv, eq_on_mask, geometric_invert, ladder_operator,
-                      pipeline_mask, rand_param_series, rand_series, reference_add,
+                      lift, pipeline_mask, rand_param_series, rand_series, reference_add,
                       reference_build, reference_forward_solve, reference_mul, support)
 from test_cli import EXAMPLE
 from mahler import fields, hahn
@@ -56,7 +56,7 @@ def test_hs_basic_construction():
 
 
 def test_integer_coefficients_become_fractions():
-    for f in (hs([(0, 3), (1, -2)]), hs({2: 7}), one(5), monomial(1, 2)):
+    for f in (hs([(0, 3), (1, -2)]), hs({2: 7}), monomial(0, 5), monomial(1, 2)):
         for _, c in f.terms:
             assert isinstance(c, Fraction)
     inv = hs([(0, 2), (1, 3)]).invert(6)
@@ -186,16 +186,25 @@ def holed(rng, f, n):
     return f
 
 
-@pytest.mark.parametrize("ring", ["Q", "Q(lambda)"])
+@pytest.mark.parametrize("ring", ["Q", "Q(lambda)", "mixed"])
 def test_hs_sum_equals_left_fold(ring):
+    """hs_sum against the left fold of reference_add, coefficient types
+    included.  In the mixed ring each part is drawn over Q, with every
+    coefficient's denominator a multiple of 7 or 11, or over Q(lambda)."""
     rng = random.Random(71 + len(ring))
     lam = RatFun.lam()
     dens = (RatFun.const(1), lam - 1, (lam - 1) ** 2, lam * (lam + 2))
+    q_series, q_scalar = (lambda: rand_series(rng, 5)), (lambda: rand_rational(rng, nonzero=True))
+    param_series = lambda: rand_param_series(rng, 5).map_coeffs(lambda r: r / rng.choice(dens))
+    param_scalar = lambda: RatFun.const(rand_rational(rng, nonzero=True)) / rng.choice(dens)
     if ring == "Q":
-        series_of, scalar = (lambda: rand_series(rng, 5)), (lambda: rand_rational(rng, nonzero=True))
+        series_of, scalar = q_series, q_scalar
+    elif ring == "Q(lambda)":
+        series_of, scalar = param_series, param_scalar
     else:
-        series_of = lambda: rand_param_series(rng, 5).map_coeffs(lambda r: r / rng.choice(dens))
-        scalar = lambda: RatFun.const(rand_rational(rng, nonzero=True)) / rng.choice(dens)
+        series_of = lambda: (q_series().scale(Fraction(1, rng.choice((7, 11))))
+                             if rng.random() < 0.5 else param_series())
+        scalar = lambda: q_scalar() if rng.random() < 0.5 else param_scalar()
     seen = set()
     for _ in range(300):
         parts = []
@@ -215,10 +224,14 @@ def test_hs_sum_equals_left_fold(ring):
             want = reference_add(want, f)
         got = hs_sum(parts)
         assert got == want
+        assert [type(c) for _, c in got.terms] == [type(c) for _, c in want.terms]
         assert got == hs_sum(iter(parts))
         if cancel and not got.terms and got.mask.ivs:
             seen.add("full cancellation")
+        if len({type(c) for f in parts for _, c in f.terms}) > 1:
+            seen.add("both rings")
     assert seen >= {0, 1, 2, 3, 4, 5, "full cancellation"}
+    assert ("both rings" in seen) == (ring == "mixed")
     f = holed(rng, series_of(), 2).shift(Fraction(1, 3))
     assert hs_sum([f]) is f
     assert hs_sum([]).is_exact_zero()
@@ -491,19 +504,24 @@ def test_mul_monomial_fast_path_keeps_masks():
 def test_param_mul_with_one_pair_per_exponent_runs_no_gcd(monkeypatch):
     """Over Q(lambda) each exponent's sum starts from the integer 0, and
     0 + r is r itself: when every output exponent receives one pair, the
-    product by a series over Q (lifted) runs no poly_gcd, even over the
-    denominators lambda - 1 and lambda**2 + 1."""
+    product by a series h over Q runs no poly_gcd, even over the
+    denominators lambda - 1 and lambda**2 + 1.  That holds for h lifted to
+    Q(lambda) and for h as it is, whose integer numerators over the
+    denominator 4 multiply the RatFuns (the product solve_slope forms)."""
     lam = RatFun.lam()
     f = hs([(0, 1 / (lam - 1)), (1, (lam + 2) / (lam ** 2 + 1))], mask=[(0, 5)])
-    g = hs([(0, RatFun.const(2)), (Fraction(1, 2), RatFun.const(Fraction(-3, 4)))])
+    h = hs([(0, 2), (Fraction(1, 2), Fraction(-3, 4))])
+    g = lift(h)
     want = reference_mul(f, g)
     calls = []
     real_gcd = fields.poly_gcd
     monkeypatch.setattr(fields, "poly_gcd", lambda *args: calls.append(args) or real_gcd(*args))
-    prod = hs_mul(f, g)
+    prods = [hs_mul(f, g), hs_mul(h, f)]
     assert not calls
-    assert [e for e, _ in prod.terms] == [0, Fraction(1, 2), 1, Fraction(3, 2)]
-    assert prod == want
+    for prod in prods:
+        assert [e for e, _ in prod.terms] == [0, Fraction(1, 2), 1, Fraction(3, 2)]
+        assert all(isinstance(c, RatFun) for _, c in prod.terms)
+        assert prod == want
 
 
 def test_invert_multiplies_back_to_one():

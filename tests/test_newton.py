@@ -233,7 +233,7 @@ def test_composition_when_zero_was_not_a_slope():
     L = MahlerOperator(p, [monomial(0), monomial(1)])
     nd = analyze(L)
     assert all(m > 0 for m, _ in nd.slopes)
-    B = MahlerOperator(p, [one(-3), one()])
+    B = MahlerOperator(p, [monomial(0, -3), one()])
     comp = analyze(L * B)
     assert [m for m, _ in comp.slopes] == [Fraction(0), Fraction(1, 2)]
     assert canon(comp.charpolys[0]) == Poly((-3, 1))

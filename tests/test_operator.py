@@ -138,7 +138,7 @@ def test_gauge_exp_scales_and_inverts():
 
 def test_gauge_exp_param_lifts_with_lambda_powers():
     lam = RatFun.lam()
-    L = MahlerOperator(2, [one(2), one(3), one(5)])
+    L = MahlerOperator(2, [monomial(0, 2), monomial(0, 3), monomial(0, 5)])
     G = gauge_exp_param(L)
     assert G.coeffs[0].terms[0][1] == RatFun.const(2)
     assert G.coeffs[1].terms[0][1] == 3 * lam
