@@ -21,6 +21,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .errors import MahlerError, UnknownLeadingTerm, ZeroDivisor, ZeroSeries
+from .fields import _ONE, RatFun, _poly, _reduced
 
 NEG = float("-inf")
 POS = float("inf")
@@ -485,10 +486,10 @@ def forward_solve(one, lead, taps, cap):
 
 
 def hs_mul(f, g):
-    """Product, over Q or Q(lambda): the one-product case of `hs_mul_sums`.
-    A coefficient of f*g is certified unless it can receive a contribution
-    involving an uncertified coefficient (`_mul_region`).  Pairs at or
-    above the top of the certified region are never formed."""
+    """Product, over Q, Q(lambda) or one of each: the one-product case of
+    `hs_mul_sums`.  A coefficient of f*g is certified unless it can receive
+    a contribution involving an uncertified coefficient (`_mul_region`).
+    Pairs at or above the top of the certified region are never formed."""
     return hs_mul_sums(1, [(0, f)], [g], {0: [(1, 0, 0)]})[0]
 
 
@@ -501,10 +502,11 @@ def hs_mul_sums(p, fs, gs, sums):
     Everything runs on one lattice (1/M)Z, M clearing the denominators of
     every exponent and finite mask endpoint, so phi_p**k multiplies integers
     by p**k.  Each product is formed once: its region and its convolution
-    of numerators (`_numerators`).  Per key, the regions are intersected
-    and the weighted sums folded over one common denominator
-    (`_weighted_sum`).  A key with a single product takes the shortcuts of
-    `_mul_shortcut` first."""
+    of numerators (`_grid_product`), as integer lambda-slices when one
+    factor is over Q and the other over Q(lambda).  Per key, the regions
+    are intersected and the weighted sums folded over one common
+    denominator (`_weighted_sum`).  A key with a single product takes the
+    shortcuts of `_mul_shortcut` first."""
     M = _grid([f for _, f in fs] + gs)
     f_grid = [_numerators(f, M) for _, f in fs]
     g_grid = [_numerators(g, M) for g in gs]
@@ -577,12 +579,12 @@ def _mul_region(fe, fi, ge, gi):
 
 def _grid_product(f, g, s):
     """(region, sums, den) of f times g with g's exponents multiplied by s,
-    for f and g given by _numerators on one lattice, with den = the product
-    of their dens.  sums holds the pairs (E, sum of N1 * N2) over the pairs
-    of terms (E1, N1) of f and (E2, N2) of g with E = E1 + E2 below the
-    top of the region.  Each sum is the left fold 0 + N1*N2 + ... of the
-    numerators' own * and +: integers over Q, RatFuns over Q(lambda) (where
-    0 + r is r and runs no gcd)."""
+    for f and g given by _numerators on one lattice.  sums holds the pairs
+    (E, S) with S*den the sum of N1 * N2 over the pairs of terms (E1, N1)
+    of f and (E2, N2) of g with E = E1 + E2 below the top of the region.
+    Over one ring S is `_convolve`'s fold of integers or RatFuns (0 + r is
+    r and runs no gcd) and den the product of the dens; over Q times
+    Q(lambda), `_slice_product` gives S with den 1."""
     fe, fi, fden = f
     ge, gi, gden = g
     if s != 1:
@@ -590,6 +592,14 @@ def _grid_product(f, g, s):
         gi = [(E * s, N) for E, N in gi]
     ext = _mul_region(fe, fi, ge, gi)
     top = ext[-1][1] if ext else NEG
+    if fi and gi and (type(fi[0][1]) is int) != (type(gi[0][1]) is int):
+        return ext, _slice_product(fi, gi, top, fden * gden), 1
+    return ext, _convolve(fi, gi, top).items(), fden * gden
+
+
+def _convolve(fi, gi, top):
+    """{E: 0 + N1*N2 + ...} over the pairs of terms (E1, N1) of fi and
+    (E2, N2) of gi, both sorted by exponent, with E = E1 + E2 < top."""
     g_exps = [E for E, _ in gi]
     acc = {}
     for E1, N1 in fi:
@@ -599,7 +609,61 @@ def _grid_product(f, g, s):
         for E2, N2 in gi[:n]:
             E = E1 + E2
             acc[E] = acc.get(E, 0) + N1 * N2
-    return ext, acc.items(), fden * gden
+    return acc
+
+
+def _slice_product(fi, gi, top, den):
+    """The sums of `_grid_product` when fi or gi has integer numerators over
+    den (over Q) and the other keeps its coefficients (over Q(lambda)).
+
+    With one integer term N no two pairs meet: each coefficient c gives
+    c * N/den, a multiple of a reduced fraction and so reduced.  Otherwise
+    the Q(lambda) terms are grouped by denominator D (Fractions apart, and
+    every constant D under one key, as hashing a Poly hashes each
+    coefficient).  A group's numerators, over one common integer q, split
+    into lambda**k slices of integers, each one `_convolve` with the
+    integers below top.  Per exponent the slice sums S_k give the Fraction
+    S_0/(q*den), or the RatFun (sum of Fraction(S_k, q*den) lambda**k)/D:
+    trusted as reduced when D is 1 or one pair of the group met there,
+    reduced by the constructor (one gcd) otherwise.  Groups meeting at an
+    exponent are added with +, from 0, so a sum is a Fraction exactly when
+    every pair is."""
+    ints, rats = (fi, gi) if type(fi[0][1]) is int else (gi, fi)
+    if len(ints) == 1:
+        [(E1, N)] = ints
+        m = N if den == 1 else Fraction(N, den)
+        return [(E1 + E2, c * m) for E2, c in rats if E1 + E2 < top]
+    groups = {}
+    for E, c in rats:
+        if type(c) is Fraction:
+            key, D = 0, None
+        elif c.den.degree:
+            key = D = c.den
+        else:
+            key, D = 1, _ONE
+        groups.setdefault(key, (D, []))[1].append((E, c))
+    acc = {}
+    for D, terms in groups.values():
+        numers = [(E, (c,) if D is None else c.num.coeffs) for E, c in terms]
+        q = math.lcm(*(a.denominator for _, cs in numers for a in cs))
+        slices = [[] for _ in range(max(len(cs) for _, cs in numers))]
+        for E, cs in numers:
+            for k, a in enumerate(cs):
+                if a:
+                    slices[k].append((E, a.numerator * (q // a.denominator)))
+        sums = [_convolve(ints, sl, top) if sl else {} for sl in slices]
+        pairs = None
+        if D is not None and D is not _ONE:
+            pairs = _convolve([(E, 1) for E, _ in ints], [(E, 1) for E, _ in terms], top)
+        scale = q * den
+        for E in set().union(*sums):
+            if D is None:
+                r = Fraction(sums[0][E], scale)
+            else:
+                num = _poly([Fraction(s.get(E, 0), scale) for s in sums])
+                r = _reduced(num, D) if pairs is None or pairs[E] == 1 else RatFun(num, D)
+            acc[E] = acc.get(E, 0) + r
+    return acc.items()
 
 
 def _weighted_sum(M, pieces):
@@ -645,7 +709,7 @@ def _numerators(f, M):
     endpoint x replaced by the integer M*x.  Over Q the coefficients become
     integer numerators over their common denominator den.  A series with a
     coefficient that is not a Fraction (over Q(lambda)) keeps its
-    coefficients, with den 1."""
+    coefficients, with den 1 (`_slice_product` slices them by lambda**k)."""
     ext = [(lo if type(lo) is float else lo.numerator * (M // lo.denominator),
             hi if type(hi) is float else hi.numerator * (M // hi.denominator))
            for lo, hi in f.mask.extended]

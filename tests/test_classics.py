@@ -4,8 +4,9 @@ Each equation below has a power-series solution whose coefficients come from
 a combinatorial definition that no mahler code computes.  The CLI run (at
 precision 64, depth 4, with --verify --json) must verify, and its
 power-series solution, divided by its constant term, must equal the
-definition for every n < 64 with the mask [0, 64).  The homogenized
-Fredholm equation is checked on the exponents its masks certify.
+definition for every n < 64 with the mask [0, 64).  Thue-Morse and Stern are
+checked the same way at precision 1024.  The homogenized Fredholm equation
+is checked on the exponents its masks certify.
 """
 import json
 import math
@@ -55,12 +56,12 @@ CLASSICS = {
 }
 
 
-def run_cli(text, tmp_path, capsys):
-    """The --verify --json report of the CLI at PRECISION, depth 4; it must
-    exit 0 and verify."""
+def run_cli(text, tmp_path, capsys, precision=PRECISION):
+    """The --verify --json report of the CLI at the precision, depth 4; it
+    must exit 0 and verify."""
     f = tmp_path / "eq.txt"
     f.write_text(text)
-    rc = main([str(f), "--precision", str(PRECISION), "--depth", "4", "--verify", "--json"])
+    rc = main([str(f), "--precision", str(precision), "--depth", "4", "--verify", "--json"])
     data = json.loads(capsys.readouterr().out)
     assert rc == 0 and data["verification"]["ok"] is True
     return data
@@ -79,20 +80,33 @@ def test_readme_thue_morse_example_prints_its_line(tmp_path, capsys):
     assert "verification: ok" in out
 
 
-@pytest.mark.parametrize("name", sorted(CLASSICS))
-def test_power_series_solution_equals_its_definition(name, tmp_path, capsys):
-    text, coeff = CLASSICS[name]
-    data = run_cli(text, tmp_path, capsys)
+def assert_power_series_solution(data, coeff, precision):
+    """The report's power-series solution, divided by its constant term,
+    equals coeff(n) for every n < precision, with the mask [0, precision)."""
     # the power-series solution: one part, exponent c = 1, no logarithm
     sols = [sol for block in data["blocks"] for sol in block["solutions"]
             if [part["c"] for part in sol] == ["1"]]
     assert len(sols) == 1 and [t["u"] for t in sols[0][0]["terms"]] == [0]
     series = sols[0][0]["terms"][0]["series"]
     terms = {Fraction(t["exp"]): Fraction(t["coeff"]) for t in series["terms"]}
-    assert set(terms) <= set(range(PRECISION))
-    assert [terms.get(n, 0) / terms[0] for n in range(PRECISION)] == \
-        [coeff(n) for n in range(PRECISION)]
-    assert series["mask"] == [{"lo": "0", "hi": str(PRECISION)}]
+    assert set(terms) <= set(range(precision))
+    assert [terms.get(n, 0) / terms[0] for n in range(precision)] == \
+        [coeff(n) for n in range(precision)]
+    assert series["mask"] == [{"lo": "0", "hi": str(precision)}]
+
+
+@pytest.mark.parametrize("name", sorted(CLASSICS))
+def test_power_series_solution_equals_its_definition(name, tmp_path, capsys):
+    text, coeff = CLASSICS[name]
+    assert_power_series_solution(run_cli(text, tmp_path, capsys), coeff, PRECISION)
+
+
+@pytest.mark.parametrize("name", ["stern", "thue-morse"])
+def test_power_series_solution_at_precision_1024(name, tmp_path, capsys):
+    """The sparse high-precision regime, where most of the time goes to the
+    product of the unit h over Q by the solution over Q(lambda)."""
+    text, coeff = CLASSICS[name]
+    assert_power_series_solution(run_cli(text, tmp_path, capsys, 1024), coeff, 1024)
 
 
 def certifies(mask, x):

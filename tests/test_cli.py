@@ -553,6 +553,20 @@ def test_dense_report_matches_the_recorded_digest(tmp_path, capsys, precision, d
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+THUE_MORSE = "p = 2\na[0] = -1\na[1] = 1 - z\n"
+
+
+def test_thue_morse_report_matches_the_recorded_digest(tmp_path, capsys):
+    """Thue-Morse at precision 256, depth 4, --verify --json: its report is
+    byte-identical to the one recorded when the product of the unit h over
+    Q by the solution over Q(lambda) still folded RatFuns pair by pair."""
+    f = tmp_path / "eq.txt"
+    f.write_text(THUE_MORSE)
+    assert main([str(f), "--precision", "256", "--depth", "4", "--verify", "--json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
+        "21fc0b0774578aa04cbc4c6b63c73d39891dc54ec9881ba53620059ba9ed3a57"
+
+
 # the p = 2 and p = 3 ladders (phi - z^nu) h^-1 (phi - 1) of the benchmark
 LADDER_P2 = ("p = 2\na[0] = z^(-2) / (1 + z^(2))\n"
              "a[1] = -(1 / (1 + z^(4)) + z^(-2) / (1 + z^(2)))\na[2] = 1 / (1 + z^(4))\n")

@@ -524,6 +524,38 @@ def test_param_mul_with_one_pair_per_exponent_runs_no_gcd(monkeypatch):
         assert prod == want
 
 
+def test_param_mul_runs_one_gcd_per_exponent_where_pairs_meet(monkeypatch):
+    """A series over Q(lambda) whose terms share the denominator
+    lambda**2 + 1, times h over Q: its lambda-slices are summed per
+    exponent before one RatFun is built, so an exponent that receives
+    several pairs costs one poly_gcd (a fold of RatFuns costs one per pair
+    after the first), and one that receives a single pair (the lowest and
+    the highest) none.  At z**1 the sum is lambda**2 + 1 over itself, which
+    that gcd reduces to 1."""
+    lam = RatFun.lam()
+    den = lam ** 2 + 1
+    nums = [RatFun.const(2), 2 * lam ** 2 + 5, lam + Fraction(3, 5), lam ** 3 + Fraction(4, 5)]
+    f = hs([(i, n / den) for i, n in enumerate(nums)])
+    h = hs([(0, Fraction(1, 2)), (1, Fraction(-3, 4)), (2, Fraction(5, 6))])
+    want = reference_mul(f, h)
+    pairs = {}
+    for e1, _ in f.terms:
+        for e2, _ in h.terms:
+            pairs[e1 + e2] = pairs.get(e1 + e2, 0) + 1
+    assert sorted(pairs.values()) == [1, 1, 2, 2, 3, 3]
+    calls = []
+    real_gcd = fields.poly_gcd
+    monkeypatch.setattr(fields, "poly_gcd", lambda *args: calls.append(args) or real_gcd(*args))
+    prods = [hs_mul(h, f), hs_mul(f, h)]
+    assert len(calls) <= 2 * sum(1 for n in pairs.values() if n > 1)
+    for prod in prods:
+        assert prod == want
+        assert len(prod.terms) == len(pairs)
+        assert all(isinstance(c, RatFun) for _, c in prod.terms)
+        assert [e for e, c in prod.terms if c.den != den.num] == [1]
+        assert prod.coeff_at(1) == 1
+
+
 def test_invert_multiplies_back_to_one():
     rng = random.Random(11)
     for _ in range(25):
@@ -680,7 +712,13 @@ def lattice_series(rng, D, coeff, n):
 def cap_kind(rng, f, D):
     """f exact (its products can reach a POS top), capped at an off-lattice
     rational, or capped 1/(2D) above one of its exponents, so that a product
-    top t has t*D = E + 1/2 with E the sum of a pair that must be formed."""
+    top t has t*D = E + 1/2 with E the sum of a pair that must be formed.
+    A one-term f stays an exact monomial (the product's shortcut) or is
+    capped above its exponent."""
+    if len(f.terms) == 1:
+        if rng.random() < 0.5:
+            return "monomial", f
+        return "capped monomial", f.cap(f.terms[0][0] + Fraction(rng.randint(1, 30), 7))
     kind = rng.choice(("exact", "off-lattice", "half-step"))
     if kind == "off-lattice":
         return kind, f.cap(Fraction(rng.randint(-10, 30), 7))
@@ -689,46 +727,127 @@ def cap_kind(rng, f, D):
     return kind, f
 
 
+def q_coeff(rng):
+    """Nonzero rational whose denominator is > 1."""
+    c = rand_rational(rng, nonzero=True)
+    return c if c.denominator > 1 else c + Fraction(1, rng.choice((2, 3, 7)))
+
+
+def mixed_coeff(rng):
+    """A RatFun, or one time in five a Fraction (as a term of a mixed sum)."""
+    return q_coeff(rng) if rng.random() < 0.2 else rand_ratfun(rng)
+
+
+def slice_kinds(f):
+    """What the lambda-slices of a product by f meet: the denominators of
+    f's RatFuns, an empty slice (a power of lambda below the top one that
+    no numerator of one denominator has), and Fraction terms beside
+    RatFuns."""
+    groups = {}
+    for _, c in f.terms:
+        if isinstance(c, RatFun):
+            groups.setdefault(c.den, []).append(c.num.coeffs)
+    kinds = set()
+    degrees = {d.degree for d in groups}
+    if len(groups) > 1:
+        kinds.add("several denominators")
+    if 0 in degrees and max(degrees) >= 2:
+        kinds.add("constant and degree >= 2")
+    if any(not any(k < len(cs) and cs[k] for cs in nums)
+           for nums in groups.values() for k in range(max(map(len, nums)))):
+        kinds.add("empty slice")
+    if groups and any(type(c) is Fraction for _, c in f.terms):
+        kinds.add("Fraction term")
+    return kinds
+
+
+RINGS = sorted(COEFFS) + ["mixed"]
+
+
 @pytest.mark.parametrize("D", FINE_LATTICES)
-@pytest.mark.parametrize("ring", sorted(COEFFS))
+@pytest.mark.parametrize("ring", RINGS)
 def test_mul_on_fine_lattice_equals_reference(D, ring):
+    """hs_mul against reference_mul, coefficient types included.  In the
+    mixed ring each draw pairs a factor over Q, every denominator > 1,
+    with one over Q(lambda), in random order: the product then runs as
+    integer lambda-slices, or pair by pair when the factor over Q has one
+    term.  Either factor may be an exact monomial there (the shortcut)."""
     rng = random.Random(D % 997 + len(ring))
     seen = set()
     for _ in range(120):
-        f = lattice_series(rng, D, COEFFS[ring], rng.randint(2, 8))
-        g = lattice_series(rng, D, COEFFS[ring], rng.randint(2, 8))
+        if ring == "mixed":
+            f = lattice_series(rng, D, q_coeff, rng.randint(1, 8))
+            g = lattice_series(rng, D, mixed_coeff, rng.randint(1, 8))
+            if rng.random() < 0.5:
+                f, g = g, f
+        else:
+            f = lattice_series(rng, D, COEFFS[ring], rng.randint(2, 8))
+            g = lattice_series(rng, D, COEFFS[ring], rng.randint(2, 8))
         kind_f, f = cap_kind(rng, f, D)
         kind_g, g = cap_kind(rng, g, D)
+        if ring == "mixed" and "monomial" not in (kind_f, kind_g):
+            seen |= slice_kinds(f) | slice_kinds(g)
         prod = hs_mul(f, g)
-        assert prod == reference_mul(f, g)
+        want = reference_mul(f, g)
+        assert prod == want
+        assert [type(c) for _, c in prod.terms] == [type(c) for _, c in want.terms]
         top = prod.mask.ivs[-1][1] if prod.mask.ivs else None
         if top == POS:
             seen.add("POS top")
         elif top is not None and (top * D).denominator != 1:
             seen.add("off-lattice top")
         seen |= {kind_f, kind_g}
-    assert seen == {"POS top", "off-lattice top", "exact", "off-lattice", "half-step"}
+    kinds = {"POS top", "off-lattice top", "exact", "off-lattice", "half-step"}
+    if ring == "mixed":
+        kinds |= {"monomial", "capped monomial", "several denominators",
+                  "constant and degree >= 2", "empty slice", "Fraction term"}
+    assert seen == kinds
+
+
+def cancelling_pair(rng, n):
+    """Coefficients (cs, rs) with cs over Q, every denominator > 1, and
+    each r = c * u for one u over Q(lambda): u a RatFun, or a rational
+    stored as a Fraction in some terms and as a RatFun in others, so that
+    a product's sums meet over one D, or over the Fractions and D = 1."""
+    cs = [q_coeff(rng) for _ in range(n)]
+    if rng.random() < 0.5:
+        u = rand_ratfun(rng)
+        return cs, [c * u for c in cs], "D = 1" if u.den.degree == 0 else "D > 1"
+    u = q_coeff(rng)
+    rs = [c * u if rng.random() < 0.5 else RatFun.const(c * u) for c in cs]
+    return cs, rs, "Fractions and D = 1" if len({type(r) for r in rs}) == 2 else "one ring"
 
 
 @pytest.mark.parametrize("D", FINE_LATTICES)
-@pytest.mark.parametrize("ring", sorted(COEFFS))
+@pytest.mark.parametrize("ring", RINGS)
 def test_mul_drops_coefficient_sums_that_cancel(D, ring):
     """f(z) f(-z) on the variable z**(1/D): every odd coefficient is a sum of
-    pairs that cancels to 0 and must not be stored."""
+    pairs that cancels to 0 and must not be stored.  In the mixed ring the
+    product is f(z) times u f(-z), f over Q and u over Q(lambda) (see
+    cancelling_pair), in random order, so that the lambda-slices cancel."""
     rng = random.Random(D % 991 + len(ring))
+    seen = set()
     for _ in range(30):
         n = rng.randint(2, 7)
-        cs = [COEFFS[ring](rng) for _ in range(n)]
+        if ring == "mixed":
+            cs, rs, kind = cancelling_pair(rng, n)
+            seen.add(kind)
+        else:
+            cs = rs = [COEFFS[ring](rng) for _ in range(n)]
         base = Fraction(rng.randint(-2, 2))
         f = hs([(base + Fraction(i, D), c) for i, c in enumerate(cs)])
-        g = hs([(base + Fraction(i, D), c if i % 2 == 0 else -c) for i, c in enumerate(cs)])
+        g = hs([(base + Fraction(i, D), c if i % 2 == 0 else -c) for i, c in enumerate(rs)])
         if rng.random() < 0.5:
             g = g.cap(base + Fraction(2 * n - 1, 2 * D))
+        if ring == "mixed" and rng.random() < 0.5:
+            f, g = g, f
         prod = hs_mul(f, g)
         assert prod == reference_mul(f, g)
         assert all(c for _, c in prod.terms)
         assert all(((e - 2 * base) * D) % 2 == 0 for e, _ in prod.terms)
         assert prod.terms
+    if ring == "mixed":
+        assert {"D = 1", "D > 1", "Fractions and D = 1"} <= seen
 
 
 def rand_taps(rng, p, D, ring):
