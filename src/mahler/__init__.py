@@ -10,7 +10,7 @@ from .errors import (DivisionByZero, InsufficientPrecision, MahlerError,
                      ParseError, PlanMismatch, PoleAtEvaluationPoint,
                      UnknownLeadingTerm, VerificationError, ZeroDivisor,
                      ZeroSeries)
-from .fields import Poly, RatFun, pole_order, rational_roots
+from .fields import Poly, RatFun, rational_roots
 from .hahn import HahnSeries, Mask, hs, hs_mul, hs_sum, monomial, one, zero
 from .newton import (FrobeniusPlan, NewtonData, analyze, char_poly,
                      frobenius_plan, newton_polygon, slopes_of)
@@ -28,7 +28,7 @@ __all__ = [
     "NonRationalExponent", "NonRationalExponentLiteral", "ParseError",
     "PlanMismatch", "PoleAtEvaluationPoint", "UnknownLeadingTerm",
     "VerificationError", "ZeroDivisor", "ZeroSeries",
-    "Poly", "RatFun", "pole_order", "rational_roots",
+    "Poly", "RatFun", "rational_roots",
     "HahnSeries", "Mask", "hs", "hs_mul", "hs_sum", "monomial", "one", "zero",
     "FrobeniusPlan", "NewtonData", "analyze", "char_poly", "frobenius_plan",
     "newton_polygon", "slopes_of",

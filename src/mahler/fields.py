@@ -37,7 +37,9 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             other = Poly.const(other)
-        return self.coeffs == other.coeffs
+        # tuple == has no length shortcut: it would walk a common prefix
+        a, b = self.coeffs, other.coeffs
+        return len(a) == len(b) and a == b
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -198,10 +200,13 @@ class RatFun:
       a*lambda**k is built directly as a**n * lambda**(k*n), with no Poly
       product.
 
-    The Horner-type kernels behind `taylor`, `mul_root_power` and
-    `pole_order` (Taylor shift and synthetic division by lambda - c) run on
-    integers: for c = a/b the polynomial is rescaled to an integer one in
-    b*lambda, and each output coefficient becomes one Fraction at the end.
+    The Horner-type kernels behind `mul_root_power` (synthetic division by
+    lambda - c) run on integers: for c = a/b the polynomial is rescaled to
+    an integer one in b*lambda, and each output coefficient becomes one
+    Fraction at the end.  Taylor coefficients at lambda = c are not a
+    method: `taylor_table` takes those of many RatFuns at once, on the same
+    integers, with one den jet per denominator, and `first_pole` one root
+    test per denominator.
     """
 
     __slots__ = ("num", "den")
@@ -316,28 +321,6 @@ class RatFun:
             d = _times_root(d, c, -k - j)
         return _reduced(_poly(n), _poly(d))
 
-    def taylor(self, c, n):
-        """First n Taylor coefficients R_0..R_{n-1} of num/den at lambda = c.
-
-        n rounds of integer synthetic division by lambda - c (`_taylor_head`)
-        give the first n coefficients of num(c + h) and den(c + h); a
-        truncated power-series division then gives those of the quotient.
-        Raises PoleAtEvaluationPoint when den(c) = 0, also for n = 0, which
-        returns [].
-        """
-        c = Fraction(c)
-        dj = _taylor_head(self.den.coeffs, c, max(n, 1))
-        if not dj[0]:
-            raise PoleAtEvaluationPoint("pole at lambda = %s" % c)
-        nj = _taylor_head(self.num.coeffs, c, n)
-        out = []
-        for k in range(n):
-            acc = nj[k]
-            for i in range(1, k + 1):
-                acc -= dj[i] * out[k - i]
-            out.append(acc / dj[0])
-        return out
-
     def __str__(self):
         ns = poly_str(self.num, "λ")
         if self.den.degree == 0:
@@ -362,24 +345,94 @@ def _int_lattice(cs, b):
     return M, L
 
 
-def _taylor_head(cs, c, n):
-    """Coefficients of h**0..h**(n-1) in P = sum cs[i] x**i at x = c + h.
+def _taylor_ints(cs, a, b, n):
+    """(S, q) with sum cs[i] x**i = sum_k S_k (b*h)**k / q at x = a/b + h,
+    for the integers S_0..S_{n-1} and q.
 
-    An integer Taylor shift: with c = a/b and L * b**d * P(x) = Q(b*x)
-    (`_int_lattice`), P(c + h) = Q(a + b*h) / (L * b**d).  Round k of integer
-    synthetic division of Q by y - a leaves the remainder S_k, the y**k
-    coefficient of Q(a + y), so the h**k coefficient of P(c + h) is
-    S_k * b**k / (L * b**d): one Fraction per output coefficient."""
-    a, b = c.numerator, c.denominator
+    An integer Taylor shift: with L * b**d * P(x) = Q(b*x) (`_int_lattice`),
+    P(a/b + h) = Q(a + b*h) / (L * b**d).  Round k of integer synthetic
+    division of Q by y - a leaves the remainder S_k, the y**k coefficient
+    of Q(a + y), and q = L * b**d."""
     top, L = _int_lattice(cs, b)
-    den, bk, out = L * b ** max(len(cs) - 1, 0), 1, []
+    out = []
     for k in range(min(n, len(top))):
         acc = top[0]
         for i in range(1, len(top) - k):
             acc = top[i] = acc * a + top[i]
-        out.append(Fraction(acc * bk, den))
-        bk *= b
-    return out + [Fraction(0)] * (n - len(out))
+        out.append(acc)
+    return out + [0] * (n - len(out)), L * b ** max(len(cs) - 1, 0)
+
+
+def _den_jet(cs, a, b, n):
+    """None when the polynomial D = sum cs[i] x**i vanishes at c = a/b, else
+    (W, Z, B), the first n terms of 1/D(c + h) on integers:
+    1/D(c + h) = sum_k W_k B_k h**k / Z_(k+1), with Z_i = S_0**i.
+
+    With D(c + h) = S(b*h) / q (`_taylor_ints`), the series 1/S(y) has the
+    coefficients W_k / S_0**(k+1) for the integers W_0 = 1 and
+    W_k = -sum_{i=1..k} S_i S_0**(i-1) W_(k-i); B_k = q * b**k."""
+    S, q = _taylor_ints(cs, a, b, n or 1)
+    s0 = S[0]
+    if not s0:
+        return None
+    W, Z, B = [1], [1, s0], [q]
+    for k in range(1, n):
+        W.append(-sum(S[i] * Z[i - 1] * W[k - i] for i in range(1, k + 1)))
+        Z.append(Z[k] * s0)
+        B.append(B[-1] * b)
+    return W, Z, B
+
+
+def taylor_table(rs, c, rows):
+    """For each reduced rational function r in rs, the list
+    [[w * R_k for k in range(n)] for w, n in rows] of Fractions, with R_k the
+    h**k coefficient of r(c + h) and each w an integer.  Raises
+    PoleAtEvaluationPoint when some den vanishes at c, also for empty rows.
+
+    The terms are grouped by the identity of their den's coefficient tuple,
+    a key that hashes no coefficient (each group holds its tuple, so no id
+    is reused within the call); equal dens in distinct tuples only make
+    separate groups.  Each group takes one den jet and inverse series
+    (`_den_jet`).  Each numerator is Taylor-shifted on integers
+    (`_taylor_ints`), num(c + h) = sum T_i (b*h)**i / q_N, so that
+    R_k = sum_{i<=k} T_i Z_i W_(k-i) * B_k / (q_N Z_(k+1)), and each output
+    coefficient is one Fraction with its weight w folded in.
+    """
+    c = Fraction(c)
+    a, b = c.numerator, c.denominator
+    n = max((k for _, k in rows), default=0)
+    groups, out = {}, []
+    for r in rs:
+        dcs = r.den.coeffs
+        group = groups.get(id(dcs))
+        if group is None:
+            group = groups[id(dcs)] = (dcs, _den_jet(dcs, a, b, n))
+        jet = group[1]
+        if jet is None:
+            raise PoleAtEvaluationPoint("pole at lambda = %s" % c)
+        W, Z, B = jet
+        T, qn = _taylor_ints(r.num.coeffs, a, b, n)
+        TZ = [t * z for t, z in zip(T, Z)]
+        nums = [sum(TZ[i] * W[k - i] for i in range(k + 1)) * B[k] for k in range(n)]
+        dens = [qn * Z[k + 1] for k in range(n)]
+        out.append([[Fraction(w * nums[k], dens[k]) for k in range(m)] for w, m in rows])
+    return out
+
+
+def first_pole(rs, c):
+    """Index of the first reduced rational function in rs whose den vanishes
+    at lambda = c, or None: one root test (`_den_jet`) per non-constant den,
+    grouped as in `taylor_table`."""
+    c = Fraction(c)
+    a, b = c.numerator, c.denominator
+    seen = {}
+    for i, r in enumerate(rs):
+        dcs = r.den.coeffs
+        if len(dcs) > 1 and id(dcs) not in seen:   # a constant has no root
+            seen[id(dcs)] = dcs
+            if _den_jet(dcs, a, b, 0) is None:
+                return i
+    return None
 
 
 _ZERO = Poly()
@@ -498,11 +551,6 @@ def _coerce(x):
     if isinstance(x, (int, Fraction)):
         return RatFun.const(x)
     return NotImplemented
-
-
-def pole_order(f, c):
-    """Multiplicity of (lambda - c) in the denominator of a reduced f."""
-    return _divide_out_root(f.den.coeffs, Fraction(c), f.den.degree)[1]
 
 
 def _primitive(p):

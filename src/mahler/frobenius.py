@@ -5,7 +5,8 @@ triangular solve (`solve_slope`) chains it through the factorization once
 per slope j, with right-hand side prod_c (lambda - c)**m_c over the slope's
 exponents (chi_j up to a constant factor when the basis is full), and reads
 every g_{c,j} off that one solution; specialization (differentiate in lambda
-and evaluate at c, both read off the Taylor coefficients at lambda = c)
+and evaluate at c, both read off the Taylor coefficients at lambda = c,
+with one den jet per distinct denominator of g, not one per coefficient)
 turns each g_{c,j} into solutions written on the symbols l_{c,u} (with
 e_c = l_{c,0}) that obey phi_p(l_{c,u}) = c*l_{c,u} + l_{c,u-1}.
 """
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 from .errors import InsufficientPrecision, PlanMismatch, VerificationError
 from .factorize import factor_operator
-from .fields import RatFun, pole_order
+from .fields import RatFun, first_pole, taylor_table
 from .hahn import NEG, POS, HahnSeries, hs_mul, hs_mul_sums, hs_sum, monomial, zero
 from .newton import analyze, frobenius_plan
 
@@ -152,9 +153,10 @@ def check_gcj(L, plan, fact, c, j, mu, g):
         raise VerificationError("val of g is %s, expected %s" % (g.val(), -mu))
     if g.cld() != expected_gcj_cld(L, plan, fact, c, j):
         raise VerificationError("leading coefficient of g disagrees with the closed form")
-    for _, r in g.terms:
-        if pole_order(r, c):
-            raise VerificationError("coefficient of g has a pole at lambda = %s" % c)
+    i = first_pole([r for _, r in g.terms], c)
+    if i is not None:
+        raise VerificationError("coefficient of z^%s in g_{c,j} for j = %d has a pole at lambda = %s"
+                                % (g.terms[i][0], j, c))
 
 
 @dataclass(frozen=True)
@@ -193,17 +195,18 @@ def specialize_solutions(p, g, c, s, m_count):
 
     The part of solution t = s+m at l_{c,u} is binom(t,u) u! times the
     (t-u)-th lambda-derivative of g at c, that is t! R_{t-u} with R_k the
-    k-th Taylor coefficient at lambda = c; one jet of length s+m_count per
-    coefficient of g serves every part, and each part keeps g's mask.
+    k-th Taylor coefficient at lambda = c.  One `taylor_table` call gives
+    every t! R_k of every coefficient of g, with one den jet per distinct
+    denominator; each part keeps g's mask.
     """
     c = Fraction(c)
-    jets = g.map_coeffs(lambda r: r.taylor(c, s + m_count))
+    ts = range(s, s + m_count)
+    table = taylor_table([r for _, r in g.terms], c, [(math.factorial(t), t + 1) for t in ts])
     out = []
-    for m in range(m_count):
-        t = s + m
-        w = math.factorial(t)
-        out.append(_solution(p, {(c, u): jets.map_coeffs(lambda jet, k=t - u: w * jet[k])
-                                 for u in range(t + 1)}))
+    for m, t in enumerate(ts):
+        out.append(_solution(p, {(c, u): HahnSeries(
+            tuple((e, v) for (e, _), row in zip(g.terms, table) for v in (row[m][t - u],) if v),
+            g.mask) for u in range(t + 1)}))
     return out
 
 

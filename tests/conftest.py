@@ -573,6 +573,29 @@ def reference_taylor_head(cs, c, n):
     return out
 
 
+def reference_taylor(r, c, n):
+    """First n Taylor coefficients R_0..R_{n-1} of a reduced r = num/den at
+    lambda = c: the first n coefficients of num(c + h) and den(c + h)
+    (`reference_taylor_head`), then a truncated power-series division.
+    Raises PoleAtEvaluationPoint when den(c) = 0, also for n = 0, which
+    returns [].
+
+    Oracle for fields.taylor_table, one coefficient at a time in Fraction
+    arithmetic (the library's earlier `RatFun.taylor`)."""
+    c = Fraction(c)
+    dj = reference_taylor_head(r.den.coeffs, c, max(n, 1))
+    if not dj[0]:
+        raise PoleAtEvaluationPoint("pole at lambda = %s" % c)
+    nj = reference_taylor_head(r.num.coeffs, c, n)
+    out = []
+    for k in range(n):
+        acc = nj[k]
+        for i in range(1, k + 1):
+            acc -= dj[i] * out[k - i]
+        out.append(acc / dj[0])
+    return out
+
+
 def reference_divide_out_root(cs, c, k):
     """(cs / (x - c)**j, j) for the largest j <= k with (x - c)**j dividing
     the polynomial cs (ascending coefficients, c != 0), by synthetic division.
@@ -594,7 +617,8 @@ def reference_divide_out_root(cs, c, k):
 def reference_pole_order(f, c):
     """Multiplicity of (lambda - c) in the denominator of a reduced f.
 
-    Oracle for fields.pole_order: evaluation and Poly division."""
+    By evaluation and Poly division; the library itself only tests whether
+    a den vanishes at c (`fields.first_pole`)."""
     c = Fraction(c)
     n, den = 0, f.den
     while den.degree > 0 and not poly_eval(den, c):

@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import (derivative, eval_at, poly_eval, reference_divide_out_root,
-                      reference_pole_order, reference_taylor_head)
+                      reference_pole_order, reference_taylor, reference_taylor_head)
 from mahler import fields
 from mahler.errors import DivisionByZero, PoleAtEvaluationPoint
-from mahler.fields import Poly, RatFun, pole_order, poly_gcd, poly_str, rational_roots
+from mahler.fields import Poly, RatFun, first_pole, poly_gcd, poly_str, rational_roots
 from mahler.hahn import hs_sum, monomial
 from mahler.testing import rand_rational
 
@@ -30,6 +30,26 @@ def test_poly_ring_identities():
     assert p + (-p) == Poly(())
     assert p - p == Poly(())
     assert (p * (x - 5)).degree == 5
+
+
+def test_poly_eq_compares_degrees_before_coefficients(monkeypatch):
+    x = Poly.x()
+    calls = []
+    real_eq = Fraction.__eq__
+    monkeypatch.setattr(Fraction, "__eq__", lambda a, b: calls.append(b) or real_eq(a, b))
+    # unequal degrees, also through the scalar coercion: no coefficient compared
+    unequal = [(x ** 31, x ** 32), (x ** 32, x ** 31), (x + 1, 1), (Poly(()), x),
+               (Poly.const(3), 0), (Poly(()), Fraction(2))]
+    for a, b in unequal:
+        assert not a == b and a != b
+    assert not calls
+    equal = [(x ** 32, x ** 32), (x + Fraction(1, 2), x + Fraction(1, 2)), (Poly.const(3), 3),
+             (Poly.const(Fraction(2, 3)), Fraction(2, 3)), (Poly(()), 0), (Poly((0, 0)), Poly(()))]
+    for a, b in equal:
+        assert a == b and not a != b
+    # equal degrees with different coefficients compare coefficients
+    assert x ** 2 + 1 != x ** 2 + 2 and Poly.const(3) != 4 and 2 * x != x
+    assert calls
 
 
 def test_poly_divmod():
@@ -365,12 +385,17 @@ def test_ratfun_eval_derivative_subst():
     assert quot == expect
 
 
+def jet(f, c, n):
+    """R_0..R_{n-1} of f at lambda = c, from the batched kernel."""
+    return fields.taylor_table([f], c, [(1, n)])[0][0]
+
+
 def test_taylor_of_monomials_is_binomial():
     lam = RatFun.lam()
     for c in (Fraction(0), Fraction(1), Fraction(-2, 3), Fraction(5)):
         for i in range(6):
-            jet = (lam ** i).taylor(c, 8)
-            assert jet == [math.comb(i, k) * c ** (i - k) if k <= i else 0 for k in range(8)]
+            got = jet(lam ** i, c, 8)
+            assert got == [math.comb(i, k) * c ** (i - k) if k <= i else 0 for k in range(8)]
 
 
 def test_taylor_of_pole_powers_matches_closed_form():
@@ -378,8 +403,8 @@ def test_taylor_of_pole_powers_matches_closed_form():
     for a in (Fraction(0), Fraction(1), Fraction(-3, 2)):
         for c in (Fraction(2), Fraction(-1, 3)):
             for j in range(1, 5):
-                jet = (1 / (lam - a) ** j).taylor(c, 6)
-                assert jet == [(-1) ** k * math.comb(j + k - 1, k) * (c - a) ** (-j - k)
+                got = jet(1 / (lam - a) ** j, c, 6)
+                assert got == [(-1) ** k * math.comb(j + k - 1, k) * (c - a) ** (-j - k)
                                for k in range(6)]
 
 
@@ -398,17 +423,17 @@ def test_taylor_head_is_value_and_pole_raises():
             value = eval_at(f, c)
         except PoleAtEvaluationPoint:
             with pytest.raises(PoleAtEvaluationPoint):
-                f.taylor(c, 3)
+                jet(f, c, 3)
             with pytest.raises(PoleAtEvaluationPoint):
-                f.taylor(c, 0)
+                jet(f, c, 0)
             poles += 1
             continue
-        assert f.taylor(c, 1) == [value]
-        assert f.taylor(c, 0) == []
+        assert jet(f, c, 1) == [value]
+        assert jet(f, c, 0) == []
     assert poles >= 20
     lam = RatFun.lam()
     with pytest.raises(PoleAtEvaluationPoint):
-        ((lam + 1) / (lam - 2) ** 2).taylor(2, 3)
+        jet((lam + 1) / (lam - 2) ** 2, 2, 3)
 
 
 _HORNER_POINTS = (Fraction(0), Fraction(1), Fraction(-2, 3), Fraction(7, 5), Fraction(-13, 4))
@@ -439,24 +464,84 @@ def test_integer_horner_kernels_match_fraction_reference():
     for cs, c, j in _horner_cases(rng, 500):
         d = len(cs) - 1
         n = rng.randint(1, d + 3)
-        got = fields._taylor_head(cs, c, n)
+        ints, q = fields._taylor_ints(cs, c.numerator, c.denominator, n)
+        assert all(type(v) is int for v in ints + [q])
+        got = [Fraction(v * c.denominator ** k, q) for k, v in enumerate(ints)]
         assert got == reference_taylor_head(cs, c, n)
-        assert all(type(v) is Fraction for v in got)
         for k in {0, j, rng.randint(0, d + 1)}:
             quo, jj = fields._divide_out_root(cs, c, k)
             want, wj = reference_divide_out_root(cs, c, k)
             assert (list(quo), jj) == (list(want), wj)
             assert all(type(v) is Fraction for v in quo)
         f = RatFun(1, Poly(cs))
-        assert pole_order(f, c) == reference_pole_order(f, c)
+        assert (first_pole([f], c) == 0) == (reference_pole_order(f, c) > 0)
         seen |= {"j = %d" % j, "n > degree" if n > d else "n <= degree"}
         seen |= {"c = %s" % c} if c in _HORNER_POINTS else set()
         seen |= {"large denominators"} if any(v.denominator > 10 ** 6 for v in cs) else set()
     assert len(seen) == 13
     c = Fraction(2, 3)
     for n in (1, 4):   # the zero polynomial
-        assert fields._taylor_head((), c, n) == reference_taylor_head((), c, n)
+        assert fields._taylor_ints((), 2, 3, n) == ([0] * n, 1)
+        assert reference_taylor_head((), c, n) == [0] * n
         assert fields._divide_out_root((), c, n) == ([], n)
+
+
+def _taylor_table_case(rng):
+    """(rs, c, rows): up to three denominators, each shared as one tuple by
+    several terms and, for some, also held equal in a distinct tuple; c with
+    b > 1 or negative; numerators with coefficients up to 10**30; n up to 5;
+    now and then a den that vanishes at c."""
+    c = rng.choice((Fraction(0), Fraction(3), Fraction(-2), Fraction(2, 3), Fraction(-7, 5),
+                    Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(2, 10 ** 4))))
+    coeff = (lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+             lambda: Fraction(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 20)))
+    rand_poly = lambda d: Poly([rng.choice(coeff)() for _ in range(d)] + [Fraction(1)])
+    dens = []
+    for _ in range(rng.randint(1, 3)):
+        d = rand_poly(rng.randint(0, 6))
+        if rng.random() < 0.06:
+            d = d * Poly((-c, Fraction(1))) ** rng.randint(1, 2)
+        dens.append(d)
+    rs = []
+    for _ in range(rng.randint(1, 8)):
+        d = rng.choice(dens)
+        if rng.random() < 0.3:
+            d = Poly(d.coeffs)   # equal value, distinct tuple
+        rs.append(RatFun(rand_poly(rng.randint(0, 6)) * rng.choice(coeff)(), d))
+    n = rng.randint(1, 5)
+    rows = [(math.factorial(t), t + 1) for t in range(max(0, n - 3), n)]
+    rows += [(rng.randint(-10 ** 6, 10 ** 6), rng.randint(0, n)) for _ in range(rng.randint(0, 2))]
+    return rs, c, rows
+
+
+def test_taylor_table_matches_reference_per_coefficient():
+    rng = random.Random(2424)
+    seen = set()
+    for _ in range(300):
+        rs, c, rows = _taylor_table_case(rng)
+        n = max(m for _, m in rows)
+        try:
+            ref = [reference_taylor(r, c, n) for r in rs]
+        except PoleAtEvaluationPoint as exc:
+            with pytest.raises(PoleAtEvaluationPoint) as got:
+                fields.taylor_table(rs, c, rows)
+            assert str(got.value) == str(exc) == "pole at lambda = %s" % c
+            with pytest.raises(PoleAtEvaluationPoint):
+                fields.taylor_table(rs, c, [])
+            seen.add("pole")
+            continue
+        got = fields.taylor_table(rs, c, rows)
+        assert got == [[[w * R[k] for k in range(m)] for w, m in rows] for R in ref]
+        assert all(type(v) is Fraction for table in got for row in table for v in row)
+        ids = {id(r.den.coeffs) for r in rs}
+        seen |= {"n = %d" % n}
+        seen |= {"shared tuple"} if len(ids) < len(rs) else set()
+        seen |= {"equal dens in distinct tuples"} if len({r.den for r in rs}) < len(ids) else set()
+        seen |= {"b > 1"} if c.denominator > 1 else set()
+        seen |= {"negative c"} if c < 0 else set()
+        seen |= {"10**30"} if any(abs(v.numerator) > 10 ** 25 for r in rs
+                                  for v in r.num.coeffs) else set()
+    assert len(seen) == 11
 
 
 def test_ratfun_power_of_lambda_monomial_builds_no_poly_product(monkeypatch):
@@ -478,13 +563,15 @@ def test_ratfun_power_of_lambda_monomial_builds_no_poly_product(monkeypatch):
     assert not calls
 
 
-def test_pole_order():
+def test_first_pole():
     lam = RatFun.lam()
     f = (lam + 1) / ((lam - 2) ** 3 * (lam + 4))
-    assert pole_order(f, 2) == 3
-    assert pole_order(f, -4) == 1
-    assert pole_order(f, 5) == 0
-    assert pole_order(RatFun.const(7), 2) == 0
+    rs = [RatFun.const(7), lam ** 2 / (lam - 5), f, 3 * f, 1 / (lam + 4)]
+    assert first_pole(rs, 2) == 2
+    assert first_pole(rs, -4) == 2
+    assert first_pole(rs, 5) == 1
+    assert first_pole(rs, Fraction(1, 3)) is None
+    assert first_pole([], 2) is None
 
 
 def test_rational_roots():

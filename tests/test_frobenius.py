@@ -14,12 +14,12 @@ from hypothesis import strategies as st
 from conftest import (d_lambda, eq_on_mask, ev_c, gcj_residual_mask, ladder_g1_terms,
                       ladder_g2_terms, ladder_operator, lift, order1_coeff_oracle,
                       pipeline_mask, rand_exponent, rand_operator, rand_param_series, rand_series,
-                      reference_apply_to_solution, reference_solve_gcj,
+                      reference_apply_to_solution, reference_pole_order, reference_solve_gcj,
                       reference_solve_order1_param, reference_specialize,
                       series_dict_on_mask)
 from mahler.cli import elaborate, parse_spec
 from mahler.errors import MahlerError, PlanMismatch, PoleAtEvaluationPoint, VerificationError
-from mahler.fields import RatFun, pole_order
+from mahler.fields import RatFun
 from mahler.hahn import NEG, POS, HahnSeries, hs, monomial, one, zero
 from mahler.newton import analyze, frobenius_plan
 from mahler.operator import MahlerOperator, phi_minus
@@ -199,14 +199,14 @@ def test_order1_pole_orders_grow_by_at_most_one():
         mu = Fraction(rng.randint(-2, 2), rng.choice((1, 2)))
         c = rng.choice(cs)
         g = rand_param_series(rng)
-        rho = {cc: max((pole_order(r, cc) for _, r in g.terms), default=0)
+        rho = {cc: max((reference_pole_order(r, cc) for _, r in g.terms), default=0)
                for cc in cs}
         f = solve_order1_param(p, mu, c, g, 6, 5)
         for _, r in f.terms:
-            assert pole_order(r, c) <= rho[c] + 1
+            assert reference_pole_order(r, c) <= rho[c] + 1
             for cc in cs:
                 if cc != c:
-                    assert pole_order(r, cc) <= rho[cc]
+                    assert reference_pole_order(r, cc) <= rho[cc]
 
 
 def test_gcj_closed_forms_on_ladder_operators():
@@ -225,7 +225,7 @@ def test_gcj_closed_forms_on_ladder_operators():
         assert series_dict_on_mask(g2, ladder_g2_terms(p, nu, -10))
         assert g2.cld() == expected_gcj_cld(L, plan, fact, Fraction(1), 1)
         for _, r in g2.terms:
-            assert pole_order(r, 1) == 0
+            assert reference_pole_order(r, 1) == 0
 
 
 def _readme_operator(precision):
@@ -653,6 +653,45 @@ def _ladder_parts():
     plan = frobenius_plan(L, nd)
     fact = factor_operator(L, 6, plan)
     return L, nd, plan, fact, solve_gcj(L, plan, fact, Fraction(1), 0, 6, 6)
+
+
+def test_check_gcj_pole_error_names_j_and_the_first_offending_exponent():
+    L, nd, plan, fact, g = _ladder_parts()
+    mu = nd.slopes[0][0]
+    pole = RatFun.const(1).mul_root_power(Fraction(1), -1)
+    # g has terms at 0, 2 and 4 below its cap 6: the first polar term comes
+    # after a pole-free one and shares its den with a later one
+    polar = g + monomial(3, pole) + monomial(5, 3 * pole)
+    assert [e for e, _ in polar.terms] == [0, 2, 3, 4, 5]
+    assert polar.terms[2][1].den.coeffs is polar.terms[4][1].den.coeffs
+    with pytest.raises(VerificationError,
+                       match=r"coefficient of z\^3 in g_\{c,j\} for j = 0 has a pole at lambda = 1$"):
+        check_gcj(L, plan, fact, Fraction(1), 0, mu, polar)
+
+
+def test_readme_block_takes_one_den_jet_and_one_pole_test_per_denominator(monkeypatch):
+    """At precision and depth 32 the README example's second g has 462
+    terms on 33 denominators, 1 and lambda .. lambda**32, each held in one tuple
+    that the solver's products share.  `specialize_solutions` takes one den
+    step per tuple and `check_gcj` one per tuple of a non-constant den."""
+    L = _readme_operator(32)
+    nd = analyze(L)
+    plan = frobenius_plan(L, nd)
+    fact = factor_operator(L, 32, plan)
+    c, j = Fraction(1), 1
+    m, s = plan.lookup(j, c)
+    g = solve_gcj(L, plan, fact, c, j, 32, 32)
+    assert len(g.terms) == 462
+    assert {r.den for _, r in g.terms} == {RatFun.lam().num ** k for k in range(33)}
+    calls = []
+    real = fields._den_jet
+    monkeypatch.setattr(fields, "_den_jet", lambda *args: calls.append(args) or real(*args))
+    (y,) = specialize_solutions(L.p, g, c, s, m)
+    assert len(calls) == 33 and len({id(args[0]) for args in calls}) == 33
+    assert y.part(c, 0).terms
+    calls.clear()
+    check_gcj(L, plan, fact, c, j, nd.slopes[j][0], g)
+    assert len(calls) == 32 and all(len(args[0]) > 1 for args in calls)
 
 
 def test_solve_slope_rejects_a_factorization_with_other_layers():
