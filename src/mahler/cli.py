@@ -7,7 +7,7 @@ Input files are key/value lines:
     a[1] = -(1/(1+z^4) + z^(-2))
     a[2] = 1/(1+z^4)
 
-Expressions use +, -, *, /, unary -, parentheses, rational literals and
+Expressions use +, -, *, /, unary -, parentheses, integer literals and
 powers of z; exponents of z are bare integers or parenthesized rationals.
 Each coefficient is kept as a postfix program, so parsing, evaluating and
 printing are loops over a stack and no nesting depth makes them recurse.

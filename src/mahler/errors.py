@@ -10,7 +10,12 @@ class DivisionByZero(MahlerError, ZeroDivisionError):
 
 
 class PoleAtEvaluationPoint(MahlerError):
-    pass
+    """A rational function evaluated where its denominator vanishes; index
+    is the position of the first such function in the evaluated list."""
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class ZeroSeries(MahlerError):

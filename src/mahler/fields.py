@@ -205,8 +205,8 @@ class RatFun:
     an integer one in b*lambda, and each output coefficient becomes one
     Fraction at the end.  Taylor coefficients at lambda = c are not a
     method: `taylor_table` takes those of many RatFuns at once, on the same
-    integers, with one den jet per denominator, and `first_pole` one root
-    test per denominator.
+    integers, with one den jet per denominator, whose constant term is the
+    pole test.
     """
 
     __slots__ = ("num", "den")
@@ -365,13 +365,13 @@ def _taylor_ints(cs, a, b, n):
 
 def _den_jet(cs, a, b, n):
     """None when the polynomial D = sum cs[i] x**i vanishes at c = a/b, else
-    (W, Z, B), the first n terms of 1/D(c + h) on integers:
+    (W, Z, B), the first n >= 1 terms of 1/D(c + h) on integers:
     1/D(c + h) = sum_k W_k B_k h**k / Z_(k+1), with Z_i = S_0**i.
 
     With D(c + h) = S(b*h) / q (`_taylor_ints`), the series 1/S(y) has the
     coefficients W_k / S_0**(k+1) for the integers W_0 = 1 and
     W_k = -sum_{i=1..k} S_i S_0**(i-1) W_(k-i); B_k = q * b**k."""
-    S, q = _taylor_ints(cs, a, b, n or 1)
+    S, q = _taylor_ints(cs, a, b, n)
     s0 = S[0]
     if not s0:
         return None
@@ -387,7 +387,9 @@ def taylor_table(rs, c, rows):
     """For each reduced rational function r in rs, the list
     [[w * R_k for k in range(n)] for w, n in rows] of Fractions, with R_k the
     h**k coefficient of r(c + h) and each w an integer.  Raises
-    PoleAtEvaluationPoint when some den vanishes at c, also for empty rows.
+    PoleAtEvaluationPoint when some den vanishes at c, also for empty rows,
+    with the index in rs of the first such r: a den jet's constant term is
+    the pole test, and the groups are met in the order of rs.
 
     The terms are grouped by the identity of their den's coefficient tuple,
     a key that hashes no coefficient (each group holds its tuple, so no id
@@ -400,16 +402,16 @@ def taylor_table(rs, c, rows):
     """
     c = Fraction(c)
     a, b = c.numerator, c.denominator
-    n = max((k for _, k in rows), default=0)
+    n = max([1] + [k for _, k in rows])
     groups, out = {}, []
-    for r in rs:
+    for pos, r in enumerate(rs):
         dcs = r.den.coeffs
         group = groups.get(id(dcs))
         if group is None:
             group = groups[id(dcs)] = (dcs, _den_jet(dcs, a, b, n))
         jet = group[1]
         if jet is None:
-            raise PoleAtEvaluationPoint("pole at lambda = %s" % c)
+            raise PoleAtEvaluationPoint("pole at lambda = %s" % c, pos)
         W, Z, B = jet
         T, qn = _taylor_ints(r.num.coeffs, a, b, n)
         TZ = [t * z for t, z in zip(T, Z)]
@@ -417,22 +419,6 @@ def taylor_table(rs, c, rows):
         dens = [qn * Z[k + 1] for k in range(n)]
         out.append([[Fraction(w * nums[k], dens[k]) for k in range(m)] for w, m in rows])
     return out
-
-
-def first_pole(rs, c):
-    """Index of the first reduced rational function in rs whose den vanishes
-    at lambda = c, or None: one root test (`_den_jet`) per non-constant den,
-    grouped as in `taylor_table`."""
-    c = Fraction(c)
-    a, b = c.numerator, c.denominator
-    seen = {}
-    for i, r in enumerate(rs):
-        dcs = r.den.coeffs
-        if len(dcs) > 1 and id(dcs) not in seen:   # a constant has no root
-            seen[id(dcs)] = dcs
-            if _den_jet(dcs, a, b, 0) is None:
-                return i
-    return None
 
 
 _ZERO = Poly()

@@ -6,9 +6,10 @@ per slope j, with right-hand side prod_c (lambda - c)**m_c over the slope's
 exponents (chi_j up to a constant factor when the basis is full), and reads
 every g_{c,j} off that one solution; specialization (differentiate in lambda
 and evaluate at c, both read off the Taylor coefficients at lambda = c,
-with one den jet per distinct denominator of g, not one per coefficient)
-turns each g_{c,j} into solutions written on the symbols l_{c,u} (with
-e_c = l_{c,0}) that obey phi_p(l_{c,u}) = c*l_{c,u} + l_{c,u-1}.
+with one den jet per distinct denominator of g, not one per coefficient;
+the jets' constant terms certify that g is regular at c) turns each
+g_{c,j} into solutions written on the symbols l_{c,u} (with e_c = l_{c,0})
+that obey phi_p(l_{c,u}) = c*l_{c,u} + l_{c,u-1}.
 """
 from __future__ import annotations
 
@@ -17,9 +18,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InsufficientPrecision, PlanMismatch, VerificationError
+from .errors import (InsufficientPrecision, PlanMismatch, PoleAtEvaluationPoint,
+                     VerificationError)
 from .factorize import factor_operator
-from .fields import RatFun, first_pole, taylor_table
+from .fields import RatFun, taylor_table
 from .hahn import NEG, POS, HahnSeries, hs_mul, hs_mul_sums, hs_sum, monomial, zero
 from .newton import analyze, frobenius_plan
 
@@ -134,13 +136,14 @@ def expected_gcj_cld(L, plan, fact, c, j):
 
 
 def check_gcj(L, plan, fact, c, j, mu, g):
-    """Certified invariants of g_{c,j}: valuation, leading coefficient and
-    regularity at lambda = c.
+    """Certified invariants of g_{c,j}: valuation and leading coefficient.
 
     The defining residual of g is not checked here: --verify checks the
-    residual of every specialized solution.  A g whose leading term the
-    ceiling leaves uncertified, with its first mask gap at or below -mu,
-    raises InsufficientPrecision."""
+    residual of every specialized solution.  Regularity at lambda = c is
+    certified by the specialization itself (`taylor_table`).  A g whose
+    leading term the ceiling leaves uncertified, with its first mask gap at
+    or below -mu, raises InsufficientPrecision; one certified zero, or zero
+    up to a first gap above -mu, fails the check."""
     c = Fraction(c)
     bound, exact = g.val_bound()
     if not exact and bound <= -mu:
@@ -149,14 +152,12 @@ def check_gcj(L, plan, fact, c, j, mu, g):
             "g_{c,j} for c = %s, j = %d has no certified leading term: its mask %s, "
             "not above the expected valuation %s; raise the precision"
             % (c, j, gap, -mu))
-    if g.val() != -mu:
-        raise VerificationError("val of g is %s, expected %s" % (g.val(), -mu))
+    if bound != -mu:
+        found = (("inf: g is certified zero" if bound == POS else bound) if exact
+                 else "at least %s, the first gap of its mask" % bound)
+        raise VerificationError("val of g is %s, expected %s" % (found, -mu))
     if g.cld() != expected_gcj_cld(L, plan, fact, c, j):
         raise VerificationError("leading coefficient of g disagrees with the closed form")
-    i = first_pole([r for _, r in g.terms], c)
-    if i is not None:
-        raise VerificationError("coefficient of z^%s in g_{c,j} for j = %d has a pole at lambda = %s"
-                                % (g.terms[i][0], j, c))
 
 
 @dataclass(frozen=True)
@@ -320,7 +321,12 @@ def frobenius_basis(L, ceiling, depth, verify):
             g = gs[c]
             if verify:
                 check_gcj(L, plan, fact, c, j, mu, g)
-            sols = specialize_solutions(p, g, c, s, m)
+            try:
+                sols = specialize_solutions(p, g, c, s, m)
+            except PoleAtEvaluationPoint as exc:
+                raise VerificationError(
+                    "coefficient of z^%s in g_{c,j} for j = %d has a pole at lambda = %s"
+                    % (g.terms[exc.index][0], j, c)) from exc
             blocks.append(ExponentBlock(j, mu, c, s, m, g, tuple(sols)))
     # ok is None when the checks were skipped: only a run can claim success
     report = {"ok": True if verify else None, "partial": False, "solutions": []}

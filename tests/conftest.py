@@ -618,7 +618,7 @@ def reference_pole_order(f, c):
     """Multiplicity of (lambda - c) in the denominator of a reduced f.
 
     By evaluation and Poly division; the library itself only tests whether
-    a den vanishes at c (`fields.first_pole`)."""
+    a den vanishes at c (the constant term of `fields._den_jet`)."""
     c = Fraction(c)
     n, den = 0, f.den
     while den.degree > 0 and not poly_eval(den, c):

@@ -474,6 +474,27 @@ def test_main_reports_a_failed_residual_check(tmp_path, capsys, monkeypatch):
     assert ver["ok"] is False and ver["solutions"][0]["residual_zero"] is False
 
 
+def test_main_reports_a_pole_of_g_as_a_failed_check_in_both_modes(tmp_path, capsys, monkeypatch):
+    """A g_{c,j} with a pole at lambda = c exits 1, with or without --verify:
+    it is a solver fault, not invalid input."""
+    real = mahler.frobenius.solve_slope
+    pole = mahler.RatFun.const(1).mul_root_power(Fraction(1), -1)
+
+    def polar(L, plan, fact, j, ceiling, depth):
+        gs = real(L, plan, fact, j, ceiling, depth)
+        return {c: g + monomial(g.val() + 1, pole) if c == 1 else g for c, g in gs.items()}
+    monkeypatch.setattr("mahler.frobenius.solve_slope", polar)
+    f = tmp_path / "eq.txt"
+    f.write_text(EXAMPLE)
+    message = "coefficient of z^1 in g_{c,j} for j = 0 has a pole at lambda = 1"
+    for flags in ([], ["--verify"]):
+        assert main([str(f)] + flags) == 1
+        assert capsys.readouterr().err == "error [VerificationError]: %s\n" % message
+        assert main([str(f), "--json"] + flags) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "error": {"type": "VerificationError", "message": message}}
+
+
 def test_selftest_reports_failures(capsys, monkeypatch):
     """Of every three instances the first raises and the second is partial."""
     real = mahler.cli.frobenius_basis

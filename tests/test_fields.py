@@ -9,7 +9,7 @@ from conftest import (derivative, eval_at, poly_eval, reference_divide_out_root,
                       reference_pole_order, reference_taylor, reference_taylor_head)
 from mahler import fields
 from mahler.errors import DivisionByZero, PoleAtEvaluationPoint
-from mahler.fields import Poly, RatFun, first_pole, poly_gcd, poly_str, rational_roots
+from mahler.fields import Poly, RatFun, poly_gcd, poly_str, rational_roots
 from mahler.hahn import hs_sum, monomial
 from mahler.testing import rand_rational
 
@@ -474,7 +474,7 @@ def test_integer_horner_kernels_match_fraction_reference():
             assert (list(quo), jj) == (list(want), wj)
             assert all(type(v) is Fraction for v in quo)
         f = RatFun(1, Poly(cs))
-        assert (first_pole([f], c) == 0) == (reference_pole_order(f, c) > 0)
+        assert (_pole_index([f], c) == 0) == (reference_pole_order(f, c) > 0)
         seen |= {"j = %d" % j, "n > degree" if n > d else "n <= degree"}
         seen |= {"c = %s" % c} if c in _HORNER_POINTS else set()
         seen |= {"large denominators"} if any(v.denominator > 10 ** 6 for v in cs) else set()
@@ -484,6 +484,15 @@ def test_integer_horner_kernels_match_fraction_reference():
         assert fields._taylor_ints((), 2, 3, n) == ([0] * n, 1)
         assert reference_taylor_head((), c, n) == [0] * n
         assert fields._divide_out_root((), c, n) == ([], n)
+
+
+def _pole_index(rs, c):
+    """Index that `taylor_table` reports for its first polar term, or None."""
+    try:
+        fields.taylor_table(rs, c, [])
+    except PoleAtEvaluationPoint as exc:
+        return exc.index
+    return None
 
 
 def _taylor_table_case(rng):
@@ -526,8 +535,8 @@ def test_taylor_table_matches_reference_per_coefficient():
             with pytest.raises(PoleAtEvaluationPoint) as got:
                 fields.taylor_table(rs, c, rows)
             assert str(got.value) == str(exc) == "pole at lambda = %s" % c
-            with pytest.raises(PoleAtEvaluationPoint):
-                fields.taylor_table(rs, c, [])
+            first = next(i for i, r in enumerate(rs) if reference_pole_order(r, c) > 0)
+            assert got.value.index == _pole_index(rs, c) == first
             seen.add("pole")
             continue
         got = fields.taylor_table(rs, c, rows)
@@ -563,15 +572,19 @@ def test_ratfun_power_of_lambda_monomial_builds_no_poly_product(monkeypatch):
     assert not calls
 
 
-def test_first_pole():
+def test_taylor_table_reports_the_index_of_the_first_polar_term():
     lam = RatFun.lam()
     f = (lam + 1) / ((lam - 2) ** 3 * (lam + 4))
     rs = [RatFun.const(7), lam ** 2 / (lam - 5), f, 3 * f, 1 / (lam + 4)]
-    assert first_pole(rs, 2) == 2
-    assert first_pole(rs, -4) == 2
-    assert first_pole(rs, 5) == 1
-    assert first_pole(rs, Fraction(1, 3)) is None
-    assert first_pole([], 2) is None
+    assert _pole_index(rs, 2) == 2
+    assert _pole_index(rs, -4) == 2
+    assert _pole_index(rs, 5) == 1
+    assert _pole_index(rs, Fraction(1, 3)) is None
+    assert _pole_index([RatFun.const(7)], 0) is None   # a constant den has no root
+    assert _pole_index([], 2) is None
+    with pytest.raises(PoleAtEvaluationPoint, match="^pole at lambda = 2$") as got:
+        fields.taylor_table(rs, 2, [(1, 3)])
+    assert got.value.index == 2
 
 
 def test_rational_roots():

@@ -655,25 +655,37 @@ def _ladder_parts():
     return L, nd, plan, fact, solve_gcj(L, plan, fact, Fraction(1), 0, 6, 6)
 
 
-def test_check_gcj_pole_error_names_j_and_the_first_offending_exponent():
-    L, nd, plan, fact, g = _ladder_parts()
-    mu = nd.slopes[0][0]
+def test_frobenius_basis_pole_error_names_j_and_the_first_offending_exponent(monkeypatch):
+    """A g_{c,j} with a pole at lambda = c fails in specialization, with and
+    without verify, naming j and the exponent of its first polar term."""
+    L, _, _, _, g = _ladder_parts()
     pole = RatFun.const(1).mul_root_power(Fraction(1), -1)
     # g has terms at 0, 2 and 4 below its cap 6: the first polar term comes
     # after a pole-free one and shares its den with a later one
     polar = g + monomial(3, pole) + monomial(5, 3 * pole)
     assert [e for e, _ in polar.terms] == [0, 2, 3, 4, 5]
     assert polar.terms[2][1].den.coeffs is polar.terms[4][1].den.coeffs
-    with pytest.raises(VerificationError,
-                       match=r"coefficient of z\^3 in g_\{c,j\} for j = 0 has a pole at lambda = 1$"):
-        check_gcj(L, plan, fact, Fraction(1), 0, mu, polar)
+    cases = ((polar, r"coefficient of z\^3 in g_\{c,j\} for j = 0 has a pole at lambda = 1$"),
+             (g + monomial(g.val() + 1, pole), "pole at lambda = 1"))
+    real = frobenius.solve_slope
+    for bad, message in cases:
+        def solve_slope(L, plan, fact, j, ceiling, depth, bad=bad):
+            gs = real(L, plan, fact, j, ceiling, depth)
+            if j == 0:
+                gs[Fraction(1)] = bad
+            return gs
+        monkeypatch.setattr(frobenius, "solve_slope", solve_slope)
+        for verify in (True, False):
+            with pytest.raises(VerificationError, match=message):
+                frobenius_basis(L, 6, 6, verify=verify)
 
 
-def test_readme_block_takes_one_den_jet_and_one_pole_test_per_denominator(monkeypatch):
+def test_verified_readme_block_takes_one_den_jet_per_denominator(monkeypatch):
     """At precision and depth 32 the README example's second g has 462
     terms on 33 denominators, 1 and lambda .. lambda**32, each held in one tuple
     that the solver's products share.  `specialize_solutions` takes one den
-    step per tuple and `check_gcj` one per tuple of a non-constant den."""
+    jet per tuple, whose constant term is also the pole test, and
+    `check_gcj` takes none."""
     L = _readme_operator(32)
     nd = analyze(L)
     plan = frobenius_plan(L, nd)
@@ -686,12 +698,11 @@ def test_readme_block_takes_one_den_jet_and_one_pole_test_per_denominator(monkey
     calls = []
     real = fields._den_jet
     monkeypatch.setattr(fields, "_den_jet", lambda *args: calls.append(args) or real(*args))
+    check_gcj(L, plan, fact, c, j, nd.slopes[j][0], g)
+    assert not calls
     (y,) = specialize_solutions(L.p, g, c, s, m)
     assert len(calls) == 33 and len({id(args[0]) for args in calls}) == 33
     assert y.part(c, 0).terms
-    calls.clear()
-    check_gcj(L, plan, fact, c, j, nd.slopes[j][0], g)
-    assert len(calls) == 32 and all(len(args[0]) > 1 for args in calls)
 
 
 def test_solve_slope_rejects_a_factorization_with_other_layers():
@@ -701,14 +712,17 @@ def test_solve_slope_rejects_a_factorization_with_other_layers():
         solve_slope(L, plan, short, 0, 6, 6)
 
 
-def test_check_gcj_rejects_wrong_valuation_and_poles():
+def test_check_gcj_rejects_wrong_valuation():
+    """A g certified zero, or certified zero up to a first mask gap above
+    -mu (not a precision shortfall), fails the check like a wrong val."""
     L, nd, plan, fact, g = _ladder_parts()
     mu = nd.slopes[0][0]
-    with pytest.raises(VerificationError, match="val of g is 1, expected 0"):
-        check_gcj(L, plan, fact, Fraction(1), 0, mu, g.shift(1))
-    polar = g + monomial(g.val() + 1, RatFun.const(1).mul_root_power(Fraction(1), -1))
-    with pytest.raises(VerificationError, match="pole at lambda = 1"):
-        check_gcj(L, plan, fact, Fraction(1), 0, mu, polar)
+    gapped = g.restrict(3, POS).forget(1, 2)
+    assert gapped.terms[0][0] == 4 and gapped.val_bound() == (1, False)
+    for bad, found in ((g.shift(1), "1"), (zero(), "inf: g is certified zero"),
+                       (gapped, "at least 1, the first gap of its mask")):
+        with pytest.raises(VerificationError, match="^val of g is %s, expected 0$" % found):
+            check_gcj(L, plan, fact, Fraction(1), 0, mu, bad)
 
 
 def test_gcj_residual_mask_rejects_a_wrong_solution():
