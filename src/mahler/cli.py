@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -501,6 +502,11 @@ def main(argv=None):
         if args.cmd == "analyze":
             return cmd_analyze(args)
         return cmd_selftest(args)
+    except BrokenPipeError:
+        # the reader closed stdout: a diagnostic there would fail again, and
+        # so would the flush at exit, so stdout goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except (MahlerError, ValueError, ZeroDivisionError, OSError) as exc:
         _diagnostic(exc, args.as_json)
         return next((code for kind, code in _EXIT_CODES if isinstance(exc, kind)), 2)

@@ -68,14 +68,11 @@ def slope_zero_unit_solution(M, c, ceiling):
         if gap < cap:
             cap = gap
     heads = [bi.coeff_at(Fraction(0)) for bi in bs]
-    b00 = heads[0]
-    if not b00:
-        raise PlanMismatch("slope-zero edge does not start at the order-0 vertex")
     if sum(heads):
         raise PlanMismatch("%s is not a root of the slope-zero characteristic polynomial" % c)
     taps = [(Fraction(0), p ** i, heads[i]) for i in range(1, len(bs)) if heads[i]]
     taps += [(e, p ** i, v) for i, bi in enumerate(bs) for e, v in bi.terms if 0 < e < cap]
-    return forward_solve(Fraction(1), b00, taps, cap)
+    return forward_solve(Fraction(1), heads[0], taps, cap)
 
 
 def factor_operator(L, ceiling, plan):

@@ -23,10 +23,6 @@ class Poly:
     def const(cls, c):
         return cls((Fraction(c),))
 
-    @classmethod
-    def x(cls):
-        return cls((Fraction(0), Fraction(1)))
-
     @property
     def degree(self):
         return len(self.coeffs) - 1
@@ -184,21 +180,19 @@ class RatFun:
     A reduced fraction with a monic denominator is unique, so equal values
     have identical num and den.  There is one reduction, the public
     constructor's: it divides out gcd(num, den) (no gcd when den is
-    constant) and makes den monic.  General products, sums, quotients and
-    negative powers form the unreduced num/den and pass it through the
-    constructor, but r + 0 and 0 + r are r (0 seeds a product's folds).
-    The products the solver makes need no gcd:
+    constant) and makes den monic.  Every product of two RatFuns, sum,
+    quotient and negative power forms the unreduced num/den and passes it
+    through the constructor, but r + 0 and 0 + r are r (0 seeds a product's
+    folds), and a positive power of a reduced fraction is reduced.  The
+    products the solver makes are called by name and need no gcd:
 
-    - product by a*lambda**k (a scalar when k = 0, k of either sign): only
-      a power of lambda can cancel, so it is stripped from the low end of
-      the other factor's den (k > 0) or num (k < 0) and no gcd runs; an
-      int or Fraction operand is taken as a*lambda**0 without a RatFun;
-    - product by (lambda - c)**k (`mul_root_power`, c != 0, k of either
-      sign): only lambda - c can cancel, so it is stripped from the other
-      side by synthetic division and no gcd runs;
-    - power: a power of a reduced fraction is reduced; a power of
-      a*lambda**k is built directly as a**n * lambda**(k*n), with no Poly
-      product.
+    - `mul_lam_power`, product by a*lambda**k (a nonzero scalar a, k of
+      either sign): only a power of lambda can cancel, so it is stripped
+      from the low end of the den (k > 0) or num (k < 0); an int or
+      Fraction operand of `*` is a*lambda**0;
+    - `mul_root_power`, product by (lambda - c)**k (k of either sign): only
+      lambda - c can cancel, so for c != 0 it is stripped from the other
+      side by synthetic division.
 
     The Horner-type kernels behind `mul_root_power` (synthetic division by
     lambda - c) run on integers: for c = a/b the polynomial is rescaled to
@@ -231,10 +225,6 @@ class RatFun:
     @classmethod
     def const(cls, c):
         return _reduced(Poly.const(c), _ONE)
-
-    @classmethod
-    def lam(cls):
-        return _reduced(Poly.x(), _ONE)
 
     def __bool__(self):
         return bool(self.num)
@@ -272,11 +262,11 @@ class RatFun:
 
     def __mul__(self, other):
         if type(other) is int or type(other) is Fraction:
-            return _mul_lam_power(self.num, self.den, other, 0) if other else _reduced(_ZERO, _ONE)
+            return self.mul_lam_power(other, 0) if other else _reduced(_ZERO, _ONE)
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _mul(self.num, self.den, other.num, other.den)
+        return RatFun(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -292,15 +282,28 @@ class RatFun:
         return _coerce(other) / self
 
     def __pow__(self, n):
-        mono = _lam_power(self.num, self.den) if self.num else None
-        if mono is not None:
-            a, k = mono
-            return _mul_lam_power(Poly.const(a ** n), _ONE, 1, k * n)
         if n < 0:
             if not self.num:
                 raise DivisionByZero("inverse of zero")
             return RatFun(self.den, self.num) ** (-n)
         return _reduced(self.num ** n, self.den ** n)
+
+    def mul_lam_power(self, a, k):
+        """self * a * lambda**k for a nonzero scalar a and an integer k of
+        either sign: only a power of lambda can cancel, and it comes off the
+        low end of the den (k > 0) or num (k < 0).  No gcd runs."""
+        if not self.num:
+            return self
+        n, d = self.num, self.den
+        if a != 1:
+            n = n * a
+        if k > 0:
+            j = _low_zeros(d.coeffs, k)
+            return _reduced(n.shift(k - j) if k > j else n, _poly(d.coeffs[j:]) if j else d)
+        if k < 0:
+            j = _low_zeros(n.coeffs, -k)
+            return _reduced(_poly(n.coeffs[j:]) if j else n, d.shift(-k - j) if -k > j else d)
+        return _reduced(n, d)
 
     def mul_root_power(self, c, k):
         """self * (lambda - c)**k for a rational c and an integer k of either
@@ -310,7 +313,7 @@ class RatFun:
         if not k or not self.num:
             return self
         if not c:
-            return _mul_lam_power(self.num, self.den, 1, k)
+            return self.mul_lam_power(1, k)
         n, d = self.num.coeffs, self.den.coeffs
         # a*lambda**i has no root c != 0, so a monomial side is not divided
         if k > 0:
@@ -432,53 +435,12 @@ def _reduced(num, den):
     return out
 
 
-def _mul(n1, d1, n2, d2):
-    """n1/d1 * n2/d2 for reduced operands: no gcd when one is a*lambda**k,
-    else the constructor reduces the product."""
-    if not n1 or not n2:
-        return _reduced(_ZERO, _ONE)
-    mono = _lam_power(n2, d2)
-    if mono is not None:
-        return _mul_lam_power(n1, d1, *mono)
-    mono = _lam_power(n1, d1)
-    if mono is not None:
-        return _mul_lam_power(n2, d2, *mono)
-    return RatFun(n1 * n2, d1 * d2)
-
-
-def _lam_power(n, d):
-    """(a, k) when the reduced nonzero n/d is a*lambda**k, else None."""
-    ncs, dcs = n.coeffs, d.coeffs
-    if len(dcs) == 1:
-        k = len(ncs) - 1
-        if not k or (not ncs[0] and not any(ncs[1:k])):
-            return ncs[k], k
-        return None
-    if len(ncs) == 1 and not dcs[0] and not any(dcs[1:-1]):
-        return ncs[0], 1 - len(dcs)
-    return None
-
-
 def _low_zeros(cs, k):
     """Number of leading zero coefficients of cs, counted up to k."""
     j = 0
     while j < k and not cs[j]:
         j += 1
     return j
-
-
-def _mul_lam_power(n, d, a, k):
-    """n/d * a*lambda**k for a reduced n/d: only a power of lambda can
-    cancel, and it comes off the low end of the other side."""
-    if a != 1:
-        n = n * a
-    if k > 0:
-        j = _low_zeros(d.coeffs, k)
-        return _reduced(n.shift(k - j) if k > j else n, _poly(d.coeffs[j:]) if j else d)
-    if k < 0:
-        j = _low_zeros(n.coeffs, -k)
-        return _reduced(_poly(n.coeffs[j:]) if j else n, d.shift(-k - j) if -k > j else d)
-    return _reduced(n, d)
 
 
 def _divide_out_root(cs, c, k):

@@ -27,7 +27,8 @@ from .newton import analyze, frobenius_plan
 
 
 def solve_order1_param(p, mu, c, g, ceiling, depth):
-    """The unique f over Q(lambda) with (z**(-mu) lambda phi_p - c) f = g.
+    """The unique f over Q(lambda) with (z**(-mu) lambda phi_p - c) f = g;
+    a g over Q is read as a series over Q(lambda).
 
     In the frame twisted by z**(mu/(p-1)) the right-hand side splits into
     three parts:
@@ -48,12 +49,12 @@ def solve_order1_param(p, mu, c, g, ceiling, depth):
         return g
     shift = Fraction(mu) / (p - 1)
     cap = Fraction(ceiling) - shift
-    G = g.shift(-shift)
-    lam = RatFun.lam()
+    G = g.shift(-shift).map_coeffs(lambda r: r if isinstance(r, RatFun) else RatFun.const(r))
 
     def geometric(X, ks):
         """sum over k in ks of c**(-k-1) lambda**k phi**k(X)"""
-        return hs_sum(X.mal(k, p).scale(RatFun.const(c ** (-k - 1)) * lam ** k) for k in ks)
+        return hs_sum(X.mal(k, p).map_coeffs(
+            lambda r, a=c ** (-k - 1), k=k: r.mul_lam_power(a, k)) for k in ks)
 
     low = G.restrict(NEG, Fraction(0))
     um = low
@@ -64,8 +65,6 @@ def solve_order1_param(p, mu, c, g, ceiling, depth):
         return hs_sum((um, zero().cap(0))).cap(cap).shift(shift)
 
     g0 = G.coeff_at(Fraction(0))
-    if g0 and not isinstance(g0, RatFun):
-        g0 = RatFun.const(g0)
     u0 = monomial(0, g0.mul_root_power(c, -1)) if g0 else zero()
 
     fp = min(next((e for e, _ in G.terms if e > 0), POS), G.mask.next_gap(Fraction(0)))
@@ -130,7 +129,7 @@ def expected_gcj_cld(L, plan, fact, c, j):
     m, s = plan.lookup(j, c)
     rs = [len(layer) for layer in fact.layers]
     num = math.prod(-f.c for layer in fact.layers[: j + 1] for f in layer)
-    expect = RatFun.lam() ** (-sum(rs[:j])) * RatFun.const(num / L.coeffs[0].cld())
+    expect = RatFun.const(1).mul_lam_power(num / L.coeffs[0].cld(), -sum(rs[:j]))
     return _mul_root_powers(expect, [(Fraction(c), s + m)]
                             + [(f.c, -1) for f in fact.layers[j]])
 

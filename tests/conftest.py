@@ -25,6 +25,9 @@ from mahler.operator import MahlerOperator
 from mahler.testing import rand_rational
 
 
+lam = RatFun(Poly((0, 1)))
+
+
 def lift(f):
     """Reinterpret a series over Q as a series over Q(lambda)."""
     return f.map_coeffs(RatFun.const)
@@ -128,7 +131,6 @@ def gauge_exp(L, c):
 
 def gauge_exp_param(L):
     """Conjugate by e_lambda: coefficients lifted to Q(lambda), a_i -> lambda**i a_i."""
-    lam = RatFun.lam()
     out = []
     for i, ai in enumerate(L.coeffs):
         li = lam ** i
@@ -514,7 +516,6 @@ def reference_solve_order1_param(p, mu, c, g, ceiling, depth):
     shift = Fraction(mu) / (p - 1)
     cap = Fraction(ceiling) - shift
     G = g.shift(-shift)
-    lam = RatFun.lam()
 
     low = G.restrict(NEG, Fraction(0))
     if low.is_exact_zero():
@@ -723,7 +724,6 @@ def order1_coeff_oracle(p, mu, c, g, gamma):
     Exact for finitely supported g.
     """
     mu, c = Fraction(mu), Fraction(c)
-    lam = RatFun.lam()
     star = mu / (p - 1)
     gd = {}
     for e, v in g.terms:
@@ -762,7 +762,6 @@ def ladder_g1_terms(p, nu, cap):
 
     collected as {exponent: RatFun} over exponents below `cap` (nu < 0)."""
     nu, cap = Fraction(nu), Fraction(cap)
-    lam = RatFun.lam()
     lm1 = lam - 1
     acc = {Fraction(0): RatFun.const(-1)}
     j = 0
@@ -791,7 +790,6 @@ def ladder_g2_terms(p, nu, kmin):
 
     with the ladder truncated at k = kmin."""
     nu = Fraction(nu)
-    lam = RatFun.lam()
     acc = {Fraction(0): RatFun.const(1)}
     for k in range(-1, kmin - 1, -1):
         acc[Fraction(p) ** k * nu / (p - 1)] = (lam - 1) * lam ** k

@@ -12,8 +12,8 @@ import time
 from fractions import Fraction
 
 from conftest import (canon, eq_on_mask, gauge_exp, gauge_unit, ladder_g1_terms,
-                      ladder_g2_terms, ladder_operator, lift, order1_coeff_oracle, rand_operator,
-                      rand_param_series, rand_series, reference_pole_order,
+                      ladder_g2_terms, ladder_operator, lam, lift, order1_coeff_oracle,
+                      rand_operator, rand_param_series, rand_series, reference_pole_order,
                       series_dict_on_mask, subst_scale)
 from mahler.factorize import factor_operator, factor_reconstruct
 from mahler.fields import Poly, RatFun
@@ -23,7 +23,6 @@ from mahler.newton import analyze, frobenius_plan
 from mahler.operator import MahlerOperator
 from mahler.testing import rand_factored_operator, rand_rational, rand_tangent_unit
 
-lam = RatFun.lam()
 LADDERS = ((2, -2), (3, -3))
 
 

@@ -269,15 +269,21 @@ def test_main_input_error_codes(tmp_path, capsys):
     ("p = 2\na[0] = 1\n  a[3] = 0\n", 3, 3, "a[0] and a[3] must be present and nonzero"),
     ("p = 2\na[1] = z\n  a[3] = 1\n", 3, 3, "a[0] and a[3] must be present and nonzero"),
     ("p = 2\na[0] = 5\n", 2, 1, "the equation must have order at least 1"),
+    # errors of the whole input have no position
+    ("a[0] = 1\na[1] = 1\n", None, None, "missing 'p = ...' line"),
+    ("p = 2\n", None, None, "no coefficients given"),
 ], ids=["character", "token", "key", "radix", "digit", "digit count", "zero a[0]",
-        "zero a[n]", "missing a[0]", "order 0"])
+        "zero a[n]", "missing a[0]", "order 0", "missing p", "no coefficients"])
 def test_main_reports_parse_errors_at_their_position(tmp_path, capsys, text, line, col, message):
     f = tmp_path / "eq.txt"
     f.write_text(text, encoding="utf-8")
     assert main([str(f)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error [ParseError]: line %d, col %d: " % (line, col))
-    assert message in err
+    if line is None:
+        assert err == "error [ParseError]: %s\n" % message
+    else:
+        assert err.startswith("error [ParseError]: line %d, col %d: " % (line, col))
+        assert message in err
     assert main([str(f), "--json"]) == 2
     info = json.loads(capsys.readouterr().out)["error"]
     assert (info["type"], info["line"], info["col"]) == ("ParseError", line, col)
@@ -676,6 +682,24 @@ def _fresh_python(tmp_path, *args):
     env = dict(os.environ, PYTHONPATH=SRC)
     return subprocess.run([sys.executable, *args, str(f)], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("flags", [["--json"], []], ids=["json", "text"])
+def test_main_exits_2_quietly_when_stdout_is_closed(tmp_path, flags):
+    """A reader that closes stdout before the report is written: exit 2, as
+    for any other OSError, with no traceback and no "Exception ignored"
+    line on stderr."""
+    f = tmp_path / "eq.txt"
+    f.write_text(EXAMPLE)
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "mahler", str(f), *flags], stdout=w,
+                              stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=SRC),
+                              text=True, timeout=120)
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (2, "")
 
 
 def test_verified_run_does_not_load_sympy(tmp_path):

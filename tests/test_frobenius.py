@@ -12,11 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (d_lambda, eq_on_mask, ev_c, gcj_residual_mask, ladder_g1_terms,
-                      ladder_g2_terms, ladder_operator, lift, order1_coeff_oracle,
+                      ladder_g2_terms, ladder_operator, lam, lift, order1_coeff_oracle,
                       pipeline_mask, rand_exponent, rand_operator, rand_param_series, rand_series,
                       reference_apply_to_solution, reference_pole_order, reference_solve_gcj,
-                      reference_solve_order1_param, reference_specialize,
-                      series_dict_on_mask)
+                      reference_solve_order1_param, reference_specialize, series_dict_on_mask)
 from mahler.cli import elaborate, parse_spec
 from mahler.errors import MahlerError, PlanMismatch, PoleAtEvaluationPoint, VerificationError
 from mahler.fields import RatFun
@@ -30,8 +29,6 @@ from mahler.frobenius import (SolutionObject, apply_to_solution, check_gcj,
                               solve_order1_param, specialize_solutions,
                               verify_independence)
 from mahler.testing import rand_factored_operator
-
-lam = RatFun.lam()
 
 
 def test_lift_ev_d():
@@ -145,13 +142,18 @@ def _order1_cases():
 
 def test_order1_matches_reference_solver():
     """solve_order1_param equals the interval-list oracle bit for bit: terms,
-    masks and the stored lower end of each mask's first interval."""
+    masks and the stored lower end of each mask's first interval.  A g over
+    Q gives the solve of g lifted to Q(lambda)."""
     seen = set()
     for p, mu, c, g, ceiling, depth in _order1_cases():
         got = solve_order1_param(p, mu, c, g, ceiling, depth)
         want = reference_solve_order1_param(p, mu, c, g, ceiling, depth)
         assert got == want
         assert got.to_json() == want.to_json()
+        if g.terms and all(type(r) is Fraction for _, r in g.terms):
+            lifted = solve_order1_param(p, mu, c, lift(g), ceiling, depth)
+            assert got == lifted and got.to_json() == lifted.to_json()
+            seen.add("g over Q")
         G = g.shift(-mu / (p - 1))
         if g.is_exact_zero():
             seen.add("exact zero")
@@ -173,7 +175,7 @@ def test_order1_matches_reference_solver():
             seen.add("negative-only")
     assert seen == {"exact zero", "empty mask", "0 uncertified", "g0 zero",
                     "g0 Fraction", "g0 RatFun", "fp = +inf", "islands",
-                    "exact positive-only", "negative-only"}
+                    "exact positive-only", "negative-only", "g over Q"}
 
 
 def test_order1_back_substitution():
@@ -302,7 +304,8 @@ def test_order1_solver_divides_by_lambda_minus_c_without_gcd(monkeypatch):
     real_gcd, real_root = fields.poly_gcd, RatFun.mul_root_power
     monkeypatch.setattr(frobenius, "solve_order1_param",
                         nested("order1", frobenius.solve_order1_param))
-    monkeypatch.setattr(fields, "_mul", nested("product", fields._mul))
+    for name in ("__mul__", "__rmul__", "mul_lam_power"):
+        monkeypatch.setattr(RatFun, name, nested("product", getattr(RatFun, name)))
     monkeypatch.setattr(fields, "poly_gcd", lambda *args: (
         inside["order1"] and inside["product"] and gcds.append(args)) or real_gcd(*args))
     monkeypatch.setattr(RatFun, "mul_root_power", lambda r, c, k: (
@@ -316,28 +319,30 @@ def test_order1_solver_divides_by_lambda_minus_c_without_gcd(monkeypatch):
     assert not gcds
 
 
-def test_every_q_lambda_product_has_a_lambda_power_operand(monkeypatch):
-    """Every Q(lambda) product that frobenius_basis makes, verification
-    included, has an a*lambda**k operand, so it takes the gcd-free path:
-    the ladders, the README example and the first 60 criterion-3
+def test_every_q_lambda_product_has_a_scalar_operand(monkeypatch):
+    """Every RatFun product that frobenius_basis makes, verification
+    included, has an int or Fraction operand: the solver forms its lambda**k
+    factors with mul_lam_power, which runs no gcd, and never multiplies two
+    RatFuns.  The ladders, the README example and the first 60 criterion-3
     operators."""
-    products = []
-    real = fields._mul
-
-    def checked(n1, d1, n2, d2):
-        if n1 and n2:
-            assert (fields._lam_power(n1, d1) is not None
-                    or fields._lam_power(n2, d2) is not None), (n1, d1, n2, d2)
-            products.append(1)
-        return real(n1, d1, n2, d2)
-    monkeypatch.setattr(fields, "_mul", checked)
     cases = [(ladder_operator(2, -2), 8, 8), (ladder_operator(3, -3), 8, 8),
              (_readme_operator(8), 8, 8)]
     rng = random.Random(2026)
     cases += [(rand_factored_operator(rng, Fraction(3))[0], 3, 2) for _ in range(60)]
+    operands, powers = [], []
+    real_mul, real_power = RatFun.__mul__, RatFun.mul_lam_power
+
+    def checked(r, other):
+        operands.append(type(other))
+        return real_mul(r, other)
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(RatFun, name, checked)
+    monkeypatch.setattr(RatFun, "mul_lam_power",
+                        lambda r, a, k: powers.append(k) or real_power(r, a, k))
     for L, ceiling, depth in cases:
         assert frobenius_basis(L, ceiling, depth, verify=True).verification["ok"]
-    assert len(products) > 1000
+    assert operands and set(operands) <= {int, Fraction}
+    assert len(powers) > 1000
 
 
 def test_check_gcj_rejects_wrong_leading_coefficient():
@@ -694,7 +699,7 @@ def test_verified_readme_block_takes_one_den_jet_per_denominator(monkeypatch):
     m, s = plan.lookup(j, c)
     g = solve_gcj(L, plan, fact, c, j, 32, 32)
     assert len(g.terms) == 462
-    assert {r.den for _, r in g.terms} == {RatFun.lam().num ** k for k in range(33)}
+    assert {r.den for _, r in g.terms} == {lam.num ** k for k in range(33)}
     calls = []
     real = fields._den_jet
     monkeypatch.setattr(fields, "_den_jet", lambda *args: calls.append(args) or real(*args))

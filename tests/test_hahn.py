@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (_iv_contains, brute_conv, eq_on_mask, geometric_invert, ladder_operator,
-                      lift, pipeline_mask, rand_param_series, rand_series, reference_add,
-                      reference_build, reference_forward_solve, reference_mul, support)
+from conftest import (_iv_contains, brute_conv, eq_on_mask, geometric_invert,
+                      ladder_operator, lam, lift, pipeline_mask, rand_param_series, rand_series,
+                      reference_add, reference_build, reference_forward_solve, reference_mul,
+                      support)
 from test_cli import EXAMPLE
 from mahler import fields, hahn
 from mahler.cli import elaborate, parse_spec
@@ -192,7 +193,6 @@ def test_hs_sum_equals_left_fold(ring):
     included.  In the mixed ring each part is drawn over Q, with every
     coefficient's denominator a multiple of 7 or 11, or over Q(lambda)."""
     rng = random.Random(71 + len(ring))
-    lam = RatFun.lam()
     dens = (RatFun.const(1), lam - 1, (lam - 1) ** 2, lam * (lam + 2))
     q_series, q_scalar = (lambda: rand_series(rng, 5)), (lambda: rand_rational(rng, nonzero=True))
     param_series = lambda: rand_param_series(rng, 5).map_coeffs(lambda r: r / rng.choice(dens))
@@ -505,18 +505,19 @@ def test_param_mul_with_one_pair_per_exponent_runs_no_gcd(monkeypatch):
     """Over Q(lambda) each exponent's sum starts from the integer 0, and
     0 + r is r itself: when every output exponent receives one pair, the
     product by a series h over Q runs no poly_gcd, even over the
-    denominators lambda - 1 and lambda**2 + 1.  That holds for h lifted to
-    Q(lambda) and for h as it is, whose integer numerators over the
-    denominator 4 multiply the RatFuns (the product solve_slope forms)."""
-    lam = RatFun.lam()
+    denominators lambda - 1 and lambda**2 + 1: h's integer numerators over
+    the denominator 4 multiply the RatFuns (the product solve_slope forms).
+    With h lifted to Q(lambda) each pair is a product of two RatFuns, which
+    the constructor reduces; it gives the same series."""
     f = hs([(0, 1 / (lam - 1)), (1, (lam + 2) / (lam ** 2 + 1))], mask=[(0, 5)])
     h = hs([(0, 2), (Fraction(1, 2), Fraction(-3, 4))])
     g = lift(h)
     want = reference_mul(f, g)
+    lifted = hs_mul(f, g)
     calls = []
     real_gcd = fields.poly_gcd
     monkeypatch.setattr(fields, "poly_gcd", lambda *args: calls.append(args) or real_gcd(*args))
-    prods = [hs_mul(f, g), hs_mul(h, f)]
+    prods = [hs_mul(h, f), lifted]
     assert not calls
     for prod in prods:
         assert [e for e, _ in prod.terms] == [0, Fraction(1, 2), 1, Fraction(3, 2)]
@@ -532,7 +533,6 @@ def test_param_mul_runs_one_gcd_per_exponent_where_pairs_meet(monkeypatch):
     after the first), and one that receives a single pair (the lowest and
     the highest) none.  At z**1 the sum is lambda**2 + 1 over itself, which
     that gcd reduces to 1."""
-    lam = RatFun.lam()
     den = lam ** 2 + 1
     nums = [RatFun.const(2), 2 * lam ** 2 + 5, lam + Fraction(3, 5), lam ** 3 + Fraction(4, 5)]
     f = hs([(i, n / den) for i, n in enumerate(nums)])
@@ -692,7 +692,6 @@ FINE_LATTICES = [13, 3 * 2 ** 32]
 def rand_ratfun(rng):
     """Nonzero element of Q(lambda) over one of a few denominators, some
     sharing factors, so that sums meet equal and unequal denominators."""
-    lam = RatFun.lam()
     num = RatFun(Poly([rand_rational(rng, -3, 3, 2) for _ in range(rng.randint(1, 3))]))
     den = rng.choice((RatFun.const(1), RatFun.const(1), lam - 1, lam + 2, lam * (lam - 1),
                       lam ** 2 + 1))

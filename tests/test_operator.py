@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (apply_brute, eq_on_mask, gauge_exp, gauge_exp_param, gauge_unit,
+from conftest import (apply_brute, eq_on_mask, gauge_exp, gauge_exp_param, gauge_unit, lam,
                       rand_operator, rand_series, support)
 from mahler.errors import ZeroDivisor
 from mahler.fields import RatFun
@@ -137,7 +137,6 @@ def test_gauge_exp_scales_and_inverts():
 
 
 def test_gauge_exp_param_lifts_with_lambda_powers():
-    lam = RatFun.lam()
     L = MahlerOperator(2, [monomial(0, 2), monomial(0, 3), monomial(0, 5)])
     G = gauge_exp_param(L)
     assert G.coeffs[0].terms[0][1] == RatFun.const(2)
