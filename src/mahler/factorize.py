@@ -7,11 +7,12 @@ L_j per slope (ascending), each layer a product of r_j factors
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonRationalExponent, PlanMismatch, UnknownLeadingTerm, VerificationError
-from .hahn import HahnSeries, forward_solve, hs_mul_sums
+from .hahn import HahnSeries, _exp, forward_solve, hs_mul_sums
 from .operator import MahlerOperator
 
 
@@ -52,26 +53,32 @@ def slope_zero_unit_solution(M, c, ceiling):
     Requires the smallest slope of M to be 0 and c to be a root of the
     slope-0 characteristic polynomial (PlanMismatch otherwise).  A strict
     forward solve: the coefficient of z**gamma depends only on exponents
-    < gamma.  The identity is checked once, by the peel in factor_operator.
+    < gamma.  With v0 = val a_0, each term v z**e of a_i with
+    v0 < e < ceiling + v0 is the tap (e - v0, p**i, v c**i), read straight
+    off the coefficients.  The identity is checked once, by the peel in
+    factor_operator.
     """
     p = M.p
     c = Fraction(c)
     v0 = M.coeffs[0].val()
-    bs = [ai.shift(-v0).scale(c ** i) for i, ai in enumerate(M.coeffs)]
     cap = Fraction(ceiling)
-    for bi in bs:
-        if bi.is_zero() and bi.mask.empty:
+    for ai in M.coeffs:
+        if ai.is_zero() and ai.mask.empty:
             raise UnknownLeadingTerm("coefficient with no certified region")
-        if bi.val_bound()[0] < 0:
+        if ai.val_bound()[0] < v0:
             raise PlanMismatch("smallest slope is not zero")
-        gap = bi.mask.first_gap()
+        gap = ai.mask.first_gap() - v0
         if gap < cap:
             cap = gap
-    heads = [bi.coeff_at(Fraction(0)) for bi in bs]
+    heads = [ai.coeff_at(v0) * c ** i for i, ai in enumerate(M.coeffs)]
     if sum(heads):
         raise PlanMismatch("%s is not a root of the slope-zero characteristic polynomial" % c)
-    taps = [(Fraction(0), p ** i, heads[i]) for i in range(1, len(bs)) if heads[i]]
-    taps += [(e, p ** i, v) for i, bi in enumerate(bs) for e, v in bi.terms if 0 < e < cap]
+    taps = [(Fraction(0), p ** i, heads[i]) for i in range(1, len(heads)) if heads[i]]
+    top = cap + v0
+    for i, ai in enumerate(M.coeffs):
+        terms = ai.terms[bisect_right(ai.terms, v0, key=_exp):bisect_left(ai.terms, top, key=_exp)]
+        ci, k = c ** i, p ** i
+        taps += [(e - v0, k, v * ci) for e, v in terms]
     return forward_solve(Fraction(1), heads[0], taps, cap)
 
 

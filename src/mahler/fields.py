@@ -180,11 +180,13 @@ class RatFun:
     A reduced fraction with a monic denominator is unique, so equal values
     have identical num and den.  There is one reduction, the public
     constructor's: it divides out gcd(num, den) (no gcd when den is
-    constant) and makes den monic.  Every product of two RatFuns, sum,
-    quotient and negative power forms the unreduced num/den and passes it
-    through the constructor, but r + 0 and 0 + r are r (0 seeds a product's
-    folds), and a positive power of a reduced fraction is reduced.  The
-    products the solver makes are called by name and need no gcd:
+    constant) and makes den monic.  Every product of two RatFuns and every
+    sum forms the unreduced num/den and passes it through the constructor,
+    but r + 0 and 0 + r are r (0 seeds a product's folds).  The reciprocal
+    den/num of a reduced fraction is reduced and only made monic, and so is
+    a positive power, so a negative power runs no gcd and a quotient (a
+    product by the reciprocal) at most one.  The products the solver makes are
+    called by name and need no gcd:
 
     - `mul_lam_power`, product by a*lambda**k (a nonzero scalar a, k of
       either sign): only a power of lambda can cancel, so it is stripped
@@ -276,7 +278,7 @@ class RatFun:
             return NotImplemented
         if not other.num:
             raise DivisionByZero("division by zero rational function")
-        return self * RatFun(other.den, other.num)
+        return self * other._reciprocal()
 
     def __rtruediv__(self, other):
         return _coerce(other) / self
@@ -285,8 +287,14 @@ class RatFun:
         if n < 0:
             if not self.num:
                 raise DivisionByZero("inverse of zero")
-            return RatFun(self.den, self.num) ** (-n)
+            return self._reciprocal() ** (-n)
         return _reduced(self.num ** n, self.den ** n)
+
+    def _reciprocal(self):
+        """1/self for a nonzero self: den/num is reduced already, so it only
+        needs a monic den, and no gcd runs."""
+        inv = 1 / self.num.coeffs[-1]
+        return _reduced(self.den * inv, self.num * inv)
 
     def mul_lam_power(self, a, k):
         """self * a * lambda**k for a nonzero scalar a and an integer k of

@@ -13,7 +13,6 @@ that obey phi_p(l_{c,u}) = c*l_{c,u} + l_{c,u-1}.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +21,8 @@ from .errors import (InsufficientPrecision, PlanMismatch, PoleAtEvaluationPoint,
                      VerificationError)
 from .factorize import factor_operator
 from .fields import RatFun, taylor_table
-from .hahn import NEG, POS, HahnSeries, hs_mul, hs_mul_sums, hs_sum, monomial, zero
+from .hahn import (_FULL, NEG, POS, HahnSeries, _grid, _iv_diff, _next_gap, _numerators,
+                   _weighted_sum, hs_mul, hs_mul_sums)
 from .newton import analyze, frobenius_plan
 
 
@@ -38,8 +38,18 @@ def solve_order1_param(p, mu, c, g, ceiling, depth):
         certified nothing from 0 up is, and the solution stops there;
       - the positive part from fp up, summed over phi**k for k >= 0 until
         the terms leave the requested ceiling.  fp is the first positive
-        exponent or the mask's next gap above 0 (`Mask.next_gap`), whichever
-        is smaller: nothing lies strictly between 0 and fp.
+        exponent or the mask's next gap above 0, whichever is smaller:
+        nothing lies strictly between 0 and fp.
+
+    Every exponent and mask endpoint runs on one lattice (1/M)Z: M clears
+    the twisted g's exponents and endpoints times p**(depth+1), and the
+    ceiling, so phi**k multiplies the integers by p**k and, for k < 0,
+    divides them exactly, as it does the dropped tail's bound
+    vb * p**(-depth-1).  Each image c**(-k-1) lambda**k phi**k of a part
+    (negated for the positive part), the exponent-0 term, and the regions
+    alone of the dropped tail, of the uncertified ray below 0 and of the
+    ceiling are pieces of one `_weighted_sum`, which intersects the regions
+    and adds the terms; images at or above the ceiling are never formed.
     """
     c = Fraction(c)
     if not c:
@@ -50,27 +60,43 @@ def solve_order1_param(p, mu, c, g, ceiling, depth):
     shift = Fraction(mu) / (p - 1)
     cap = Fraction(ceiling) - shift
     G = g.shift(-shift).map_coeffs(lambda r: r if isinstance(r, RatFun) else RatFun.const(r))
+    M = math.lcm(_grid([G]) * p ** (depth + 1), cap.denominator)
+    ext, terms, _ = _numerators(G, M)
+    top = cap.numerator * (M // cap.denominator)
 
-    def geometric(X, ks):
-        """sum over k in ks of c**(-k-1) lambda**k phi**k(X)"""
-        return hs_sum(X.mal(k, p).map_coeffs(
-            lambda r, a=c ** (-k - 1), k=k: r.mul_lam_power(a, k)) for k in ks)
+    def piece(region, part=()):
+        return 1, (region, part, 1)
 
-    low = G.restrict(NEG, Fraction(0))
-    um = low
-    if not low.is_exact_zero():
-        um = geometric(low, range(-1, -depth - 1, -1)).forget(
-            low.val_bound()[0] * Fraction(p) ** (-depth - 1), Fraction(0))
-    if not G.mask.certifies(0):
-        return hs_sum((um, zero().cap(0))).cap(cap).shift(shift)
+    def image(region, part, k, a):
+        """The piece of a lambda**k phi**k of the part (region, terms)."""
+        s, t = (p ** k, 1) if k >= 0 else (1, p ** -k)
+        at = lambda x: x if type(x) is float else x * s // t
+        return piece([(at(lo), at(hi)) for lo, hi in region],
+                     [(F, r.mul_lam_power(a, k)) for E, r in part for F in (at(E),) if F < top])
 
-    g0 = G.coeff_at(Fraction(0))
-    u0 = monomial(0, g0.mul_root_power(c, -1)) if g0 else zero()
-
-    fp = min(next((e for e, _ in G.terms if e > 0), POS), G.mask.next_gap(Fraction(0)))
-    ks = itertools.takewhile(lambda k: p ** k * fp < cap, itertools.count())
-    up = geometric(G.restrict(fp, POS), ks).cap(cap)
-    return hs_sum((um, u0, -up)).cap(cap).shift(shift)
+    pieces = [piece([(NEG, top)])]
+    vb = G.val_bound()[0]
+    if vb < 0:
+        # the negative part is zero by fiat from 0 up
+        low = _iv_diff(_FULL, _iv_diff([(NEG, 0)], ext))
+        neg = [(E, r) for E, r in terms if E < 0]
+        pieces += [image(low, neg, k, c ** (-k - 1)) for k in range(-1, -depth - 1, -1)]
+        if vb != NEG:
+            vb = vb.numerator * (M // vb.denominator) // p ** (depth + 1)
+        pieces.append(piece(_iv_diff(_FULL, [(vb, 0)])))  # the dropped tail
+    pos = [(E, r) for E, r in terms if E > 0]
+    fp = min(pos[0][0] if pos else POS, _next_gap(ext, 0))
+    if not fp:
+        pieces.append(piece([(NEG, 0)]))
+    else:
+        pieces.append(piece(_FULL, [(0, r.mul_root_power(c, -1)) for E, r in terms if not E]))
+        # the positive part is zero by fiat below fp
+        high = _iv_diff(_FULL, _iv_diff([(fp, POS)], ext))
+        k = 0
+        while p ** k * fp < top:
+            pieces.append(image(high, pos, k, -c ** (-k - 1)))
+            k += 1
+    return _weighted_sum(M, pieces).shift(shift)
 
 
 def solve_slope(L, plan, fact, j, ceiling, depth):

@@ -119,14 +119,7 @@ class Mask:
     def next_gap(self, x):
         """Smallest exponent t >= x that is not certified (x itself when x
         is uncertified, +inf when everything from x up is)."""
-        t = x
-        for lo, hi in self.extended:
-            if hi <= t:
-                continue
-            if lo > t:
-                break
-            t = hi
-        return t
+        return _next_gap(self.extended, x)
 
     def __eq__(self, other):
         return isinstance(other, Mask) and self.ivs == other.ivs
@@ -146,6 +139,18 @@ class Mask:
 
 _FULL = [(NEG, POS)]
 _EMPTY = Mask(())
+
+
+def _next_gap(ext, x):
+    """Smallest t >= x outside the normalized extended region ext."""
+    t = x
+    for lo, hi in ext:
+        if hi <= t:
+            continue
+        if lo > t:
+            break
+        t = hi
+    return t
 
 
 def _build_sorted(tl, ext):
@@ -292,18 +297,6 @@ class HahnSeries:
         """Forget everything at or above `bound` (truncation, not restriction)."""
         ext = _iv_inter(self.mask.extended, [(NEG, bound)])
         return _build_sorted(self.terms, ext)
-
-    def forget(self, lo, hi):
-        """Give up certification on [lo, hi) (used to record truncated tails)."""
-        return _build_sorted(self.terms, _iv_diff(self.mask.extended,
-                                                  [(lo, hi)] if lo < hi else []))
-
-    def restrict(self, lo, hi):
-        """The restriction of the series to [lo, hi): zero outside by fiat."""
-        i = bisect_left(self.terms, lo, key=_exp)
-        j = bisect_left(self.terms, hi, i, key=_exp)
-        return _build_sorted(self.terms[i:j],
-                             _iv_diff(_FULL, _iv_diff([(lo, hi)], self.mask.extended)))
 
     def invert(self, ceiling):
         """Multiplicative inverse, certified on (-inf, min(ceiling, first gap) - 2v).
@@ -668,10 +661,10 @@ def _slice_product(fi, gi, top, den):
 
 def _weighted_sum(M, pieces):
     """The series sum of w * part over the (w, part) in pieces, each part a
-    (region, sums, den) on (1/M)Z as `_numerators` and `_grid_product` give
-    it: the regions intersected, and the sums scaled to one common
-    denominator den and folded per exponent from the integer 0 by the
-    numerators' own +, then one _build_sorted.  A kept sum S becomes
+    (region, sums, den) on (1/M)Z as `_numerators`, `_grid_product` and the
+    order-1 solver give it: the regions intersected, and the sums scaled to
+    one common denominator den and folded per exponent from the integer 0
+    by the numerators' own +, then one _build_sorted.  A kept sum S becomes
     Fraction(S, den) for an integer S, S itself when den is 1, and
     S * (1/den) otherwise.  No pieces make the exact zero."""
     ext = _FULL

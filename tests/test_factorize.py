@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (eq_on_mask, gauge_exp, ladder_operator, plan_of, rand_operator,
+from conftest import (eq_on_mask, forget, gauge_exp, ladder_operator, plan_of, rand_operator,
                       reference_factor_operator, reference_peel)
 from test_cli import EXAMPLE
 from mahler.cli import elaborate, parse_spec
@@ -220,7 +220,7 @@ def _holed(rng, L):
             cut = a.terms[0][0] + Fraction(rng.randint(1, 12), rng.choice((2, 3, 5)))
             for _ in range(rng.randint(1, 2)):
                 width = Fraction(rng.randint(1, 3), rng.choice((2, L.p ** 2, 7)))
-                a = a.forget(cut, cut + width)
+                a = forget(a, cut, cut + width)
                 cut += width + Fraction(rng.randint(1, 4), 3)
         coeffs.append(a)
     return MahlerOperator(L.p, coeffs)

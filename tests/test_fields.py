@@ -134,8 +134,18 @@ def _full_reduction(num, den):
     return (num * (1 / lead)).coeffs, (den * (1 / lead)).coeffs
 
 
-def test_ratfun_arithmetic_matches_full_reduction():
+def test_ratfun_arithmetic_matches_full_reduction(monkeypatch):
+    """Sums, differences, products, quotients and powers against one full
+    reduction of the unreduced pair.  A negative power runs no gcd, as the
+    reciprocal of a reduced fraction is reduced, and a quotient at most one."""
     rng = random.Random(31)
+    gcds = []
+    real_gcd = fields.poly_gcd
+    monkeypatch.setattr(fields, "poly_gcd", lambda *args: gcds.append(args) or real_gcd(*args))
+
+    def counted(op):
+        del gcds[:]
+        return op(), len(gcds)
     x = Poly((0, 1))
     factors = [x, x - 1, x + 2, x - Fraction(1, 2), 2 * x + 3, x ** 2 + 1,
                x ** 2 + 2, x ** 3 + x + 1, x ** 3 - 2]
@@ -183,13 +193,17 @@ def test_ratfun_arithmetic_matches_full_reduction():
                  (a - b, n1 * d2 - n2 * d1, d1 * d2),
                  (a * b, n1 * n2, d1 * d2)]
         if b:
-            cases.append((a / b, n1 * d2, d1 * n2))
+            got, calls = counted(lambda: a / b)
+            assert calls <= 1
+            cases.append((got, n1 * d2, d1 * n2))
         for n in range(-3, 4):
             if n < 0 and not a:
                 with pytest.raises(DivisionByZero):
                     a ** n
             elif n < 0:
-                cases.append((a ** n, d1 ** -n, n1 ** -n))
+                got, calls = counted(lambda: a ** n)
+                assert calls == 0
+                cases.append((got, d1 ** -n, n1 ** -n))
             else:
                 cases.append((a ** n, n1 ** n, d1 ** n))
         for got, num, den in cases:

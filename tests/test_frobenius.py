@@ -5,17 +5,19 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (d_lambda, eq_on_mask, ev_c, gcj_residual_mask, ladder_g1_terms,
+from conftest import (d_lambda, eq_on_mask, ev_c, forget, gcj_residual_mask, ladder_g1_terms,
                       ladder_g2_terms, ladder_operator, lam, lift, order1_coeff_oracle,
                       pipeline_mask, rand_exponent, rand_operator, rand_param_series, rand_series,
                       reference_apply_to_solution, reference_pole_order, reference_solve_gcj,
-                      reference_solve_order1_param, reference_specialize, series_dict_on_mask)
+                      reference_solve_order1_param, reference_specialize, restrict,
+                      series_dict_on_mask)
 from mahler.cli import elaborate, parse_spec
 from mahler.errors import MahlerError, PlanMismatch, PoleAtEvaluationPoint, VerificationError
 from mahler.fields import RatFun
@@ -23,7 +25,7 @@ from mahler.hahn import NEG, POS, HahnSeries, hs, monomial, one, zero
 from mahler.newton import analyze, frobenius_plan
 from mahler.operator import MahlerOperator, phi_minus
 from mahler.factorize import factor_operator
-from mahler import fields, frobenius
+from mahler import factorize, fields, frobenius, hahn
 from mahler.frobenius import (SolutionObject, apply_to_solution, check_gcj,
                               expected_gcj_cld, frobenius_basis, solve_gcj, solve_slope,
                               solve_order1_param, specialize_solutions,
@@ -126,18 +128,33 @@ def _order1_cases():
         if shape == 1:
             g = g.cap(a)
         elif shape == 2:
-            g = g.forget(a, b)
+            g = forget(g, a, b)
         elif shape == 3:
             top = b + Fraction(rng.randint(1, 3))
-            g = g.forget(a, b).forget(top, top + Fraction(rng.randint(1, 3), 2))
+            g = forget(forget(g, a, b), top, top + Fraction(rng.randint(1, 3), 2))
         elif shape == 4:
-            g = g.forget(star - Fraction(rng.randint(0, 3), 2), star + eps)
+            g = forget(g, star - Fraction(rng.randint(0, 3), 2), star + eps)
         elif shape == 5:
-            g = g.restrict(star + eps, POS) if rng.random() < 0.5 \
-                else g.restrict(NEG, star + rng.choice((0, eps)))
+            g = restrict(g, star + eps, POS) if rng.random() < 0.5 \
+                else restrict(g, NEG, star + rng.choice((0, eps)))
         elif shape == 6:
-            g = g.forget(NEG, POS)
+            g = forget(g, NEG, POS)
         yield (p, mu, rng.choice(cs), g, Fraction(rng.randint(2, 8)), rng.randint(1, 5))
+    # A second stream, so the draws above stay as they are: ceilings a/b with
+    # b <= 5 (b = 5 is coprime to p and to every exponent's denominator, as
+    # the ceiling + nu/(p-1) the pipeline passes may be), depths 1..6 and the
+    # pipeline's mask shapes.
+    rng = random.Random(7412)
+    for _ in range(240):
+        p = rng.choice((2, 3))
+        mu = Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+        g = rand_param_series(rng) if rng.random() < 0.5 else rand_series(rng)
+        if rng.random() < 0.4:
+            g = g + monomial(mu / (p - 1), Fraction(rng.randint(1, 5), rng.randint(1, 3)))
+        if rng.random() < 0.6:
+            g = pipeline_mask(rng, g, p)[1]
+        ceiling = Fraction(rng.randint(1, 30), rng.randint(1, 5))
+        yield (p, mu, rng.choice(cs), g, ceiling, rng.randint(1, 6))
 
 
 def test_order1_matches_reference_solver():
@@ -146,6 +163,7 @@ def test_order1_matches_reference_solver():
     Q gives the solve of g lifted to Q(lambda)."""
     seen = set()
     for p, mu, c, g, ceiling, depth in _order1_cases():
+        cap = ceiling - mu / (p - 1)
         got = solve_order1_param(p, mu, c, g, ceiling, depth)
         want = reference_solve_order1_param(p, mu, c, g, ceiling, depth)
         assert got == want
@@ -166,6 +184,14 @@ def test_order1_matches_reference_solver():
             seen.add("g0 " + ("zero" if not g0 else type(g0).__name__))
             if all(e <= 0 for e, _ in G.terms) and G.mask.next_gap(Fraction(0)) == POS:
                 seen.add("fp = +inf")
+            fp = min([e for e, _ in G.terms if e > 0] + [G.mask.next_gap(Fraction(0))])
+            if cap <= fp < POS:
+                seen.add("no positive image")
+        if depth == 1 and not G.mask.empty and G.val_bound()[0] < 0:
+            seen.add("forget band at depth 1")
+        ends = [e for e, _ in G.terms] + [x for iv in G.mask.ivs for x in iv if x != POS]
+        if (cap * math.lcm(*(x.denominator for x in ends)) * p ** (depth + 1)).denominator > 1:
+            seen.add("ceiling off the lattice")
         if len(G.mask.ivs) >= 2:
             seen.add("islands")
         exact = G.mask.extended == [(NEG, POS)]
@@ -175,7 +201,8 @@ def test_order1_matches_reference_solver():
             seen.add("negative-only")
     assert seen == {"exact zero", "empty mask", "0 uncertified", "g0 zero",
                     "g0 Fraction", "g0 RatFun", "fp = +inf", "islands",
-                    "exact positive-only", "negative-only", "g over Q"}
+                    "exact positive-only", "negative-only", "g over Q",
+                    "no positive image", "forget band at depth 1", "ceiling off the lattice"}
 
 
 def test_order1_back_substitution():
@@ -343,6 +370,51 @@ def test_every_q_lambda_product_has_a_scalar_operand(monkeypatch):
         assert frobenius_basis(L, ceiling, depth, verify=True).verification["ok"]
     assert operands and set(operands) <= {int, Fraction}
     assert len(powers) > 1000
+
+
+def test_order1_kernels_build_no_intermediate_series(monkeypatch):
+    """Both first-order kernels read their inputs in place: each
+    solve_order1_param call whose g is not an exact zero is one
+    `_weighted_sum` with no HahnSeries.mal or hs_sum, and
+    slope_zero_unit_solution takes no shifted or scaled copy.  The README
+    example and the first 60 criterion-3 operators, verify on."""
+    cases = [(_readme_operator(8), 8, 8)]
+    rng = random.Random(2026)
+    cases += [(rand_factored_operator(rng, Fraction(3))[0], 3, 2) for _ in range(60)]
+    open_calls, done = [], []
+
+    def kernel(name, real):
+        def call(*args):
+            open_calls.append(Counter())
+            try:
+                return real(*args)
+            finally:
+                done.append((name, args, open_calls.pop()))
+        return call
+
+    def counted(name, real):
+        def call(*args):
+            if open_calls:
+                open_calls[-1][name] += 1
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(frobenius, "solve_order1_param",
+                        kernel("order1", frobenius.solve_order1_param))
+    monkeypatch.setattr(factorize, "slope_zero_unit_solution",
+                        kernel("unit", factorize.slope_zero_unit_solution))
+    for module in (frobenius, hahn):
+        monkeypatch.setattr(module, "_weighted_sum", counted("_weighted_sum", hahn._weighted_sum))
+    monkeypatch.setattr(hahn, "hs_sum", counted("hs_sum", hahn.hs_sum))
+    for name in ("mal", "shift", "scale"):
+        monkeypatch.setattr(HahnSeries, name, counted(name, getattr(HahnSeries, name)))
+    for L, ceiling, depth in cases:
+        assert frobenius_basis(L, ceiling, depth, verify=True).verification["ok"]
+    solves = [c for name, args, c in done if name == "order1" and not args[3].is_exact_zero()]
+    units = [c for name, _, c in done if name == "unit"]
+    assert len(solves) > 100 and len(units) > 60
+    assert all(c["_weighted_sum"] == 1 and not c["mal"] and not c["hs_sum"] for c in solves)
+    assert all(not c["shift"] and not c["scale"] for c in units)
 
 
 def test_check_gcj_rejects_wrong_leading_coefficient():
@@ -554,14 +626,14 @@ def test_residual_equals_reference_on_edge_cases(case):
     only (part u = 0 absent, so (c, 0) is reached from u = 1 alone), through
     the general product and through an exact monomial; c = 0, whose weights
     c**(i-t) vanish for t < i."""
-    f = hs([(Fraction(-1, 3), 2), (0, -1), (Fraction(5, 2), Fraction(3, 7))]).forget(
-        Fraction(1, 5), Fraction(4, 5)).cap(Fraction(29, 8))
+    f = forget(hs([(Fraction(-1, 3), 2), (0, -1), (Fraction(5, 2), Fraction(3, 7))]),
+               Fraction(1, 5), Fraction(4, 5)).cap(Fraction(29, 8))
     a = hs([(0, 1), (Fraction(1, 2), -2), (3, 1)]).cap(Fraction(17, 4))
     c = Fraction(2)
     if case == "zero interior":
         L, parts = MahlerOperator(2, [a, zero(), a.shift(1)]), [(c, 0, f), (c, 1, f)]
     elif case == "empty part":
-        L, parts = MahlerOperator(3, [a, a]), [(c, 0, f), (c, 1, f.forget(NEG, POS))]
+        L, parts = MahlerOperator(3, [a, a]), [(c, 0, f), (c, 1, forget(f, NEG, POS))]
     elif case == "single contribution":
         L, parts = MahlerOperator(2, [a, a.shift(-1)]), [(c, 1, f)]
     elif case == "single monomial contribution":
@@ -722,7 +794,7 @@ def test_check_gcj_rejects_wrong_valuation():
     -mu (not a precision shortfall), fails the check like a wrong val."""
     L, nd, plan, fact, g = _ladder_parts()
     mu = nd.slopes[0][0]
-    gapped = g.restrict(3, POS).forget(1, 2)
+    gapped = forget(restrict(g, 3, POS), 1, 2)
     assert gapped.terms[0][0] == 4 and gapped.val_bound() == (1, False)
     for bad, found in ((g.shift(1), "1"), (zero(), "inf: g is certified zero"),
                        (gapped, "at least 1, the first gap of its mask")):

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (canon, gauge_exp, gauge_unit, hull_walk, ladder_operator, rand_operator,
-                      subst_scale)
+from conftest import (canon, forget, gauge_exp, gauge_unit, hull_walk, ladder_operator,
+                      rand_operator, subst_scale)
 from mahler import newton
 from mahler.errors import UnknownLeadingTerm, VerificationError, ZeroSeries
 from mahler.fields import Poly
@@ -114,7 +114,7 @@ def test_polygon_rejects_uncertified_boundary_coefficients():
     trimmed = MahlerOperator(2, [one(), zero()])
     assert trimmed.order == 0
     assert newton_polygon(trimmed) == ((0, Fraction(1), Fraction(0)),)
-    bad = hs([(0, 1), (2, 1)]).forget(-1, 1)
+    bad = forget(hs([(0, 1), (2, 1)]), -1, 1)
     with pytest.raises(UnknownLeadingTerm):
         newton_polygon(MahlerOperator(2, [bad, one()]))
 
