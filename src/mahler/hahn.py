@@ -293,11 +293,6 @@ class HahnSeries:
                           Mask._of([(lo * s, POS if hi == POS else hi * s)
                                     for lo, hi in self.mask.ivs]))
 
-    def cap(self, bound):
-        """Forget everything at or above `bound` (truncation, not restriction)."""
-        ext = _iv_inter(self.mask.extended, [(NEG, bound)])
-        return _build_sorted(self.terms, ext)
-
     def invert(self, ceiling):
         """Multiplicative inverse, certified on (-inf, min(ceiling, first gap) - 2v).
 
@@ -306,8 +301,10 @@ class HahnSeries:
         c w_g + sum_(e > 0) f_(v+e) w_(g-e) = 0.  Nothing above the window is
         certified: islands of this series' mask beyond its first gap carry no
         certificate into the inverse.  An exact monomial inverts exactly,
-        over Q or Q(lambda).  Any other series goes through forward_solve,
-        which runs over Q only: over Q(lambda) it raises a MahlerError.
+        over Q or Q(lambda).  Any other series runs over Q only (over
+        Q(lambda) a MahlerError): its numerators on its own lattice
+        (`_numerators`) give forward_solve's integer taps and lead, the
+        leading numerator.
         """
         if not self.terms:
             raise ZeroDivisor("cannot invert a series with no certified nonzero term")
@@ -315,13 +312,18 @@ class HahnSeries:
             v = self.val()
         except UnknownLeadingTerm:
             raise ZeroDivisor("cannot invert: leading term not certified")
-        c = self.terms[0][1]
-        inv_c = 1 / c
         if len(self.terms) == 1 and self.mask.extended == _FULL:
-            return _build_sorted([(-v, inv_c)], _FULL)
+            return _build_sorted([(-v, 1 / self.terms[0][1])], _FULL)
+        bad = next((a for _, a in self.terms if type(a) is not Fraction), None)
+        if bad is not None:
+            raise MahlerError("the forward recursion runs over Q; got a %s coefficient"
+                              % type(bad).__name__)
         cap = min(Fraction(ceiling), self.mask.first_gap()) - v
-        taps = [(e - v, 1, a) for e, a in self.terms[1:]]
-        return forward_solve(inv_c, c, taps, cap).shift(-v)
+        M = _grid([self])
+        _, ((V, lead), *rest), den = _numerators(self, M)
+        w = forward_solve(Fraction(den, lead), lead, [(E - V, 1, N) for E, N in rest],
+                          math.ceil(cap * M))
+        return _build_sorted([(Fraction(g, M), x) for g, x in w], [(NEG, cap)]).shift(-v)
 
     # -- comparisons ----------------------------------------------------------
 
@@ -392,49 +394,41 @@ def hs_sum(series):
     return _weighted_sum(M, [(1, _numerators(f, M)) for f in series])
 
 
-def forward_solve(one, lead, taps, cap):
-    """Series w over Q, exact on (-inf, cap), with w_0 = one and
+def forward_solve(one, lead, taps, cut):
+    """The terms (g, w_g), by increasing g < cut, of the series w with
+    w_0 = one and
 
         lead * w_g + sum over taps (e, k, a) of a * w_((g - e)/k) = 0
 
-    at every g > 0.  Every tap must move forward (e >= 0, k >= 1,
-    not both e = 0 and k = 1), so w is supported on the closure of {0} under
-    g -> k*g + e and each w_g depends only on smaller exponents.  That
-    closure lies on the lattice (1/D)Z of the taps, D the lcm of the
-    denominators of the e, so the recursion runs on the integers D*g with
-    the cap as ceil(cap*D).  Exponents are settled in increasing order from
-    a heap; a settled nonzero w_g scatters its contributions to the
-    exponents it reaches below the cap.
+    at every g > 0, on integers: the exponents e, the cut, lead and every
+    tap coefficient a are integers, one is an int or a Fraction.  Callers
+    put their exponents on one lattice (1/M)Z and clear the denominators of
+    lead and the a, which the recursion, homogeneous in them, ignores.
+    Every tap must move forward (e >= 0, k >= 1, not both e = 0 and k = 1),
+    so w is supported on the closure of {0} under g -> k*g + e and each w_g
+    depends only on smaller exponents.  Exponents are settled in increasing
+    order from a heap; a settled nonzero w_g scatters its contributions to
+    the exponents it reaches below the cut.
 
-    one, lead and every tap coefficient must be Fractions, and the values
-    run on integers too, fraction-free as in Bareiss's elimination.  Q, the
-    lcm of the denominators of lead and of the taps, makes ell = Q*lead and
-    each A = Q*a integers, both negated if need be so that ell > 0 (lead =
-    -1 then runs as ell = 1).  A settled w_g is stored unreduced as an
-    integer W over od * ell**d: od is the denominator of one and d the
-    depth of g, one more than the largest depth summed into g; when ell = 1
-    every depth stays 0 and no power of ell is formed.  A pending sum is a
-    pair (S, d), and a contribution of another depth meets it after one
-    side is multiplied by a power of ell.  Exponents and coefficients become
-    Fractions once per output term; the only gcd is Fraction's.
+    The values run fraction-free, as in Bareiss's elimination: lead and
+    the a are negated if need be so that ell = |lead| > 0.  A settled w_g
+    is stored unreduced as an integer W over od * ell**d: od is the
+    denominator of one and d the depth of g, one more than the largest
+    depth summed into g; when ell = 1 every depth stays 0 and no power of
+    ell is formed.  A pending sum is a pair (S, d), and a contribution of
+    another depth meets it after one side is multiplied by a power of ell.
+    Each output value is one Fraction, whose gcd is the only one.
     """
     rows = {}
     for e, k, a in taps:
         if e < 0 or k < 1 or (not e and k == 1):
             raise MahlerError("tap (%s, %s) does not move the recursion forward" % (e, k))
         rows.setdefault(k, []).append((e, a))
-    for c in (one, lead, *(a for _, _, a in taps)):
-        if type(c) is not Fraction:
-            raise MahlerError("the forward recursion runs over Q; got a %s coefficient"
-                              % type(c).__name__)
-    D = _lattice(e for e, _, _ in taps)
-    cut = math.ceil(cap * D)  # t < cap iff D*t < cut
-    Q = math.lcm(lead.denominator, *(a.denominator for _, _, a in taps))
-    ell = lead.numerator * (Q // lead.denominator)
-    sign = -1 if ell < 0 else 1
-    ell *= sign
-    rows = [(k, sorted(((e, sign * a.numerator * (Q // a.denominator))
-                        for e, a in _on_lattice(row, D)), key=itemgetter(0)))
+    if cut <= 0:
+        return []
+    sign = -1 if lead < 0 else 1
+    ell = sign * lead
+    rows = [(k, sorted(((e, sign * a) for e, a in row), key=itemgetter(0)))
             for k, row in rows.items()]
     step = int(ell != 1)
     powers = [1]
@@ -474,8 +468,7 @@ def forward_solve(one, lead, taps, cap):
         S, d = pending.pop(g)
         W, d = -S, d + step
     od = one.denominator
-    return _build_sorted([(Fraction(g, D), Fraction(W, od * power(d))) for g, W, d in w],
-                         [(NEG, cap)])
+    return [(g, Fraction(W, od * power(d))) for g, W, d in w]
 
 
 def hs_mul(f, g):
@@ -543,8 +536,9 @@ def _mul_shortcut(f, g):
 def _grid(series):
     """Smallest M with every exponent and finite mask endpoint of the given
     series in (1/M)Z (finite endpoints are Fractions, infinite ones floats)."""
-    return _lattice([e for f in series for e, _ in f.terms]
-                    + [x for f in series for iv in f.mask.ivs for x in iv if type(x) is Fraction])
+    return math.lcm(*{e.denominator for f in series for e, _ in f.terms},
+                    *{x.denominator for f in series for iv in f.mask.ivs for x in iv
+                      if type(x) is Fraction})
 
 
 def _mul_region(fe, fi, ge, gi):
@@ -660,40 +654,45 @@ def _slice_product(fi, gi, top, den):
 
 
 def _weighted_sum(M, pieces):
-    """The series sum of w * part over the (w, part) in pieces, each part a
-    (region, sums, den) on (1/M)Z as `_numerators`, `_grid_product` and the
-    order-1 solver give it: the regions intersected, and the sums scaled to
-    one common denominator den and folded per exponent from the integer 0
-    by the numerators' own +, then one _build_sorted.  A kept sum S becomes
-    Fraction(S, den) for an integer S, S itself when den is 1, and
-    S * (1/den) otherwise.  No pieces make the exact zero."""
+    """The series sum of w * part over the (w, part) in pieces: the series
+    (`_series`) of their `_fold`."""
+    return _series(M, _fold(pieces))
+
+
+def _fold(pieces):
+    """(region, terms, den) of the sum of w * part over the (w, part) in
+    pieces, each part a (region, sums, den) on one lattice as `_numerators`,
+    `_grid_product`, the order-1 solver, the peel or `_fold` itself give
+    it: the regions intersected, and the sums scaled to one common
+    denominator den and folded per exponent from the integer 0 by the
+    numerators' own +.  terms holds the nonzero sums inside the region,
+    sorted by exponent.  No pieces make the exact zero."""
     ext = _FULL
     for _, (region, _, _) in pieces:
         ext = _iv_inter(ext, region)
     if not ext:
-        return HahnSeries((), _EMPTY)
+        return ext, [], 1
     den = math.lcm(*(w.denominator * d for w, (_, _, d) in pieces))
     acc = {}
     for w, (_, sums, d) in pieces:
         k = w.numerator * (den // (w.denominator * d))
         for E, s in sums:
             acc[E] = acc.get(E, 0) + (s if k == 1 else k * s)
+    return ext, [(E, S) for E, S in _kept(sorted(acc.items()), ext) if S], den
+
+
+def _series(M, part):
+    """The series of a (region, terms, den) on (1/M)Z, as `_numerators` and
+    `_fold` give it, by one _build_sorted.  A sum S becomes Fraction(S, den)
+    for an integer S, S itself when den is 1 (a RatFun, or a Fraction the
+    caller formed), and S * (1/den) otherwise."""
+    ext, terms, den = part
     inv = Fraction(1, den)
     return _build_sorted(
         [(Fraction(E, M), Fraction(S, den) if type(S) is int else S if den == 1 else S * inv)
-         for E, S in _kept(sorted(acc.items()), ext) if S],
+         for E, S in terms],
         [(lo if lo == NEG else Fraction(lo, M), hi if hi == POS else Fraction(hi, M))
          for lo, hi in ext])
-
-
-def _lattice(exps):
-    """Smallest D with every exponent in (1/D)Z."""
-    return math.lcm(*{e.denominator for e in exps})
-
-
-def _on_lattice(terms, D):
-    """Terms with each exponent e replaced by the integer D*e."""
-    return [(e.numerator * (D // e.denominator), c) for e, c in terms]
 
 
 def _numerators(f, M):
@@ -706,7 +705,7 @@ def _numerators(f, M):
     ext = [(lo if type(lo) is float else lo.numerator * (M // lo.denominator),
             hi if type(hi) is float else hi.numerator * (M // hi.denominator))
            for lo, hi in f.mask.extended]
-    terms = _on_lattice(f.terms, M)
+    terms = [(e.numerator * (M // e.denominator), c) for e, c in f.terms]
     if any(type(c) is not Fraction for _, c in f.terms):
         return ext, terms, 1
     den = math.lcm(*{c.denominator for _, c in f.terms})

@@ -39,6 +39,12 @@ def forget(f, lo, hi):
     return _build_sorted(f.terms, _iv_diff(f.mask.extended, [(lo, hi)] if lo < hi else []))
 
 
+def cap(f, bound):
+    """f with everything at or above `bound` forgotten (truncation, not
+    restriction)."""
+    return _build_sorted(f.terms, _iv_inter(f.mask.extended, [(NEG, bound)]))
+
+
 def restrict(f, lo, hi):
     """The restriction of f to [lo, hi): zero outside it by fiat."""
     return _build_sorted([(e, c) for e, c in f.terms if lo <= e < hi],
@@ -83,7 +89,7 @@ def pipeline_mask(rng, f, p):
     kind = rng.choice(("ceiling", "forget bound", "gaps and ray", "empty"))
     if kind == "ceiling":
         nu = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
-        return kind, f.cap(Fraction(rng.randint(0, 8)) - nu / (p - 1))
+        return kind, cap(f, Fraction(rng.randint(0, 8)) - nu / (p - 1))
     if kind == "forget bound":
         b = (lo - 1) * Fraction(p) ** (-rng.randint(2, 8) - 1)
         return kind, forget(f, b, max(b + Fraction(1, 2), Fraction(0)))
@@ -326,6 +332,24 @@ def reference_forward_solve(one, lead, taps, cap):
         v = -pending.pop(g) * inv
 
 
+def rational_forward_solve(one, lead, taps, cap):
+    """hahn.forward_solve stated on rationals, as reference_forward_solve
+    takes its cases: the exponents go on the taps' lattice (1/D)Z, lead and
+    the tap coefficients over the lcm Q of their denominators (ell = Q*lead),
+    the cap becomes ceil(cap*D), and the terms are built into a series exact
+    on (-inf, cap).  Over Q(lambda) a MahlerError, as the kernel runs on
+    integers only."""
+    for c in (one, lead, *(a for _, _, a in taps)):
+        if type(c) is not Fraction:
+            raise MahlerError("the forward recursion runs over Q; got a %s coefficient"
+                              % type(c).__name__)
+    D = math.lcm(*(e.denominator for e, _, _ in taps))
+    Q = math.lcm(lead.denominator, *(a.denominator for _, _, a in taps))
+    w = forward_solve(one, int(lead * Q), [(int(e * D), k, int(a * Q)) for e, k, a in taps],
+                      math.ceil(cap * D))
+    return _build_sorted([(Fraction(g, D), v) for g, v in w], [(NEG, cap)])
+
+
 def geometric_invert(f, ceiling):
     """Inverse as the geometric series c**-1 z**-v sum_m (-t)**m with
     f = c z**v (1 + t), each power a full product capped at the ceiling."""
@@ -347,11 +371,11 @@ def geometric_invert(f, ceiling):
     total, power, m = one, one, 0
     while m * fp <= bound:
         m += 1
-        power = reference_mul(power, -t).cap(bound)
+        power = cap(reference_mul(power, -t), bound)
         total = total + power
         if power.is_exact_zero():
             break
-    return total.cap(bound).shift(-v).scale(inv_c)
+    return cap(total, bound).shift(-v).scale(inv_c)
 
 
 def reference_unit_solution(M, c, ceiling):
@@ -378,7 +402,7 @@ def reference_unit_solution(M, c, ceiling):
         raise PlanMismatch("%s is not a root of the slope-zero characteristic polynomial" % c)
     taps = [(Fraction(0), p ** i, heads[i]) for i in range(1, len(bs)) if heads[i]]
     taps += [(e, p ** i, v) for i, bi in enumerate(bs) for e, v in bi.terms if 0 < e < cap]
-    h = forward_solve(Fraction(1), b00, taps, cap)
+    h = reference_forward_solve(Fraction(1), b00, taps, cap)
     residual = gauge_exp(M, c).apply(h)
     if not residual.is_zero() or residual.mask.empty:
         raise VerificationError("unit solution does not annihilate the operator")
@@ -526,7 +550,7 @@ def reference_solve_order1_param(p, mu, c, g, ceiling, depth):
     if g.is_exact_zero():
         return g
     shift = Fraction(mu) / (p - 1)
-    cap = Fraction(ceiling) - shift
+    top = Fraction(ceiling) - shift
     G = g.shift(-shift)
 
     low = restrict(G, NEG, Fraction(0))
@@ -560,13 +584,13 @@ def reference_solve_order1_param(p, mu, c, g, ceiling, depth):
         ext = [(NEG, fp)] + _iv_inter(G.mask.extended, [(fp, POS)])
         high = reference_build(pos_terms, ext)
         pieces, k = [], 0
-        while p ** k * fp < cap:
+        while p ** k * fp < top:
             pieces.append(high.mal(k, p).scale(RatFun.const(c ** (-k - 1)) * lam ** k))
             k += 1
-        up = hs_sum(pieces).cap(cap)
+        up = cap(hs_sum(pieces), top)
 
     u = hs_sum((um, u0, -up))
-    return u.cap(cap).shift(shift)
+    return cap(u, top).shift(shift)
 
 
 def reference_taylor_head(cs, c, n):

@@ -13,7 +13,7 @@ from test_cli import EXAMPLE
 from mahler.cli import elaborate, parse_spec
 from mahler.errors import (MahlerError, NonRationalExponent, PlanMismatch, UnknownLeadingTerm,
                            VerificationError)
-from mahler.hahn import HahnSeries, Mask, hs, monomial, one, zero
+from mahler.hahn import HahnSeries, Mask, _series, hs, monomial, one, zero
 from mahler.newton import FrobeniusPlan, analyze
 from mahler.operator import MahlerOperator, phi_minus
 from mahler.factorize import (Factorization, FirstOrderFactor, factor_operator,
@@ -247,40 +247,37 @@ def _peel_cases():
 
 def test_peel_equals_reference_on_gapped_inputs(monkeypatch):
     """Every peel's remainder and the quotient it passes on, masks included,
-    equal the Horner fold of reference_mul products."""
+    equal the Horner fold of reference_mul products.  The peel works on
+    (region, terms, den) triples; the test builds them into series on the
+    lattice that the unit solution of the same peel was given."""
     module = sys.modules["mahler.factorize"]
-    solve, sums, operator = (module.slope_zero_unit_solution, module.hs_mul_sums,
-                             module.MahlerOperator)
-    last, pending, seen = [], [], Counter()
+    solve, peel = module._unit_solution, module._peel
+    last, seen = [], Counter()
 
-    def recording_solve(M, c, ceiling):
-        h = solve(M, c, ceiling)
-        last[:] = [M, Fraction(c), h]
-        return h
+    def recording_solve(p, M, coeffs, c, top):
+        h, unit = solve(p, M, coeffs, c, top)
+        last[:] = [M, h]
+        return h, unit
 
-    def checked_sums(*args):
-        t = sums(*args)
-        M, c, h = last
-        want = reference_peel(M, h, c)
-        assert t[0] == want[0]
-        pending.append(want[1:])
+    def checked_peel(p, coeffs, unit, c):
+        t = peel(p, coeffs, unit, c)
+        M, h = last
+        Mg = MahlerOperator(p, [_series(M, a) for a in coeffs])
+        want = reference_peel(Mg, h, c)
+        assert _series(M, t[0]) == want[0]
         seen["peel"] += 1
-        if any(len(a.mask.extended) > 1 for a in M.coeffs):
+        # the quotient passed on to the next peel
+        assert [_series(M, q) for q in t[1:]] == want[1:]
+        seen["quotient"] += 1
+        if any(len(a.mask.extended) > 1 for a in Mg.coeffs):
             seen["gapped"] += 1
-        if any(a.is_exact_zero() for a in M.coeffs[1:-1]):
+        if any(a.is_exact_zero() for a in Mg.coeffs[1:-1]):
             seen["zero interior"] += 1
         if c.denominator > 1:
             seen["c with a denominator"] += 1
         return t
-
-    def checked_quotient(p, coeffs):
-        if pending:  # the quotient of the peel just checked
-            assert list(coeffs) == pending.pop()
-            seen["quotient"] += 1
-        return operator(p, coeffs)
-    monkeypatch.setattr(module, "slope_zero_unit_solution", recording_solve)
-    monkeypatch.setattr(module, "hs_mul_sums", checked_sums)
-    monkeypatch.setattr(module, "MahlerOperator", checked_quotient)
+    monkeypatch.setattr(module, "_unit_solution", recording_solve)
+    monkeypatch.setattr(module, "_peel", checked_peel)
     for L, ceiling in _peel_cases():
         plan = plan_of(L)
         factor_operator(L, ceiling, plan)
@@ -295,9 +292,12 @@ def test_peel_rejects_a_corrupted_unit_solution(monkeypatch):
     module = sys.modules["mahler.factorize"]
     solve = module.forward_solve
 
-    def corrupted(one_, lead, taps, cap):
-        # one extra certified term below the cap
-        return solve(one_, lead, taps, cap) + monomial(cap / 7, Fraction(1, 3))
+    def corrupted(one_, lead, taps, cut):
+        # one extra certified term below the cut
+        w = dict(solve(one_, lead, taps, cut))
+        g = max(1, cut // 7)
+        w[g] = w.get(g, 0) + Fraction(1, 3)
+        return sorted((g, v) for g, v in w.items() if v)
     rng = random.Random(101)
     cases = [rand_factored_operator(rng, Fraction(4))[0] for _ in range(10)]
     cases.append(ladder_operator(2, -2))
@@ -309,6 +309,46 @@ def test_peel_rejects_a_corrupted_unit_solution(monkeypatch):
             factor_operator(L, 4, plan)
         assert str(exc.value) == ("layer 1, peel 1, c = %s: sum_i c**i a_i phi**i(h) "
                                   "is not certified zero" % c)
+
+
+def _count_calls(monkeypatch, calls, fn, name):
+    """Count the calls of fn in `calls[name]`, through every binding of fn
+    in the loaded mahler modules."""
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    for mod in [m for key, m in sys.modules.items() if key.startswith("mahler.")]:
+        for key, value in list(vars(mod).items()):
+            if value is fn:
+                monkeypatch.setattr(mod, key, counted)
+    return counted
+
+
+def test_factor_operator_stays_on_one_lattice(monkeypatch):
+    """factor_operator puts L on one lattice once and builds a series only
+    for each unit h and for the leftover a: per call no gauge_theta, no
+    HahnSeries.shift and no hs_mul_sums, and one _build_sorted per peel
+    plus one.  The README example at precision 8 and the first 60
+    criterion-3 operators."""
+    hahn = sys.modules["mahler.hahn"]
+    cases = [(elaborate(parse_spec(EXAMPLE), 8), Fraction(8))]
+    rng = random.Random(2026)
+    cases += [(rand_factored_operator(rng, Fraction(3))[0], Fraction(3)) for _ in range(60)]
+    plans = [plan_of(L) for L, _ in cases]
+    calls = Counter()
+    for owner, name in ((MahlerOperator, "gauge_theta"), (HahnSeries, "shift")):
+        monkeypatch.setattr(owner, name,
+                            _count_calls(monkeypatch, calls, getattr(owner, name), name))
+    for name in ("hs_mul_sums", "_build_sorted"):
+        _count_calls(monkeypatch, calls, getattr(hahn, name), name)
+    peels = 0
+    for (L, ceiling), plan in zip(cases, plans):
+        calls.clear()
+        fact = factor_operator(L, ceiling, plan)
+        n = len(fact.all_factors())
+        assert calls == Counter({"_build_sorted": n + 1}), calls
+        peels += n
+    assert peels > 100
 
 
 def test_unit_solution_rejects_a_coefficient_with_no_certified_region():

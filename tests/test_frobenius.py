@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (d_lambda, eq_on_mask, ev_c, forget, gcj_residual_mask, ladder_g1_terms,
+from conftest import (cap, d_lambda, eq_on_mask, ev_c, forget, gcj_residual_mask, ladder_g1_terms,
                       ladder_g2_terms, ladder_operator, lam, lift, order1_coeff_oracle,
                       pipeline_mask, rand_exponent, rand_operator, rand_param_series, rand_series,
                       reference_apply_to_solution, reference_pole_order, reference_solve_gcj,
@@ -126,7 +126,7 @@ def _order1_cases():
         b = a + Fraction(rng.randint(1, 4), rng.randint(1, 2))
         shape = i % 8
         if shape == 1:
-            g = g.cap(a)
+            g = cap(g, a)
         elif shape == 2:
             g = forget(g, a, b)
         elif shape == 3:
@@ -375,9 +375,9 @@ def test_every_q_lambda_product_has_a_scalar_operand(monkeypatch):
 def test_order1_kernels_build_no_intermediate_series(monkeypatch):
     """Both first-order kernels read their inputs in place: each
     solve_order1_param call whose g is not an exact zero is one
-    `_weighted_sum` with no HahnSeries.mal or hs_sum, and
-    slope_zero_unit_solution takes no shifted or scaled copy.  The README
-    example and the first 60 criterion-3 operators, verify on."""
+    `_weighted_sum` with no HahnSeries.mal or hs_sum, and the unit
+    solution (`factorize._unit_solution`) takes no shifted or scaled copy.
+    The README example and the first 60 criterion-3 operators, verify on."""
     cases = [(_readme_operator(8), 8, 8)]
     rng = random.Random(2026)
     cases += [(rand_factored_operator(rng, Fraction(3))[0], 3, 2) for _ in range(60)]
@@ -401,8 +401,7 @@ def test_order1_kernels_build_no_intermediate_series(monkeypatch):
 
     monkeypatch.setattr(frobenius, "solve_order1_param",
                         kernel("order1", frobenius.solve_order1_param))
-    monkeypatch.setattr(factorize, "slope_zero_unit_solution",
-                        kernel("unit", factorize.slope_zero_unit_solution))
+    monkeypatch.setattr(factorize, "_unit_solution", kernel("unit", factorize._unit_solution))
     for module in (frobenius, hahn):
         monkeypatch.setattr(module, "_weighted_sum", counted("_weighted_sum", hahn._weighted_sum))
     monkeypatch.setattr(hahn, "hs_sum", counted("hs_sum", hahn.hs_sum))
@@ -490,7 +489,7 @@ def test_specialize_matches_reference_on_random_series():
         g = rand_param_series(rng, terms=4, deg=3).map_coeffs(
             lambda r: r / (lam ** rng.randint(0, 3) * (lam - a) ** rng.randint(0, 3)))
         if rng.random() < 0.4:
-            g = g.cap(Fraction(rng.randint(-2, 3)))
+            g = cap(g, Fraction(rng.randint(-2, 3)))
         c = rng.choice((a, Fraction(0), Fraction(1), Fraction(-2, 3), Fraction(3)))
         s, m_count = rng.randint(0, 2), rng.randint(1, 3)
         poles += not _assert_specialize_matches_reference(2, g, c, s, m_count)
@@ -525,7 +524,7 @@ def test_basis_for_double_exponent():
     (block,) = out.blocks
     assert (block.c, block.m, block.s) == (Fraction(1), 2, 0)
     y1, y2 = block.solutions
-    assert y1.parts == ((Fraction(1), 0, one().cap(8)),) or \
+    assert y1.parts == ((Fraction(1), 0, cap(one(), 8)),) or \
         y1.part(Fraction(1), 0).coeff_at(0) == 1
     assert y2.part(Fraction(1), 1).coeff_at(0) == 1
     part0 = y2.part(Fraction(1), 0)
@@ -626,9 +625,9 @@ def test_residual_equals_reference_on_edge_cases(case):
     only (part u = 0 absent, so (c, 0) is reached from u = 1 alone), through
     the general product and through an exact monomial; c = 0, whose weights
     c**(i-t) vanish for t < i."""
-    f = forget(hs([(Fraction(-1, 3), 2), (0, -1), (Fraction(5, 2), Fraction(3, 7))]),
-               Fraction(1, 5), Fraction(4, 5)).cap(Fraction(29, 8))
-    a = hs([(0, 1), (Fraction(1, 2), -2), (3, 1)]).cap(Fraction(17, 4))
+    f = cap(forget(hs([(Fraction(-1, 3), 2), (0, -1), (Fraction(5, 2), Fraction(3, 7))]),
+                   Fraction(1, 5), Fraction(4, 5)), Fraction(29, 8))
+    a = cap(hs([(0, 1), (Fraction(1, 2), -2), (3, 1)]), Fraction(17, 4))
     c = Fraction(2)
     if case == "zero interior":
         L, parts = MahlerOperator(2, [a, zero(), a.shift(1)]), [(c, 0, f), (c, 1, f)]

@@ -5,18 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (_iv_contains, brute_conv, eq_on_mask, forget, geometric_invert,
+from conftest import (_iv_contains, brute_conv, cap, eq_on_mask, forget, geometric_invert,
                       ladder_operator, lam, lift, pipeline_mask, rand_param_series, rand_series,
-                      reference_add, reference_build, reference_forward_solve, reference_mul,
-                      restrict, support)
+                      rational_forward_solve, reference_add, reference_build,
+                      reference_forward_solve, reference_mul, restrict, support)
 from test_cli import EXAMPLE
-from mahler import fields, hahn
+from mahler import factorize, fields, hahn
 from mahler.cli import elaborate, parse_spec
 from mahler.errors import MahlerError, UnknownLeadingTerm, ZeroDivisor, ZeroSeries
 from mahler.fields import Poly, RatFun
 from mahler.frobenius import frobenius_basis
 from mahler.hahn import (_FULL, NEG, POS, HahnSeries, Mask, _build_sorted, _iv_diff,
-                         _iv_inter, _iv_norm, forward_solve, hs, hs_mul, hs_sum,
+                         _iv_inter, _iv_norm, hs, hs_mul, hs_sum,
                          monomial, one, zero)
 from mahler.testing import rand_factored_operator, rand_rational
 
@@ -35,7 +35,7 @@ def rand_masked(rng, f):
     cut = lo + Fraction(rng.randint(0, 8), rng.randint(1, 3))
     kind = rng.choice(("exact", "cap", "hole", "hole", "holes", "empty"))
     if kind == "cap":
-        return f.cap(cut)
+        return cap(f, cut)
     if kind == "hole":
         return forget(f, cut, cut + Fraction(rng.randint(1, 4), rng.randint(1, 2)))
     if kind == "holes":
@@ -212,7 +212,7 @@ def test_hs_sum_equals_left_fold(ring):
             f = parts[-1].scale(scalar()) if parts and rng.random() < 0.3 else series_of()
             f = holed(rng, f, rng.randint(-1, 4))
             if rng.random() < 0.3:
-                f = f.cap(Fraction(rng.randint(-2, 8)))
+                f = cap(f, Fraction(rng.randint(-2, 8)))
             parts.append(f)
             seen.add(len(f.mask.ivs))
         cancel = rng.random() < 0.25
@@ -248,7 +248,7 @@ def test_order_preserving_maps_equal_renormalized_masks():
         assert f.mal(k, p).mask == Mask(_iv_scale(f.mask.ivs, Fraction(p) ** k))
         lo = Fraction(rng.randint(-4, 8), 2)
         hi = lo + Fraction(rng.randint(1, 6), 2)
-        assert f.cap(hi) == reference_build(f.terms, _iv_inter(f.mask.extended, [(NEG, hi)]))
+        assert cap(f, hi) == reference_build(f.terms, _iv_inter(f.mask.extended, [(NEG, hi)]))
         assert forget(f, lo, hi) == reference_build(f.terms, _iv_diff(f.mask.extended, [(lo, hi)]))
         inside = [(e, c) for e, c in f.terms if lo <= e < hi]
         assert restrict(f, lo, hi) == reference_build(
@@ -264,7 +264,7 @@ def test_map_coeffs_drops_zero_images():
 
 def test_cap_forget_restrict():
     f = hs([(0, 1), (2, 3), (5, 7)])
-    c = f.cap(4)
+    c = cap(f, 4)
     assert support(c) == (Fraction(0), Fraction(2))
     assert c.mask.ivs == ((Fraction(0), Fraction(4)),)
     h = forget(f, 1, 3)
@@ -336,16 +336,24 @@ def test_build_sorted_reads_its_region_and_never_writes_it(monkeypatch):
 
 def test_every_built_region_is_normalized(monkeypatch):
     """No region is renormalized inside the module, so every region that
-    reaches _build_sorted must already be normalized: checked while
-    solving the ladders and the README example at precision 32 and the
-    first 60 criterion-3 operators."""
+    reaches _build_sorted must already be normalized, and so must every
+    region the peels of factor_operator fold and pass on without building
+    a series: checked while solving the ladders and the README example at
+    precision 32 and the first 60 criterion-3 operators."""
     regions = []
-    real = hahn._build_sorted
+    real, real_fold = hahn._build_sorted, factorize._fold
 
     def checked(tl, ext):
         regions.append(ext)
         assert _normalized(ext), ext
         return real(tl, ext)
+
+    def checked_fold(pieces):
+        part = real_fold(pieces)
+        regions.append(part[0])
+        assert _normalized(part[0]), part[0]
+        return part
+    monkeypatch.setattr(factorize, "_fold", checked_fold)
     cases = [(L, 32, 32) for L in (ladder_operator(2, -2), ladder_operator(3, -3),
                                    elaborate(parse_spec(EXAMPLE), 32))]
     rng = random.Random(2026)
@@ -429,7 +437,7 @@ def rand_islands(rng, f):
         width = Fraction(rng.randint(1, 3), rng.randint(2, 4))
         f = forget(f, cut, cut + width)
         cut += width + Fraction(rng.randint(1, 4), rng.randint(1, 3))
-    return f.cap(cut + rng.randint(1, 3)) if rng.random() < 0.3 else f
+    return cap(f, cut + rng.randint(1, 3)) if rng.random() < 0.3 else f
 
 
 def test_build_matches_reference():
@@ -631,7 +639,7 @@ def test_invert_rejects_uncertified_leading_term():
 
 def test_eq_on_mask():
     f = hs([(0, 1), (2, 5)])
-    g = hs([(0, 1), (2, 5), (9, 1)]).cap(8)
+    g = cap(hs([(0, 1), (2, 5), (9, 1)]), 8)
     eq, common = eq_on_mask(f, g)
     assert eq and common.first_gap() == 8
     h = hs([(0, 1), (2, 4)])
@@ -643,7 +651,7 @@ def test_eq_on_mask():
 
 def test_forward_solve_geometric_series():
     # (1 - z) w = 1
-    w = forward_solve(Fraction(1), Fraction(1), [(Fraction(1), 1, Fraction(-1))], Fraction(10))
+    w = rational_forward_solve(Fraction(1), Fraction(1), [(Fraction(1), 1, Fraction(-1))], Fraction(10))
     assert w.terms == tuple((Fraction(i), Fraction(1)) for i in range(10))
     assert w.mask.extended == [(NEG, Fraction(10))]
 
@@ -658,7 +666,7 @@ def test_forward_solve_satisfies_recursion_on_closure():
             taps.append((e, k, rand_rational(rng, nonzero=True)))
         one_, lead = rand_rational(rng, nonzero=True), rand_rational(rng, nonzero=True)
         cap = Fraction(rng.randint(1, 12), 2)
-        w = forward_solve(one_, lead, taps, cap)
+        w = rational_forward_solve(one_, lead, taps, cap)
         assert w.mask.extended == [(NEG, cap)]
         got = dict(w.terms)
         closure, todo = {Fraction(0)}, [Fraction(0)]
@@ -680,7 +688,7 @@ def test_forward_solve_satisfies_recursion_on_closure():
 @pytest.mark.parametrize("tap", [(Fraction(0), 1, Fraction(2)), (Fraction(-1), 2, Fraction(1))])
 def test_forward_solve_rejects_a_tap_that_does_not_move_forward(tap):
     with pytest.raises(MahlerError):
-        forward_solve(Fraction(1), Fraction(1), [(Fraction(1), 1, Fraction(1)), tap], Fraction(3))
+        rational_forward_solve(Fraction(1), Fraction(1), [(Fraction(1), 1, Fraction(1)), tap], Fraction(3))
 
 
 # ---------------------------------------------------------------------------
@@ -717,12 +725,12 @@ def cap_kind(rng, f, D):
     if len(f.terms) == 1:
         if rng.random() < 0.5:
             return "monomial", f
-        return "capped monomial", f.cap(f.terms[0][0] + Fraction(rng.randint(1, 30), 7))
+        return "capped monomial", cap(f, f.terms[0][0] + Fraction(rng.randint(1, 30), 7))
     kind = rng.choice(("exact", "off-lattice", "half-step"))
     if kind == "off-lattice":
-        return kind, f.cap(Fraction(rng.randint(-10, 30), 7))
+        return kind, cap(f, Fraction(rng.randint(-10, 30), 7))
     if kind == "half-step":
-        return kind, f.cap(rng.choice(f.terms[1:])[0] + Fraction(1, 2 * D))
+        return kind, cap(f, rng.choice(f.terms[1:])[0] + Fraction(1, 2 * D))
     return kind, f
 
 
@@ -837,7 +845,7 @@ def test_mul_drops_coefficient_sums_that_cancel(D, ring):
         f = hs([(base + Fraction(i, D), c) for i, c in enumerate(cs)])
         g = hs([(base + Fraction(i, D), c if i % 2 == 0 else -c) for i, c in enumerate(rs)])
         if rng.random() < 0.5:
-            g = g.cap(base + Fraction(2 * n - 1, 2 * D))
+            g = cap(g, base + Fraction(2 * n - 1, 2 * D))
         if ring == "mixed" and rng.random() < 0.5:
             f, g = g, f
         prod = hs_mul(f, g)
@@ -878,7 +886,7 @@ def test_forward_solve_equals_reference(p, ring):
         seen |= {k for _, k, _ in taps}
         if ring != "Q":
             with pytest.raises(MahlerError, match="runs over Q"):
-                forward_solve(one_, lead, taps, Fraction(7))
+                rational_forward_solve(one_, lead, taps, Fraction(7))
             continue
         want = reference_forward_solve(one_, lead, taps, Fraction(7))
         if rng.random() < 0.5 and len(want.terms) > 1:
@@ -888,7 +896,7 @@ def test_forward_solve_equals_reference(p, ring):
         else:
             cap = Fraction(rng.randint(1, 45), 7)
             seen.add("off-lattice")
-        got = forward_solve(one_, lead, taps, cap)
+        got = rational_forward_solve(one_, lead, taps, cap)
         assert got == reference_forward_solve(one_, lead, taps, cap)
     assert {1, p, p * p} <= seen
     if ring == "Q":
@@ -955,7 +963,7 @@ def test_forward_solve_fraction_free_equals_reference():
         else:
             cap = Fraction(rng.randint(1, 45), 7)
             seen.add("off-lattice")
-        got = forward_solve(one_, lead, taps, cap)
+        got = rational_forward_solve(one_, lead, taps, cap)
         want = reference_forward_solve(one_, lead, taps, cap)
         assert got.terms == want.terms and got.mask == want.mask
         assert all(type(c) is Fraction for _, c in got.terms)

@@ -58,10 +58,11 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def reads(node, classes=frozenset()):
-    """How often each name is read under `node`, as a name or an attribute.
-    An attribute read as `Cls.name`, with Cls one of `classes`, counts as a
-    read of `Cls.name` only."""
+def reads(node, classes=frozenset(), names=True):
+    """How often each name is read under `node`, as a name or an attribute
+    (as an attribute only when `names` is false).  An attribute read as
+    `Cls.name`, with Cls one of `classes`, counts as a read of `Cls.name`
+    only."""
     def key(n):
         if isinstance(n, ast.Name):
             return n.id
@@ -69,7 +70,7 @@ def reads(node, classes=frozenset()):
             return n.value.id + "." + n.attr
         return n.attr
     return Counter(key(n) for n in ast.walk(node)
-                   if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+                   if (names and isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
                    or isinstance(n, ast.Attribute))
 
 
@@ -126,13 +127,16 @@ def tracer_targets(source):
 
 def unread_functions(sources, traced=()):
     """Module-level functions and class methods (as `name` or `Class.name`)
-    of the given module sources whose name no source reads, as a name or an
-    attribute, outside the definition itself.  A read written `Cls.name`,
-    with Cls a class of these sources, reads only that class's method.
-    Dunders, names listed in an `__all__` and the `traced` names are exempt."""
+    of the given module sources whose name no source reads outside the
+    definition itself: as a name or an attribute for a function, as an
+    attribute only for a method, since a local variable of the same name
+    does not read it.  A read written `Cls.name`, with Cls a class of these
+    sources, reads only that class's method.  Dunders, names listed in an
+    `__all__` and the `traced` names are exempt."""
     trees = [ast.parse(source) for source in sources]
     classes = {stmt.name for tree in trees for stmt in tree.body if isinstance(stmt, ast.ClassDef)}
     total = sum((reads(tree, classes) for tree in trees), Counter())
+    attrs = sum((reads(tree, classes, names=False) for tree in trees), Counter())
     exempt = set(traced).union(*map(exported, trees))
     out = []
     for tree in trees:
@@ -146,10 +150,11 @@ def unread_functions(sources, traced=()):
             for owner, d in defs:
                 name = d.name
                 keys = {name, owner + name}
-                own = reads(d, classes)
+                read = attrs if owner else total
+                own = reads(d, classes, names=not owner)
                 dunder = name.startswith("__") and name.endswith("__")
                 if (not dunder and name not in exempt
-                        and sum(total[k] for k in keys) <= sum(own[k] for k in keys)):
+                        and sum(read[k] for k in keys) <= sum(own[k] for k in keys)):
                     out.append(owner + name)
     return sorted(out)
 
@@ -163,20 +168,24 @@ def test_unread_function_checker():
               "def traced():\n"
               "    return 0\n"
               "def used():\n"
-              "    return 0\n"
+              "    cap = 0\n"
+              "    return cap\n"
               "class K:\n"
               "    def __add__(self, other):\n"
               "        return self\n"
               "    def method(self):\n"
               "        return used()\n"
               "    def lonely(self):\n"
-              "        return self.method()\n")
+              "        return self.method()\n"
+              "    def cap(self):\n"
+              "        return self\n")
     tracer = ("def targets():\n"
               "    m = object()\n"
               "    return [(m, 'traced', 'm.traced', None)]\n")
     assert tracer_targets(tracer) == {"traced"}
-    assert unread_functions([source]) == ["K.lonely", "traced", "unread"]
-    assert unread_functions([source], tracer_targets(tracer)) == ["K.lonely", "unread"]
+    # a local variable named cap does not read the method K.cap
+    assert unread_functions([source]) == ["K.cap", "K.lonely", "traced", "unread"]
+    assert unread_functions([source], tracer_targets(tracer)) == ["K.cap", "K.lonely", "unread"]
     # a read written `Cls.name` reads that class's method only
     collision = ("class A:\n"
                  "    @classmethod\n"
