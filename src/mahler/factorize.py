@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from .errors import (NonRationalExponent, PlanMismatch, UnknownLeadingTerm, VerificationError,
                      ZeroSeries)
-from .hahn import (NEG, HahnSeries, _exp, _fold, _grid, _grid_product, _numerators, _series,
-                   forward_solve)
+from .hahn import (_FULL, NEG, HahnSeries, _exp, _fold, _grid, _grid_product, _iv_diff,
+                   _numerators, _series, _shifted, forward_solve)
 from .operator import MahlerOperator
 
 
@@ -116,20 +116,16 @@ def _peel(p, coeffs, unit, c):
     """[t_0, ..., t_n], each a (region, terms, den) on one lattice, for the
     a_i and the unit h given as `_unit_solution` and `_numerators` give
     them: t_k = sum_(i >= k) c**(i-k) b_i with b_i = a_i phi_p**i(h).  Each
-    b_i is one `_grid_product`, and Horner's rule folds t_k = b_k + c t_(k+1)
+    b_i is one `_grid_product`, with h's uncertified complement taken once
+    for all of them, and Horner's rule folds t_k = b_k + c t_(k+1)
     (`_fold`)."""
-    t = [_grid_product(a, unit, p ** i) for i, a in enumerate(coeffs)]
+    unc = _iv_diff(_FULL, unit[0])
+    t = [_grid_product(a, unit, p ** i, _iv_diff(_FULL, a[0]), unc)
+         for i, a in enumerate(coeffs)]
     t[-1] = _fold([(1, t[-1])])
     for k in range(len(t) - 2, -1, -1):
         t[k] = _fold([(1, t[k]), (c, t[k + 1])])
     return t
-
-
-def _shifted(part, d):
-    """The (region, terms, den) of z**(d/M) times the series of part, both
-    on (1/M)Z."""
-    region, terms, den = part
-    return [(lo + d, hi + d) for lo, hi in region], [(E + d, N) for E, N in terms], den
 
 
 def factor_operator(L, ceiling, plan):

@@ -1,15 +1,17 @@
 """Construction of a full basis of solutions.
 
-The parametric order-1 solver works over Q(lambda)-coefficient series; the
-triangular solve (`solve_slope`) chains it through the factorization once
-per slope j, with right-hand side prod_c (lambda - c)**m_c over the slope's
+The parametric order-1 solver (`_order1`) works on lattice triples with
+Q(lambda) coefficients; the triangular solve (`solve_slope`) chains it and
+the products by each unit h through the factorization once per slope j, on
+one lattice, with right-hand side prod_c (lambda - c)**m_c over the slope's
 exponents (chi_j up to a constant factor when the basis is full), and reads
-every g_{c,j} off that one solution; specialization (differentiate in lambda
-and evaluate at c, both read off the Taylor coefficients at lambda = c,
-with one den jet per distinct denominator of g, not one per coefficient;
-the jets' constant terms certify that g is regular at c) turns each
-g_{c,j} into solutions written on the symbols l_{c,u} (with e_c = l_{c,0})
-that obey phi_p(l_{c,u}) = c*l_{c,u} + l_{c,u-1}.
+every g_{c,j} off that one solution, the only series the chain builds;
+specialization (differentiate in lambda and evaluate at c, both read off
+the Taylor coefficients at lambda = c, with one den jet per distinct
+denominator of g, not one per coefficient; the jets' constant terms
+certify that g is regular at c) turns each g_{c,j} into solutions written
+on the symbols l_{c,u} (with e_c = l_{c,0}) that obey
+phi_p(l_{c,u}) = c*l_{c,u} + l_{c,u-1}.
 """
 from __future__ import annotations
 
@@ -21,8 +23,8 @@ from .errors import (InsufficientPrecision, PlanMismatch, PoleAtEvaluationPoint,
                      VerificationError)
 from .factorize import factor_operator
 from .fields import RatFun, taylor_table
-from .hahn import (_FULL, NEG, POS, HahnSeries, _grid, _iv_diff, _next_gap, _numerators,
-                   _weighted_sum, hs_mul, hs_mul_sums)
+from .hahn import (_FULL, NEG, POS, HahnSeries, _fold, _grid, _grid_product, _iv_diff, _next_gap,
+                   _numerators, _series, _shifted, hs_mul_sums)
 from .newton import analyze, frobenius_plan
 
 
@@ -30,26 +32,10 @@ def solve_order1_param(p, mu, c, g, ceiling, depth):
     """The unique f over Q(lambda) with (z**(-mu) lambda phi_p - c) f = g;
     a g over Q is read as a series over Q(lambda).
 
-    In the frame twisted by z**(mu/(p-1)) the right-hand side splits into
-    three parts:
-      - the negative part, summed over phi**k for k = -1..-depth (leaving a
-        recorded mask gap just below 0 for the dropped tail);
-      - the exponent-0 coefficient, divided by lambda - c; when 0 is not
-        certified nothing from 0 up is, and the solution stops there;
-      - the positive part from fp up, summed over phi**k for k >= 0 until
-        the terms leave the requested ceiling.  fp is the first positive
-        exponent or the mask's next gap above 0, whichever is smaller:
-        nothing lies strictly between 0 and fp.
-
-    Every exponent and mask endpoint runs on one lattice (1/M)Z: M clears
-    the twisted g's exponents and endpoints times p**(depth+1), and the
-    ceiling, so phi**k multiplies the integers by p**k and, for k < 0,
-    divides them exactly, as it does the dropped tail's bound
-    vb * p**(-depth-1).  Each image c**(-k-1) lambda**k phi**k of a part
-    (negated for the positive part), the exponent-0 term, and the regions
-    alone of the dropped tail, of the uncertified ray below 0 and of the
-    ceiling are pieces of one `_weighted_sum`, which intersects the regions
-    and adds the terms; images at or above the ceiling are never formed.
+    The solve of `_order1`, on the lattice (1/M)Z with M clearing g's
+    exponents and finite mask endpoints, the ceiling and mu/(p-1): g goes
+    there in the frame twisted by z**(mu/(p-1)), and the solution becomes
+    a series in that frame before it is shifted back.
     """
     c = Fraction(c)
     if not c:
@@ -59,30 +45,61 @@ def solve_order1_param(p, mu, c, g, ceiling, depth):
         return g
     shift = Fraction(mu) / (p - 1)
     cap = Fraction(ceiling) - shift
-    G = g.shift(-shift).map_coeffs(lambda r: r if isinstance(r, RatFun) else RatFun.const(r))
-    M = math.lcm(_grid([G]) * p ** (depth + 1), cap.denominator)
-    ext, terms, _ = _numerators(G, M)
-    top = cap.numerator * (M // cap.denominator)
+    M = math.lcm(_grid([g]), shift.denominator, cap.denominator)
+    G = g.map_coeffs(lambda r: r if isinstance(r, RatFun) else RatFun.const(r))
+    part = _shifted(_numerators(G, M), -int(shift * M))
+    return _series(M * p ** (depth + 1), _order1(p, c, part, int(cap * M), depth)).shift(shift)
+
+
+def _order1(p, c, g, top, depth):
+    """(region, terms, den) on (1/(M p**(depth+1)))Z of the solution f of
+    (lambda phi_p - c) f = g, for g a (region, terms, 1) over Q(lambda) on
+    (1/M)Z and the ceiling top/M, all in the frame twisted by
+    z**(mu/(p-1)) where the operator of `solve_order1_param` takes this
+    form.  An exact zero passes through unchanged.
+
+    The right-hand side splits into three parts:
+      - the negative part, summed over phi**k for k = -1..-depth (leaving a
+        recorded mask gap just below 0 for the dropped tail);
+      - the exponent-0 coefficient, divided by lambda - c; when 0 is not
+        certified nothing from 0 up is, and the solution stops there;
+      - the positive part from fp up, summed over phi**k for k >= 0 until
+        the terms leave the ceiling.  fp is the first positive exponent or
+        the region's next gap above 0, whichever is smaller: nothing lies
+        strictly between 0 and fp.
+
+    On the refined lattice phi**k multiplies g's integers by
+    p**(depth+1+k) >= p, and the dropped tail's bound vb p**(-depth-1) is
+    the integer vb itself.  Each image c**(-k-1) lambda**k phi**k of a part
+    (negated for the positive part), the exponent-0 term, and the regions
+    alone of the dropped tail, of the uncertified ray below 0 and of the
+    ceiling are pieces of one `_fold`, which intersects the regions and
+    adds the terms; images at or above the ceiling are never formed.  A g
+    whose region reaches down to -inf gives an f whose region does too.
+    """
+    ext, terms, _ = g
+    if not terms and ext == _FULL:
+        return g
+    cut = top * p ** (depth + 1)  # the ceiling on the refined lattice
 
     def piece(region, part=()):
         return 1, (region, part, 1)
 
     def image(region, part, k, a):
         """The piece of a lambda**k phi**k of the part (region, terms)."""
-        s, t = (p ** k, 1) if k >= 0 else (1, p ** -k)
-        at = lambda x: x if type(x) is float else x * s // t
+        s = p ** (depth + 1 + k)
+        at = lambda x: x if type(x) is float else x * s
         return piece([(at(lo), at(hi)) for lo, hi in region],
-                     [(F, r.mul_lam_power(a, k)) for E, r in part for F in (at(E),) if F < top])
+                     [(F, r.mul_lam_power(a, k)) for E, r in part for F in (E * s,) if F < cut])
 
-    pieces = [piece([(NEG, top)])]
-    vb = G.val_bound()[0]
+    pieces = [piece([(NEG, cut)])]
+    # the least exponent where g might be nonzero, as HahnSeries.val_bound
+    vb = min(terms[0][0] if terms else POS, ext[0][1]) if ext else NEG
     if vb < 0:
         # the negative part is zero by fiat from 0 up
         low = _iv_diff(_FULL, _iv_diff([(NEG, 0)], ext))
         neg = [(E, r) for E, r in terms if E < 0]
         pieces += [image(low, neg, k, c ** (-k - 1)) for k in range(-1, -depth - 1, -1)]
-        if vb != NEG:
-            vb = vb.numerator * (M // vb.denominator) // p ** (depth + 1)
         pieces.append(piece(_iv_diff(_FULL, [(vb, 0)])))  # the dropped tail
     pos = [(E, r) for E, r in terms if E > 0]
     fp = min(pos[0][0] if pos else POS, _next_gap(ext, 0))
@@ -96,7 +113,7 @@ def solve_order1_param(p, mu, c, g, ceiling, depth):
         while p ** k * fp < top:
             pieces.append(image(high, pos, k, -c ** (-k - 1)))
             k += 1
-    return _weighted_sum(M, pieces).shift(shift)
+    return _fold(pieces)
 
 
 def solve_slope(L, plan, fact, j, ceiling, depth):
@@ -104,9 +121,9 @@ def solve_slope(L, plan, fact, j, ceiling, depth):
 
     g_{c,j} is the parametric series g with
     L(g e_lambda) = z**(val a_0 - nu_j/(p-1)) (lambda-c)**(s+m) e_lambda.
-    The system is solved once through every layer of the factorization, top
-    slope first; within a layer the factors are undone right-to-left (solve,
-    then multiply by the unit h).  Its right-hand side carries
+    The system is solved once through every layer of the factorization,
+    top slope first; within a layer the factors are undone right-to-left
+    (solve, then multiply by the unit h).  Its right-hand side carries
     chi = prod_c (lambda - c)**m_c over the slope's exponents, which cancels
     the poles the layer-j factors put at each c.  Every step is
     Q(lambda)-linear and its mask ignores the coefficient values, so the
@@ -114,6 +131,16 @@ def solve_slope(L, plan, fact, j, ceiling, depth):
     chi / (lambda - c)**m; g_{c,j} is that times (lambda - c)**s, and as
     reduced fractions with monic denominators are unique, it is the same
     series a separate solve per c would give.
+
+    The chain runs on one lattice (1/M)Z, M clearing the exponents and
+    finite mask endpoints of the right-hand side and of every h, the
+    ceiling and each layer's twist mu_i/(p-1), and passes
+    (region, terms, den) triples: each solve (`_order1`) refines M by
+    p**(depth+1), moving to a layer's twisted frame adds an integer, and
+    each product by h is one `_grid_product` and one `_fold` (both commute
+    with the twist).  Only x becomes a series, untwisted as the last
+    product leaves it (`_build_sorted` reads the stored mask head off that
+    frame), and is then shifted by -nu_j/(p-1).
     """
     p = L.p
     if len(fact.layers) != len(plan.nus):
@@ -122,13 +149,24 @@ def solve_slope(L, plan, fact, j, ceiling, depth):
     nuj = plan.nus[j]
     ceil2 = Fraction(ceiling) + max(Fraction(0), nuj / (p - 1))
     chi = _mul_root_powers(RatFun.const(1), [(c, m) for c, m, _ in entry])
-    x = fact.a.invert(ceil2).shift(plan.val_a0).scale(chi)
-    for i in reversed(range(len(fact.layers))):
-        mu = nuj - fact.layers[i][0].nu
-        for f in reversed(fact.layers[i]):
-            x = solve_order1_param(p, mu, f.c, x, ceil2, depth)
-            x = hs_mul(f.h, x)
-    x = x.shift(-nuj / (p - 1))
+    inv = fact.a.invert(ceil2)
+    thetas = [(nuj - layer[0].nu) / (p - 1) for layer in fact.layers]
+    M = math.lcm(_grid([inv] + [f.h for f in fact.all_factors()]), plan.val_a0.denominator,
+                 ceil2.denominator, *(t.denominator for t in thetas))
+    R = p ** (depth + 1)
+    # x is z**(-d/M) times the series it stands for
+    x, d = _numerators(inv.scale(chi), M), int(plan.val_a0 * M)
+    for theta, layer in reversed(list(zip(thetas, fact.layers))):
+        twist = int(theta * M)
+        x, d = _shifted(x, d - twist), twist
+        top = int(ceil2 * M) - twist
+        for f in reversed(layer):
+            x = _order1(p, f.c, x, top, depth)
+            M, d, top = M * R, d * R, top * R
+            h = _numerators(f.h, M)
+            x = _fold([(1, _grid_product(h, x, 1, _iv_diff(_FULL, h[0]),
+                                         _iv_diff(_FULL, x[0])))])
+    x = _series(M, _shifted(x, d)).shift(-nuj / (p - 1))
     out = {}
     for c, _, s in entry:
         powers = [(cc, -mm) for cc, mm, _ in entry if cc != c] + [(c, s)]

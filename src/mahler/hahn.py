@@ -487,7 +487,8 @@ def hs_mul_sums(p, fs, gs, sums):
 
     Everything runs on one lattice (1/M)Z, M clearing the denominators of
     every exponent and finite mask endpoint, so phi_p**k multiplies integers
-    by p**k.  Each product is formed once: its region and its convolution
+    by p**k.  Each product is formed once: its region, from each factor's
+    uncertified complement (taken once per series), and its convolution
     of numerators (`_grid_product`), as integer lambda-slices when one
     factor is over Q and the other over Q(lambda).  Per key, the regions
     are intersected and the weighted sums folded over one common
@@ -496,6 +497,8 @@ def hs_mul_sums(p, fs, gs, sums):
     M = _grid([f for _, f in fs] + gs)
     f_grid = [_numerators(f, M) for _, f in fs]
     g_grid = [_numerators(g, M) for g in gs]
+    f_unc = [_iv_diff(_FULL, f[0]) for f in f_grid]
+    g_unc = [_iv_diff(_FULL, g[0]) for g in g_grid]
     products, out = {}, {}
     for key, ws in sums.items():
         if len(ws) == 1 and ws[0][0]:
@@ -511,7 +514,8 @@ def hs_mul_sums(p, fs, gs, sums):
                 continue  # a zero multiple is the exact zero
             prod = products.get((n, m))
             if prod is None:
-                prod = products[n, m] = _grid_product(f_grid[n], g_grid[m], p ** fs[n][0])
+                prod = products[n, m] = _grid_product(f_grid[n], g_grid[m], p ** fs[n][0],
+                                                       f_unc[n], g_unc[m])
             pieces.append((w, prod))
         out[key] = _weighted_sum(M, pieces)
     return out
@@ -541,18 +545,18 @@ def _grid(series):
                       if type(x) is Fraction})
 
 
-def _mul_region(fe, fi, ge, gi):
-    """Extended certified region of a product, from the extended regions and
-    the terms (sorted by exponent) of its factors, exponents and endpoints
-    all on one lattice: every exponent but those that can receive a
-    contribution involving an uncertified coefficient.  Those are the
-    finite gaps of one factor shifted by each exponent of the other, its
-    final ray (lo, +inf) shifted by the other's least exponent, and, when
-    both factors have one, the ray from the sum of their first uncertified
-    exponents.  A factor with an empty mask certifies nothing."""
-    if not fe or not ge:
+def _mul_region(unc_f, fi, unc_g, gi):
+    """Extended certified region of a product, from the uncertified
+    complements of its factors' extended regions and their terms (sorted by
+    exponent), exponents and endpoints all on one lattice: every exponent
+    but those that can receive a contribution involving an uncertified
+    coefficient.  Those are the finite gaps of one factor shifted by each
+    exponent of the other, its final ray (lo, +inf) shifted by the other's
+    least exponent, and, when both factors have one, the ray from the sum
+    of their first uncertified exponents.  A factor with an empty mask
+    (everything uncertified) certifies nothing."""
+    if unc_f == _FULL or unc_g == _FULL:
         return []
-    unc_f, unc_g = _iv_diff(_FULL, fe), _iv_diff(_FULL, ge)
     poll = []
     for unc, terms in ((unc_f, gi), (unc_g, fi)):
         if unc and terms:
@@ -564,20 +568,23 @@ def _mul_region(fe, fi, ge, gi):
     return _iv_diff(_FULL, _iv_norm(poll))
 
 
-def _grid_product(f, g, s):
+def _grid_product(f, g, s, unc_f, unc_g):
     """(region, sums, den) of f times g with g's exponents multiplied by s,
-    for f and g given by _numerators on one lattice.  sums holds the pairs
-    (E, S) with S*den the sum of N1 * N2 over the pairs of terms (E1, N1)
-    of f and (E2, N2) of g with E = E1 + E2 below the top of the region.
+    for f and g given by _numerators on one lattice, and unc_f and unc_g the
+    complements `_iv_diff(_FULL, region)` of their regions, which callers
+    take once per series however many products it enters.  sums holds the
+    pairs (E, S) with S*den the sum of N1 * N2 over the pairs of terms
+    (E1, N1) of f and (E2, N2) of g with E = E1 + E2 below the top of the
+    region.
     Over one ring S is `_convolve`'s fold of integers or RatFuns (0 + r is
     r and runs no gcd) and den the product of the dens; over Q times
     Q(lambda), `_slice_product` gives S with den 1."""
-    fe, fi, fden = f
-    ge, gi, gden = g
+    _, fi, fden = f
+    _, gi, gden = g
     if s != 1:
-        ge = [(lo * s, hi * s) for lo, hi in ge]
+        unc_g = [(lo * s, hi * s) for lo, hi in unc_g]
         gi = [(E * s, N) for E, N in gi]
-    ext = _mul_region(fe, fi, ge, gi)
+    ext = _mul_region(unc_f, fi, unc_g, gi)
     top = ext[-1][1] if ext else NEG
     if fi and gi and (type(fi[0][1]) is int) != (type(gi[0][1]) is int):
         return ext, _slice_product(fi, gi, top, fden * gden), 1
@@ -693,6 +700,15 @@ def _series(M, part):
          for E, S in terms],
         [(lo if lo == NEG else Fraction(lo, M), hi if hi == POS else Fraction(hi, M))
          for lo, hi in ext])
+
+
+def _shifted(part, d):
+    """The (region, terms, den) of z**(d/M) times the series of part, both
+    on (1/M)Z: part itself when d is 0."""
+    if not d:
+        return part
+    region, terms, den = part
+    return [(lo + d, hi + d) for lo, hi in region], [(E + d, N) for E, N in terms], den
 
 
 def _numerators(f, M):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from fractions import Fraction
 
 from mahler.errors import (MahlerError, NonRationalExponent, PlanMismatch,
@@ -26,6 +27,25 @@ from mahler.testing import rand_rational
 
 
 lam = RatFun(Poly((0, 1)))
+
+
+def rebind(monkeypatch, fn, wrapper):
+    """Put wrapper in place of fn in every binding of fn in the loaded
+    mahler modules."""
+    for mod in [m for key, m in sys.modules.items() if key.startswith("mahler.")]:
+        for key, value in list(vars(mod).items()):
+            if value is fn:
+                monkeypatch.setattr(mod, key, wrapper)
+    return wrapper
+
+
+def count_calls(monkeypatch, calls, fn, name):
+    """Count the calls of fn in `calls[name]`, through every binding of fn
+    in the loaded mahler modules."""
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return rebind(monkeypatch, fn, counted)
 
 
 def lift(f):

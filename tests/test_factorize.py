@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (eq_on_mask, forget, gauge_exp, ladder_operator, plan_of, rand_operator,
-                      reference_factor_operator, reference_peel)
+from conftest import (count_calls, eq_on_mask, forget, gauge_exp, ladder_operator, plan_of,
+                      rand_operator, reference_factor_operator, reference_peel)
 from test_cli import EXAMPLE
 from mahler.cli import elaborate, parse_spec
 from mahler.errors import (MahlerError, NonRationalExponent, PlanMismatch, UnknownLeadingTerm,
@@ -311,19 +311,6 @@ def test_peel_rejects_a_corrupted_unit_solution(monkeypatch):
                                   "is not certified zero" % c)
 
 
-def _count_calls(monkeypatch, calls, fn, name):
-    """Count the calls of fn in `calls[name]`, through every binding of fn
-    in the loaded mahler modules."""
-    def counted(*args, **kwargs):
-        calls[name] += 1
-        return fn(*args, **kwargs)
-    for mod in [m for key, m in sys.modules.items() if key.startswith("mahler.")]:
-        for key, value in list(vars(mod).items()):
-            if value is fn:
-                monkeypatch.setattr(mod, key, counted)
-    return counted
-
-
 def test_factor_operator_stays_on_one_lattice(monkeypatch):
     """factor_operator puts L on one lattice once and builds a series only
     for each unit h and for the leftover a: per call no gauge_theta, no
@@ -338,9 +325,9 @@ def test_factor_operator_stays_on_one_lattice(monkeypatch):
     calls = Counter()
     for owner, name in ((MahlerOperator, "gauge_theta"), (HahnSeries, "shift")):
         monkeypatch.setattr(owner, name,
-                            _count_calls(monkeypatch, calls, getattr(owner, name), name))
+                            count_calls(monkeypatch, calls, getattr(owner, name), name))
     for name in ("hs_mul_sums", "_build_sorted"):
-        _count_calls(monkeypatch, calls, getattr(hahn, name), name)
+        count_calls(monkeypatch, calls, getattr(hahn, name), name)
     peels = 0
     for (L, ceiling), plan in zip(cases, plans):
         calls.clear()

@@ -12,12 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (cap, d_lambda, eq_on_mask, ev_c, forget, gcj_residual_mask, ladder_g1_terms,
-                      ladder_g2_terms, ladder_operator, lam, lift, order1_coeff_oracle,
-                      pipeline_mask, rand_exponent, rand_operator, rand_param_series, rand_series,
-                      reference_apply_to_solution, reference_pole_order, reference_solve_gcj,
-                      reference_solve_order1_param, reference_specialize, restrict,
-                      series_dict_on_mask)
+from conftest import (cap, count_calls, d_lambda, eq_on_mask, ev_c, forget, gcj_residual_mask,
+                      ladder_g1_terms, ladder_g2_terms, ladder_operator, lam, lift,
+                      order1_coeff_oracle, pipeline_mask, rand_exponent, rand_operator,
+                      rand_param_series, rand_series, rebind, reference_apply_to_solution,
+                      reference_pole_order, reference_solve_gcj, reference_solve_order1_param,
+                      reference_specialize, restrict, series_dict_on_mask)
 from mahler.cli import elaborate, parse_spec
 from mahler.errors import MahlerError, PlanMismatch, PoleAtEvaluationPoint, VerificationError
 from mahler.fields import RatFun
@@ -267,7 +267,10 @@ def _readme_operator(precision):
 def _slope_cases():
     """(L, ceiling, depth, slopes to check): the first 60 criterion-3
     operators, every slope with two or more exponents of 120 random factored
-    operators, both ladders and the README example."""
+    operators, both ladders, the README example, and the 200 operators of
+    seed 5 at ceilings 1/3 and 1, where many a g has a stored mask head
+    whose lo is not a term's exponent (at ceilings -1 and 0 none of them
+    factors)."""
     rng = random.Random(2026)
     for _ in range(60):
         yield rand_factored_operator(rng, Fraction(3))[0], 3, 2, None
@@ -277,13 +280,21 @@ def _slope_cases():
         yield rand_factored_operator(rng, ceiling)[0], ceiling, 3, 2
     for L in (ladder_operator(2, -2), ladder_operator(3, -3), _readme_operator(8)):
         yield L, 8, 8, None
+    rng = random.Random(5)
+    ops = [rand_factored_operator(rng, Fraction(3))[0] for _ in range(200)]
+    for ceiling in (Fraction(1, 3), Fraction(1)):
+        for L in ops:
+            yield L, ceiling, 3, None
 
 
 def test_solve_slope_equals_one_solve_per_exponent(monkeypatch):
+    """Bit for bit the oracle's separate solve per exponent.  A g whose
+    stored mask head has a lo below its first term (or no term) got that lo
+    from `_build_sorted`'s rule for the frame the series is built in."""
     rhs = []
-    real = frobenius.solve_order1_param
-    monkeypatch.setattr(frobenius, "solve_order1_param",
-                        lambda p, mu, c, g, *args: rhs.append(g) or real(p, mu, c, g, *args))
+    real = frobenius._order1
+    monkeypatch.setattr(frobenius, "_order1",
+                        lambda p, c, part, *args: rhs.append(part) or real(p, c, part, *args))
     seen = set()
     for L, ceiling, depth, min_exps in _slope_cases():
         nd = analyze(L)
@@ -295,7 +306,7 @@ def test_solve_slope_equals_one_solve_per_exponent(monkeypatch):
             del rhs[:]
             gs = solve_slope(L, plan, fact, j, ceiling, depth)
             # the chain starts from a right-hand side carrying prod_c (lambda - c)**m_c
-            for _, r in rhs[0].terms:
+            for _, r in rhs[0][1]:
                 for c, m, _ in entry:
                     r = r.mul_root_power(c, -m)
                 assert r.num.degree <= 0 and r.den.degree == 0
@@ -306,16 +317,19 @@ def test_solve_slope_equals_one_solve_per_exponent(monkeypatch):
                 assert gs[c].to_json() == want.to_json()
                 seen |= {"m >= 2"} if m >= 2 else set()
                 seen |= {"s >= 1"} if s >= 1 else set()
+                head = gs[c].mask.ivs[:1]
+                if head and not (gs[c].terms and gs[c].terms[0][0] == head[0][0]):
+                    seen.add("head lo from the frame")
             if len(entry) >= 2:
                 seen.add("several exponents")
-    assert seen == {"m >= 2", "s >= 1", "several exponents"}
+    assert seen == {"m >= 2", "s >= 1", "several exponents", "head lo from the frame"}
 
 
 def test_order1_solver_divides_by_lambda_minus_c_without_gcd(monkeypatch):
     """The exponent-0 coefficient is divided by lambda - c with one synthetic
     division: on the first 60 criterion-3 operators, no RatFun product or
-    quotient inside solve_order1_param runs a poly_gcd.  (Its series sums
-    may: they reduce once per distinct denominator.)"""
+    quotient inside the order-1 kernel (`_order1`) runs a poly_gcd.  (Its
+    `_fold` may: it reduces once per distinct denominator.)"""
     inside = {"order1": 0, "product": 0}
     gcds, divisions = [], []
 
@@ -329,8 +343,7 @@ def test_order1_solver_divides_by_lambda_minus_c_without_gcd(monkeypatch):
         return call
 
     real_gcd, real_root = fields.poly_gcd, RatFun.mul_root_power
-    monkeypatch.setattr(frobenius, "solve_order1_param",
-                        nested("order1", frobenius.solve_order1_param))
+    monkeypatch.setattr(frobenius, "_order1", nested("order1", frobenius._order1))
     for name in ("__mul__", "__rmul__", "mul_lam_power"):
         monkeypatch.setattr(RatFun, name, nested("product", getattr(RatFun, name)))
     monkeypatch.setattr(fields, "poly_gcd", lambda *args: (
@@ -373,11 +386,11 @@ def test_every_q_lambda_product_has_a_scalar_operand(monkeypatch):
 
 
 def test_order1_kernels_build_no_intermediate_series(monkeypatch):
-    """Both first-order kernels read their inputs in place: each
-    solve_order1_param call whose g is not an exact zero is one
-    `_weighted_sum` with no HahnSeries.mal or hs_sum, and the unit
-    solution (`factorize._unit_solution`) takes no shifted or scaled copy.
-    The README example and the first 60 criterion-3 operators, verify on."""
+    """Both first-order kernels read their inputs in place: each call of the
+    order-1 kernel (`frobenius._order1`) whose g is not an exact zero is one
+    `_fold` with no HahnSeries.mal or hs_sum, and the unit solution
+    (`factorize._unit_solution`) takes no shifted or scaled copy.  The
+    README example and the first 60 criterion-3 operators, verify on."""
     cases = [(_readme_operator(8), 8, 8)]
     rng = random.Random(2026)
     cases += [(rand_factored_operator(rng, Fraction(3))[0], 3, 2) for _ in range(60)]
@@ -399,21 +412,79 @@ def test_order1_kernels_build_no_intermediate_series(monkeypatch):
             return real(*args)
         return call
 
-    monkeypatch.setattr(frobenius, "solve_order1_param",
-                        kernel("order1", frobenius.solve_order1_param))
+    monkeypatch.setattr(frobenius, "_order1", kernel("order1", frobenius._order1))
     monkeypatch.setattr(factorize, "_unit_solution", kernel("unit", factorize._unit_solution))
     for module in (frobenius, hahn):
-        monkeypatch.setattr(module, "_weighted_sum", counted("_weighted_sum", hahn._weighted_sum))
+        monkeypatch.setattr(module, "_fold", counted("_fold", hahn._fold))
     monkeypatch.setattr(hahn, "hs_sum", counted("hs_sum", hahn.hs_sum))
     for name in ("mal", "shift", "scale"):
         monkeypatch.setattr(HahnSeries, name, counted(name, getattr(HahnSeries, name)))
     for L, ceiling, depth in cases:
         assert frobenius_basis(L, ceiling, depth, verify=True).verification["ok"]
-    solves = [c for name, args, c in done if name == "order1" and not args[3].is_exact_zero()]
+    solves = [c for name, args, c in done
+              if name == "order1" and not (args[2][0] == hahn._FULL and not args[2][1])]
     units = [c for name, _, c in done if name == "unit"]
     assert len(solves) > 100 and len(units) > 60
-    assert all(c["_weighted_sum"] == 1 and not c["mal"] and not c["hs_sum"] for c in solves)
+    assert all(c["_fold"] == 1 and not c["mal"] and not c["hs_sum"] for c in solves)
     assert all(not c["shift"] and not c["scale"] for c in units)
+
+
+def test_solve_slope_stays_on_one_lattice(monkeypatch):
+    """solve_slope puts its right-hand side on one lattice once and builds a
+    series only for the inverse of a and for the final x: per call no
+    hs_mul, hs_mul_sums or solve_order1_param, at most two _build_sorted
+    (one outside HahnSeries.invert), and outside invert no HahnSeries.mal
+    and no shift or map_coeffs but the final x's shift by -nu_j/(p-1) and
+    its map to each g_{c,j}.  Counted through every binding in the loaded
+    mahler modules, on the README example at precision 8 and the first 60
+    criterion-3 operators."""
+    cases = [(_readme_operator(8), 8, 8)]
+    rng = random.Random(2026)
+    cases += [(rand_factored_operator(rng, Fraction(3))[0], 3, 2) for _ in range(60)]
+    solved = []
+    for L, ceiling, depth in cases:
+        plan = frobenius_plan(L, analyze(L))
+        solved.append((L, plan, factor_operator(L, ceiling, plan), ceiling, depth))
+    calls, built, methods, inverting = Counter(), [], [], []
+    for fn, name in ((hahn.hs_mul, "hs_mul"), (hahn.hs_mul_sums, "hs_mul_sums"),
+                     (frobenius.solve_order1_param, "solve_order1_param")):
+        count_calls(monkeypatch, calls, fn, name)
+    real_build, real_invert = hahn._build_sorted, HahnSeries.invert
+
+    def build(tl, ext):
+        built.append((bool(inverting), real_build(tl, ext)))
+        return built[-1][1]
+    rebind(monkeypatch, real_build, build)
+
+    def invert(f, ceiling):
+        inverting.append(f)
+        try:
+            return real_invert(f, ceiling)
+        finally:
+            inverting.pop()
+    monkeypatch.setattr(HahnSeries, "invert", invert)
+    for name in ("shift", "map_coeffs", "mal"):
+        def method(f, *args, name=name, real=getattr(HahnSeries, name)):
+            out = real(f, *args)
+            if not inverting:
+                methods.append((name, f, out))
+            return out
+        monkeypatch.setattr(HahnSeries, name, method)
+    slopes = 0
+    for L, plan, fact, ceiling, depth in solved:
+        for j, entry in enumerate(plan.entries):
+            calls.clear()
+            del built[:], methods[:]
+            gs = solve_slope(L, plan, fact, j, ceiling, depth)
+            assert not calls, calls
+            outside = [x for inside, x in built if not inside]
+            assert len(built) <= 2 and len(outside) == 1
+            (name, x, shifted), *maps = methods
+            assert name == "shift" and x is outside[0]
+            assert [(name, f) for name, f, _ in maps] == [("map_coeffs", shifted)] * len(entry)
+            assert [g for _, _, g in maps] == list(gs.values())
+            slopes += 1
+    assert slopes > 80
 
 
 def test_check_gcj_rejects_wrong_leading_coefficient():

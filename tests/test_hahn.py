@@ -10,7 +10,7 @@ from conftest import (_iv_contains, brute_conv, cap, eq_on_mask, forget, geometr
                       rational_forward_solve, reference_add, reference_build,
                       reference_forward_solve, reference_mul, restrict, support)
 from test_cli import EXAMPLE
-from mahler import factorize, fields, hahn
+from mahler import factorize, fields, frobenius, hahn
 from mahler.cli import elaborate, parse_spec
 from mahler.errors import MahlerError, UnknownLeadingTerm, ZeroDivisor, ZeroSeries
 from mahler.fields import Poly, RatFun
@@ -337,9 +337,10 @@ def test_build_sorted_reads_its_region_and_never_writes_it(monkeypatch):
 def test_every_built_region_is_normalized(monkeypatch):
     """No region is renormalized inside the module, so every region that
     reaches _build_sorted must already be normalized, and so must every
-    region the peels of factor_operator fold and pass on without building
-    a series: checked while solving the ladders and the README example at
-    precision 32 and the first 60 criterion-3 operators."""
+    region the peels of factor_operator and the triangular solve of
+    solve_slope fold and pass on without building a series: checked while
+    solving the ladders and the README example at precision 32 and the
+    first 60 criterion-3 operators."""
     regions = []
     real, real_fold = hahn._build_sorted, factorize._fold
 
@@ -353,7 +354,8 @@ def test_every_built_region_is_normalized(monkeypatch):
         regions.append(part[0])
         assert _normalized(part[0]), part[0]
         return part
-    monkeypatch.setattr(factorize, "_fold", checked_fold)
+    for module in (factorize, frobenius):
+        monkeypatch.setattr(module, "_fold", checked_fold)
     cases = [(L, 32, 32) for L in (ladder_operator(2, -2), ladder_operator(3, -3),
                                    elaborate(parse_spec(EXAMPLE), 32))]
     rng = random.Random(2026)
