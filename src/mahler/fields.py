@@ -1,5 +1,6 @@
-"""Exact scalar arithmetic: rationals, dense polynomials over Q, and
-rational functions in the parameter lambda."""
+"""Exact scalar arithmetic: rationals, dense polynomials over Q, rational
+functions in the parameter lambda, and the integer Laurent polynomials in
+lambda that the triangular solve carries them as."""
 from __future__ import annotations
 
 import math
@@ -185,8 +186,10 @@ class RatFun:
     but r + 0 and 0 + r are r (0 seeds a product's folds).  The reciprocal
     den/num of a reduced fraction is reduced and only made monic, and so is
     a positive power, so a negative power runs no gcd and a quotient (a
-    product by the reciprocal) at most one.  The products the solver makes are
-    called by name and need no gcd:
+    product by the reciprocal) at most one.  Two products are called by name
+    and need no gcd (the closed form of `frobenius.expected_gcj_cld` is
+    built with them; the triangular solve itself carries its coefficients
+    as `LamPoly`s and makes its RatFuns with `lam_ratfun`):
 
     - `mul_lam_power`, product by a*lambda**k (a nonzero scalar a, k of
       either sign): only a power of lambda can cancel, so it is stripped
@@ -430,6 +433,127 @@ def taylor_table(rs, c, rows):
         dens = [qn * Z[k + 1] for k in range(n)]
         out.append([[Fraction(w * nums[k], dens[k]) for k in range(m)] for w, m in rows])
     return out
+
+
+class LamPoly:
+    """Integer Laurent polynomial lambda**o * sum cs[i] lambda**i, with
+    cs[0] and cs[-1] nonzero; zero has no cs.
+
+    It is how the triangular solve (`frobenius.solve_slope`) carries a
+    Q(lambda) coefficient: over an integer den and a product of known
+    linear factors b*lambda - a, both shared by every coefficient of its
+    running solution, so that no gcd runs until the exit (`lam_ratfun`).
+    0 + X is X (0 seeds the folds), + adds and * by a nonzero int scales."""
+
+    __slots__ = ("o", "cs")
+
+    def __init__(self, o, cs):
+        self.o, self.cs = o, cs
+
+    def __bool__(self):
+        return bool(self.cs)
+
+    def __add__(self, other):
+        if type(other) is int:
+            return self
+        if self.o > other.o:
+            self, other = other, self
+        cs, off = list(self.cs), other.o - self.o
+        cs += [0] * (off + len(other.cs) - len(cs))
+        for i, v in enumerate(other.cs, off):
+            cs[i] += v
+        return _lam_poly(self.o, cs)
+
+    __radd__ = __add__
+
+    def __mul__(self, k):
+        return self if k == 1 else LamPoly(self.o, tuple([k * v for v in self.cs]))
+
+    __rmul__ = __mul__
+
+    def times_linear(self, a, b):
+        """self * (b*lambda - a) for a nonzero a."""
+        return LamPoly(self.o, _times_linear(self.cs, a, b))
+
+    def over_linear(self, a, b):
+        """self / (b*lambda - a) when b*lambda - a divides it, else None."""
+        quo = _linear_quotient(self.cs, a, b)
+        return None if quo is None else LamPoly(self.o, tuple(quo))
+
+
+def _lam_poly(o, cs):
+    """LamPoly lambda**o * sum cs[i] lambda**i, zeros at both ends stripped."""
+    i, n = 0, len(cs)
+    while n and not cs[n - 1]:
+        n -= 1
+    while i < n and not cs[i]:
+        i += 1
+    return LamPoly(o + i, tuple(cs[i:n]))
+
+
+def _times_linear(cs, a, b):
+    """Coefficients of (b*x - a) * sum cs[i] x**i, on integers."""
+    return (-a * cs[0], *(b * u - a * v for u, v in zip(cs, cs[1:])), b * cs[-1])
+
+
+def _linear_quotient(cs, a, b):
+    """The integer coefficients of P / (b*x - a), for P = sum cs[i] x**i
+    with integer cs and coprime a != 0, b > 0, when b*x - a divides P, else
+    None.  By Gauss's lemma the quotient of an integer P by the primitive
+    b*x - a is an integer polynomial, so each step of synthetic division
+    from the top, Q_(i-1) = (P_i + a Q_i) / b, is exact on integers or
+    shows that b*x - a does not divide P; the last step checks
+    P_0 + a Q_0 = 0."""
+    quo, q = [0] * (len(cs) - 1), 0
+    for i in range(len(cs) - 1, 0, -1):
+        q = cs[i] + a * q
+        if b != 1:
+            q, rest = divmod(q, b)
+            if rest:
+                return None
+        quo[i - 1] = q
+    return None if cs[0] + a * q else quo
+
+
+def lam_ratfun(X, q, powers, dens):
+    """The reduced RatFun X / q * prod (lambda - r)**k over (r, k) in powers,
+    for a nonzero LamPoly X, a positive integer q and distinct nonzero
+    rational roots r, sorted, with nonzero k of either sign.
+
+    Each r = a/b is a root of the integer b*lambda - a: a factor with k < 0
+    is divided out of the numerator by exact integer division
+    (`_linear_quotient`, scale times b) as often as it goes, up to -k times,
+    and what is left goes to the den; one with k > 0 multiplies the
+    numerator (scale over b).  lambda**o goes to the numerator (o > 0) or
+    the den.  The den then is a product of powers of lambda and of distinct
+    lambda - r that divide no numerator, so num/den is reduced, with no gcd.
+    dens maps each den's root powers to its one monic Poly, so equal dens
+    share one coefficient tuple; each numerator coefficient is one
+    Fraction."""
+    cs, sn, sd, left = X.cs, 1, q, []
+    for r, k in powers:
+        a, b = r.numerator, r.denominator
+        while k < 0:
+            quo = _linear_quotient(cs, a, b)
+            if quo is None:
+                break
+            cs, sn, k = quo, sn * b, k + 1
+        if k < 0:
+            left.append((r, -k))
+        for _ in range(k):
+            cs, sd = _times_linear(cs, a, b), sd * b
+    o = X.o
+    key = (tuple(left), max(-o, 0))
+    den = dens.get(key)
+    if den is None:
+        d = [Fraction(1)]
+        for r, k in left:
+            d = _times_root(d, r, k)
+        den = dens[key] = _poly((Fraction(0),) * key[1] + tuple(d))
+    g = math.gcd(sn, sd)
+    sn, sd = sn // g, sd // g
+    num = [Fraction(v * sn, sd) for v in cs]
+    return _reduced(_poly([Fraction(0)] * o + num if o > 0 else num), den)
 
 
 _ZERO = Poly()

@@ -1,28 +1,32 @@
 """Construction of a full basis of solutions.
 
-The parametric order-1 solver (`_order1`) works on lattice triples with
-Q(lambda) coefficients; the triangular solve (`solve_slope`) chains it and
-the products by each unit h through the factorization once per slope j, on
-one lattice, with right-hand side prod_c (lambda - c)**m_c over the slope's
+The parametric order-1 solver (`_order1`) works on lattice triples whose
+Q(lambda) coefficients are integer Laurent polynomials in lambda
+(`fields.LamPoly`) over one integer den and a product of known factors
+b*lambda - a; the triangular solve (`solve_slope`) chains it and the
+products by each unit h through the factorization once per slope j, on one
+lattice, with right-hand side prod_c (lambda - c)**m_c over the slope's
 exponents (chi_j up to a constant factor when the basis is full), and reads
-every g_{c,j} off that one solution, the only series the chain builds;
-specialization (differentiate in lambda and evaluate at c, both read off
-the Taylor coefficients at lambda = c, with one den jet per distinct
-denominator of g, not one per coefficient; the jets' constant terms
-certify that g is regular at c) turns each g_{c,j} into solutions written
-on the symbols l_{c,u} (with e_c = l_{c,0}) that obey
-phi_p(l_{c,u}) = c*l_{c,u} + l_{c,u-1}.
+every g_{c,j} off that one solution, the only series the chain builds, with
+one exit reducer (`fields.lam_ratfun`) per coefficient: the only place
+where its coefficients become reduced rational functions.  Specialization
+(differentiate in lambda and evaluate at c, both read off the Taylor
+coefficients at lambda = c, with one den jet per distinct denominator of g,
+not one per coefficient; the jets' constant terms certify that g is regular
+at c) turns each g_{c,j} into solutions written on the symbols l_{c,u}
+(with e_c = l_{c,0}) that obey phi_p(l_{c,u}) = c*l_{c,u} + l_{c,u-1}.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (InsufficientPrecision, PlanMismatch, PoleAtEvaluationPoint,
                      VerificationError)
 from .factorize import factor_operator
-from .fields import RatFun, taylor_table
+from .fields import _ONE, LamPoly, Poly, RatFun, _lam_poly, lam_ratfun, taylor_table
 from .hahn import (_FULL, NEG, POS, HahnSeries, _fold, _grid, _grid_product, _iv_diff, _next_gap,
                    _numerators, _series, _shifted, hs_mul_sums)
 from .newton import analyze, frobenius_plan
@@ -34,7 +38,9 @@ def solve_order1_param(p, mu, c, g, ceiling, depth):
 
     The solve of `_order1`, on the lattice (1/M)Z with M clearing g's
     exponents and finite mask endpoints, the ceiling and mu/(p-1): g goes
-    there in the frame twisted by z**(mu/(p-1)), and the solution becomes
+    there in the frame twisted by z**(mu/(p-1)), over the product D of its
+    distinct dens and one integer q, as LamPolys; each coefficient of the
+    solution is reduced by the RatFun constructor, and the solution becomes
     a series in that frame before it is shifted back.
     """
     c = Fraction(c)
@@ -46,17 +52,34 @@ def solve_order1_param(p, mu, c, g, ceiling, depth):
     shift = Fraction(mu) / (p - 1)
     cap = Fraction(ceiling) - shift
     M = math.lcm(_grid([g]), shift.denominator, cap.denominator)
-    G = g.map_coeffs(lambda r: r if isinstance(r, RatFun) else RatFun.const(r))
-    part = _shifted(_numerators(G, M), -int(shift * M))
-    return _series(M * p ** (depth + 1), _order1(p, c, part, int(cap * M), depth)).shift(shift)
+    ext, terms, _ = _numerators(g.map_coeffs(
+        lambda r: r if isinstance(r, RatFun) else RatFun.const(r)), M)
+    D = math.prod(dict.fromkeys(r.den for _, r in terms), start=_ONE)
+    nums = [(E, (r.num * (D // r.den)).coeffs) for E, r in terms]
+    q = math.lcm(*(a.denominator for _, cs in nums for a in cs))
+    part = ext, [(E, _lam_poly(0, [a.numerator * (q // a.denominator) for a in cs]))
+                 for E, cs in nums], q
+    lifts = []
+    ext, terms, den = _order1(p, c, _shifted(part, -int(shift * M)), int(cap * M), depth, lifts)
+    scale = Fraction(1, den * math.prod(r.denominator for r in lifts))
+    D = math.prod((Poly((-r, 1)) for r in lifts), start=D)
+
+    def reduced(X):
+        num = Poly([0] * max(X.o, 0) + [v * scale for v in X.cs])
+        return RatFun(num, D.shift(-X.o) if X.o < 0 else D)
+    return _series(M * p ** (depth + 1),
+                   (ext, [(E, reduced(X)) for E, X in terms], 1)).shift(shift)
 
 
-def _order1(p, c, g, top, depth):
+def _order1(p, c, g, top, depth, lifts):
     """(region, terms, den) on (1/(M p**(depth+1)))Z of the solution f of
-    (lambda phi_p - c) f = g, for g a (region, terms, 1) over Q(lambda) on
-    (1/M)Z and the ceiling top/M, all in the frame twisted by
-    z**(mu/(p-1)) where the operator of `solve_order1_param` takes this
-    form.  An exact zero passes through unchanged.
+    (lambda phi_p - c) f = g, for g a (region, terms, den) with LamPoly
+    numerators on (1/M)Z and the ceiling top/M, all in the frame twisted
+    by z**(mu/(p-1)) where the operator of `solve_order1_param` takes this
+    form.  An exact zero passes through unchanged.  The numerators of f are
+    LamPolys over den and over the same product of factors b*lambda - a as
+    g's, unless g is lifted (below): then that product takes one more
+    factor, for c = a/b, and c is appended to lifts.
 
     The right-hand side splits into three parts:
       - the negative part, summed over phi**k for k = -1..-depth (leaving a
@@ -71,44 +94,57 @@ def _order1(p, c, g, top, depth):
     On the refined lattice phi**k multiplies g's integers by
     p**(depth+1+k) >= p, and the dropped tail's bound vb p**(-depth-1) is
     the integer vb itself.  Each image c**(-k-1) lambda**k phi**k of a part
-    (negated for the positive part), the exponent-0 term, and the regions
-    alone of the dropped tail, of the uncertified ray below 0 and of the
-    ceiling are pieces of one `_fold`, which intersects the regions and
-    adds the terms; images at or above the ceiling are never formed.  A g
-    whose region reaches down to -inf gives an f whose region does too.
+    (negated for the positive part) is a piece with weight c**(-k-1) whose
+    numerators are g's with o moved by k.  The exponent-0 numerator P,
+    over lambda - c = (b*lambda - a)/b, is the piece b * P/(b*lambda - a)
+    when b*lambda - a divides P on integers; when it does not, and the
+    ceiling is above 0, so that the term is kept, every numerator of g is
+    first multiplied by b*lambda - a (the lift), which leaves P itself.
+    These pieces and the regions alone of the dropped tail, of the
+    uncertified ray below 0 and of the ceiling make one `_fold`, which
+    intersects the regions and adds the terms; images at or above the
+    ceiling are never formed.  A g whose region reaches down to -inf gives
+    an f whose region does too.
     """
-    ext, terms, _ = g
+    ext, terms, den = g
     if not terms and ext == _FULL:
         return g
     cut = top * p ** (depth + 1)  # the ceiling on the refined lattice
 
-    def piece(region, part=()):
-        return 1, (region, part, 1)
-
-    def image(region, part, k, a):
-        """The piece of a lambda**k phi**k of the part (region, terms)."""
+    def image(region, part, k, w):
+        """The piece of w lambda**k phi**k of the part (region, terms)."""
         s = p ** (depth + 1 + k)
         at = lambda x: x if type(x) is float else x * s
-        return piece([(at(lo), at(hi)) for lo, hi in region],
-                     [(F, r.mul_lam_power(a, k)) for E, r in part for F in (E * s,) if F < cut])
+        return w, ([(at(lo), at(hi)) for lo, hi in region],
+                   [(F, LamPoly(X.o + k, X.cs)) for E, X in part for F in (E * s,) if F < cut],
+                   den)
 
-    pieces = [piece([(NEG, cut)])]
+    pieces = [(1, ([(NEG, cut)], (), 1))]
     # the least exponent where g might be nonzero, as HahnSeries.val_bound
     vb = min(terms[0][0] if terms else POS, ext[0][1]) if ext else NEG
+    fp = min(next((E for E, _ in terms if E > 0), POS), _next_gap(ext, 0))
+    if fp and cut > 0:
+        P = next((X for E, X in terms if not E), None)
+        a, b = c.numerator, c.denominator
+        quo = P and P.over_linear(a, b)
+        if P and quo is None:
+            terms = [(E, X.times_linear(a, b)) for E, X in terms]
+            lifts.append(c)
+            quo = P
+        if quo:
+            pieces.append((b, (_FULL, [(0, quo)], den)))
     if vb < 0:
         # the negative part is zero by fiat from 0 up
         low = _iv_diff(_FULL, _iv_diff([(NEG, 0)], ext))
-        neg = [(E, r) for E, r in terms if E < 0]
+        neg = [(E, X) for E, X in terms if E < 0]
         pieces += [image(low, neg, k, c ** (-k - 1)) for k in range(-1, -depth - 1, -1)]
-        pieces.append(piece(_iv_diff(_FULL, [(vb, 0)])))  # the dropped tail
-    pos = [(E, r) for E, r in terms if E > 0]
-    fp = min(pos[0][0] if pos else POS, _next_gap(ext, 0))
+        pieces.append((1, (_iv_diff(_FULL, [(vb, 0)]), (), 1)))  # the dropped tail
     if not fp:
-        pieces.append(piece([(NEG, 0)]))
+        pieces.append((1, ([(NEG, 0)], (), 1)))
     else:
-        pieces.append(piece(_FULL, [(0, r.mul_root_power(c, -1)) for E, r in terms if not E]))
         # the positive part is zero by fiat below fp
         high = _iv_diff(_FULL, _iv_diff([(fp, POS)], ext))
+        pos = [(E, X) for E, X in terms if E > 0]
         k = 0
         while p ** k * fp < top:
             pieces.append(image(high, pos, k, -c ** (-k - 1)))
@@ -141,6 +177,15 @@ def solve_slope(L, plan, fact, j, ceiling, depth):
     with the twist).  Only x becomes a series, untwisted as the last
     product leaves it (`_build_sorted` reads the stored mask head off that
     frame), and is then shifted by -nu_j/(p-1).
+
+    The coefficients of x are LamPolys X over one integer q and the
+    factors b*lambda - a of the lifts (`_order1`) made on the way, that is
+    X / (q' prod_r (lambda - r)) with q' = q prod_r b; they start as chi's
+    integer form prod_c (b*lambda - a)**m_c times the numerators of
+    a's inverse.  Per c the exit reducer (`lam_ratfun`) applies the net
+    root powers (lambda - c)**s, (lambda - c')**(-m_c') and (lambda - r)**-1
+    per lift to each X / q', with one den tuple per distinct den for all
+    of the slope's g.
     """
     p = L.p
     if len(fact.layers) != len(plan.nus):
@@ -148,37 +193,41 @@ def solve_slope(L, plan, fact, j, ceiling, depth):
     entry = plan.entries[j]
     nuj = plan.nus[j]
     ceil2 = Fraction(ceiling) + max(Fraction(0), nuj / (p - 1))
-    chi = _mul_root_powers(RatFun.const(1), [(c, m) for c, m, _ in entry])
     inv = fact.a.invert(ceil2)
     thetas = [(nuj - layer[0].nu) / (p - 1) for layer in fact.layers]
     M = math.lcm(_grid([inv] + [f.h for f in fact.all_factors()]), plan.val_a0.denominator,
                  ceil2.denominator, *(t.denominator for t in thetas))
     R = p ** (depth + 1)
+    # chi on integers: prod_c (b*lambda - a)**m_c = chi * prod_c b**m_c
+    chi, q = LamPoly(0, (1,)), 1
+    for c, m, _ in entry:
+        for _ in range(m):
+            chi, q = chi.times_linear(c.numerator, c.denominator), q * c.denominator
+    ext, terms, den = _numerators(inv, M)
     # x is z**(-d/M) times the series it stands for
-    x, d = _numerators(inv.scale(chi), M), int(plan.val_a0 * M)
+    x, d = (ext, [(E, chi * N) for E, N in terms], den * q), int(plan.val_a0 * M)
+    lifts = []
     for theta, layer in reversed(list(zip(thetas, fact.layers))):
         twist = int(theta * M)
         x, d = _shifted(x, d - twist), twist
         top = int(ceil2 * M) - twist
         for f in reversed(layer):
-            x = _order1(p, f.c, x, top, depth)
+            x = _order1(p, f.c, x, top, depth, lifts)
             M, d, top = M * R, d * R, top * R
             h = _numerators(f.h, M)
             x = _fold([(1, _grid_product(h, x, 1, _iv_diff(_FULL, h[0]),
                                          _iv_diff(_FULL, x[0])))])
-    x = _series(M, _shifted(x, d)).shift(-nuj / (p - 1))
-    out = {}
+    ext, terms, den = _shifted(x, d)
+    x = _series(M, (ext, terms, 1)).shift(-nuj / (p - 1))
+    q = den * math.prod(r.denominator for r in lifts)
+    out, dens = {}, {}
     for c, _, s in entry:
-        powers = [(cc, -mm) for cc, mm, _ in entry if cc != c] + [(c, s)]
-        out[c] = x.map_coeffs(lambda r, powers=powers: _mul_root_powers(r, powers))
+        net = Counter({cc: -mm for cc, mm, _ in entry if cc != c})
+        net[c] += s
+        net.subtract(lifts)
+        powers = sorted((r, k) for r, k in net.items() if k)
+        out[c] = x.map_coeffs(lambda X, powers=powers: lam_ratfun(X, q, powers, dens))
     return out
-
-
-def _mul_root_powers(r, powers):
-    """r times (lambda - c)**k for every (c, k) in powers."""
-    for c, k in powers:
-        r = r.mul_root_power(c, k)
-    return r
 
 
 def solve_gcj(L, plan, fact, c, j, ceiling, depth):
@@ -194,8 +243,9 @@ def expected_gcj_cld(L, plan, fact, c, j):
     rs = [len(layer) for layer in fact.layers]
     num = math.prod(-f.c for layer in fact.layers[: j + 1] for f in layer)
     expect = RatFun.const(1).mul_lam_power(num / L.coeffs[0].cld(), -sum(rs[:j]))
-    return _mul_root_powers(expect, [(Fraction(c), s + m)]
-                            + [(f.c, -1) for f in fact.layers[j]])
+    for r, k in [(Fraction(c), s + m)] + [(f.c, -1) for f in fact.layers[j]]:
+        expect = expect.mul_root_power(r, k)
+    return expect
 
 
 def check_gcj(L, plan, fact, c, j, mu, g):

@@ -21,7 +21,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .errors import MahlerError, UnknownLeadingTerm, ZeroDivisor, ZeroSeries
-from .fields import _ONE, RatFun, _poly, _reduced
+from .fields import _ONE, LamPoly, RatFun, _lam_poly, _poly, _reduced
 
 NEG = float("-inf")
 POS = float("inf")
@@ -578,7 +578,8 @@ def _grid_product(f, g, s, unc_f, unc_g):
     region.
     Over one ring S is `_convolve`'s fold of integers or RatFuns (0 + r is
     r and runs no gcd) and den the product of the dens; over Q times
-    Q(lambda), `_slice_product` gives S with den 1."""
+    Q(lambda), `_slice_product` gives S with den 1, and times g's LamPolys
+    `_lam_product` gives LamPolys over the product of the dens."""
     _, fi, fden = f
     _, gi, gden = g
     if s != 1:
@@ -587,6 +588,8 @@ def _grid_product(f, g, s, unc_f, unc_g):
     ext = _mul_region(unc_f, fi, unc_g, gi)
     top = ext[-1][1] if ext else NEG
     if fi and gi and (type(fi[0][1]) is int) != (type(gi[0][1]) is int):
+        if type(gi[0][1]) is LamPoly:
+            return ext, _lam_product(fi, gi, top), fden * gden
         return ext, _slice_product(fi, gi, top, fden * gden), 1
     return ext, _convolve(fi, gi, top).items(), fden * gden
 
@@ -640,12 +643,8 @@ def _slice_product(fi, gi, top, den):
     for D, terms in groups.values():
         numers = [(E, (c,) if D is None else c.num.coeffs) for E, c in terms]
         q = math.lcm(*(a.denominator for _, cs in numers for a in cs))
-        slices = [[] for _ in range(max(len(cs) for _, cs in numers))]
-        for E, cs in numers:
-            for k, a in enumerate(cs):
-                if a:
-                    slices[k].append((E, a.numerator * (q // a.denominator)))
-        sums = [_convolve(ints, sl, top) if sl else {} for sl in slices]
+        sums = _slice_sums(ints, [(E, 0, [a.numerator * (q // a.denominator) for a in cs])
+                                  for E, cs in numers], top)
         pairs = None
         if D is not None and D is not _ONE:
             pairs = _convolve([(E, 1) for E, _ in ints], [(E, 1) for E, _ in terms], top)
@@ -658,6 +657,38 @@ def _slice_product(fi, gi, top, den):
                 r = _reduced(num, D) if pairs is None or pairs[E] == 1 else RatFun(num, D)
             acc[E] = acc.get(E, 0) + r
     return acc.items()
+
+
+def _slice_sums(ints, rows, top):
+    """[_convolve(ints, slice_k, top) for k in range(n)]: slice_k holds the
+    pairs (E, cs[k - o]) of the rows (E, o, cs) of integers with k - o an
+    index of cs and cs[k - o] nonzero, and n is the largest o + len(cs)."""
+    slices = [[] for _ in range(max(o + len(cs) for _, o, cs in rows))]
+    for E, o, cs in rows:
+        for k, a in enumerate(cs, o):
+            if a:
+                slices[k].append((E, a))
+    return [_convolve(ints, sl, top) if sl else {} for sl in slices]
+
+
+def _lam_product(ints, lams, top):
+    """The sums of `_grid_product` of integers by LamPolys: (E, X) with X
+    the sum of N * Y over the pairs of terms (E1, N) and (E2, Y) with
+    E = E1 + E2 < top, as integer lambda**k slices, one `_convolve` each,
+    and no object per pair.  A sum that cancels is the zero LamPoly."""
+    if len(ints) == 1:
+        [(E1, N)] = ints
+        return [(E1 + E2, Y * N) for E2, Y in lams if E1 + E2 < top]
+    lo = min(Y.o for _, Y in lams)
+    sums = _slice_sums(ints, [(E, Y.o - lo, Y.cs) for E, Y in lams], top)
+    rows = {}
+    for k, s in enumerate(sums):
+        for E, S in s.items():
+            row = rows.get(E)
+            if row is None:
+                row = rows[E] = [0] * len(sums)
+            row[k] = S
+    return [(E, _lam_poly(lo, row)) for E, row in rows.items()]
 
 
 def _weighted_sum(M, pieces):

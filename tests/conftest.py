@@ -100,6 +100,21 @@ def rand_param_series(rng, terms=3, deg=2, lo=-3, hi=3):
     return hs(sorted(out.items()))
 
 
+def rand_pole_series(rng, roots, terms=3, deg=2, lo=-3, hi=3):
+    """Exact finitely supported series whose coefficients are polynomials in
+    lambda over a product of powers 0..2 of lambda - r for r in roots (a
+    root 0 gives powers of lambda), reduced by the RatFun constructor."""
+    out = {}
+    for _ in range(rng.randint(1, terms)):
+        e = rand_exponent(rng, lo, hi)
+        num = Poly([rand_rational(rng, -3, 3, 2) for _ in range(rng.randint(1, deg + 1))])
+        den = Poly.const(1)
+        for r in roots:
+            den = den * Poly((-r, 1)) ** rng.randint(0, 2)
+        out[e] = RatFun(num or Poly.const(1), den)
+    return hs(sorted(out.items()))
+
+
 def pipeline_mask(rng, f, p):
     """f with a mask of one of the kinds the pipeline makes, endpoints off
     the lattice of f's exponents: capped at a ceiling minus nu/(p-1),

@@ -316,6 +316,87 @@ def test_ratfun_product_by_root_power_matches_full_reduction(monkeypatch):
     assert divided and all(any(cs[:-1]) for cs in divided)
 
 
+def test_integer_lambda_polynomials_match_the_ratfun_constructor(monkeypatch):
+    """The helpers behind the triangular solve's coefficients: exact division
+    by b*lambda - a and its divisibility test, the lift (times
+    b*lambda - a), and the exit reducer `lam_ratfun`, whose num and den
+    equal those of one full reduction by the RatFun constructor, with one
+    den tuple per distinct den and no gcd.  Roots c = a/b with b <= 5 of
+    either sign, numerators with and without the root, integers of about
+    10**30 and lambda-offsets of both signs."""
+    rng = random.Random(3031)
+    x = Poly((0, 1))
+
+    def rand_root():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
+
+    def rand_ints(big):
+        size = 10 ** 30 if big else 9
+        cs = [rng.randint(-size, size) for _ in range(rng.randint(1, 4))]
+        cs[0] = cs[0] or 1
+        cs[-1] = cs[-1] or -1
+        return cs
+    cases, seen = [], set()
+    for _ in range(600):
+        roots = []
+        while len(roots) < 3:
+            r = rand_root()
+            if r not in roots:
+                roots.append(r)
+        c = roots[0]
+        a, b = c.numerator, c.denominator
+        big = rng.random() < 0.3
+        X = fields.LamPoly(rng.randint(-3, 3), tuple(rand_ints(big)))
+        if rng.random() < 0.5:
+            for _ in range(rng.randint(1, 2)):
+                X = X.times_linear(a, b)
+        q = rng.randint(1, 10 ** 30 if big else 12)
+        powers = sorted((r, rng.choice((-3, -2, -1, 1, 2))) for r in rng.sample(roots, 2))
+        cases.append((X, c, q, powers))
+        seen |= {"b > 1"} if b > 1 else set()
+        seen |= {"c < 0"} if c < 0 else set()
+        seen |= {"10**30"} if big else set()
+        seen |= {"o < 0" if X.o < 0 else "o > 0" if X.o > 0 else "o = 0"}
+    calls = []
+    real_gcd = fields.poly_gcd
+    monkeypatch.setattr(fields, "poly_gcd", lambda *args: calls.append(args) or real_gcd(*args))
+    dens, tuples = {}, {}
+    for X, c, q, powers in cases:
+        a, b = c.numerator, c.denominator
+        P = Poly(X.cs)
+        lin = Poly((-a, b))
+        lifted = X.times_linear(a, b)
+        assert lifted.o == X.o and Poly(lifted.cs) == P * lin
+        assert lifted.cs[0] and lifted.cs[-1]
+        quo = X.over_linear(a, b)
+        divides = not (P % lin)
+        assert (quo is not None) == divides
+        seen.add("root divides" if divides else "root does not divide")
+        if divides:
+            assert quo.o == X.o and Poly(quo.cs) * lin == P
+            assert all(type(v) is int for v in quo.cs)
+        assert lifted.over_linear(a, b).cs == X.cs
+        del calls[:]
+        got = fields.lam_ratfun(X, q, powers, dens)
+        assert not calls
+        num, den = P * Fraction(1, q) * x ** max(X.o, 0), x ** max(-X.o, 0)
+        for r, k in powers:
+            if k > 0:
+                num = num * (x - r) ** k
+            else:
+                den = den * (x - r) ** -k
+        want = RatFun(num, den)
+        assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs, want.den.coeffs)
+        tuples.setdefault(got.den.coeffs, set()).add(id(got.den.coeffs))
+        if got.den.degree < den.degree:
+            seen.add("root cancelled")
+        if got.den.degree > 0:
+            seen.add("den left")
+    assert all(len(ids) == 1 for ids in tuples.values()) and len(tuples) > 100
+    assert seen == {"b > 1", "c < 0", "10**30", "o < 0", "o = 0", "o > 0", "root divides",
+                    "root does not divide", "root cancelled", "den left"}
+
+
 def _num_den(x):
     x = x if isinstance(x, RatFun) else RatFun.const(x)
     return x.num.coeffs, x.den.coeffs

@@ -15,12 +15,13 @@ from hypothesis import strategies as st
 from conftest import (cap, count_calls, d_lambda, eq_on_mask, ev_c, forget, gcj_residual_mask,
                       ladder_g1_terms, ladder_g2_terms, ladder_operator, lam, lift,
                       order1_coeff_oracle, pipeline_mask, rand_exponent, rand_operator,
-                      rand_param_series, rand_series, rebind, reference_apply_to_solution,
-                      reference_pole_order, reference_solve_gcj, reference_solve_order1_param,
-                      reference_specialize, restrict, series_dict_on_mask)
+                      rand_param_series, rand_pole_series, rand_series, rebind,
+                      reference_apply_to_solution, reference_pole_order, reference_solve_gcj,
+                      reference_solve_order1_param, reference_specialize, restrict,
+                      series_dict_on_mask)
 from mahler.cli import elaborate, parse_spec
 from mahler.errors import MahlerError, PlanMismatch, PoleAtEvaluationPoint, VerificationError
-from mahler.fields import RatFun
+from mahler.fields import Poly, RatFun
 from mahler.hahn import NEG, POS, HahnSeries, hs, monomial, one, zero
 from mahler.newton import analyze, frobenius_plan
 from mahler.operator import MahlerOperator, phi_minus
@@ -155,6 +156,21 @@ def _order1_cases():
             g = pipeline_mask(rng, g, p)[1]
         ceiling = Fraction(rng.randint(1, 30), rng.randint(1, 5))
         yield (p, mu, rng.choice(cs), g, ceiling, rng.randint(1, 6))
+    # A third stream with poles: coefficients over powers of lambda, of
+    # lambda - c for the solve's own c and of lambda - c' for another c'.
+    rng = random.Random(7413)
+    for _ in range(240):
+        p = rng.choice((2, 3))
+        mu = Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+        c, other = rng.sample(cs, 2)
+        roots = rng.choice(((Fraction(0),), (c,), (other,), (Fraction(0), c, other)))
+        g = rand_pole_series(rng, roots)
+        if rng.random() < 0.4:
+            g = g + monomial(mu / (p - 1), rand_pole_series(rng, roots, terms=1).terms[0][1])
+        if rng.random() < 0.5:
+            g = pipeline_mask(rng, g, p)[1]
+        ceiling = Fraction(rng.randint(1, 30), rng.randint(1, 5))
+        yield (p, mu, c, g, ceiling, rng.randint(1, 6))
 
 
 def test_order1_matches_reference_solver():
@@ -172,6 +188,12 @@ def test_order1_matches_reference_solver():
             lifted = solve_order1_param(p, mu, c, lift(g), ceiling, depth)
             assert got == lifted and got.to_json() == lifted.to_json()
             seen.add("g over Q")
+        for _, r in g.terms:
+            if type(r) is RatFun and r.den.degree:
+                at_c, at_0 = reference_pole_order(r, c), reference_pole_order(r, 0)
+                seen |= {"den lambda**k"} if at_0 else set()
+                seen |= {"pole at c"} if at_c else set()
+                seen |= {"pole at c' != c"} if r.den.degree > at_c + at_0 else set()
         G = g.shift(-mu / (p - 1))
         if g.is_exact_zero():
             seen.add("exact zero")
@@ -202,7 +224,8 @@ def test_order1_matches_reference_solver():
     assert seen == {"exact zero", "empty mask", "0 uncertified", "g0 zero",
                     "g0 Fraction", "g0 RatFun", "fp = +inf", "islands",
                     "exact positive-only", "negative-only", "g over Q",
-                    "no positive image", "forget band at depth 1", "ceiling off the lattice"}
+                    "no positive image", "forget band at depth 1", "ceiling off the lattice",
+                    "den lambda**k", "pole at c", "pole at c' != c"}
 
 
 def test_order1_back_substitution():
@@ -221,13 +244,19 @@ def test_order1_back_substitution():
 
 
 def test_order1_pole_orders_grow_by_at_most_one():
+    """Polynomial coefficients (rho = 0 everywhere), then, from a second
+    stream, coefficients with poles at the solve's own c and at another c'
+    (rho > 0)."""
     rng = random.Random(101)
     cs = (Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 2))
-    for _ in range(40):
+    poles = Counter()
+    for i in range(80):
+        if i == 40:
+            rng = random.Random(102)
         p = rng.choice((2, 3))
         mu = Fraction(rng.randint(-2, 2), rng.choice((1, 2)))
         c = rng.choice(cs)
-        g = rand_param_series(rng)
+        g = rand_param_series(rng) if i < 40 else rand_pole_series(rng, rng.sample(cs, 2))
         rho = {cc: max((reference_pole_order(r, cc) for _, r in g.terms), default=0)
                for cc in cs}
         f = solve_order1_param(p, mu, c, g, 6, 5)
@@ -236,6 +265,9 @@ def test_order1_pole_orders_grow_by_at_most_one():
             for cc in cs:
                 if cc != c:
                     assert reference_pole_order(r, cc) <= rho[cc]
+        poles["rho > 0 at c"] += rho[c] > 0
+        poles["rho > 0 at c' != c"] += any(rho[cc] for cc in cs if cc != c)
+    assert poles["rho > 0 at c"] >= 10 and poles["rho > 0 at c' != c"] >= 10
 
 
 def test_gcj_closed_forms_on_ladder_operators():
@@ -294,7 +326,8 @@ def test_solve_slope_equals_one_solve_per_exponent(monkeypatch):
     rhs = []
     real = frobenius._order1
     monkeypatch.setattr(frobenius, "_order1",
-                        lambda p, c, part, *args: rhs.append(part) or real(p, c, part, *args))
+                        lambda p, c, part, *args: rhs.append((part, args[-1]))
+                        or real(p, c, part, *args))
     seen = set()
     for L, ceiling, depth, min_exps in _slope_cases():
         nd = analyze(L)
@@ -305,11 +338,16 @@ def test_solve_slope_equals_one_solve_per_exponent(monkeypatch):
                 continue
             del rhs[:]
             gs = solve_slope(L, plan, fact, j, ceiling, depth)
-            # the chain starts from a right-hand side carrying prod_c (lambda - c)**m_c
-            for _, r in rhs[0][1]:
-                for c, m, _ in entry:
-                    r = r.mul_root_power(c, -m)
-                assert r.num.degree <= 0 and r.den.degree == 0
+            # the chain starts from integer numerators carrying prod_c (lambda - c)**m_c
+            chi = math.prod((Poly((-c, 1)) ** m for c, m, _ in entry), start=Poly.const(1))
+            (_, terms, _), lifts = rhs[0]
+            for _, X in terms:
+                quo, rest = divmod(Poly(X.cs), chi)
+                assert X.o == 0 and all(type(v) is int for v in X.cs)
+                assert not rest and quo.degree == 0
+            # the lifts made on the way: one factor lambda - c each
+            seen |= {"lift"} if lifts else set()
+            seen |= {"lift at c = a/b, b > 1"} if any(r.denominator > 1 for r in lifts) else set()
             assert list(gs) == [c for c, _, _ in entry]
             for c, m, s in entry:
                 want = reference_solve_gcj(L, plan, fact, c, j, ceiling, depth)
@@ -322,16 +360,19 @@ def test_solve_slope_equals_one_solve_per_exponent(monkeypatch):
                     seen.add("head lo from the frame")
             if len(entry) >= 2:
                 seen.add("several exponents")
-    assert seen == {"m >= 2", "s >= 1", "several exponents", "head lo from the frame"}
+    assert seen == {"m >= 2", "s >= 1", "several exponents", "head lo from the frame", "lift",
+                    "lift at c = a/b, b > 1"}
 
 
 def test_order1_solver_divides_by_lambda_minus_c_without_gcd(monkeypatch):
-    """The exponent-0 coefficient is divided by lambda - c with one synthetic
-    division: on the first 60 criterion-3 operators, no RatFun product or
-    quotient inside the order-1 kernel (`_order1`) runs a poly_gcd.  (Its
-    `_fold` may: it reduces once per distinct denominator.)"""
-    inside = {"order1": 0, "product": 0}
-    gcds, divisions = [], []
+    """The exponent-0 numerator is divided by b*lambda - a (c = a/b) on
+    integers, after a lift of the right-hand side when it does not divide:
+    on the first 60 criterion-3 operators the order-1 kernel (`_order1`)
+    makes more than 100 such divisions and lifts, and `solve_slope` runs no
+    poly_gcd, and no RatFun arithmetic outside its exit reducer
+    (`lam_ratfun`), which builds each reduced coefficient with no gcd."""
+    inside = Counter()
+    gcds, ratfun_ops, divisions, lifts = [], [], [], []
 
     def nested(key, real):
         def call(*args):
@@ -342,35 +383,56 @@ def test_order1_solver_divides_by_lambda_minus_c_without_gcd(monkeypatch):
                 inside[key] -= 1
         return call
 
-    real_gcd, real_root = fields.poly_gcd, RatFun.mul_root_power
-    monkeypatch.setattr(frobenius, "_order1", nested("order1", frobenius._order1))
-    for name in ("__mul__", "__rmul__", "mul_lam_power"):
-        monkeypatch.setattr(RatFun, name, nested("product", getattr(RatFun, name)))
+    def outside_reducer(name, real):
+        def call(*args):
+            if inside["slope"] and not inside["reducer"]:
+                ratfun_ops.append(name)
+            return real(*args)
+        return call
+
+    def order1(p, c, g, top, depth, made):
+        n = len(made)
+        try:
+            return real_order1(p, c, g, top, depth, made)
+        finally:
+            lifts.extend(made[n:])
+    real_gcd, real_divide, real_order1 = fields.poly_gcd, fields.LamPoly.over_linear, \
+        frobenius._order1
+    monkeypatch.setattr(frobenius, "solve_slope", nested("slope", frobenius.solve_slope))
+    monkeypatch.setattr(frobenius, "lam_ratfun", nested("reducer", frobenius.lam_ratfun))
+    monkeypatch.setattr(frobenius, "_order1", nested("order1", order1))
+    for name in ("__init__", "__neg__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__truediv__", "__rtruediv__", "__pow__", "_reciprocal",
+                 "mul_lam_power", "mul_root_power"):
+        monkeypatch.setattr(RatFun, name, outside_reducer(name, getattr(RatFun, name)))
+    rebind(monkeypatch, fields._reduced, outside_reducer("_reduced", fields._reduced))
     monkeypatch.setattr(fields, "poly_gcd", lambda *args: (
-        inside["order1"] and inside["product"] and gcds.append(args)) or real_gcd(*args))
-    monkeypatch.setattr(RatFun, "mul_root_power", lambda r, c, k: (
-        inside["order1"] and k == -1 and divisions.append(r)) or real_root(r, c, k))
+        inside["slope"] and gcds.append(args)) or real_gcd(*args))
+    monkeypatch.setattr(fields.LamPoly, "over_linear", lambda X, a, b: (
+        inside["order1"] and divisions.append(X)) or real_divide(X, a, b))
     for L, ceiling, depth, _ in itertools.islice(_slope_cases(), 60):
         plan = frobenius_plan(L, analyze(L))
         fact = factor_operator(L, ceiling, plan)
         for j in range(len(plan.entries)):
-            solve_slope(L, plan, fact, j, ceiling, depth)
-    assert len(divisions) > 100
+            frobenius.solve_slope(L, plan, fact, j, ceiling, depth)
+    assert len(divisions) + len(lifts) > 100 and lifts
     assert not gcds
+    assert not ratfun_ops
 
 
 def test_every_q_lambda_product_has_a_scalar_operand(monkeypatch):
-    """Every RatFun product that frobenius_basis makes, verification
-    included, has an int or Fraction operand: the solver forms its lambda**k
-    factors with mul_lam_power, which runs no gcd, and never multiplies two
-    RatFuns.  The ladders, the README example and the first 60 criterion-3
-    operators."""
+    """frobenius_basis, verification included, multiplies no two RatFuns
+    and makes no RatFun product with * at all: the triangular solve carries
+    its coefficients as integer lambda-polynomials (`fields.LamPoly`), and
+    the only Q(lambda) products left are those of `expected_gcj_cld`, one
+    mul_lam_power (times a*lambda**k, no gcd) per checked g.  The ladders,
+    the README example and the first 60 criterion-3 operators."""
     cases = [(ladder_operator(2, -2), 8, 8), (ladder_operator(3, -3), 8, 8),
              (_readme_operator(8), 8, 8)]
     rng = random.Random(2026)
     cases += [(rand_factored_operator(rng, Fraction(3))[0], 3, 2) for _ in range(60)]
-    operands, powers = [], []
-    real_mul, real_power = RatFun.__mul__, RatFun.mul_lam_power
+    operands, powers, checks = [], [], []
+    real_mul, real_power, real_check = RatFun.__mul__, RatFun.mul_lam_power, frobenius.check_gcj
 
     def checked(r, other):
         operands.append(type(other))
@@ -379,10 +441,12 @@ def test_every_q_lambda_product_has_a_scalar_operand(monkeypatch):
         monkeypatch.setattr(RatFun, name, checked)
     monkeypatch.setattr(RatFun, "mul_lam_power",
                         lambda r, a, k: powers.append(k) or real_power(r, a, k))
+    monkeypatch.setattr(frobenius, "check_gcj", lambda *args: checks.append(args)
+                        or real_check(*args))
     for L, ceiling, depth in cases:
         assert frobenius_basis(L, ceiling, depth, verify=True).verification["ok"]
-    assert operands and set(operands) <= {int, Fraction}
-    assert len(powers) > 1000
+    assert not operands
+    assert len(checks) > 100 and len(powers) == len(checks)
 
 
 def test_order1_kernels_build_no_intermediate_series(monkeypatch):
