@@ -183,7 +183,8 @@ class RatFun:
     constructor's: it divides out gcd(num, den) (no gcd when den is
     constant) and makes den monic.  Every product of two RatFuns and every
     sum forms the unreduced num/den and passes it through the constructor,
-    but r + 0 and 0 + r are r (0 seeds a product's folds).  The reciprocal
+    but r + 0 and 0 + r are r (0 seeds the folds of the tests' reference
+    sums and products over Q(lambda)).  The reciprocal
     den/num of a reduced fraction is reduced and only made monic, and so is
     a positive power, so a negative power runs no gcd and a quotient (a
     product by the reciprocal) at most one.  Two products are called by name

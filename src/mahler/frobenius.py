@@ -28,7 +28,7 @@ from .errors import (InsufficientPrecision, PlanMismatch, PoleAtEvaluationPoint,
 from .factorize import factor_operator
 from .fields import _ONE, LamPoly, Poly, RatFun, _lam_poly, lam_ratfun, taylor_table
 from .hahn import (_FULL, NEG, POS, HahnSeries, _fold, _grid, _grid_product, _iv_diff, _next_gap,
-                   _numerators, _series, _shifted, hs_mul_sums)
+                   _numerators, _on_lattice, _series, _shifted, hs_mul_sums)
 from .newton import analyze, frobenius_plan
 
 
@@ -52,7 +52,7 @@ def solve_order1_param(p, mu, c, g, ceiling, depth):
     shift = Fraction(mu) / (p - 1)
     cap = Fraction(ceiling) - shift
     M = math.lcm(_grid([g]), shift.denominator, cap.denominator)
-    ext, terms, _ = _numerators(g.map_coeffs(
+    ext, terms = _on_lattice(g.map_coeffs(
         lambda r: r if isinstance(r, RatFun) else RatFun.const(r)), M)
     D = math.prod(dict.fromkeys(r.den for _, r in terms), start=_ONE)
     nums = [(E, (r.num * (D // r.den)).coeffs) for E, r in terms]
@@ -231,8 +231,11 @@ def solve_slope(L, plan, fact, j, ceiling, depth):
 
 
 def solve_gcj(L, plan, fact, c, j, ceiling, depth):
-    """The g_{c,j} of solve_slope for one exponent c of slope j."""
-    return solve_slope(L, plan, fact, j, ceiling, depth)[Fraction(c)]
+    """The g_{c,j} of solve_slope for one exponent c of slope j; a c that
+    is not one raises PlanMismatch before any solve."""
+    c = Fraction(c)
+    plan.lookup(j, c)
+    return solve_slope(L, plan, fact, j, ceiling, depth)[c]
 
 
 def expected_gcj_cld(L, plan, fact, c, j):

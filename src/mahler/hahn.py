@@ -1,4 +1,4 @@
-"""Truncated Hahn series over an exact coefficient field.
+"""Truncated Hahn series over Q.
 
 A series is stored as finitely many (exponent, coefficient) terms together
 with a guarantee mask: a finite list of disjoint half-open intervals
@@ -9,6 +9,10 @@ lower endpoint, so the region certified by a series is really
 (-inf, hi_0) united with the later intervals.  All mask propagation below is
 conservative: results may certify less than mathematically possible, never
 more.
+
+Sums, products and inversion run over Q only (a MahlerError otherwise); a
+series over Q(lambda), as the g_{c,j} of the triangular solve, is only
+stored, shifted, scaled, mapped, negated and written out.
 
 Instances are immutable by convention and safe to share.
 """
@@ -21,7 +25,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .errors import MahlerError, UnknownLeadingTerm, ZeroDivisor, ZeroSeries
-from .fields import _ONE, LamPoly, RatFun, _lam_poly, _poly, _reduced
+from .fields import LamPoly, _lam_poly
 
 NEG = float("-inf")
 POS = float("inf")
@@ -198,7 +202,7 @@ def _rat(x):
 
 
 class HahnSeries:
-    """Certified truncation of a Hahn series; coefficients live in Q or Q(lambda)."""
+    """Certified truncation of a Hahn series; its ring operations run over Q."""
 
     __slots__ = ("terms", "mask")
 
@@ -300,11 +304,11 @@ class HahnSeries:
         z**-v w for the forward solution w of c w_0 = 1 and
         c w_g + sum_(e > 0) f_(v+e) w_(g-e) = 0.  Nothing above the window is
         certified: islands of this series' mask beyond its first gap carry no
-        certificate into the inverse.  An exact monomial inverts exactly,
-        over Q or Q(lambda).  Any other series runs over Q only (over
-        Q(lambda) a MahlerError): its numerators on its own lattice
-        (`_numerators`) give forward_solve's integer taps and lead, the
-        leading numerator.
+        certificate into the inverse.  Inversion is over Q only (over
+        Q(lambda) a MahlerError, exact monomials included).  An exact
+        monomial inverts exactly; any other series' numerators on its own
+        lattice (`_numerators`) give forward_solve's integer taps and lead,
+        the leading numerator.
         """
         if not self.terms:
             raise ZeroDivisor("cannot invert a series with no certified nonzero term")
@@ -312,12 +316,9 @@ class HahnSeries:
             v = self.val()
         except UnknownLeadingTerm:
             raise ZeroDivisor("cannot invert: leading term not certified")
+        _over_q(self.terms)
         if len(self.terms) == 1 and self.mask.extended == _FULL:
             return _build_sorted([(-v, 1 / self.terms[0][1])], _FULL)
-        bad = next((a for _, a in self.terms if type(a) is not Fraction), None)
-        if bad is not None:
-            raise MahlerError("the forward recursion runs over Q; got a %s coefficient"
-                              % type(bad).__name__)
         cap = min(Fraction(ceiling), self.mask.first_gap()) - v
         M = _grid([self])
         _, ((V, lead), *rest), den = _numerators(self, M)
@@ -382,16 +383,15 @@ def monomial(e, c=Fraction(1)):
 
 
 def hs_sum(series):
-    """Sum of a sequence of series, equal to the left fold of + (masks
-    included) but built once: the series' numerators on one lattice
-    (`_numerators`) go through `_weighted_sum` with weight 1, over Q,
-    Q(lambda) or a mix of both.  An empty sequence sums to the exact zero,
-    and a single series is returned as it is."""
+    """Sum of a sequence of series over Q, equal to the left fold of +
+    (masks included) but built once: the series' numerators on one lattice
+    (`_numerators`) make one `_fold`.  An empty sequence sums to the exact
+    zero, and a single series is returned as it is."""
     series = tuple(series)
     if len(series) < 2:
         return series[0] if series else zero()
     M = _grid(series)
-    return _weighted_sum(M, [(1, _numerators(f, M)) for f in series])
+    return _series(M, _fold([(1, _numerators(f, M)) for f in series]))
 
 
 def forward_solve(one, lead, taps, cut):
@@ -472,28 +472,26 @@ def forward_solve(one, lead, taps, cut):
 
 
 def hs_mul(f, g):
-    """Product, over Q, Q(lambda) or one of each: the one-product case of
-    `hs_mul_sums`.  A coefficient of f*g is certified unless it can receive
-    a contribution involving an uncertified coefficient (`_mul_region`).
-    Pairs at or above the top of the certified region are never formed."""
+    """Product over Q: the one-product case of `hs_mul_sums`.  A
+    coefficient of f*g is certified unless it can receive a contribution
+    involving an uncertified coefficient (`_mul_region`).  Pairs at or
+    above the top of the certified region are never formed."""
     return hs_mul_sums(1, [(0, f)], [g], {0: [(1, 0, 0)]})[0]
 
 
 def hs_mul_sums(p, fs, gs, sums):
     """{key: sum of w * f_n * phi_p**k_n(g_m) over the (w, n, m) in sums[key]},
-    with (k_n, f_n) = fs[n], g_m = gs[m], every series over Q or Q(lambda)
-    and w rational; equal, masks included, to hs_sum of
+    with (k_n, f_n) = fs[n], g_m = gs[m], every series over Q and w
+    rational; equal, masks included, to hs_sum of
     hs_mul(f_n, g_m.mal(k_n, p)).scale(w).
 
     Everything runs on one lattice (1/M)Z, M clearing the denominators of
     every exponent and finite mask endpoint, so phi_p**k multiplies integers
     by p**k.  Each product is formed once: its region, from each factor's
     uncertified complement (taken once per series), and its convolution
-    of numerators (`_grid_product`), as integer lambda-slices when one
-    factor is over Q and the other over Q(lambda).  Per key, the regions
-    are intersected and the weighted sums folded over one common
-    denominator (`_weighted_sum`).  A key with a single product takes the
-    shortcuts of `_mul_shortcut` first."""
+    of numerators (`_grid_product`).  Per key, the regions are intersected
+    and the weighted sums folded over one common denominator (`_fold`).  A
+    key with a single product takes the shortcuts of `_mul_shortcut` first."""
     M = _grid([f for _, f in fs] + gs)
     f_grid = [_numerators(f, M) for _, f in fs]
     g_grid = [_numerators(g, M) for g in gs]
@@ -517,7 +515,7 @@ def hs_mul_sums(p, fs, gs, sums):
                 prod = products[n, m] = _grid_product(f_grid[n], g_grid[m], p ** fs[n][0],
                                                        f_unc[n], g_unc[m])
             pieces.append((w, prod))
-        out[key] = _weighted_sum(M, pieces)
+        out[key] = _series(M, _fold(pieces))
     return out
 
 
@@ -575,11 +573,8 @@ def _grid_product(f, g, s, unc_f, unc_g):
     take once per series however many products it enters.  sums holds the
     pairs (E, S) with S*den the sum of N1 * N2 over the pairs of terms
     (E1, N1) of f and (E2, N2) of g with E = E1 + E2 below the top of the
-    region.
-    Over one ring S is `_convolve`'s fold of integers or RatFuns (0 + r is
-    r and runs no gcd) and den the product of the dens; over Q times
-    Q(lambda), `_slice_product` gives S with den 1, and times g's LamPolys
-    `_lam_product` gives LamPolys over the product of the dens."""
+    region, and den the product of the dens: S is an integer
+    (`_convolve`), or a LamPoly when g's numerators are (`_lam_product`)."""
     _, fi, fden = f
     _, gi, gden = g
     if s != 1:
@@ -587,15 +582,13 @@ def _grid_product(f, g, s, unc_f, unc_g):
         gi = [(E * s, N) for E, N in gi]
     ext = _mul_region(unc_f, fi, unc_g, gi)
     top = ext[-1][1] if ext else NEG
-    if fi and gi and (type(fi[0][1]) is int) != (type(gi[0][1]) is int):
-        if type(gi[0][1]) is LamPoly:
-            return ext, _lam_product(fi, gi, top), fden * gden
-        return ext, _slice_product(fi, gi, top, fden * gden), 1
+    if gi and type(gi[0][1]) is LamPoly:
+        return ext, _lam_product(fi, gi, top), fden * gden
     return ext, _convolve(fi, gi, top).items(), fden * gden
 
 
 def _convolve(fi, gi, top):
-    """{E: 0 + N1*N2 + ...} over the pairs of terms (E1, N1) of fi and
+    """{E: sum of N1*N2} over the pairs of integer terms (E1, N1) of fi and
     (E2, N2) of gi, both sorted by exponent, with E = E1 + E2 < top."""
     g_exps = [E for E, _ in gi]
     acc = {}
@@ -609,68 +602,6 @@ def _convolve(fi, gi, top):
     return acc
 
 
-def _slice_product(fi, gi, top, den):
-    """The sums of `_grid_product` when fi or gi has integer numerators over
-    den (over Q) and the other keeps its coefficients (over Q(lambda)).
-
-    With one integer term N no two pairs meet: each coefficient c gives
-    c * N/den, a multiple of a reduced fraction and so reduced.  Otherwise
-    the Q(lambda) terms are grouped by denominator D (Fractions apart, and
-    every constant D under one key, as hashing a Poly hashes each
-    coefficient).  A group's numerators, over one common integer q, split
-    into lambda**k slices of integers, each one `_convolve` with the
-    integers below top.  Per exponent the slice sums S_k give the Fraction
-    S_0/(q*den), or the RatFun (sum of Fraction(S_k, q*den) lambda**k)/D:
-    trusted as reduced when D is 1 or one pair of the group met there,
-    reduced by the constructor (one gcd) otherwise.  Groups meeting at an
-    exponent are added with +, from 0, so a sum is a Fraction exactly when
-    every pair is."""
-    ints, rats = (fi, gi) if type(fi[0][1]) is int else (gi, fi)
-    if len(ints) == 1:
-        [(E1, N)] = ints
-        m = N if den == 1 else Fraction(N, den)
-        return [(E1 + E2, c * m) for E2, c in rats if E1 + E2 < top]
-    groups = {}
-    for E, c in rats:
-        if type(c) is Fraction:
-            key, D = 0, None
-        elif c.den.degree:
-            key = D = c.den
-        else:
-            key, D = 1, _ONE
-        groups.setdefault(key, (D, []))[1].append((E, c))
-    acc = {}
-    for D, terms in groups.values():
-        numers = [(E, (c,) if D is None else c.num.coeffs) for E, c in terms]
-        q = math.lcm(*(a.denominator for _, cs in numers for a in cs))
-        sums = _slice_sums(ints, [(E, 0, [a.numerator * (q // a.denominator) for a in cs])
-                                  for E, cs in numers], top)
-        pairs = None
-        if D is not None and D is not _ONE:
-            pairs = _convolve([(E, 1) for E, _ in ints], [(E, 1) for E, _ in terms], top)
-        scale = q * den
-        for E in set().union(*sums):
-            if D is None:
-                r = Fraction(sums[0][E], scale)
-            else:
-                num = _poly([Fraction(s.get(E, 0), scale) for s in sums])
-                r = _reduced(num, D) if pairs is None or pairs[E] == 1 else RatFun(num, D)
-            acc[E] = acc.get(E, 0) + r
-    return acc.items()
-
-
-def _slice_sums(ints, rows, top):
-    """[_convolve(ints, slice_k, top) for k in range(n)]: slice_k holds the
-    pairs (E, cs[k - o]) of the rows (E, o, cs) of integers with k - o an
-    index of cs and cs[k - o] nonzero, and n is the largest o + len(cs)."""
-    slices = [[] for _ in range(max(o + len(cs) for _, o, cs in rows))]
-    for E, o, cs in rows:
-        for k, a in enumerate(cs, o):
-            if a:
-                slices[k].append((E, a))
-    return [_convolve(ints, sl, top) if sl else {} for sl in slices]
-
-
 def _lam_product(ints, lams, top):
     """The sums of `_grid_product` of integers by LamPolys: (E, X) with X
     the sum of N * Y over the pairs of terms (E1, N) and (E2, Y) with
@@ -680,21 +611,19 @@ def _lam_product(ints, lams, top):
         [(E1, N)] = ints
         return [(E1 + E2, Y * N) for E2, Y in lams if E1 + E2 < top]
     lo = min(Y.o for _, Y in lams)
-    sums = _slice_sums(ints, [(E, Y.o - lo, Y.cs) for E, Y in lams], top)
+    slices = [[] for _ in range(max(Y.o - lo + len(Y.cs) for _, Y in lams))]
+    for E, Y in lams:
+        for k, a in enumerate(Y.cs, Y.o - lo):
+            if a:
+                slices[k].append((E, a))
     rows = {}
-    for k, s in enumerate(sums):
-        for E, S in s.items():
+    for k, sl in enumerate(slices):
+        for E, S in _convolve(ints, sl, top).items():
             row = rows.get(E)
             if row is None:
-                row = rows[E] = [0] * len(sums)
+                row = rows[E] = [0] * len(slices)
             row[k] = S
     return [(E, _lam_poly(lo, row)) for E, row in rows.items()]
-
-
-def _weighted_sum(M, pieces):
-    """The series sum of w * part over the (w, part) in pieces: the series
-    (`_series`) of their `_fold`."""
-    return _series(M, _fold(pieces))
 
 
 def _fold(pieces):
@@ -722,13 +651,11 @@ def _fold(pieces):
 def _series(M, part):
     """The series of a (region, terms, den) on (1/M)Z, as `_numerators` and
     `_fold` give it, by one _build_sorted.  A sum S becomes Fraction(S, den)
-    for an integer S, S itself when den is 1 (a RatFun, or a Fraction the
-    caller formed), and S * (1/den) otherwise."""
+    for an integer S; any other S (a Fraction, RatFun or LamPoly the caller
+    formed) comes with den 1 and is kept."""
     ext, terms, den = part
-    inv = Fraction(1, den)
     return _build_sorted(
-        [(Fraction(E, M), Fraction(S, den) if type(S) is int else S if den == 1 else S * inv)
-         for E, S in terms],
+        [(Fraction(E, M), Fraction(S, den) if type(S) is int else S) for E, S in terms],
         [(lo if lo == NEG else Fraction(lo, M), hi if hi == POS else Fraction(hi, M))
          for lo, hi in ext])
 
@@ -742,18 +669,30 @@ def _shifted(part, d):
     return [(lo + d, hi + d) for lo, hi in region], [(E + d, N) for E, N in terms], den
 
 
+def _on_lattice(f, M):
+    """(region, terms) of f on the lattice (1/M)Z: the extended certified
+    region and the terms with every exponent and finite (Fraction) endpoint
+    x replaced by the integer M*x, coefficients kept."""
+    return ([(lo if type(lo) is float else lo.numerator * (M // lo.denominator),
+              hi if type(hi) is float else hi.numerator * (M // hi.denominator))
+             for lo, hi in f.mask.extended],
+            [(e.numerator * (M // e.denominator), c) for e, c in f.terms])
+
+
 def _numerators(f, M):
-    """(region, terms, den) of f on the lattice (1/M)Z: the extended
-    certified region and the terms with every exponent and finite (Fraction)
-    endpoint x replaced by the integer M*x.  Over Q the coefficients become
-    integer numerators over their common denominator den.  A series with a
-    coefficient that is not a Fraction (over Q(lambda)) keeps its
-    coefficients, with den 1 (`_slice_product` slices them by lambda**k)."""
-    ext = [(lo if type(lo) is float else lo.numerator * (M // lo.denominator),
-            hi if type(hi) is float else hi.numerator * (M // hi.denominator))
-           for lo, hi in f.mask.extended]
-    terms = [(e.numerator * (M // e.denominator), c) for e, c in f.terms]
-    if any(type(c) is not Fraction for _, c in f.terms):
-        return ext, terms, 1
+    """(region, terms, den) of f over Q on the lattice (1/M)Z, as
+    `_on_lattice`, with the coefficients as integer numerators over their
+    common denominator den; a coefficient that is not a Fraction raises a
+    MahlerError (`_over_q`)."""
+    _over_q(f.terms)
+    ext, terms = _on_lattice(f, M)
     den = math.lcm(*{c.denominator for _, c in f.terms})
     return ext, [(E, c.numerator * (den // c.denominator)) for E, c in terms], den
+
+
+def _over_q(terms):
+    """Raise a MahlerError unless every coefficient of terms is a Fraction."""
+    bad = next((c for _, c in terms if type(c) is not Fraction), None)
+    if bad is not None:
+        raise MahlerError("the Hahn kernel runs over Q; got a %s coefficient"
+                          % type(bad).__name__)

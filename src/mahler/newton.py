@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import UnknownLeadingTerm, VerificationError, ZeroSeries
+from .errors import PlanMismatch, UnknownLeadingTerm, VerificationError, ZeroSeries
 from .fields import Poly, rational_roots
 from .hahn import NEG
 
@@ -46,10 +46,11 @@ class FrobeniusPlan:
     entries: tuple           # per slope: ((c, m, s), ...)
 
     def lookup(self, j, c):
+        """(m, s) of the exponent c of slope j; PlanMismatch when c is not one."""
         for cc, m, s in self.entries[j]:
             if cc == c:
                 return m, s
-        raise KeyError((j, c))
+        raise PlanMismatch("c = %s is not an exponent of slope j = %s" % (c, j))
 
     def to_json(self):
         return {

@@ -204,7 +204,7 @@ def gcj_residual_mask(L, plan, c, j, g):
     m, s = plan.lookup(j, c)
     lead = RatFun.const(1).mul_root_power(c, s + m)
     rhs = monomial(plan.val_a0 - plan.nus[j] / (L.p - 1), lead)
-    res = gauge_exp_param(L).apply(g) - rhs
+    res = reference_add(reference_apply(gauge_exp_param(L), g), -rhs)
     if not res.is_zero():
         raise VerificationError("defining equation residual is nonzero")
     return res.mask
@@ -282,6 +282,25 @@ def reference_add(f, g):
         s = acc.get(e)
         acc[e] = c if s is None else s + c
     return reference_build(acc.items(), ext)
+
+
+def reference_sum(series):
+    """The left fold of reference_add over a sequence of series, in any
+    coefficient ring (hahn.hs_sum runs over Q only): the exact zero when it
+    is empty, its one series as it is."""
+    series = list(series)
+    out = series[0] if series else zero()
+    for f in series[1:]:
+        out = reference_add(out, f)
+    return out
+
+
+def reference_apply(L, f):
+    """L(f) as MahlerOperator.apply forms it, from the exact zero, in any
+    coefficient ring: the products by reference_mul, summed by
+    reference_sum."""
+    return reference_sum([zero()] + [reference_mul(ai, f.mal(i, L.p))
+                                     for i, ai in enumerate(L.coeffs) if not ai.is_exact_zero()])
 
 
 def reference_pollution(unc, g):
@@ -399,7 +418,7 @@ def geometric_invert(f, ceiling):
     if len(f.terms) == 1 and f.mask.extended == _FULL:
         return reference_build([(-v, inv_c)], _FULL)
     one = reference_build([(Fraction(0), c * inv_c)], _FULL)
-    t = f.shift(-v).scale(inv_c) - one
+    t = reference_add(f.shift(-v).scale(inv_c), -one)
     bound = Fraction(ceiling) - v
     fp = t.val_bound()[0]
     assert fp > 0
@@ -407,7 +426,7 @@ def geometric_invert(f, ceiling):
     while m * fp <= bound:
         m += 1
         power = cap(reference_mul(power, -t), bound)
-        total = total + power
+        total = reference_add(total, power)
         if power.is_exact_zero():
             break
     return cap(total, bound).shift(-v).scale(inv_c)
@@ -550,7 +569,7 @@ def reference_solve_gcj(L, plan, fact, c, j, ceiling, depth):
         mu = nuj - fact.layers[i][0].nu
         for f in reversed(fact.layers[i]):
             x = solve_order1_param(p, mu, f.c, x, ceil2, depth)
-            x = hs_mul(lift(f.h), x)
+            x = reference_mul(lift(f.h), x)
     return x.shift(-nuj / (p - 1)).scale(lamc ** s)
 
 
@@ -575,7 +594,7 @@ def reference_solve_order1_param(p, mu, c, g, ceiling, depth):
     summed over phi**k, k >= 0 until the terms leave the requested ceiling.
 
     Oracle for frobenius.solve_order1_param: the same sums as series
-    operations (restrict, mal, hs_sum, forget, cap), with the positive part
+    operations (restrict, mal, reference_sum, forget, cap), with the positive part
     built from a hand-made interval list and every special case on its own
     branch, where the solver folds integer pieces on one lattice once."""
     c = Fraction(c)
@@ -595,7 +614,7 @@ def reference_solve_order1_param(p, mu, c, g, ceiling, depth):
         um = HahnSeries((), Mask(()))
     else:
         vb = low.val_bound()[0]
-        um = hs_sum(low.mal(k, p).scale(RatFun.const(c ** (-k - 1)) * lam ** k)
+        um = reference_sum(low.mal(k, p).scale(RatFun.const(c ** (-k - 1)) * lam ** k)
                     for k in range(-1, -depth - 1, -1))
         um = forget(um, vb * Fraction(p) ** (-depth - 1), Fraction(0))
 
@@ -622,9 +641,9 @@ def reference_solve_order1_param(p, mu, c, g, ceiling, depth):
         while p ** k * fp < top:
             pieces.append(high.mal(k, p).scale(RatFun.const(c ** (-k - 1)) * lam ** k))
             k += 1
-        up = cap(hs_sum(pieces), top)
+        up = cap(reference_sum(pieces), top)
 
-    u = hs_sum((um, u0, -up))
+    u = reference_sum((um, u0, -up))
     return cap(u, top).shift(shift)
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 import mahler
-from conftest import eq_on_mask
+from conftest import eq_on_mask, reference_add
 from mahler.cli import elaborate, expr_str, main, parse_spec, render_pretty, run_pipeline
 from mahler.errors import (InsufficientPrecision, MahlerError, NonRationalExponentLiteral,
                            ParseError, ZeroDivisor, VerificationError)
@@ -488,7 +488,8 @@ def test_main_reports_a_pole_of_g_as_a_failed_check_in_both_modes(tmp_path, caps
 
     def polar(L, plan, fact, j, ceiling, depth):
         gs = real(L, plan, fact, j, ceiling, depth)
-        return {c: g + monomial(g.val() + 1, pole) if c == 1 else g for c, g in gs.items()}
+        return {c: reference_add(g, monomial(g.val() + 1, pole)) if c == 1 else g
+                for c, g in gs.items()}
     monkeypatch.setattr("mahler.frobenius.solve_slope", polar)
     f = tmp_path / "eq.txt"
     f.write_text(EXAMPLE)

@@ -16,9 +16,9 @@ from conftest import (cap, count_calls, d_lambda, eq_on_mask, ev_c, forget, gcj_
                       ladder_g1_terms, ladder_g2_terms, ladder_operator, lam, lift,
                       order1_coeff_oracle, pipeline_mask, rand_exponent, rand_operator,
                       rand_param_series, rand_pole_series, rand_series, rebind,
-                      reference_apply_to_solution, reference_pole_order, reference_solve_gcj,
-                      reference_solve_order1_param, reference_specialize, restrict,
-                      series_dict_on_mask)
+                      reference_add, reference_apply, reference_apply_to_solution,
+                      reference_pole_order, reference_solve_gcj, reference_solve_order1_param,
+                      reference_specialize, reference_sum, restrict, series_dict_on_mask)
 from mahler.cli import elaborate, parse_spec
 from mahler.errors import MahlerError, PlanMismatch, PoleAtEvaluationPoint, VerificationError
 from mahler.fields import Poly, RatFun
@@ -122,7 +122,7 @@ def _order1_cases():
         if rng.random() < 0.4 and base != "zero":
             value = rand_param_series(rng).terms[0][1] if base == "param" \
                 else Fraction(rng.randint(1, 5), rng.randint(1, 3))
-            g = g + monomial(star, value if base != "lifted" else RatFun.const(value))
+            g = reference_add(g, monomial(star, value if base != "lifted" else RatFun.const(value)))
         a = star + Fraction(rng.randint(-6, 8), rng.randint(1, 3))
         b = a + Fraction(rng.randint(1, 4), rng.randint(1, 2))
         shape = i % 8
@@ -151,7 +151,7 @@ def _order1_cases():
         mu = Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
         g = rand_param_series(rng) if rng.random() < 0.5 else rand_series(rng)
         if rng.random() < 0.4:
-            g = g + monomial(mu / (p - 1), Fraction(rng.randint(1, 5), rng.randint(1, 3)))
+            g = reference_add(g, monomial(mu / (p - 1), Fraction(rng.randint(1, 5), rng.randint(1, 3))))
         if rng.random() < 0.6:
             g = pipeline_mask(rng, g, p)[1]
         ceiling = Fraction(rng.randint(1, 30), rng.randint(1, 5))
@@ -166,7 +166,8 @@ def _order1_cases():
         roots = rng.choice(((Fraction(0),), (c,), (other,), (Fraction(0), c, other)))
         g = rand_pole_series(rng, roots)
         if rng.random() < 0.4:
-            g = g + monomial(mu / (p - 1), rand_pole_series(rng, roots, terms=1).terms[0][1])
+            g = reference_add(g, monomial(mu / (p - 1),
+                                          rand_pole_series(rng, roots, terms=1).terms[0][1]))
         if rng.random() < 0.5:
             g = pipeline_mask(rng, g, p)[1]
         ceiling = Fraction(rng.randint(1, 30), rng.randint(1, 5))
@@ -238,7 +239,7 @@ def test_order1_back_substitution():
         f = solve_order1_param(p, mu, c, g, 6, 5)
         A = MahlerOperator(p, [monomial(0, RatFun.const(-c)),
                                monomial(-mu, lam)])
-        res = A.apply(f)
+        res = reference_apply(A, f)
         eq, common = eq_on_mask(res, g)
         assert eq and not common.empty
 
@@ -866,6 +867,21 @@ def _ladder_parts():
     return L, nd, plan, fact, solve_gcj(L, plan, fact, Fraction(1), 0, 6, 6)
 
 
+def test_gcj_calls_reject_a_c_that_is_not_an_exponent(monkeypatch):
+    """solve_gcj and expected_gcj_cld name j and c in a PlanMismatch when c
+    is not an exponent of slope j, and solve_gcj raises before any solve."""
+    L = elaborate(parse_spec("p = 2\na[0] = -1\na[1] = 1 - z\n"), Fraction(8))  # Thue-Morse
+    plan = frobenius_plan(L, analyze(L))
+    fact = factor_operator(L, 8, plan)
+    assert [c for c, _, _ in plan.entries[0]] == [1]
+    monkeypatch.setattr(frobenius, "solve_slope", None)  # calling it would raise a TypeError
+    message = "^c = 5 is not an exponent of slope j = 0$"
+    with pytest.raises(PlanMismatch, match=message):
+        solve_gcj(L, plan, fact, 5, 0, 8, 4)
+    with pytest.raises(PlanMismatch, match=message):
+        expected_gcj_cld(L, plan, fact, 5, 0)
+
+
 def test_frobenius_basis_pole_error_names_j_and_the_first_offending_exponent(monkeypatch):
     """A g_{c,j} with a pole at lambda = c fails in specialization, with and
     without verify, naming j and the exponent of its first polar term."""
@@ -873,11 +889,11 @@ def test_frobenius_basis_pole_error_names_j_and_the_first_offending_exponent(mon
     pole = RatFun.const(1).mul_root_power(Fraction(1), -1)
     # g has terms at 0, 2 and 4 below its cap 6: the first polar term comes
     # after a pole-free one and shares its den with a later one
-    polar = g + monomial(3, pole) + monomial(5, 3 * pole)
+    polar = reference_sum((g, monomial(3, pole), monomial(5, 3 * pole)))
     assert [e for e, _ in polar.terms] == [0, 2, 3, 4, 5]
     assert polar.terms[2][1].den.coeffs is polar.terms[4][1].den.coeffs
     cases = ((polar, r"coefficient of z\^3 in g_\{c,j\} for j = 0 has a pole at lambda = 1$"),
-             (g + monomial(g.val() + 1, pole), "pole at lambda = 1"))
+             (reference_add(g, monomial(g.val() + 1, pole)), "pole at lambda = 1"))
     real = frobenius.solve_slope
     for bad, message in cases:
         def solve_slope(L, plan, fact, j, ceiling, depth, bad=bad):
@@ -938,7 +954,7 @@ def test_check_gcj_rejects_wrong_valuation():
 
 def test_gcj_residual_mask_rejects_a_wrong_solution():
     L, _, plan, _, g = _ladder_parts()
-    bad = g + monomial(g.val() + 1, RatFun.const(1))
+    bad = reference_add(g, monomial(g.val() + 1, RatFun.const(1)))
     with pytest.raises(VerificationError, match="defining equation residual is nonzero"):
         gcj_residual_mask(L, plan, Fraction(1), 0, bad)
 

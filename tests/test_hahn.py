@@ -6,17 +6,17 @@ from fractions import Fraction
 import pytest
 
 from conftest import (_iv_contains, brute_conv, cap, eq_on_mask, forget, geometric_invert,
-                      ladder_operator, lam, lift, pipeline_mask, rand_param_series, rand_series,
+                      ladder_operator, lam, pipeline_mask, rand_param_series, rand_series,
                       rational_forward_solve, reference_add, reference_build,
-                      reference_forward_solve, reference_mul, restrict, support)
+                      reference_forward_solve, reference_mul, reference_sum, restrict, support)
 from test_cli import EXAMPLE
-from mahler import factorize, fields, frobenius, hahn
+from mahler import factorize, frobenius, hahn
 from mahler.cli import elaborate, parse_spec
 from mahler.errors import MahlerError, UnknownLeadingTerm, ZeroDivisor, ZeroSeries
 from mahler.fields import Poly, RatFun
 from mahler.frobenius import frobenius_basis
 from mahler.hahn import (_FULL, NEG, POS, HahnSeries, Mask, _build_sorted, _iv_diff,
-                         _iv_inter, _iv_norm, hs, hs_mul, hs_sum,
+                         _iv_inter, _iv_norm, hs, hs_mul, hs_mul_sums, hs_sum,
                          monomial, one, zero)
 from mahler.testing import rand_factored_operator, rand_rational
 
@@ -43,6 +43,21 @@ def rand_masked(rng, f):
     if kind == "empty":
         return forget(f, NEG, cut)
     return f
+
+
+def kernel_or_error(run, want, *series):
+    """run(), a sum or product of the given series by the kernel: equal to
+    the reference want, coefficient types included, when every coefficient
+    is a Fraction; otherwise it raises the kernel's MahlerError, since sums
+    and products run over Q only.  Returns whether it ran."""
+    if any(type(c) is not Fraction for f in series for _, c in f.terms):
+        with pytest.raises(MahlerError, match="runs over Q"):
+            run()
+        return False
+    got = run()
+    assert got == want
+    assert [type(c) for _, c in got.terms] == [type(c) for _, c in want.terms]
+    return True
 
 
 def test_hs_basic_construction():
@@ -190,8 +205,9 @@ def holed(rng, f, n):
 @pytest.mark.parametrize("ring", ["Q", "Q(lambda)", "mixed"])
 def test_hs_sum_equals_left_fold(ring):
     """hs_sum against the left fold of reference_add, coefficient types
-    included.  In the mixed ring each part is drawn over Q, with every
-    coefficient's denominator a multiple of 7 or 11, or over Q(lambda)."""
+    included (`kernel_or_error`: over Q(lambda) the kernel raises).  In the
+    mixed ring each part is drawn over Q, with every coefficient's
+    denominator a multiple of 7 or 11, or over Q(lambda)."""
     rng = random.Random(71 + len(ring))
     dens = (RatFun.const(1), lam - 1, (lam - 1) ** 2, lam * (lam + 2))
     q_series, q_scalar = (lambda: rand_series(rng, 5)), (lambda: rand_rational(rng, nonzero=True))
@@ -219,14 +235,10 @@ def test_hs_sum_equals_left_fold(ring):
         if cancel:
             parts += [-f for f in parts]
             rng.shuffle(parts)
-        want = parts[0]
-        for f in parts[1:]:
-            want = reference_add(want, f)
-        got = hs_sum(parts)
-        assert got == want
-        assert [type(c) for _, c in got.terms] == [type(c) for _, c in want.terms]
-        assert got == hs_sum(iter(parts))
-        if cancel and not got.terms and got.mask.ivs:
+        want = reference_sum(parts)
+        if kernel_or_error(lambda: hs_sum(parts), want, *parts):
+            assert hs_sum(iter(parts)) == want
+        if cancel and not want.terms and want.mask.ivs:
             seen.add("full cancellation")
         if len({type(c) for f in parts for _, c in f.terms}) > 1:
             seen.add("both rings")
@@ -235,7 +247,8 @@ def test_hs_sum_equals_left_fold(ring):
     f = holed(rng, series_of(), 2).shift(Fraction(1, 3))
     assert hs_sum([f]) is f
     assert hs_sum([]).is_exact_zero()
-    assert f + zero() == reference_add(f, zero()) and f - f == reference_add(f, -f)
+    kernel_or_error(lambda: f + zero(), reference_add(f, zero()), f)
+    kernel_or_error(lambda: f - f, reference_add(f, -f), f)
 
 
 def test_order_preserving_maps_equal_renormalized_masks():
@@ -391,9 +404,9 @@ def test_mul_equals_unbounded_reference():
     for _ in range(300):
         f, g = (rand_masked(rng, (rand_series if rng.random() < 0.7 else rand_param_series)(rng))
                 for _ in range(2))
-        prod = hs_mul(f, g)
-        assert prod == reference_mul(f, g)
-        masks.add(len(prod.mask.ivs))
+        want = reference_mul(f, g)
+        if kernel_or_error(lambda: hs_mul(f, g), want, f, g):
+            masks.add(len(want.mask.ivs))
     assert {0, 1, 2} <= masks
     # operands with three to five mask intervals, sometimes also capped
     masks = set()
@@ -401,9 +414,9 @@ def test_mul_equals_unbounded_reference():
         f, g = (rand_islands(rng, (rand_series if rng.random() < 0.7 else rand_param_series)(rng))
                 for _ in range(2))
         assert len(f.mask.ivs) >= 3 or f.mask.empty
-        prod = hs_mul(f, g)
-        assert prod == reference_mul(f, g)
-        masks.add(len(prod.mask.ivs))
+        want = reference_mul(f, g)
+        if kernel_or_error(lambda: hs_mul(f, g), want, f, g):
+            masks.add(len(want.mask.ivs))
     assert max(masks) >= 3
 
 
@@ -412,7 +425,7 @@ def test_mul_region_on_pipeline_masks_equals_reference(ring):
     """The product region, computed on integers after scaling exponents and
     mask endpoints by one common denominator, equals the Fraction oracle's
     (terms and stored masks both) when the endpoints lie off the terms'
-    lattice."""
+    lattice.  Over Q(lambda) the same draws raise (`kernel_or_error`)."""
     rng = random.Random(29 + len(ring))
     make = rand_series if ring == "Q" else rand_param_series
     seen = set()
@@ -420,7 +433,7 @@ def test_mul_region_on_pipeline_masks_equals_reference(ring):
         p = rng.choice((2, 3, 5))
         kind_f, f = pipeline_mask(rng, make(rng), p)
         kind_g, g = pipeline_mask(rng, make(rng), p)
-        assert hs_mul(f, g) == reference_mul(f, g)
+        kernel_or_error(lambda: hs_mul(f, g), reference_mul(f, g), f, g)
         seen |= {kind_f, kind_g}
         for h in (f, g):
             D = math.lcm(*(e.denominator for e, _ in h.terms))
@@ -511,59 +524,52 @@ def test_mul_monomial_fast_path_keeps_masks():
     assert (f * zero()).is_exact_zero()
 
 
-def test_param_mul_with_one_pair_per_exponent_runs_no_gcd(monkeypatch):
-    """Over Q(lambda) each exponent's sum starts from the integer 0, and
-    0 + r is r itself: when every output exponent receives one pair, the
-    product by a series h over Q runs no poly_gcd, even over the
-    denominators lambda - 1 and lambda**2 + 1: h's integer numerators over
-    the denominator 4 multiply the RatFuns (the product solve_slope forms).
-    With h lifted to Q(lambda) each pair is a product of two RatFuns, which
-    the constructor reduces; it gives the same series."""
-    f = hs([(0, 1 / (lam - 1)), (1, (lam + 2) / (lam ** 2 + 1))], mask=[(0, 5)])
-    h = hs([(0, 2), (Fraction(1, 2), Fraction(-3, 4))])
-    g = lift(h)
-    want = reference_mul(f, g)
-    lifted = hs_mul(f, g)
-    calls = []
-    real_gcd = fields.poly_gcd
-    monkeypatch.setattr(fields, "poly_gcd", lambda *args: calls.append(args) or real_gcd(*args))
-    prods = [hs_mul(h, f), lifted]
-    assert not calls
-    for prod in prods:
-        assert [e for e, _ in prod.terms] == [0, Fraction(1, 2), 1, Fraction(3, 2)]
-        assert all(isinstance(c, RatFun) for _, c in prod.terms)
-        assert prod == want
-
-
-def test_param_mul_runs_one_gcd_per_exponent_where_pairs_meet(monkeypatch):
-    """A series over Q(lambda) whose terms share the denominator
-    lambda**2 + 1, times h over Q: its lambda-slices are summed per
-    exponent before one RatFun is built, so an exponent that receives
-    several pairs costs one poly_gcd (a fold of RatFuns costs one per pair
-    after the first), and one that receives a single pair (the lowest and
-    the highest) none.  At z**1 the sum is lambda**2 + 1 over itself, which
-    that gcd reduces to 1."""
-    den = lam ** 2 + 1
-    nums = [RatFun.const(2), 2 * lam ** 2 + 5, lam + Fraction(3, 5), lam ** 3 + Fraction(4, 5)]
-    f = hs([(i, n / den) for i, n in enumerate(nums)])
-    h = hs([(0, Fraction(1, 2)), (1, Fraction(-3, 4)), (2, Fraction(5, 6))])
-    want = reference_mul(f, h)
-    pairs = {}
-    for e1, _ in f.terms:
-        for e2, _ in h.terms:
-            pairs[e1 + e2] = pairs.get(e1 + e2, 0) + 1
-    assert sorted(pairs.values()) == [1, 1, 2, 2, 3, 3]
-    calls = []
-    real_gcd = fields.poly_gcd
-    monkeypatch.setattr(fields, "poly_gcd", lambda *args: calls.append(args) or real_gcd(*args))
-    prods = [hs_mul(h, f), hs_mul(f, h)]
-    assert len(calls) <= 2 * sum(1 for n in pairs.values() if n > 1)
-    for prod in prods:
-        assert prod == want
-        assert len(prod.terms) == len(pairs)
-        assert all(isinstance(c, RatFun) for _, c in prod.terms)
-        assert [e for e, c in prod.terms if c.den != den.num] == [1]
-        assert prod.coeff_at(1) == 1
+def test_q_lambda_operands_raise_a_mahler_error():
+    """Sums, products and inversion run over Q only: over Q(lambda), and
+    with operands over Q and Q(lambda) or a series holding both, each
+    raises a MahlerError (never a TypeError or AttributeError), also on
+    the shortcuts for an exact monomial and for an operand with an empty
+    mask.  The container operations still take Q(lambda) coefficients."""
+    P = hs([(0, lam), (Fraction(1, 2), 1 / (lam - 1))])
+    Q = hs([(0, 2), (1, Fraction(-1, 3))])
+    mixed = hs([(0, Fraction(1, 2)), (1, lam + 1)])
+    monomial_P = monomial(Fraction(1, 3), lam)
+    empty = forget(Q, NEG, 1)
+    operands = [P, monomial_P, cap(P, 1), mixed]
+    pairs = [(f, g) for f in operands for g in (P, Q, empty)]
+    pairs += [(g, f) for f in operands for g in (Q, empty)]
+    assert empty.mask.empty and not empty.terms
+    ops = (hs_mul,
+           lambda f, g: hs_mul_sums(2, [(0, f), (1, f)], [g],
+                                    {0: [(1, 0, 0)], 1: [(Fraction(1, 2), 1, 0)]}),
+           lambda f, g: hs_sum([f, g]),
+           lambda f, g: hs_sum([Q, f, g]),
+           lambda f, g: f + g,
+           lambda f, g: f - g,
+           lambda f, g: f * g)
+    for op in ops:
+        for f, g in pairs:
+            with pytest.raises(MahlerError, match="runs over Q; got a RatFun coefficient"):
+                op(f, g)
+    for f in (P, monomial_P, cap(P, 1), mixed):
+        with pytest.raises(MahlerError, match="runs over Q; got a RatFun coefficient"):
+            f.invert(3)
+    # an exact zero has no coefficient: it sums and multiplies as over Q
+    assert hs_sum([zero(), zero()]).is_exact_zero() and (zero() * Q).is_exact_zero()
+    # the container operations
+    third = Fraction(1, 3)
+    assert P.shift(third).terms == ((third, lam), (Fraction(5, 6), 1 / (lam - 1)))
+    assert P.scale(lam).terms == ((0, lam ** 2), (Fraction(1, 2), lam / (lam - 1)))
+    assert P.scale(Fraction(2)).terms == ((0, 2 * lam), (Fraction(1, 2), 2 / (lam - 1)))
+    assert P.mal(1, 3).terms == ((0, lam), (Fraction(3, 2), 1 / (lam - 1)))
+    assert P.map_coeffs(lambda r: r * (lam - 1)).terms == ((0, lam * (lam - 1)),
+                                                           (Fraction(1, 2), RatFun.const(1)))
+    assert (-P).terms == ((0, -lam), (Fraction(1, 2), -1 / (lam - 1)))
+    assert all(f.mask == P.mask for f in (-P, P.scale(lam), P.map_coeffs(lambda r: r)))
+    assert P.to_json()["terms"] == [{"exp": "0", "coeff": str(lam)},
+                                    {"exp": "1/2", "coeff": str(1 / (lam - 1))}]
+    assert hs({0: lam, Fraction(1, 2): 1 / (lam - 1)}) == P
+    assert P.val() == 0 and P.cld() == lam and P.coeff_at(Fraction(1, 2)) == 1 / (lam - 1)
 
 
 def test_invert_multiplies_back_to_one():
@@ -583,9 +589,8 @@ def test_invert_multiplies_back_to_one():
 def test_invert_matches_geometric_oracle():
     """Equal to the geometric series on a one-interval mask; with several
     intervals, equal to its head and never certifying more.  Over
-    Q(lambda) only an exact monomial inverts: any other series the oracle
-    can invert raises a MahlerError, since the forward recursion runs over
-    Q only."""
+    Q(lambda) every series the oracle can invert, exact monomials included,
+    raises a MahlerError, since inversion runs over Q only."""
     rng = random.Random(31)
     islands = params = 0
     for _ in range(300):
@@ -599,7 +604,7 @@ def test_invert_matches_geometric_oracle():
             with pytest.raises(ZeroDivisor):
                 f.invert(ceiling)
             continue
-        if not over_q and (len(f.terms) > 1 or f.mask.extended != _FULL):
+        if not over_q:
             with pytest.raises(MahlerError, match="runs over Q"):
                 f.invert(ceiling)
             params += 1
@@ -747,40 +752,18 @@ def mixed_coeff(rng):
     return q_coeff(rng) if rng.random() < 0.2 else rand_ratfun(rng)
 
 
-def slice_kinds(f):
-    """What the lambda-slices of a product by f meet: the denominators of
-    f's RatFuns, an empty slice (a power of lambda below the top one that
-    no numerator of one denominator has), and Fraction terms beside
-    RatFuns."""
-    groups = {}
-    for _, c in f.terms:
-        if isinstance(c, RatFun):
-            groups.setdefault(c.den, []).append(c.num.coeffs)
-    kinds = set()
-    degrees = {d.degree for d in groups}
-    if len(groups) > 1:
-        kinds.add("several denominators")
-    if 0 in degrees and max(degrees) >= 2:
-        kinds.add("constant and degree >= 2")
-    if any(not any(k < len(cs) and cs[k] for cs in nums)
-           for nums in groups.values() for k in range(max(map(len, nums)))):
-        kinds.add("empty slice")
-    if groups and any(type(c) is Fraction for _, c in f.terms):
-        kinds.add("Fraction term")
-    return kinds
-
-
 RINGS = sorted(COEFFS) + ["mixed"]
 
 
 @pytest.mark.parametrize("D", FINE_LATTICES)
 @pytest.mark.parametrize("ring", RINGS)
 def test_mul_on_fine_lattice_equals_reference(D, ring):
-    """hs_mul against reference_mul, coefficient types included.  In the
-    mixed ring each draw pairs a factor over Q, every denominator > 1,
-    with one over Q(lambda), in random order: the product then runs as
-    integer lambda-slices, or pair by pair when the factor over Q has one
-    term.  Either factor may be an exact monomial there (the shortcut)."""
+    """hs_mul against reference_mul, coefficient types included, over Q;
+    over Q(lambda) the same draws raise (`kernel_or_error`).  In the mixed
+    ring each draw pairs a factor over Q, every denominator > 1, with one
+    whose coefficients are RatFuns or, one in five, Fractions, in random
+    order; either factor may be an exact monomial there, and the kernel
+    raises before its shortcut."""
     rng = random.Random(D % 997 + len(ring))
     seen = set()
     for _ in range(120):
@@ -794,13 +777,9 @@ def test_mul_on_fine_lattice_equals_reference(D, ring):
             g = lattice_series(rng, D, COEFFS[ring], rng.randint(2, 8))
         kind_f, f = cap_kind(rng, f, D)
         kind_g, g = cap_kind(rng, g, D)
-        if ring == "mixed" and "monomial" not in (kind_f, kind_g):
-            seen |= slice_kinds(f) | slice_kinds(g)
-        prod = hs_mul(f, g)
         want = reference_mul(f, g)
-        assert prod == want
-        assert [type(c) for _, c in prod.terms] == [type(c) for _, c in want.terms]
-        top = prod.mask.ivs[-1][1] if prod.mask.ivs else None
+        kernel_or_error(lambda: hs_mul(f, g), want, f, g)
+        top = want.mask.ivs[-1][1] if want.mask.ivs else None
         if top == POS:
             seen.add("POS top")
         elif top is not None and (top * D).denominator != 1:
@@ -808,8 +787,7 @@ def test_mul_on_fine_lattice_equals_reference(D, ring):
         seen |= {kind_f, kind_g}
     kinds = {"POS top", "off-lattice top", "exact", "off-lattice", "half-step"}
     if ring == "mixed":
-        kinds |= {"monomial", "capped monomial", "several denominators",
-                  "constant and degree >= 2", "empty slice", "Fraction term"}
+        kinds |= {"monomial", "capped monomial"}
     assert seen == kinds
 
 
@@ -833,7 +811,9 @@ def test_mul_drops_coefficient_sums_that_cancel(D, ring):
     """f(z) f(-z) on the variable z**(1/D): every odd coefficient is a sum of
     pairs that cancels to 0 and must not be stored.  In the mixed ring the
     product is f(z) times u f(-z), f over Q and u over Q(lambda) (see
-    cancelling_pair), in random order, so that the lambda-slices cancel."""
+    cancelling_pair), in random order.  Over Q the kernel equals the
+    reference; with a RatFun coefficient it raises (`kernel_or_error`), and
+    the reference's product still drops every cancelled sum."""
     rng = random.Random(D % 991 + len(ring))
     seen = set()
     for _ in range(30):
@@ -850,8 +830,8 @@ def test_mul_drops_coefficient_sums_that_cancel(D, ring):
             g = cap(g, base + Fraction(2 * n - 1, 2 * D))
         if ring == "mixed" and rng.random() < 0.5:
             f, g = g, f
-        prod = hs_mul(f, g)
-        assert prod == reference_mul(f, g)
+        prod = reference_mul(f, g)
+        kernel_or_error(lambda: hs_mul(f, g), prod, f, g)
         assert all(c for _, c in prod.terms)
         assert all(((e - 2 * base) * D) % 2 == 0 for e, _ in prod.terms)
         assert prod.terms

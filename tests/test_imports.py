@@ -315,3 +315,29 @@ def test_self_call_checker_finds_recursion():
 def test_cli_front_end_does_not_recurse():
     source = (ROOT / "src" / "mahler" / "cli.py").read_text(encoding="utf-8")
     assert self_calls(source) == []
+
+
+def imports_from(source, module):
+    """The names the source imports from the package module `module`,
+    relatively or as mahler.<module>; the module itself when it is imported
+    whole."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if node.module in (module, "mahler." + module):
+                names |= {alias.name for alias in node.names}
+            elif node.module in (None, "mahler"):
+                names |= {alias.name for alias in node.names if alias.name == module}
+        elif isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names if alias.name == "mahler." + module}
+    return names
+
+
+def test_hahn_takes_only_lambda_polynomials_from_fields():
+    """The Hahn kernel runs over Q; its one parametric numerator is the
+    LamPoly of the triangular solve, so RatFun arithmetic stays out of it."""
+    assert imports_from("from .fields import RatFun, _poly\nfrom . import fields\n"
+                        "import mahler.fields\n", "fields") == {
+        "RatFun", "_poly", "fields", "mahler.fields"}
+    source = (ROOT / "src" / "mahler" / "hahn.py").read_text(encoding="utf-8")
+    assert imports_from(source, "fields") == {"LamPoly", "_lam_poly"}

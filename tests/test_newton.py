@@ -8,7 +8,7 @@ import pytest
 from conftest import (canon, forget, gauge_exp, gauge_unit, hull_walk, ladder_operator,
                       rand_operator, subst_scale)
 from mahler import newton
-from mahler.errors import UnknownLeadingTerm, VerificationError, ZeroSeries
+from mahler.errors import PlanMismatch, UnknownLeadingTerm, VerificationError, ZeroSeries
 from mahler.fields import Poly
 from mahler.hahn import HahnSeries, Mask, hs, monomial, one, zero
 from mahler.newton import analyze, char_poly, frobenius_plan, newton_polygon, slopes_of
@@ -62,7 +62,7 @@ def test_plan_values():
     assert plan.entries == (((Fraction(1), 1, 0),), ((Fraction(1), 1, 1),))
     assert plan.lookup(0, Fraction(1)) == (1, 0)
     assert plan.lookup(1, Fraction(1)) == (1, 1)
-    with pytest.raises(KeyError):
+    with pytest.raises(PlanMismatch, match="^c = 2 is not an exponent of slope j = 0$"):
         plan.lookup(0, Fraction(2))
 
     M = ladder_operator(3, -3)
