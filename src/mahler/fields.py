@@ -197,16 +197,12 @@ class RatFun:
       from the low end of the den (k > 0) or num (k < 0); an int or
       Fraction operand of `*` is a*lambda**0;
     - `mul_root_power`, product by (lambda - c)**k (k of either sign): only
-      lambda - c can cancel, so for c != 0 it is stripped from the other
-      side by synthetic division.
+      lambda - c can cancel, so for c = a/b != 0 it is stripped from the
+      other side by exact integer division by b*lambda - a.
 
-    The Horner-type kernels behind `mul_root_power` (synthetic division by
-    lambda - c) run on integers: for c = a/b the polynomial is rescaled to
-    an integer one in b*lambda, and each output coefficient becomes one
-    Fraction at the end.  Taylor coefficients at lambda = c are not a
-    method: `taylor_table` takes those of many RatFuns at once, on the same
-    integers, with one den jet per denominator, whose constant term is the
-    pole test.
+    Taylor coefficients at lambda = c are not a method: `taylor_table`
+    takes those of many RatFuns at once, on integers, with one den jet per
+    denominator, whose constant term is the pole test.
     """
 
     __slots__ = ("num", "den")
@@ -499,7 +495,7 @@ def _times_linear(cs, a, b):
 
 def _linear_quotient(cs, a, b):
     """The integer coefficients of P / (b*x - a), for P = sum cs[i] x**i
-    with integer cs and coprime a != 0, b > 0, when b*x - a divides P, else
+    with integer cs and coprime a, b > 0, when b*x - a divides P, else
     None.  By Gauss's lemma the quotient of an integer P by the primitive
     b*x - a is an integer polynomial, so each step of synthetic division
     from the top, Q_(i-1) = (P_i + a Q_i) / b, is exact on integers or
@@ -513,7 +509,7 @@ def _linear_quotient(cs, a, b):
             if rest:
                 return None
         quo[i - 1] = q
-    return None if cs[0] + a * q else quo
+    return None if cs and cs[0] + a * q else quo
 
 
 def lam_ratfun(X, q, powers, dens):
@@ -578,35 +574,17 @@ def _low_zeros(cs, k):
 
 def _divide_out_root(cs, c, k):
     """(cs / (x - c)**j, j) for the largest j <= k with (x - c)**j dividing
-    the polynomial P = sum cs[i] x**i (ascending coefficients).
-
-    Synthetic division by y - a of the integer Q with
-    L * b**d * P(x) = Q(b*x) (c = a/b, `_int_lattice`): x - c divides P
-    exactly when the integer remainder Q(a) is 0, and the quotient
-    Q1 = Q // (y - a) keeps the same relation with d - 1, so the divisions
-    repeat on integers.  The final quotient's coefficient of x**i is
-    A_i / (L * b**(d - j - i)), with A_i that of Q1's y**i."""
-    if k <= 0:
-        return cs, 0
+    the polynomial P = sum cs[i] x**i (ascending coefficients).  With
+    P = N/L on integers (`_int_lattice`) and c = a/b, each division is an
+    exact one by b*x - a (`_linear_quotient`), and the integer quotient Q of
+    j of them gives P / (x - c)**j = b**j Q / L."""
     a, b = c.numerator, c.denominator
-    top, L = _int_lattice(cs, b)
+    N, L = _int_lattice(cs, 1)
+    N.reverse()
     j = 0
-    while j < k:
-        acc, quo = 0, []
-        for m in top:
-            acc = acc * a + m
-            quo.append(acc)
-        if acc:
-            break
-        top = quo[:-1]
-        j += 1
-    if not j:
-        return cs, 0
-    out, w = [], L
-    for m in top:
-        out.append(Fraction(m, w))
-        w *= b
-    return out[::-1], j
+    while j < k and (quo := _linear_quotient(N, a, b)) is not None:
+        N, j = quo, j + 1
+    return ([Fraction(b ** j * m, L) for m in N], j) if j else (cs, 0)
 
 
 def _times_root(cs, c, k):
@@ -669,8 +647,8 @@ def rational_roots(p):
     coefficient a, becomes monic under y = a*x; its integer roots a*r are
     isolated by bisecting integer intervals inside the Cauchy bound with a
     Sturm chain, so no integer is ever factored.  Each root's multiplicity
-    is the number of integer synthetic divisions by x - r that leave no
-    remainder (`_divide_out_root`), which also yields the residual.
+    is the number of exact integer divisions by b*x - a, r = a/b, that go
+    (`_divide_out_root`), which also yields the residual.
     """
     if not p:
         raise DivisionByZero("rational_roots of the zero polynomial")

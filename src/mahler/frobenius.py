@@ -26,7 +26,7 @@ from fractions import Fraction
 from .errors import (InsufficientPrecision, PlanMismatch, PoleAtEvaluationPoint,
                      VerificationError)
 from .factorize import factor_operator
-from .fields import _ONE, LamPoly, Poly, RatFun, _lam_poly, lam_ratfun, taylor_table
+from .fields import _ONE, LamPoly, RatFun, _lam_poly, lam_ratfun, taylor_table
 from .hahn import (_FULL, NEG, POS, HahnSeries, _fold, _grid, _grid_product, _iv_diff, _next_gap,
                    _numerators, _on_lattice, _series, _shifted, hs_mul_sums)
 from .newton import analyze, frobenius_plan
@@ -40,8 +40,8 @@ def solve_order1_param(p, mu, c, g, ceiling, depth):
     exponents and finite mask endpoints, the ceiling and mu/(p-1): g goes
     there in the frame twisted by z**(mu/(p-1)), over the product D of its
     distinct dens and one integer q, as LamPolys; each coefficient of the
-    solution is reduced by the RatFun constructor, and the solution becomes
-    a series in that frame before it is shifted back.
+    solution leaves through `solve_slope`'s exit reducer (`lam_ratfun`) over
+    D, and the solution becomes a series in that frame before it is shifted back.
     """
     c = Fraction(c)
     if not c:
@@ -61,14 +61,11 @@ def solve_order1_param(p, mu, c, g, ceiling, depth):
                  for E, cs in nums], q
     lifts = []
     ext, terms, den = _order1(p, c, _shifted(part, -int(shift * M)), int(cap * M), depth, lifts)
-    scale = Fraction(1, den * math.prod(r.denominator for r in lifts))
-    D = math.prod((Poly((-r, 1)) for r in lifts), start=D)
-
-    def reduced(X):
-        num = Poly([0] * max(X.o, 0) + [v * scale for v in X.cs])
-        return RatFun(num, D.shift(-X.o) if X.o < 0 else D)
+    q = den * math.prod(r.denominator for r in lifts)
+    powers, dens, inv = [(r, -1) for r in lifts], {}, RatFun(1, D)
     return _series(M * p ** (depth + 1),
-                   (ext, [(E, reduced(X)) for E, X in terms], 1)).shift(shift)
+                   (ext, [(E, lam_ratfun(X, q, powers, dens) * inv) for E, X in terms],
+                    1)).shift(shift)
 
 
 def _order1(p, c, g, top, depth, lifts):
@@ -190,7 +187,7 @@ def solve_slope(L, plan, fact, j, ceiling, depth):
     p = L.p
     if len(fact.layers) != len(plan.nus):
         raise PlanMismatch("factorization layers do not match the plan")
-    entry = plan.entries[j]
+    entry = plan.entry(j)
     nuj = plan.nus[j]
     ceil2 = Fraction(ceiling) + max(Fraction(0), nuj / (p - 1))
     inv = fact.a.invert(ceil2)

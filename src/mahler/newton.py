@@ -2,6 +2,7 @@
 and the induction plan used by the solver."""
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,9 +46,16 @@ class FrobeniusPlan:
     nus: tuple               # nu_j per slope
     entries: tuple           # per slope: ((c, m, s), ...)
 
+    def entry(self, j):
+        """((c, m, s), ...) of slope j; PlanMismatch when j is not a slope index."""
+        if not 0 <= j < len(self.entries):
+            raise PlanMismatch("j = %s is not a slope index (the plan's slope count is %d)"
+                               % (j, len(self.entries)))
+        return self.entries[j]
+
     def lookup(self, j, c):
-        """(m, s) of the exponent c of slope j; PlanMismatch when c is not one."""
-        for cc, m, s in self.entries[j]:
+        """(m, s) of the exponent c of slope j; PlanMismatch when either is not one."""
+        for cc, m, s in self.entry(j):
             if cc == c:
                 return m, s
         raise PlanMismatch("c = %s is not an exponent of slope j = %s" % (c, j))
@@ -124,15 +132,20 @@ def slopes_of(vertices):
 
 
 def char_poly(L, mu):
-    """Canonical characteristic polynomial of L at slope mu.
-
-    The X**v monomial factor is stripped; coefficients keep their raw values
-    (no scalar normalization).
-    """
-    p = L.p
-    M = L.gauge_theta(-(p - 1) * Fraction(mu))
-    v = min(bi.val() for bi in M.coeffs if not bi.is_zero())
-    cs = [Fraction(bi.coeff_at(v)) for bi in M.coeffs]
+    """Canonical characteristic polynomial of L at slope mu, read off L in
+    place: with v the least val a_i - mu (p**i - 1), its X**i coefficient
+    is a_i's at v + mu (p**i - 1), on the Newton edge (conjugating by
+    z**(-mu) would move it to v); an uncertified one raises
+    UnknownLeadingTerm naming i, that exponent and mu.  The X**v factor is
+    stripped; coefficients keep their raw values (no scalar normalization)."""
+    p, mu = L.p, Fraction(mu)
+    at = [(ai, mu * (p ** i - 1)) for i, ai in enumerate(L.coeffs)]
+    v = min(ai.val() - t for ai, t in at if not ai.is_zero())
+    for i, (ai, t) in enumerate(at):
+        if not ai.mask.certifies(v + t):
+            raise UnknownLeadingTerm("coefficient of a_%d at exponent %s, on the Newton edge "
+                                     "of slope %s, is not certified" % (i, v + t, mu))
+    cs = [Fraction(ai.coeff_at(v + t)) for ai, t in at]
     shift = next(k for k, c in enumerate(cs) if c)
     return Poly(cs[shift:])
 
@@ -166,13 +179,9 @@ def frobenius_plan(L, nd):
         nu += (p - 1) * weight * (mu - prev)
         nus.append(nu)
         prev, weight = mu, weight * p ** r
-    seen = {}
-    entries = []
-    for j, exps in enumerate(nd.exponents):
-        entry = []
-        for c, m in exps:
-            s = seen.get(c, 0)
-            entry.append((c, m, s))
-            seen[c] = s + m
-        entries.append(tuple(entry))
+    # s_{c,j}: the multiplicity of c over the slopes below j
+    seen, entries = Counter(), []
+    for exps in nd.exponents:
+        entries.append(tuple((c, m, seen[c]) for c, m in exps))
+        seen.update(dict(exps))
     return FrobeniusPlan(p, L.coeffs[0].val(), tuple(nus), tuple(entries))

@@ -1,5 +1,5 @@
 """Mahler operators: noncommutative polynomials in phi_p with Hahn-series
-coefficients, phi_p acting by z -> z**p."""
+coefficients, phi_p acting by z -> z**p.  No gauge transform is a method."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -79,15 +79,6 @@ class MahlerOperator:
                 work[d - s + j] = work[d - s + j] - hs_mul(qd, bcs[j].mal(d - s, p))
         rem = work[:s] if s else [_Z]
         return MahlerOperator(p, quo), MahlerOperator(p, rem)
-
-    # -- gauge transforms -----------------------------------------------------
-
-    def gauge_theta(self, mu):
-        """Conjugate by theta_mu = z**(mu/(p-1)): a_i picks up z**(mu*(p^i-1)/(p-1))."""
-        p = self.p
-        mu = Fraction(mu)
-        return MahlerOperator(p, [ai.shift(mu * (p ** i - 1) / (p - 1))
-                                  for i, ai in enumerate(self.coeffs)])
 
     def __repr__(self):
         parts = []

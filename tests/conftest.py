@@ -176,6 +176,30 @@ def derivative(r):
     return RatFun(r.num.derivative() * r.den - r.num * r.den.derivative(), r.den * r.den)
 
 
+def gauge_theta(L, mu):
+    """Conjugate by theta_mu = z**(mu/(p-1)): a_i picks up z**(mu*(p^i-1)/(p-1)).
+
+    The library gauges on integer lattices and reads chi in place; this is
+    the reference for both (`reference_char_poly`, the gauge lemmas and
+    `reference_factor_operator`)."""
+    p = L.p
+    mu = Fraction(mu)
+    return MahlerOperator(p, [ai.shift(mu * (p ** i - 1) / (p - 1))
+                              for i, ai in enumerate(L.coeffs)])
+
+
+def reference_char_poly(L, mu):
+    """chi of L at slope mu read off the gauged operator
+    gauge_theta(L, -(p-1) mu): each coefficient at the least valuation,
+    the X**v factor stripped.  Oracle for newton.char_poly, which reads L
+    in place."""
+    M = gauge_theta(L, -(L.p - 1) * Fraction(mu))
+    v = min(bi.val() for bi in M.coeffs if not bi.is_zero())
+    cs = [Fraction(bi.coeff_at(v)) for bi in M.coeffs]
+    shift = next(k for k, c in enumerate(cs) if c)
+    return Poly(cs[shift:])
+
+
 def gauge_exp(L, c):
     """Conjugate by e_c: a_i -> c**i a_i."""
     c = Fraction(c)
@@ -514,7 +538,7 @@ def reference_factor_operator(L, ceiling, plan=None):
     M = L
     layers = []
     for nu, entry in zip(plan.nus, plan.entries):
-        Mg = M.gauge_theta(-nu)
+        Mg = gauge_theta(M, -nu)
         layer = []
         for c, m, _ in entry:
             for _ in range(m):
@@ -527,7 +551,7 @@ def reference_factor_operator(L, ceiling, plan=None):
                         raise VerificationError("nonzero remainder when dividing out a factor")
                 layer.append(FirstOrderFactor(nu, c, h))
                 Mg = Q
-        M = Mg.gauge_theta(nu)
+        M = gauge_theta(Mg, nu)
         layers.append(tuple(layer))
     if M.order:
         raise PlanMismatch("an order-%d remainder is left after the plan's slopes" % M.order)

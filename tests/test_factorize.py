@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (count_calls, eq_on_mask, forget, gauge_exp, ladder_operator, plan_of,
-                      rand_operator, reference_factor_operator, reference_peel)
+from conftest import (count_calls, eq_on_mask, forget, gauge_exp, gauge_theta, ladder_operator,
+                      plan_of, rand_operator, reference_factor_operator, reference_peel)
 from test_cli import EXAMPLE
 from mahler.cli import elaborate, parse_spec
 from mahler.errors import (MahlerError, NonRationalExponent, PlanMismatch, UnknownLeadingTerm,
@@ -41,7 +41,7 @@ def test_unit_solution_annihilates_under_exp_gauge():
         L, fact = rand_factored_operator(rng, Fraction(6), max_order=2)
         p = L.p
         sigma0 = analyze(L).slopes[0][0]
-        Lg = L.gauge_theta(-(p - 1) * sigma0)
+        Lg = gauge_theta(L, -(p - 1) * sigma0)
         c = fact.layers[0][0].c
         h = slope_zero_unit_solution(Lg, c, 5)
         res = gauge_exp(Lg, c).apply(h)
@@ -125,7 +125,7 @@ def test_factor_cld_and_val_invariants():
 
 def test_factor_detects_plan_mismatch():
     L = ladder_operator(2, -2)
-    wrong = plan_of(L.gauge_theta(2))
+    wrong = plan_of(gauge_theta(L, 2))
     with pytest.raises(PlanMismatch):
         factor_operator(L, 10, wrong)
 
@@ -313,19 +313,17 @@ def test_peel_rejects_a_corrupted_unit_solution(monkeypatch):
 
 def test_factor_operator_stays_on_one_lattice(monkeypatch):
     """factor_operator puts L on one lattice once and builds a series only
-    for each unit h and for the leftover a: per call no gauge_theta, no
-    HahnSeries.shift and no hs_mul_sums, and one _build_sorted per peel
-    plus one.  The README example at precision 8 and the first 60
-    criterion-3 operators."""
+    for each unit h and for the leftover a: per call no HahnSeries.shift
+    and no hs_mul_sums, and one _build_sorted per peel plus one.  The
+    README example at precision 8 and the first 60 criterion-3 operators."""
     hahn = sys.modules["mahler.hahn"]
     cases = [(elaborate(parse_spec(EXAMPLE), 8), Fraction(8))]
     rng = random.Random(2026)
     cases += [(rand_factored_operator(rng, Fraction(3))[0], Fraction(3)) for _ in range(60)]
     plans = [plan_of(L) for L, _ in cases]
     calls = Counter()
-    for owner, name in ((MahlerOperator, "gauge_theta"), (HahnSeries, "shift")):
-        monkeypatch.setattr(owner, name,
-                            count_calls(monkeypatch, calls, getattr(owner, name), name))
+    monkeypatch.setattr(HahnSeries, "shift",
+                        count_calls(monkeypatch, calls, HahnSeries.shift, "shift"))
     for name in ("hs_mul_sums", "_build_sorted"):
         count_calls(monkeypatch, calls, getattr(hahn, name), name)
     peels = 0

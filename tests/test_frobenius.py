@@ -882,6 +882,25 @@ def test_gcj_calls_reject_a_c_that_is_not_an_exponent(monkeypatch):
         expected_gcj_cld(L, plan, fact, 5, 0)
 
 
+@pytest.mark.parametrize("j", [1, -1])
+def test_gcj_calls_reject_a_slope_index_out_of_range(j):
+    """Every call that takes a slope index j names j and the slope count in a
+    PlanMismatch when j is not one, a negative j included (it does not pick
+    a slope from the end)."""
+    L = elaborate(parse_spec("p = 2\na[0] = 1 - z\na[1] = -1\n"), Fraction(8))
+    plan = frobenius_plan(L, analyze(L))
+    fact = factor_operator(L, 8, plan)
+    assert len(plan.entries) == 1
+    message = r"^j = %d is not a slope index \(the plan's slope count is 1\)$" % j
+    for call in (lambda: solve_gcj(L, plan, fact, 1, j, 8, 4),
+                 lambda: expected_gcj_cld(L, plan, fact, 1, j),
+                 lambda: solve_slope(L, plan, fact, j, 8, 4),
+                 lambda: plan.lookup(j, Fraction(1)),
+                 lambda: plan.entry(j)):
+        with pytest.raises(PlanMismatch, match=message):
+            call()
+
+
 def test_frobenius_basis_pole_error_names_j_and_the_first_offending_exponent(monkeypatch):
     """A g_{c,j} with a pole at lambda = c fails in specialization, with and
     without verify, naming j and the exponent of its first polar term."""

@@ -1,19 +1,23 @@
 """Newton polygon, slopes, characteristic polynomials, exponents, plan,
 and their behavior under the three gauge transforms and right composition."""
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from conftest import (canon, forget, gauge_exp, gauge_unit, hull_walk, ladder_operator,
-                      rand_operator, subst_scale)
+from conftest import (canon, count_calls, forget, gauge_exp, gauge_theta, gauge_unit, hull_walk,
+                      ladder_operator, rand_operator, reference_char_poly, subst_scale)
+from test_cli import EXAMPLE
 from mahler import newton
+from mahler.cli import elaborate, parse_spec
 from mahler.errors import PlanMismatch, UnknownLeadingTerm, VerificationError, ZeroSeries
 from mahler.fields import Poly
-from mahler.hahn import HahnSeries, Mask, hs, monomial, one, zero
+from mahler.hahn import POS, HahnSeries, Mask, hs, monomial, one, zero
 from mahler.newton import analyze, char_poly, frobenius_plan, newton_polygon, slopes_of
 from mahler.operator import MahlerOperator, phi_minus
-from mahler.testing import rand_rational, rand_tangent_unit
+from mahler.testing import rand_factored_operator, rand_rational, rand_tangent_unit
 
 
 def test_first_order_data():
@@ -143,6 +147,56 @@ def test_char_poly_canonical_form():
     assert chi0.coeffs[0] != 0
 
 
+def _corpus():
+    """The 200 operators of the corpus workload (criterion-3 seed 2026)."""
+    rng = random.Random(2026)
+    return [rand_factored_operator(rng, Fraction(3))[0] for _ in range(200)]
+
+
+def test_char_poly_equals_the_gauged_reference():
+    """char_poly, read off L in place, equals chi read off the gauged
+    operator on every slope: the corpus operators, rand_operator draws and
+    an interior floor above the edge.  With the floor on the edge both
+    raise UnknownLeadingTerm, char_poly naming i, a_i's own exponent and
+    the slope."""
+    rng = random.Random(61)
+    cases = _corpus() + [rand_operator(rng) for _ in range(60)]
+    floor = lambda gap: forget(zero(), Fraction(gap), POS)
+    # p = 2, a_2 = z**24: slope 8, whose edge passes a_1 at exponent 8
+    cases.append(MahlerOperator(2, [one(), floor(9), monomial(24)]))
+    slopes = 0
+    for L in cases:
+        for mu, _ in slopes_of(newton_polygon(L)):
+            assert char_poly(L, mu) == reference_char_poly(L, mu)
+            slopes += 1
+    assert slopes > 300
+    assert char_poly(cases[-1], Fraction(8)) == Poly((1, 0, 1))
+    L = MahlerOperator(2, [one(), floor(8), monomial(24)])
+    assert slopes_of(newton_polygon(L)) == ((Fraction(8), 2),)
+    with pytest.raises(UnknownLeadingTerm, match="^coefficient at 0 is not certified$"):
+        reference_char_poly(L, Fraction(8))
+    with pytest.raises(UnknownLeadingTerm, match="^coefficient of a_1 at exponent 8, on the "
+                       "Newton edge of slope 8, is not certified$"):
+        char_poly(L, Fraction(8))
+
+
+def test_analyze_builds_no_series(monkeypatch):
+    """analyze reads every coefficient in place: per call no
+    HahnSeries.shift and no _build_sorted.  The README example at
+    precision 8 and the corpus operators."""
+    hahn = sys.modules["mahler.hahn"]
+    cases = [elaborate(parse_spec(EXAMPLE), 8)] + _corpus()
+    calls = Counter()
+    monkeypatch.setattr(HahnSeries, "shift",
+                        count_calls(monkeypatch, calls, HahnSeries.shift, "shift"))
+    count_calls(monkeypatch, calls, hahn._build_sorted, "_build_sorted")
+    slopes = 0
+    for L in cases:
+        slopes += len(analyze(L).slopes)
+        assert not calls, calls
+    assert slopes > 250
+
+
 def test_analyze_requires_chi_degree_equal_multiplicity():
     rng = random.Random(41)
     for _ in range(40):
@@ -162,7 +216,7 @@ def test_gauge_theta_shifts_slopes_keeps_chi():
         L = rand_operator(rng)
         mu = rand_rational(rng, lo=-4, hi=4, max_den=3)
         nd = analyze(L)
-        ndg = analyze(L.gauge_theta(mu))
+        ndg = analyze(gauge_theta(L, mu))
         shift = Fraction(mu) / (L.p - 1)
         assert [(m + shift, r) for m, r in nd.slopes] == list(ndg.slopes)
         assert nd.charpolys == ndg.charpolys
@@ -204,7 +258,7 @@ def test_composition_with_first_order_factor():
         p = L0.p
         nd0 = analyze(L0)
         # normalize so the smallest slope is 0 (nonnegative slope set)
-        L = L0.gauge_theta(-(p - 1) * nd0.slopes[0][0])
+        L = gauge_theta(L0, -(p - 1) * nd0.slopes[0][0])
         nd = analyze(L)
         c = rand_rational(rng, lo=-3, hi=3, max_den=2, nonzero=True)
         h = rand_tangent_unit(rng, terms=3)
