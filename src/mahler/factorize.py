@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from .errors import (NonRationalExponent, PlanMismatch, UnknownLeadingTerm, VerificationError,
                      ZeroSeries)
-from .hahn import (_FULL, NEG, HahnSeries, _exp, _fold, _grid, _grid_product, _iv_diff,
-                   _numerators, _series, _shifted, forward_solve)
+from .hahn import (_FULL, HahnSeries, _exp, _fold, _grid, _grid_product, _integer_part,
+                   _iv_diff, _numerators, _series, _shifted, forward_solve)
 from .operator import MahlerOperator
 
 
@@ -106,10 +106,8 @@ def _unit_solution(p, M, coeffs, c, top):
         k = p ** i
         taps += [(E - V0, k, N * s) for E, N in
                  terms[bisect_right(terms, V0, key=_exp):bisect_left(terms, cut + V0, key=_exp)]]
-    w = forward_solve(1, heads[0], taps, cut)
-    den = math.lcm(*(v.denominator for _, v in w))
-    return (_series(M, ([(NEG, cut)], w, 1)),
-            ([(NEG, cut)], [(g, v.numerator * (den // v.denominator)) for g, v in w], den))
+    unit = _integer_part(cut, forward_solve(1, heads[0], taps, cut))
+    return _series(M, unit), unit
 
 
 def _peel(p, coeffs, unit, c):

@@ -41,7 +41,7 @@ def solve_order1_param(p, mu, c, g, ceiling, depth):
     there in the frame twisted by z**(mu/(p-1)), over the product D of its
     distinct dens and one integer q, as LamPolys; each coefficient of the
     solution leaves through `solve_slope`'s exit reducer (`lam_ratfun`) over
-    D, and the solution becomes a series in that frame before it is shifted back.
+    D, and the solution becomes a series in that frame, built shifted back.
     """
     c = Fraction(c)
     if not c:
@@ -63,9 +63,9 @@ def solve_order1_param(p, mu, c, g, ceiling, depth):
     ext, terms, den = _order1(p, c, _shifted(part, -int(shift * M)), int(cap * M), depth, lifts)
     q = den * math.prod(r.denominator for r in lifts)
     powers, dens, inv = [(r, -1) for r in lifts], {}, RatFun(1, D)
-    return _series(M * p ** (depth + 1),
-                   (ext, [(E, lam_ratfun(X, q, powers, dens) * inv) for E, X in terms],
-                    1)).shift(shift)
+    M *= p ** (depth + 1)
+    return _series(M, (ext, [(E, lam_ratfun(X, q, powers, dens) * inv) for E, X in terms], 1),
+                   int(shift * M))
 
 
 def _order1(p, c, g, top, depth, lifts):
@@ -167,13 +167,13 @@ def solve_slope(L, plan, fact, j, ceiling, depth):
 
     The chain runs on one lattice (1/M)Z, M clearing the exponents and
     finite mask endpoints of the right-hand side and of every h, the
-    ceiling and each layer's twist mu_i/(p-1), and passes
+    ceiling, nu_j/(p-1) and each layer's twist mu_i/(p-1), and passes
     (region, terms, den) triples: each solve (`_order1`) refines M by
     p**(depth+1), moving to a layer's twisted frame adds an integer, and
     each product by h is one `_grid_product` and one `_fold` (both commute
-    with the twist).  Only x becomes a series, untwisted as the last
-    product leaves it (`_build_sorted` reads the stored mask head off that
-    frame), and is then shifted by -nu_j/(p-1).
+    with the twist).  Only x becomes a series, once, in its final frame:
+    untwisted as the last product leaves it, where `_series` reads the
+    stored mask head off, and shifted by -nu_j/(p-1).
 
     The coefficients of x are LamPolys X over one integer q and the
     factors b*lambda - a of the lifts (`_order1`) made on the way, that is
@@ -189,11 +189,12 @@ def solve_slope(L, plan, fact, j, ceiling, depth):
         raise PlanMismatch("factorization layers do not match the plan")
     entry = plan.entry(j)
     nuj = plan.nus[j]
-    ceil2 = Fraction(ceiling) + max(Fraction(0), nuj / (p - 1))
+    shift = nuj / (p - 1)
+    ceil2 = Fraction(ceiling) + max(Fraction(0), shift)
     inv = fact.a.invert(ceil2)
     thetas = [(nuj - layer[0].nu) / (p - 1) for layer in fact.layers]
     M = math.lcm(_grid([inv] + [f.h for f in fact.all_factors()]), plan.val_a0.denominator,
-                 ceil2.denominator, *(t.denominator for t in thetas))
+                 ceil2.denominator, shift.denominator, *(t.denominator for t in thetas))
     R = p ** (depth + 1)
     # chi on integers: prod_c (b*lambda - a)**m_c = chi * prod_c b**m_c
     chi, q = LamPoly(0, (1,)), 1
@@ -215,7 +216,7 @@ def solve_slope(L, plan, fact, j, ceiling, depth):
             x = _fold([(1, _grid_product(h, x, 1, _iv_diff(_FULL, h[0]),
                                          _iv_diff(_FULL, x[0])))])
     ext, terms, den = _shifted(x, d)
-    x = _series(M, (ext, terms, 1)).shift(-nuj / (p - 1))
+    x = _series(M, (ext, terms, 1), -int(shift * M))
     q = den * math.prod(r.denominator for r in lifts)
     out, dens = {}, {}
     for c, _, s in entry:

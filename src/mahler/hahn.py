@@ -14,7 +14,9 @@ Sums, products and inversion run over Q only (a MahlerError otherwise); a
 series over Q(lambda), as the g_{c,j} of the triangular solve, is only
 stored, shifted, scaled, mapped, negated and written out.
 
-Instances are immutable by convention and safe to share.
+Instances are immutable by convention and safe to share.  Two private
+slots, which equality, hashing and JSON ignore, keep a series' own lattice
+(`_grid`) and, over Q, its lattice form (`_numerators`), each found once.
 """
 from __future__ import annotations
 
@@ -204,11 +206,12 @@ def _rat(x):
 class HahnSeries:
     """Certified truncation of a Hahn series; its ring operations run over Q."""
 
-    __slots__ = ("terms", "mask")
+    __slots__ = ("terms", "mask", "_M", "_lat")
 
     def __init__(self, terms, mask):
         self.terms = terms
         self.mask = mask
+        self._M = self._lat = None  # own lattice; (M0, numerators on (1/M0)Z)
 
     # -- queries ------------------------------------------------------------
 
@@ -307,8 +310,9 @@ class HahnSeries:
         certificate into the inverse.  Inversion is over Q only (over
         Q(lambda) a MahlerError, exact monomials included).  An exact
         monomial inverts exactly; any other series' numerators on its own
-        lattice (`_numerators`) give forward_solve's integer taps and lead,
-        the leading numerator.
+        lattice (`_numerators`), refined to hold the window's top, give
+        forward_solve's integer taps and lead, the leading numerator; the
+        inverse is built once, in its final frame (`_series`).
         """
         if not self.terms:
             raise ZeroDivisor("cannot invert a series with no certified nonzero term")
@@ -320,11 +324,11 @@ class HahnSeries:
         if len(self.terms) == 1 and self.mask.extended == _FULL:
             return _build_sorted([(-v, 1 / self.terms[0][1])], _FULL)
         cap = min(Fraction(ceiling), self.mask.first_gap()) - v
-        M = _grid([self])
+        M = math.lcm(_grid([self]), cap.denominator)
         _, ((V, lead), *rest), den = _numerators(self, M)
-        w = forward_solve(Fraction(den, lead), lead, [(E - V, 1, N) for E, N in rest],
-                          math.ceil(cap * M))
-        return _build_sorted([(Fraction(g, M), x) for g, x in w], [(NEG, cap)]).shift(-v)
+        cut = cap.numerator * (M // cap.denominator)
+        w = forward_solve(Fraction(den, lead), lead, [(E - V, 1, N) for E, N in rest], cut)
+        return _series(M, _integer_part(cut, w), -V)
 
     # -- comparisons ----------------------------------------------------------
 
@@ -537,10 +541,14 @@ def _mul_shortcut(f, g):
 
 def _grid(series):
     """Smallest M with every exponent and finite mask endpoint of the given
-    series in (1/M)Z (finite endpoints are Fractions, infinite ones floats)."""
-    return math.lcm(*{e.denominator for f in series for e, _ in f.terms},
-                    *{x.denominator for f in series for iv in f.mask.ivs for x in iv
-                      if type(x) is Fraction})
+    series in (1/M)Z: the lcm of each series' own lattice, found once per
+    series (finite endpoints are Fractions, infinite ones floats)."""
+    for f in series:
+        if f._M is None:
+            f._M = math.lcm(*{e.denominator for e, _ in f.terms},
+                            *{x.denominator for iv in f.mask.ivs for x in iv
+                              if type(x) is Fraction})
+    return math.lcm(*(f._M for f in series))
 
 
 def _mul_region(unc_f, fi, unc_g, gi):
@@ -648,16 +656,40 @@ def _fold(pieces):
     return ext, [(E, S) for E, S in _kept(sorted(acc.items()), ext) if S], den
 
 
-def _series(M, part):
-    """The series of a (region, terms, den) on (1/M)Z, as `_numerators` and
-    `_fold` give it, by one _build_sorted.  A sum S becomes Fraction(S, den)
-    for an integer S; any other S (a Fraction, RatFun or LamPoly the caller
-    formed) comes with den 1 and is kept."""
+def _series(M, part, d=0):
+    """z**(d/M) times the series of a (region, terms, den) on (1/M)Z, as
+    `_numerators` and `_fold` give it, for an integer d, built once: the
+    `_build_sorted` of the unshifted series, shifted, so its stored mask
+    head is read off the unshifted frame.  A sum S becomes Fraction(S, den)
+    for an integer S; any other S (a RatFun or LamPoly the caller formed)
+    comes with den 1 and is kept.  A series over Q whose region reaches
+    down to -inf keeps the shifted triple as its lattice form, and its own
+    lattice, M // gcd of M and every exponent and endpoint (`_numerators`,
+    `_grid`)."""
     ext, terms, den = part
-    return _build_sorted(
-        [(Fraction(E, M), Fraction(S, den) if type(S) is int else S) for E, S in terms],
-        [(lo if lo == NEG else Fraction(lo, M), hi if hi == POS else Fraction(hi, M))
-         for lo, hi in ext])
+    if not ext or ext[0][0] != NEG:
+        return HahnSeries((), _EMPTY)
+    terms = _kept(terms, ext)
+    hi0 = ext[0][1]
+    lo0 = terms[0][0] if terms and terms[0][0] < hi0 else 0 if hi0 > 0 else hi0 - M
+    ext, terms, _ = _shifted((ext, terms, den), d)
+    lo0 += d
+    f = HahnSeries(tuple((Fraction(E, M), Fraction(S, den) if type(S) is int else S)
+                         for E, S in terms),
+                   Mask._of([(Fraction(lo, M), hi if hi == POS else Fraction(hi, M))
+                             for lo, hi in ((lo0, ext[0][1]), *ext[1:])]))
+    if not terms or type(terms[0][1]) is int:
+        f._lat = M, (tuple(ext), tuple(terms), den)
+        f._M = M // math.gcd(M, lo0, *(E for E, _ in terms),
+                             *(x for iv in ext for x in iv if type(x) is int))
+    return f
+
+
+def _integer_part(cut, w):
+    """The (region, terms, den) of the series below cut with the terms w of
+    `forward_solve`: its values as integer numerators over their lcm."""
+    den = math.lcm(*(v.denominator for _, v in w))
+    return [(NEG, cut)], [(g, v.numerator * (den // v.denominator)) for g, v in w], den
 
 
 def _shifted(part, d):
@@ -680,14 +712,27 @@ def _on_lattice(f, M):
 
 
 def _numerators(f, M):
-    """(region, terms, den) of f over Q on the lattice (1/M)Z, as
-    `_on_lattice`, with the coefficients as integer numerators over their
-    common denominator den; a coefficient that is not a Fraction raises a
-    MahlerError (`_over_q`)."""
-    _over_q(f.terms)
-    ext, terms = _on_lattice(f, M)
-    den = math.lcm(*{c.denominator for _, c in f.terms})
-    return ext, [(E, c.numerator * (den // c.denominator)) for E, c in terms], den
+    """(region, terms, den) of f over Q on the lattice (1/M)Z, a multiple of
+    f's own, as `_on_lattice`, with the coefficients as integer numerators
+    over one den: f's kept lattice form on (1/M0)Z, whose tuples every
+    reader shares, rescaled by M/M0 (exact, as M and M0 are multiples of
+    f's own lattice).  A series with none finds it from its Fractions on
+    (1/M)Z, where a coefficient that is not a Fraction raises a MahlerError
+    (`_over_q`)."""
+    if f._lat is None:
+        _over_q(f.terms)
+        ext, terms = _on_lattice(f, M)
+        den = math.lcm(*{c.denominator for _, c in f.terms})
+        f._lat = M, (tuple(ext), tuple((E, c.numerator * (den // c.denominator))
+                                       for E, c in terms), den)
+    M0, part = f._lat
+    if M0 == M:
+        return part
+    g = math.gcd(M, M0)
+    a, b = M // g, M0 // g
+    region, terms, den = part
+    at = lambda x: x if type(x) is float else x * a // b
+    return [(at(lo), at(hi)) for lo, hi in region], [(E * a // b, N) for E, N in terms], den
 
 
 def _over_q(terms):

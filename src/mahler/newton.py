@@ -6,7 +6,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PlanMismatch, UnknownLeadingTerm, VerificationError, ZeroSeries
+from .errors import (InsufficientPrecision, PlanMismatch, UnknownLeadingTerm, VerificationError,
+                     ZeroSeries)
 from .fields import Poly, rational_roots
 from .hahn import NEG
 
@@ -135,16 +136,17 @@ def char_poly(L, mu):
     """Canonical characteristic polynomial of L at slope mu, read off L in
     place: with v the least val a_i - mu (p**i - 1), its X**i coefficient
     is a_i's at v + mu (p**i - 1), on the Newton edge (conjugating by
-    z**(-mu) would move it to v); an uncertified one raises
-    UnknownLeadingTerm naming i, that exponent and mu.  The X**v factor is
-    stripped; coefficients keep their raw values (no scalar normalization)."""
+    z**(-mu) would move it to v); an uncertified one, which a higher
+    precision certifies, raises InsufficientPrecision naming i, that
+    exponent and mu.  The X**v factor is stripped; coefficients keep their
+    raw values (no scalar normalization)."""
     p, mu = L.p, Fraction(mu)
     at = [(ai, mu * (p ** i - 1)) for i, ai in enumerate(L.coeffs)]
     v = min(ai.val() - t for ai, t in at if not ai.is_zero())
     for i, (ai, t) in enumerate(at):
         if not ai.mask.certifies(v + t):
-            raise UnknownLeadingTerm("coefficient of a_%d at exponent %s, on the Newton edge "
-                                     "of slope %s, is not certified" % (i, v + t, mu))
+            raise InsufficientPrecision("coefficient of a_%d at exponent %s, on the Newton "
+                                        "edge of slope %s, is not certified" % (i, v + t, mu))
     cs = [Fraction(ai.coeff_at(v + t)) for ai, t in at]
     shift = next(k for k, c in enumerate(cs) if c)
     return Poly(cs[shift:])

@@ -267,6 +267,53 @@ def _iv_contains(ivs, x):
     return False
 
 
+def reference_grid(series):
+    """Smallest M with every exponent and finite mask endpoint of the given
+    series in (1/M)Z, read off their Fractions (infinite endpoints are
+    floats).  Oracle for hahn._grid, which reads each series' own lattice
+    once."""
+    return math.lcm(*{e.denominator for f in series for e, _ in f.terms},
+                    *{x.denominator for f in series for iv in f.mask.ivs for x in iv
+                      if type(x) is Fraction})
+
+
+def reference_numerators(f, M):
+    """(region, terms, den) of f over Q on (1/M)Z read off its Fractions:
+    the extended certified region and the terms with every exponent and
+    finite endpoint x as the integer M*x, and each coefficient as an
+    integer numerator over the lcm den of their denominators.  Oracle for
+    hahn._numerators, which reads a series' kept lattice form."""
+    def at(x):
+        if type(x) is float:
+            return x
+        assert (x * M).denominator == 1, (x, M)
+        return int(x * M)
+    den = math.lcm(*(c.denominator for _, c in f.terms))
+    return ([(at(lo), at(hi)) for lo, hi in f.mask.extended],
+            [(at(e), int(c * den)) for e, c in f.terms], den)
+
+
+def same_lattice_form(got, want):
+    """Two (region, terms, den) of one series on one lattice agree: the
+    region, the exponents and every value N/den."""
+    (r1, t1, d1), (r2, t2, d2) = got, want
+    assert list(r1) == list(r2)
+    assert [E for E, _ in t1] == [E for E, _ in t2]
+    assert [Fraction(N, d1) for _, N in t1] == [Fraction(N, d2) for _, N in t2]
+
+
+def reference_series(M, part, d=0):
+    """hahn._series(M, part, d) the way it was first built: the Fractions
+    of the unshifted series through _build_sorted, then HahnSeries.shift
+    by d/M, which moves the stored mask head read off the unshifted
+    frame."""
+    ext, terms, den = part
+    at = lambda x: x if type(x) is float else Fraction(x, M)
+    return _build_sorted([(Fraction(E, M), Fraction(S, den) if type(S) is int else S)
+                          for E, S in terms],
+                         [(at(lo), at(hi)) for lo, hi in ext]).shift(Fraction(d, M))
+
+
 def reference_build(terms, ext):
     """Canonical series from (exp, coeff) pairs and an extended certified set.
 

@@ -305,15 +305,16 @@ def test_main_rejects_a_coefficient_that_cancels_to_uncertified(tmp_path, capsys
 def test_main_names_an_uncertified_coefficient_on_a_newton_edge(tmp_path, capsys):
     """a_1 cancels to a floor whose mask stops at exponent 8, on the edge of
     slope 8: the error names a_1's own exponent, not its position 0 in the
-    gauged frame."""
+    gauged frame.  The input is valid and precision 9 certifies the
+    coefficient, so it is reported as too low a precision (exit 4)."""
     f = tmp_path / "eq.txt"
     f.write_text("p = 2\na[0] = 1\na[1] = 1/(1+z) - 1/(1+z)\na[2] = z^24\n")
     message = "coefficient of a_1 at exponent 8, on the Newton edge of slope 8, is not certified"
-    assert main([str(f), "--precision", "8"]) == 2
-    assert capsys.readouterr() == ("", "error [UnknownLeadingTerm]: %s\n" % message)
-    assert main([str(f), "--precision", "8", "--json"]) == 2
+    assert main([str(f), "--precision", "8"]) == 4
+    assert capsys.readouterr() == ("", "error [InsufficientPrecision]: %s\n" % message)
+    assert main([str(f), "--precision", "8", "--json"]) == 4
     info = json.loads(capsys.readouterr().out)["error"]
-    assert info == {"type": "UnknownLeadingTerm", "message": message}
+    assert info == {"type": "InsufficientPrecision", "message": message}
 
 
 @pytest.mark.parametrize("top", ["1 - 1", "0*z", "z - z"])

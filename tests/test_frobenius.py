@@ -17,8 +17,9 @@ from conftest import (cap, count_calls, d_lambda, eq_on_mask, ev_c, forget, gcj_
                       order1_coeff_oracle, pipeline_mask, rand_exponent, rand_operator,
                       rand_param_series, rand_pole_series, rand_series, rebind,
                       reference_add, reference_apply, reference_apply_to_solution,
-                      reference_pole_order, reference_solve_gcj, reference_solve_order1_param,
-                      reference_specialize, reference_sum, restrict, series_dict_on_mask)
+                      reference_numerators, reference_pole_order, reference_solve_gcj,
+                      reference_solve_order1_param, reference_specialize, reference_sum, restrict,
+                      same_lattice_form, series_dict_on_mask)
 from mahler.cli import elaborate, parse_spec
 from mahler.errors import MahlerError, PlanMismatch, PoleAtEvaluationPoint, VerificationError
 from mahler.fields import Poly, RatFun
@@ -496,13 +497,13 @@ def test_order1_kernels_build_no_intermediate_series(monkeypatch):
 
 def test_solve_slope_stays_on_one_lattice(monkeypatch):
     """solve_slope puts its right-hand side on one lattice once and builds a
-    series only for the inverse of a and for the final x: per call no
-    hs_mul, hs_mul_sums or solve_order1_param, at most two _build_sorted
-    (one outside HahnSeries.invert), and outside invert no HahnSeries.mal
-    and no shift or map_coeffs but the final x's shift by -nu_j/(p-1) and
-    its map to each g_{c,j}.  Counted through every binding in the loaded
-    mahler modules, on the README example at precision 8 and the first 60
-    criterion-3 operators."""
+    series only for the inverse of a and for the final x, each once in its
+    final frame: per call no hs_mul, hs_mul_sums or solve_order1_param, at
+    most two series builds (_build_sorted or _series; one outside
+    HahnSeries.invert), no HahnSeries.shift at all, and outside invert no
+    HahnSeries.mal and no map_coeffs but the final x's map to each g_{c,j}.
+    Counted through every binding in the loaded mahler modules, on the
+    README example at precision 8 and the first 60 criterion-3 operators."""
     cases = [(_readme_operator(8), 8, 8)]
     rng = random.Random(2026)
     cases += [(rand_factored_operator(rng, Fraction(3))[0], 3, 2) for _ in range(60)]
@@ -514,12 +515,12 @@ def test_solve_slope_stays_on_one_lattice(monkeypatch):
     for fn, name in ((hahn.hs_mul, "hs_mul"), (hahn.hs_mul_sums, "hs_mul_sums"),
                      (frobenius.solve_order1_param, "solve_order1_param")):
         count_calls(monkeypatch, calls, fn, name)
-    real_build, real_invert = hahn._build_sorted, HahnSeries.invert
-
-    def build(tl, ext):
-        built.append((bool(inverting), real_build(tl, ext)))
-        return built[-1][1]
-    rebind(monkeypatch, real_build, build)
+    real_invert = HahnSeries.invert
+    for real_build in (hahn._build_sorted, hahn._series):
+        def build(*args, real=real_build):
+            built.append((bool(inverting), real(*args)))
+            return built[-1][1]
+        rebind(monkeypatch, real_build, build)
 
     def invert(f, ceiling):
         inverting.append(f)
@@ -531,7 +532,7 @@ def test_solve_slope_stays_on_one_lattice(monkeypatch):
     for name in ("shift", "map_coeffs", "mal"):
         def method(f, *args, name=name, real=getattr(HahnSeries, name)):
             out = real(f, *args)
-            if not inverting:
+            if not inverting or name == "shift":
                 methods.append((name, f, out))
             return out
         monkeypatch.setattr(HahnSeries, name, method)
@@ -544,12 +545,51 @@ def test_solve_slope_stays_on_one_lattice(monkeypatch):
             assert not calls, calls
             outside = [x for inside, x in built if not inside]
             assert len(built) <= 2 and len(outside) == 1
-            (name, x, shifted), *maps = methods
-            assert name == "shift" and x is outside[0]
-            assert [(name, f) for name, f, _ in maps] == [("map_coeffs", shifted)] * len(entry)
-            assert [g for _, _, g in maps] == list(gs.values())
+            assert [(name, f) for name, f, _ in methods] == \
+                [("map_coeffs", outside[0])] * len(entry)
+            assert [g for _, _, g in methods] == list(gs.values())
             slopes += 1
     assert slopes > 80
+
+
+def test_each_series_goes_onto_a_lattice_from_its_fractions_once(monkeypatch):
+    """While the README example and the first 60 criterion-3 operators are
+    solved with verify on, no series reaches `_numerators` twice with no
+    lattice form kept (each finds it from its Fractions at most once).
+    Afterwards every kept form, those `_series` filled included, still
+    equals a fresh `reference_numerators` (no reader changed one), and a
+    copy with no form kept compares and hashes equal."""
+    cases = [(_readme_operator(8), 8, 8)]
+    rng = random.Random(2026)
+    cases += [(rand_factored_operator(rng, Fraction(3))[0], 3, 2) for _ in range(60)]
+    fresh, kept = Counter(), []
+    real_numerators, real_series = hahn._numerators, hahn._series
+
+    def numerators(f, M):
+        if f._lat is None:
+            fresh[id(f)] += 1
+        kept.append(f)
+        return real_numerators(f, M)
+
+    def series(*args):
+        kept.append(real_series(*args))
+        return kept[-1]
+    rebind(monkeypatch, real_numerators, numerators)
+    rebind(monkeypatch, real_series, series)
+    for L, ceiling, depth in cases:
+        assert frobenius_basis(L, ceiling, depth, verify=True).verification["ok"]
+    assert len(fresh) > 100 and max(fresh.values()) == 1
+    forms = 0
+    for f in {id(f): f for f in kept}.values():
+        if f._lat is None:
+            continue
+        M0, form = f._lat
+        same_lattice_form(form, reference_numerators(f, M0))
+        twin = HahnSeries(f.terms, f.mask)
+        assert twin == f and f == twin and hash(twin) == hash(f)
+        assert twin.to_json() == f.to_json()
+        forms += 1
+    assert forms > 600
 
 
 def test_check_gcj_rejects_wrong_leading_coefficient():

@@ -7,16 +7,17 @@ import pytest
 
 from conftest import (_iv_contains, brute_conv, cap, eq_on_mask, forget, geometric_invert,
                       ladder_operator, lam, pipeline_mask, rand_param_series, rand_series,
-                      rational_forward_solve, reference_add, reference_build,
-                      reference_forward_solve, reference_mul, reference_sum, restrict, support)
+                      rational_forward_solve, rebind, reference_add, reference_build,
+                      reference_forward_solve, reference_grid, reference_mul, reference_numerators,
+                      reference_series, reference_sum, restrict, same_lattice_form, support)
 from test_cli import EXAMPLE
 from mahler import factorize, frobenius, hahn
 from mahler.cli import elaborate, parse_spec
 from mahler.errors import MahlerError, UnknownLeadingTerm, ZeroDivisor, ZeroSeries
 from mahler.fields import Poly, RatFun
 from mahler.frobenius import frobenius_basis
-from mahler.hahn import (_FULL, NEG, POS, HahnSeries, Mask, _build_sorted, _iv_diff,
-                         _iv_inter, _iv_norm, hs, hs_mul, hs_mul_sums, hs_sum,
+from mahler.hahn import (_FULL, NEG, POS, HahnSeries, Mask, _build_sorted, _grid, _iv_diff,
+                         _iv_inter, _iv_norm, _numerators, hs, hs_mul, hs_mul_sums, hs_sum,
                          monomial, one, zero)
 from mahler.testing import rand_factored_operator, rand_rational
 
@@ -349,18 +350,23 @@ def test_build_sorted_reads_its_region_and_never_writes_it(monkeypatch):
 
 def test_every_built_region_is_normalized(monkeypatch):
     """No region is renormalized inside the module, so every region that
-    reaches _build_sorted must already be normalized, and so must every
+    reaches _build_sorted or _series must already be normalized, and so must every
     region the peels of factor_operator and the triangular solve of
     solve_slope fold and pass on without building a series: checked while
     solving the ladders and the README example at precision 32 and the
     first 60 criterion-3 operators."""
     regions = []
-    real, real_fold = hahn._build_sorted, factorize._fold
+    real, real_fold, real_series = hahn._build_sorted, factorize._fold, hahn._series
 
     def checked(tl, ext):
         regions.append(ext)
         assert _normalized(ext), ext
         return real(tl, ext)
+
+    def checked_series(M, part, *d):
+        regions.append(part[0])
+        assert _normalized(part[0]), part[0]
+        return real_series(M, part, *d)
 
     def checked_fold(pieces):
         part = real_fold(pieces)
@@ -374,6 +380,7 @@ def test_every_built_region_is_normalized(monkeypatch):
     rng = random.Random(2026)
     cases += [(rand_factored_operator(rng, Fraction(3))[0], 3, 2) for _ in range(60)]
     monkeypatch.setattr(hahn, "_build_sorted", checked)
+    rebind(monkeypatch, real_series, checked_series)
     for L, ceiling, depth in cases:
         assert frobenius_basis(L, ceiling, depth, verify=True).verification["ok"]
     assert len(regions) > 1000
@@ -957,3 +964,76 @@ def test_forward_solve_fraction_free_equals_reference():
         seen |= events if ell not in (1, -1) else events & {"cancel"}
     assert seen == {"ell = 1", "ell = -1", "ell other", "deeper later", "shallower later",
                     "cancel", "one with a denominator", "half-step", "off-lattice"}
+
+
+def check_lattice_forms(f):
+    """_grid([f]) is reference_grid's, and f's numerators at 1, 2, 3 and 6
+    times it are reference_numerators', read through f (whatever lattice
+    form it keeps) and through uncached copies whose forms are found on
+    the smallest or the largest of those lattices first."""
+    M = reference_grid([f])
+    assert _grid([f]) == M
+    for order in ((1, 2, 3, 6), (6, 3, 2, 1)):
+        copy = HahnSeries(f.terms, f.mask)
+        for k in order:
+            want = reference_numerators(f, k * M)
+            same_lattice_form(_numerators(f, k * M), want)
+            same_lattice_form(_numerators(copy, k * M), want)
+
+
+def test_lattice_forms_match_the_references(monkeypatch):
+    """Random series with holed or capped masks, their sums, products and
+    inverses; `_series(M, part, d)` of random capped series, whose mask
+    head may hold no term on either side of 0, against `reference_series`
+    and HahnSeries.shift; and every series `_series` builds while solving
+    the ladders, the README example and the first 20 criterion-3
+    operators (the unit solutions h, the leftovers a, their inverses, the
+    triangular solve's x and the residuals), against `reference_series`.
+    The lattice and numerators of each match `check_lattice_forms`; an x
+    over Q(lambda) keeps no form, so only its lattice is compared."""
+    rng = random.Random(331)
+    for _ in range(150):
+        f = holed(rng, rand_series(rng, 5), rng.randint(-1, 3))
+        g = rand_series(rng, 5)
+        if rng.random() < 0.5:
+            g = cap(g, Fraction(rng.randint(-2, 12), rng.choice((1, 2, 5))))
+        for h in (f, g, hs_sum([f, g]), hs_mul(f, g), rand_series(rng).invert(Fraction(7, 3))):
+            check_lattice_forms(h)
+    heads = set()
+    for _ in range(300):
+        f = cap(holed(rng, rand_series(rng, 5), rng.randint(0, 2)),
+                Fraction(rng.randint(-8, 12), rng.choice((1, 2, 3))))
+        M = reference_grid([f]) * rng.choice((1, 2, 5))
+        d = rng.randint(-3 * M, 3 * M)
+        if not f.mask.empty:
+            hi = f.mask.first_gap()
+            heads.add("term" if f.terms and f.terms[0][0] < hi else "hi > 0" if hi > 0 else
+                      "hi <= 0")
+        part = reference_numerators(f, M)
+        built = hahn._series(M, part, d)
+        assert built == reference_series(M, part, d) == f.shift(Fraction(d, M))
+        check_lattice_forms(built)
+    assert heads == {"term", "hi > 0", "hi <= 0"}
+    built, real = [], hahn._series
+
+    def series(*args):
+        built.append((args, real(*args)))
+        return built[-1][1]
+    rebind(monkeypatch, real, series)
+    cases = [(L, 32, 32) for L in (ladder_operator(2, -2), ladder_operator(3, -3),
+                                   elaborate(parse_spec(EXAMPLE), 32))]
+    rng = random.Random(2026)
+    cases += [(rand_factored_operator(rng, Fraction(3))[0], 3, 2) for _ in range(20)]
+    for L, ceiling, depth in cases:
+        assert frobenius_basis(L, ceiling, depth, verify=True).verification["ok"]
+    kinds = set()
+    for args, f in built:
+        assert f == reference_series(*args)
+        over_q = not f.terms or type(f.terms[0][1]) is Fraction
+        kinds.add((over_q, len(args) > 2 and bool(args[2])))
+        if over_q:
+            check_lattice_forms(f)
+        else:
+            assert _grid([f]) == reference_grid([f])
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+    assert len(built) > 400

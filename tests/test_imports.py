@@ -341,3 +341,23 @@ def test_hahn_takes_only_lambda_polynomials_from_fields():
         "RatFun", "_poly", "fields", "mahler.fields"}
     source = (ROOT / "src" / "mahler" / "hahn.py").read_text(encoding="utf-8")
     assert imports_from(source, "fields") == {"LamPoly", "_lam_poly"}
+
+
+def lattice_form_uses(source):
+    """Lines where the source touches a series' kept lattice form: an
+    attribute `_lat` or `_M`, or either name as a string (getattr, setattr)."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute) and node.attr in ("_lat", "_M")
+                   or isinstance(node, ast.Constant) and node.value in ("_lat", "_M")})
+
+
+def test_lattice_form_stays_in_the_kernel():
+    """Only hahn.py reads or writes the lattice form a series keeps, so no
+    other module can build on it or change it."""
+    assert lattice_form_uses("M = f._M\nf._lat = None\ngetattr(f, '_lat')\nf.M, f._Mx\n") == [
+        1, 2, 3]
+    hahn_py = ROOT / "src" / "mahler" / "hahn.py"
+    assert lattice_form_uses(hahn_py.read_text(encoding="utf-8"))
+    assert {str(path.relative_to(ROOT)): lattice_form_uses(path.read_text(encoding="utf-8"))
+            for path in SOURCES if path != hahn_py} == {
+        str(path.relative_to(ROOT)): [] for path in SOURCES if path != hahn_py}

@@ -12,7 +12,8 @@ from conftest import (canon, count_calls, forget, gauge_exp, gauge_theta, gauge_
 from test_cli import EXAMPLE
 from mahler import newton
 from mahler.cli import elaborate, parse_spec
-from mahler.errors import PlanMismatch, UnknownLeadingTerm, VerificationError, ZeroSeries
+from mahler.errors import (InsufficientPrecision, PlanMismatch, UnknownLeadingTerm,
+                           VerificationError, ZeroSeries)
 from mahler.fields import Poly
 from mahler.hahn import POS, HahnSeries, Mask, hs, monomial, one, zero
 from mahler.newton import analyze, char_poly, frobenius_plan, newton_polygon, slopes_of
@@ -157,8 +158,8 @@ def test_char_poly_equals_the_gauged_reference():
     """char_poly, read off L in place, equals chi read off the gauged
     operator on every slope: the corpus operators, rand_operator draws and
     an interior floor above the edge.  With the floor on the edge both
-    raise UnknownLeadingTerm, char_poly naming i, a_i's own exponent and
-    the slope."""
+    raise, the reference UnknownLeadingTerm and char_poly
+    InsufficientPrecision naming i, a_i's own exponent and the slope."""
     rng = random.Random(61)
     cases = _corpus() + [rand_operator(rng) for _ in range(60)]
     floor = lambda gap: forget(zero(), Fraction(gap), POS)
@@ -175,14 +176,14 @@ def test_char_poly_equals_the_gauged_reference():
     assert slopes_of(newton_polygon(L)) == ((Fraction(8), 2),)
     with pytest.raises(UnknownLeadingTerm, match="^coefficient at 0 is not certified$"):
         reference_char_poly(L, Fraction(8))
-    with pytest.raises(UnknownLeadingTerm, match="^coefficient of a_1 at exponent 8, on the "
+    with pytest.raises(InsufficientPrecision, match="^coefficient of a_1 at exponent 8, on the "
                        "Newton edge of slope 8, is not certified$"):
         char_poly(L, Fraction(8))
 
 
 def test_analyze_builds_no_series(monkeypatch):
     """analyze reads every coefficient in place: per call no
-    HahnSeries.shift and no _build_sorted.  The README example at
+    HahnSeries.shift, no _build_sorted and no _series.  The README example at
     precision 8 and the corpus operators."""
     hahn = sys.modules["mahler.hahn"]
     cases = [elaborate(parse_spec(EXAMPLE), 8)] + _corpus()
@@ -190,6 +191,7 @@ def test_analyze_builds_no_series(monkeypatch):
     monkeypatch.setattr(HahnSeries, "shift",
                         count_calls(monkeypatch, calls, HahnSeries.shift, "shift"))
     count_calls(monkeypatch, calls, hahn._build_sorted, "_build_sorted")
+    count_calls(monkeypatch, calls, hahn._series, "_series")
     slopes = 0
     for L in cases:
         slopes += len(analyze(L).slopes)
