@@ -12,17 +12,13 @@ powers of z; exponents of z are bare integers or parenthesized rationals.
 Each coefficient is kept as a postfix program, so parsing, evaluating and
 printing are loops over a stack and no nesting depth makes them recurse.
 """
-from __future__ import annotations
-
-import argparse
 import contextlib
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (InsufficientPrecision, MahlerError, NonRationalExponentLiteral,
-                     ParseError, PlanMismatch, VerificationError, ZeroSeries)
+                     ParseError, PlanMismatch, Record, VerificationError, ZeroSeries)
 from .fields import poly_str
 from .frobenius import frobenius_basis
 from .hahn import POS, hs_mul, monomial, zero
@@ -201,13 +197,11 @@ class _Parser:
             "exponent of z must be an integer or a parenthesized rational", ln, col)
 
 
-@dataclass(frozen=True)
-class EquationSpec:
+class EquationSpec(Record):
     """Parsed input: radix and one postfix program (see `expr_str`) per
     coefficient (None = absent)."""
 
-    p: int
-    coeffs: tuple
+    __slots__ = ("p", "coeffs")
 
     @property
     def order(self):
@@ -402,6 +396,7 @@ def _diagnostic(exc, as_json):
 
 
 def _positive_rational(text):
+    import argparse
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -412,6 +407,7 @@ def _positive_rational(text):
 
 
 def _positive_int(text):
+    import argparse
     try:
         value = int(text)
     except ValueError:
@@ -475,6 +471,7 @@ def cmd_selftest(args):
 
 
 def main(argv=None):
+    import argparse
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] not in ("analyze", "selftest", "-h", "--help"):
         argv.insert(0, "analyze")

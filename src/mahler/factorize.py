@@ -4,42 +4,33 @@ An operator with rational exponents factors as a(z) * L_k ... L_1, one layer
 L_j per slope (ascending), each layer a product of r_j factors
 (z**nu_j phi - c) h(z)**-1 with h tangent to the identity.
 """
-from __future__ import annotations
-
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (NonRationalExponent, PlanMismatch, UnknownLeadingTerm, VerificationError,
-                     ZeroSeries)
-from .hahn import (_FULL, HahnSeries, _exp, _fold, _grid, _grid_product, _integer_part,
-                   _iv_diff, _numerators, _series, _shifted, forward_solve)
+from .errors import (NonRationalExponent, PlanMismatch, Record, UnknownLeadingTerm,
+                     VerificationError, ZeroSeries)
+from .hahn import (_FULL, NEG, _exp, _fold, _grid, _grid_product, _iv_diff, _numerators, _series,
+                   _shifted, forward_solve)
 from .operator import MahlerOperator
 
 
-@dataclass(frozen=True)
-class FirstOrderFactor:
-    """The factor (z**nu phi - c) h**-1."""
+class FirstOrderFactor(Record):
+    """The factor (z**nu phi - c) h**-1: nu and c Fractions, h a HahnSeries."""
 
-    nu: Fraction
-    c: Fraction
-    h: HahnSeries
+    __slots__ = ("nu", "c", "h")
 
     def to_json(self):
         return {"nu": str(self.nu), "c": str(self.c), "h": self.h.to_json()}
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record):
     """L = a * L_k ... L_1; layers[j] lists the factors of L_{j+1} in peel order.
 
     Within a layer the composed operator is factor[r-1] * ... * factor[0].
     """
 
-    p: int
-    a: HahnSeries
-    layers: tuple
+    __slots__ = ("p", "a", "layers")
 
     def all_factors(self):
         return [f for layer in self.layers for f in layer]
@@ -106,7 +97,7 @@ def _unit_solution(p, M, coeffs, c, top):
         k = p ** i
         taps += [(E - V0, k, N * s) for E, N in
                  terms[bisect_right(terms, V0, key=_exp):bisect_left(terms, cut + V0, key=_exp)]]
-    unit = _integer_part(cut, forward_solve(1, heads[0], taps, cut))
+    unit = ([(NEG, cut)], *forward_solve(1, heads[0], taps, cut))
     return _series(M, unit), unit
 
 

@@ -1,8 +1,6 @@
 """Exact scalar arithmetic: rationals, dense polynomials over Q, rational
 functions in the parameter lambda, and the integer Laurent polynomials in
 lambda that the triangular solve carries them as."""
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 

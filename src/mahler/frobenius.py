@@ -16,14 +16,11 @@ not one per coefficient; the jets' constant terms certify that g is regular
 at c) turns each g_{c,j} into solutions written on the symbols l_{c,u}
 (with e_c = l_{c,0}) that obey phi_p(l_{c,u}) = c*l_{c,u} + l_{c,u-1}.
 """
-from __future__ import annotations
-
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (InsufficientPrecision, PlanMismatch, PoleAtEvaluationPoint,
+from .errors import (InsufficientPrecision, PlanMismatch, PoleAtEvaluationPoint, Record,
                      VerificationError)
 from .factorize import factor_operator
 from .fields import _ONE, LamPoly, RatFun, _lam_poly, lam_ratfun, taylor_table
@@ -274,12 +271,13 @@ def check_gcj(L, plan, fact, c, j, mu, g):
         raise VerificationError("leading coefficient of g disagrees with the closed form")
 
 
-@dataclass(frozen=True)
-class SolutionObject:
+class SolutionObject(Record):
     """Element sum f_{c,u}(z) l_{c,u} of the solution module."""
 
-    p: int
-    parts: tuple  # ((c, u, HahnSeries over Q), ...) sorted by (c, u)
+    __slots__ = (
+        "p",
+        "parts",  # ((c, u, HahnSeries over Q), ...) sorted by (c, u)
+    )
 
     def part(self, c, u):
         for cc, uu, fs in self.parts:
@@ -342,17 +340,18 @@ def apply_to_solution(L, y):
     return _solution(L.p, hs_mul_sums(L.p, coeffs, [fs for _, _, fs in y.parts], sums))
 
 
-@dataclass(frozen=True)
-class ExponentBlock:
+class ExponentBlock(Record):
     """Everything attached to one exponent c of one slope mu_j."""
 
-    j: int
-    mu: Fraction
-    c: Fraction
-    s: int
-    m: int
-    g: HahnSeries          # coefficients in Q(lambda)
-    solutions: tuple
+    __slots__ = (
+        "j",
+        "mu",
+        "c",
+        "s",
+        "m",
+        "g",                   # a HahnSeries, coefficients in Q(lambda)
+        "solutions",
+    )
 
     def to_json(self):
         return {"j": self.j, "mu": str(self.mu), "c": str(self.c),
@@ -360,15 +359,16 @@ class ExponentBlock:
                 "solutions": [sol.to_json() for sol in self.solutions]}
 
 
-@dataclass(frozen=True)
-class FrobeniusOutput:
-    p: int
-    newton: object
-    plan: object
-    factorization: object    # None when the basis is partial
-    blocks: tuple
-    partial: bool
-    verification: dict
+class FrobeniusOutput(Record):
+    __slots__ = (
+        "p",
+        "newton",
+        "plan",
+        "factorization",         # None when the basis is partial
+        "blocks",
+        "partial",
+        "verification",          # a dict
+    )
 
     @property
     def solutions(self):

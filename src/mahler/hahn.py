@@ -18,8 +18,6 @@ Instances are immutable by convention and safe to share.  Two private
 slots, which equality, hashing and JSON ignore, keep a series' own lattice
 (`_grid`) and, over Q, its lattice form (`_numerators`), each found once.
 """
-from __future__ import annotations
-
 import heapq
 import math
 from bisect import bisect_left
@@ -328,7 +326,7 @@ class HahnSeries:
         _, ((V, lead), *rest), den = _numerators(self, M)
         cut = cap.numerator * (M // cap.denominator)
         w = forward_solve(Fraction(den, lead), lead, [(E - V, 1, N) for E, N in rest], cut)
-        return _series(M, _integer_part(cut, w), -V)
+        return _series(M, ([(NEG, cut)], *w), -V)
 
     # -- comparisons ----------------------------------------------------------
 
@@ -399,8 +397,8 @@ def hs_sum(series):
 
 
 def forward_solve(one, lead, taps, cut):
-    """The terms (g, w_g), by increasing g < cut, of the series w with
-    w_0 = one and
+    """The terms of the series w below cut as (terms, den), terms the pairs
+    (g, N) with w_g = N/den, by increasing g, where w_0 = one and
 
         lead * w_g + sum over taps (e, k, a) of a * w_((g - e)/k) = 0
 
@@ -421,7 +419,11 @@ def forward_solve(one, lead, taps, cut):
     depth summed into g; when ell = 1 every depth stays 0 and no power of
     ell is formed.  A pending sum is a pair (S, d), and a contribution of
     another depth meets it after one side is multiplied by a power of ell.
-    Each output value is one Fraction, whose gcd is the only one.
+    The values come out as integer numerators over one den, the lcm of
+    their reduced denominators: over D = od * ell**dmax, dmax the largest
+    depth, w_g has the numerator N_g = W * ell**(dmax - d), and den is
+    D / gcd(D, every N_g), found by the one gcd.  No terms come out as
+    ([], 1).
     """
     rows = {}
     for e, k, a in taps:
@@ -429,7 +431,7 @@ def forward_solve(one, lead, taps, cut):
             raise MahlerError("tap (%s, %s) does not move the recursion forward" % (e, k))
         rows.setdefault(k, []).append((e, a))
     if cut <= 0:
-        return []
+        return [], 1
     sign = -1 if lead < 0 else 1
     ell = sign * lead
     rows = [(k, sorted(((e, sign * a) for e, a in row), key=itemgetter(0)))
@@ -471,8 +473,11 @@ def forward_solve(one, lead, taps, cut):
         g = heapq.heappop(heap)
         S, d = pending.pop(g)
         W, d = -S, d + step
-    od = one.denominator
-    return [(g, Fraction(W, od * power(d))) for g, W, d in w]
+    dmax = max((d for _, _, d in w), default=0)
+    D = one.denominator * power(dmax)
+    nums = [(g, W * power(dmax - d)) for g, W, d in w]
+    q = math.gcd(D, *(N for _, N in nums))
+    return [(g, N // q) for g, N in nums], D // q
 
 
 def hs_mul(f, g):
@@ -683,13 +688,6 @@ def _series(M, part, d=0):
         f._M = M // math.gcd(M, lo0, *(E for E, _ in terms),
                              *(x for iv in ext for x in iv if type(x) is int))
     return f
-
-
-def _integer_part(cut, w):
-    """The (region, terms, den) of the series below cut with the terms w of
-    `forward_solve`: its values as integer numerators over their lcm."""
-    den = math.lcm(*(v.denominator for _, v in w))
-    return [(NEG, cut)], [(g, v.numerator * (den // v.denominator)) for g, v in w], den
 
 
 def _shifted(part, d):

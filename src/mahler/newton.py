@@ -1,27 +1,25 @@
 """Newton polygon, slopes, characteristic polynomials, admissible exponents
 and the induction plan used by the solver."""
-from __future__ import annotations
-
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (InsufficientPrecision, PlanMismatch, UnknownLeadingTerm, VerificationError,
-                     ZeroSeries)
+from .errors import (InsufficientPrecision, PlanMismatch, Record, UnknownLeadingTerm,
+                     VerificationError, ZeroSeries)
 from .fields import Poly, rational_roots
 from .hahn import NEG
 
 
-@dataclass(frozen=True)
-class NewtonData:
+class NewtonData(Record):
     """Full combinatorial analysis of an operator."""
 
-    p: int
-    vertices: tuple          # ((alpha_j, p**alpha_j, val a_{alpha_j}), ...)
-    slopes: tuple            # ((mu_j, r_j), ...) with mu strictly increasing
-    charpolys: tuple         # canonical chi per slope (Poly, nonzero constant term)
-    exponents: tuple         # per slope: ((c, m), ...) sorted by c
-    residuals: tuple         # per slope: rootless residual factor of chi
+    __slots__ = (
+        "p",
+        "vertices",          # ((alpha_j, p**alpha_j, val a_{alpha_j}), ...)
+        "slopes",            # ((mu_j, r_j), ...) with mu strictly increasing
+        "charpolys",         # canonical chi per slope (Poly, nonzero constant term)
+        "exponents",         # per slope: ((c, m), ...) sorted by c
+        "residuals",         # per slope: rootless residual factor of chi
+    )
 
     @property
     def full(self):
@@ -38,14 +36,15 @@ class NewtonData:
         }
 
 
-@dataclass(frozen=True)
-class FrobeniusPlan:
+class FrobeniusPlan(Record):
     """Per-slope gauge twists nu_j and per-exponent offsets s_{c,j}."""
 
-    p: int
-    val_a0: Fraction
-    nus: tuple               # nu_j per slope
-    entries: tuple           # per slope: ((c, m, s), ...)
+    __slots__ = (
+        "p",
+        "val_a0",            # a Fraction
+        "nus",               # nu_j per slope
+        "entries",           # per slope: ((c, m, s), ...)
+    )
 
     def entry(self, j):
         """((c, m, s), ...) of slope j; PlanMismatch when j is not a slope index."""

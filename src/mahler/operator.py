@@ -1,7 +1,5 @@
 """Mahler operators: noncommutative polynomials in phi_p with Hahn-series
 coefficients, phi_p acting by z -> z**p.  No gauge transform is a method."""
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .errors import ZeroDivisor

@@ -1,6 +1,4 @@
 """Random factored operators for the CLI self-test and the benchmark corpus."""
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .factorize import Factorization, FirstOrderFactor, factor_reconstruct

@@ -6,8 +6,6 @@ Every oracle here recomputes its answer from first principles (dictionary
 convolutions, orbit recursions, direct hull walks, explicit double sums) so
 that the library is never checked against itself.
 """
-from __future__ import annotations
-
 import heapq
 import math
 import sys
@@ -27,6 +25,14 @@ from mahler.testing import rand_rational
 
 
 lam = RatFun(Poly((0, 1)))
+
+
+def replace(record, **changes):
+    """A copy of the immutable record with the given fields changed, the
+    others as in record (the record's fields are its class's __slots__)."""
+    fields = {name: getattr(record, name) for name in type(record).__slots__}
+    fields.update(changes)
+    return type(record)(**fields)
 
 
 def rebind(monkeypatch, fn, wrapper):
@@ -426,7 +432,7 @@ def reference_forward_solve(one, lead, taps, cap):
     each value formed by its coefficients' own arithmetic and divided by
     lead as it settles.  forward_solve runs on the integers of the taps'
     lattice instead, and over Q its values are integer numerators over
-    powers of the scaled lead, one Fraction per output term."""
+    powers of the scaled lead, which come out over one den."""
     rows = {}
     for e, k, a in taps:
         if e < 0 or k < 1 or (not e and k == 1):
@@ -462,17 +468,21 @@ def rational_forward_solve(one, lead, taps, cap):
     takes its cases: the exponents go on the taps' lattice (1/D)Z, lead and
     the tap coefficients over the lcm Q of their denominators (ell = Q*lead),
     the cap becomes ceil(cap*D), and the terms are built into a series exact
-    on (-inf, cap).  Over Q(lambda) a MahlerError, as the kernel runs on
-    integers only."""
+    on (-inf, cap).  Checks that the numerators come over the lcm of the
+    values' reduced denominators.  Over Q(lambda) a MahlerError, as the
+    kernel runs on integers only."""
     for c in (one, lead, *(a for _, _, a in taps)):
         if type(c) is not Fraction:
             raise MahlerError("the forward recursion runs over Q; got a %s coefficient"
                               % type(c).__name__)
     D = math.lcm(*(e.denominator for e, _, _ in taps))
     Q = math.lcm(lead.denominator, *(a.denominator for _, _, a in taps))
-    w = forward_solve(one, int(lead * Q), [(int(e * D), k, int(a * Q)) for e, k, a in taps],
-                      math.ceil(cap * D))
-    return _build_sorted([(Fraction(g, D), v) for g, v in w], [(NEG, cap)])
+    terms, den = forward_solve(one, int(lead * Q),
+                               [(int(e * D), k, int(a * Q)) for e, k, a in taps],
+                               math.ceil(cap * D))
+    values = [Fraction(N, den) for _, N in terms]
+    assert den == math.lcm(*(v.denominator for v in values))
+    return _build_sorted([(Fraction(g, D), v) for (g, _), v in zip(terms, values)], [(NEG, cap)])
 
 
 def geometric_invert(f, ceiling):

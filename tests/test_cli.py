@@ -1,5 +1,4 @@
 """Input language, elaboration, pipeline driver and command entry point."""
-import dataclasses
 import errno
 import hashlib
 import importlib
@@ -16,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 import mahler
-from conftest import eq_on_mask, reference_add
+from conftest import eq_on_mask, reference_add, replace
 from mahler.cli import elaborate, expr_str, main, parse_spec, render_pretty, run_pipeline
 from mahler.errors import (InsufficientPrecision, MahlerError, NonRationalExponentLiteral,
                            ParseError, ZeroDivisor, VerificationError)
@@ -527,7 +526,7 @@ def test_selftest_reports_failures(capsys, monkeypatch):
         if len(calls) % 3 == 1:
             raise InsufficientPrecision("ceiling too low")
         out = real(L, ceiling, depth, verify=verify)
-        return dataclasses.replace(out, partial=True) if len(calls) % 3 == 2 else out
+        return replace(out, partial=True) if len(calls) % 3 == 2 else out
     monkeypatch.setattr("mahler.cli.frobenius_basis", flaky)
     assert main(["selftest", "--seed", "7", "--count", "3"]) == 1
     assert capsys.readouterr().out == (

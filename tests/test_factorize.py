@@ -293,11 +293,12 @@ def test_peel_rejects_a_corrupted_unit_solution(monkeypatch):
     solve = module.forward_solve
 
     def corrupted(one_, lead, taps, cut):
-        # one extra certified term below the cut
-        w = dict(solve(one_, lead, taps, cut))
+        # one extra certified term below the cut: 1/3 added to w_g
+        terms, den = solve(one_, lead, taps, cut)
+        w = {g: 3 * N for g, N in terms}
         g = max(1, cut // 7)
-        w[g] = w.get(g, 0) + Fraction(1, 3)
-        return sorted((g, v) for g, v in w.items() if v)
+        w[g] = w.get(g, 0) + den
+        return sorted((g, N) for g, N in w.items() if N), 3 * den
     rng = random.Random(101)
     cases = [rand_factored_operator(rng, Fraction(4))[0] for _ in range(10)]
     cases.append(ladder_operator(2, -2))

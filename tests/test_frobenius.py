@@ -1,5 +1,4 @@
 """Parametric order-1 solver, triangular solve, specialization, verification."""
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -18,8 +17,8 @@ from conftest import (cap, count_calls, d_lambda, eq_on_mask, ev_c, forget, gcj_
                       rand_param_series, rand_pole_series, rand_series, rebind,
                       reference_add, reference_apply, reference_apply_to_solution,
                       reference_numerators, reference_pole_order, reference_solve_gcj,
-                      reference_solve_order1_param, reference_specialize, reference_sum, restrict,
-                      same_lattice_form, series_dict_on_mask)
+                      reference_solve_order1_param, reference_specialize, reference_sum, replace,
+                      restrict, same_lattice_form, series_dict_on_mask)
 from mahler.cli import elaborate, parse_spec
 from mahler.errors import MahlerError, PlanMismatch, PoleAtEvaluationPoint, VerificationError
 from mahler.fields import Poly, RatFun
@@ -714,8 +713,8 @@ def test_independence_passes_and_detects_duplicates():
     (block,) = out.blocks
     y1, y2 = block.solutions
     for dup in ((y1, y1), (y2, y2)):
-        bad_block = dataclasses.replace(block, solutions=dup)
-        bad = dataclasses.replace(out, blocks=(bad_block,))
+        bad_block = replace(block, solutions=dup)
+        bad = replace(out, blocks=(bad_block,))
         rep = verify_independence(bad)
         assert not rep["ok"]
         assert any(not d["ok"] for d in rep["solutions"])
@@ -993,7 +992,7 @@ def test_verified_readme_block_takes_one_den_jet_per_denominator(monkeypatch):
 
 def test_solve_slope_rejects_a_factorization_with_other_layers():
     L, _, plan, fact, _ = _ladder_parts()
-    short = dataclasses.replace(fact, layers=fact.layers[:1])
+    short = replace(fact, layers=fact.layers[:1])
     with pytest.raises(PlanMismatch, match="factorization layers do not match the plan"):
         solve_slope(L, plan, short, 0, 6, 6)
 

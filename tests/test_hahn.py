@@ -17,8 +17,8 @@ from mahler.errors import MahlerError, UnknownLeadingTerm, ZeroDivisor, ZeroSeri
 from mahler.fields import Poly, RatFun
 from mahler.frobenius import frobenius_basis
 from mahler.hahn import (_FULL, NEG, POS, HahnSeries, Mask, _build_sorted, _grid, _iv_diff,
-                         _iv_inter, _iv_norm, _numerators, hs, hs_mul, hs_mul_sums, hs_sum,
-                         monomial, one, zero)
+                         _iv_inter, _iv_norm, _numerators, forward_solve, hs, hs_mul,
+                         hs_mul_sums, hs_sum, monomial, one, zero)
 from mahler.testing import rand_factored_operator, rand_rational
 
 
@@ -668,6 +668,9 @@ def test_forward_solve_geometric_series():
     w = rational_forward_solve(Fraction(1), Fraction(1), [(Fraction(1), 1, Fraction(-1))], Fraction(10))
     assert w.terms == tuple((Fraction(i), Fraction(1)) for i in range(10))
     assert w.mask.extended == [(NEG, Fraction(10))]
+    # nothing below the cut, or a zero start: no terms, over den 1
+    assert forward_solve(1, 1, [(1, 1, -1)], 0) == ([], 1)
+    assert forward_solve(Fraction(0), 3, [(1, 1, -1)], 10) == ([], 1)
 
 
 def test_forward_solve_satisfies_recursion_on_closure():

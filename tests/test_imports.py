@@ -6,7 +6,10 @@ traced, or named in README, and no function of the command-line front end
 calls itself."""
 import ast
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -361,3 +364,19 @@ def test_lattice_form_stays_in_the_kernel():
     assert {str(path.relative_to(ROOT)): lattice_form_uses(path.read_text(encoding="utf-8"))
             for path in SOURCES if path != hahn_py} == {
         str(path.relative_to(ROOT)): [] for path in SOURCES if path != hahn_py}
+
+
+def test_import_loads_no_heavy_standard_modules():
+    """`import mahler` in a fresh interpreter adds none of dataclasses,
+    inspect, argparse or ast to sys.modules; modules loaded before the
+    import (by site) do not count."""
+    probe = ("import sys\n"
+             "before = set(sys.modules)\n"
+             "import mahler\n"
+             "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "mahler.cli" in added
+    assert added & {"dataclasses", "inspect", "argparse", "ast"} == set()
