@@ -185,18 +185,11 @@ class RatFun:
     sums and products over Q(lambda)).  The reciprocal
     den/num of a reduced fraction is reduced and only made monic, and so is
     a positive power, so a negative power runs no gcd and a quotient (a
-    product by the reciprocal) at most one.  Two products are called by name
-    and need no gcd (the closed form of `frobenius.expected_gcj_cld` is
-    built with them; the triangular solve itself carries its coefficients
-    as `LamPoly`s and makes its RatFuns with `lam_ratfun`):
-
-    - `mul_lam_power`, product by a*lambda**k (a nonzero scalar a, k of
-      either sign): only a power of lambda can cancel, so it is stripped
-      from the low end of the den (k > 0) or num (k < 0); an int or
-      Fraction operand of `*` is a*lambda**0;
-    - `mul_root_power`, product by (lambda - c)**k (k of either sign): only
-      lambda - c can cancel, so for c = a/b != 0 it is stripped from the
-      other side by exact integer division by b*lambda - a.
+    product by the reciprocal) at most one.  A product by a scalar (an int
+    or Fraction) only scales the num, and no gcd runs.  The triangular
+    solve carries its coefficients as `LamPoly`s: every RatFun that
+    `frobenius_basis` makes, its closed-form check included, comes from the
+    exit reducer `lam_ratfun`, with no gcd.
 
     Taylor coefficients at lambda = c are not a method: `taylor_table`
     takes those of many RatFuns at once, on integers, with one den jet per
@@ -262,7 +255,7 @@ class RatFun:
 
     def __mul__(self, other):
         if type(other) is int or type(other) is Fraction:
-            return self.mul_lam_power(other, 0) if other else _reduced(_ZERO, _ONE)
+            return _reduced(self.num * other, self.den) if other else _reduced(_ZERO, _ONE)
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -293,42 +286,6 @@ class RatFun:
         needs a monic den, and no gcd runs."""
         inv = 1 / self.num.coeffs[-1]
         return _reduced(self.den * inv, self.num * inv)
-
-    def mul_lam_power(self, a, k):
-        """self * a * lambda**k for a nonzero scalar a and an integer k of
-        either sign: only a power of lambda can cancel, and it comes off the
-        low end of the den (k > 0) or num (k < 0).  No gcd runs."""
-        if not self.num:
-            return self
-        n, d = self.num, self.den
-        if a != 1:
-            n = n * a
-        if k > 0:
-            j = _low_zeros(d.coeffs, k)
-            return _reduced(n.shift(k - j) if k > j else n, _poly(d.coeffs[j:]) if j else d)
-        if k < 0:
-            j = _low_zeros(n.coeffs, -k)
-            return _reduced(_poly(n.coeffs[j:]) if j else n, d.shift(-k - j) if -k > j else d)
-        return _reduced(n, d)
-
-    def mul_root_power(self, c, k):
-        """self * (lambda - c)**k for a rational c and an integer k of either
-        sign.  For c != 0 the factor lambda - c is divided out of the den
-        (k > 0) or num (k < 0) as often as it goes, up to |k| times, and the
-        rest multiplies the other side.  No gcd runs."""
-        if not k or not self.num:
-            return self
-        if not c:
-            return self.mul_lam_power(1, k)
-        n, d = self.num.coeffs, self.den.coeffs
-        # a*lambda**i has no root c != 0, so a monomial side is not divided
-        if k > 0:
-            d, j = _divide_out_root(d, c, k) if any(d[:-1]) else (d, 0)
-            n = _times_root(n, c, k - j)
-        else:
-            n, j = _divide_out_root(n, c, -k) if any(n[:-1]) else (n, 0)
-            d = _times_root(d, c, -k - j)
-        return _reduced(_poly(n), _poly(d))
 
     def __str__(self):
         ns = poly_str(self.num, "λ")
@@ -522,9 +479,10 @@ def lam_ratfun(X, q, powers, dens):
     numerator (scale over b).  lambda**o goes to the numerator (o > 0) or
     the den.  The den then is a product of powers of lambda and of distinct
     lambda - r that divide no numerator, so num/den is reduced, with no gcd.
-    dens maps each den's root powers to its one monic Poly, so equal dens
-    share one coefficient tuple; each numerator coefficient is one
-    Fraction."""
+    dens maps each den's root powers to its one monic Poly, built on
+    integers as prod (b*lambda - a)**k over its leading coefficient, so
+    equal dens share one coefficient tuple; each coefficient of num and den
+    is one Fraction."""
     cs, sn, sd, left = X.cs, 1, q, []
     for r, k in powers:
         a, b = r.numerator, r.denominator
@@ -541,10 +499,11 @@ def lam_ratfun(X, q, powers, dens):
     key = (tuple(left), max(-o, 0))
     den = dens.get(key)
     if den is None:
-        d = [Fraction(1)]
+        d = (1,)
         for r, k in left:
-            d = _times_root(d, r, k)
-        den = dens[key] = _poly((Fraction(0),) * key[1] + tuple(d))
+            for _ in range(k):
+                d = _times_linear(d, r.numerator, r.denominator)
+        den = dens[key] = _poly((Fraction(0),) * key[1] + tuple(Fraction(v, d[-1]) for v in d))
     g = math.gcd(sn, sd)
     sn, sd = sn // g, sd // g
     num = [Fraction(v * sn, sd) for v in cs]
@@ -562,14 +521,6 @@ def _reduced(num, den):
     return out
 
 
-def _low_zeros(cs, k):
-    """Number of leading zero coefficients of cs, counted up to k."""
-    j = 0
-    while j < k and not cs[j]:
-        j += 1
-    return j
-
-
 def _divide_out_root(cs, c, k):
     """(cs / (x - c)**j, j) for the largest j <= k with (x - c)**j dividing
     the polynomial P = sum cs[i] x**i (ascending coefficients).  With
@@ -583,13 +534,6 @@ def _divide_out_root(cs, c, k):
     while j < k and (quo := _linear_quotient(N, a, b)) is not None:
         N, j = quo, j + 1
     return ([Fraction(b ** j * m, L) for m in N], j) if j else (cs, 0)
-
-
-def _times_root(cs, c, k):
-    """Coefficients of cs * (x - c)**k, k >= 0."""
-    for _ in range(k):
-        cs = [-c * cs[0]] + [a - c * b if b else a for a, b in zip(cs, cs[1:])] + [cs[-1]]
-    return cs
 
 
 def _add(n1, d1, n2, d2):

@@ -24,8 +24,9 @@ from .errors import (InsufficientPrecision, PlanMismatch, PoleAtEvaluationPoint,
                      VerificationError)
 from .factorize import factor_operator
 from .fields import _ONE, LamPoly, RatFun, _lam_poly, lam_ratfun, taylor_table
-from .hahn import (_FULL, NEG, POS, HahnSeries, _fold, _grid, _grid_product, _iv_diff, _next_gap,
-                   _numerators, _on_lattice, _series, _shifted, hs_mul_sums)
+from .hahn import (_FULL, NEG, POS, HahnSeries, _fold, _grid, _grid_product, _iv_diff,
+                   _mask_note, _next_gap, _numerators, _on_lattice, _series, _shifted,
+                   hs_mul_sums)
 from .newton import analyze, frobenius_plan
 
 
@@ -235,15 +236,16 @@ def solve_gcj(L, plan, fact, c, j, ceiling, depth):
 
 def expected_gcj_cld(L, plan, fact, c, j):
     """Closed form for the leading coefficient of g_{c,j}:
-    lambda**(-R) const (lambda - c)**(s+m) / prod_f (lambda - f.c), f over
-    the factors of layer j and R the number of factors below it."""
+    lambda**(-R) n/d (lambda - c)**(s+m) / prod_f (lambda - f.c), f over
+    the factors of layer j, R the number of factors below it and n/d the
+    product of -f.c up to layer j over cld a_0, by `lam_ratfun`."""
     m, s = plan.lookup(j, c)
-    rs = [len(layer) for layer in fact.layers]
-    num = math.prod(-f.c for layer in fact.layers[: j + 1] for f in layer)
-    expect = RatFun.const(1).mul_lam_power(num / L.coeffs[0].cld(), -sum(rs[:j]))
-    for r, k in [(Fraction(c), s + m)] + [(f.c, -1) for f in fact.layers[j]]:
-        expect = expect.mul_root_power(r, k)
-    return expect
+    nd = math.prod(-f.c for layer in fact.layers[: j + 1] for f in layer) / L.coeffs[0].cld()
+    powers = Counter({Fraction(c): s + m})
+    powers.subtract(f.c for f in fact.layers[j])
+    R = sum(len(layer) for layer in fact.layers[:j])
+    return lam_ratfun(LamPoly(-R, (nd.numerator,)), nd.denominator,
+                      sorted((r, k) for r, k in powers.items() if k), {})
 
 
 def check_gcj(L, plan, fact, c, j, mu, g):
@@ -258,11 +260,10 @@ def check_gcj(L, plan, fact, c, j, mu, g):
     c = Fraction(c)
     bound, exact = g.val_bound()
     if not exact and bound <= -mu:
-        gap = "is empty" if g.mask.empty else "has its first gap at %s" % bound
         raise InsufficientPrecision(
             "g_{c,j} for c = %s, j = %d has no certified leading term: its mask %s, "
             "not above the expected valuation %s; raise the precision"
-            % (c, j, gap, -mu))
+            % (c, j, _mask_note(g), -mu))
     if bound != -mu:
         found = (("inf: g is certified zero" if bound == POS else bound) if exact
                  else "at least %s, the first gap of its mask" % bound)

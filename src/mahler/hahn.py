@@ -24,7 +24,8 @@ from bisect import bisect_left
 from fractions import Fraction
 from operator import itemgetter
 
-from .errors import MahlerError, UnknownLeadingTerm, ZeroDivisor, ZeroSeries
+from .errors import (InsufficientPrecision, MahlerError, UnknownLeadingTerm, ZeroDivisor,
+                     ZeroSeries)
 from .fields import LamPoly, _lam_poly
 
 NEG = float("-inf")
@@ -157,30 +158,6 @@ def _next_gap(ext, x):
     return t
 
 
-def _build_sorted(tl, ext):
-    """Canonical series from terms sorted by distinct exponents, none with a
-    zero coefficient (a series stores its terms so, and the kernels emit
-    them so), and a normalized extended certified set `ext`, which is only
-    read.  The head of `ext` must reach down to -inf, since the stored
-    mask's no-support-below guarantee is only deducible from a certified ray
-    (-inf, hi); a finite head carries a claim the mask cannot represent, so
-    everything is conservatively dropped.  The head becomes the stored
-    [lo, hi) with lo at the lowest retained exponent (any lo below the
-    support keeps the same certified region)."""
-    if not ext or ext[0][0] != NEG:
-        return HahnSeries((), _EMPTY)
-    kept = _kept(tl, ext)
-    hi0 = ext[0][1]
-    if kept and kept[0][0] < hi0:
-        lo0 = kept[0][0]
-    elif hi0 > 0:
-        lo0 = Fraction(0)
-    else:
-        lo0 = hi0 - 1
-    return HahnSeries(tuple(kept), Mask._of(
-        [(_rat(lo), hi if hi == POS else _rat(hi)) for lo, hi in ((lo0, hi0), *ext[1:])]))
-
-
 def _kept(tl, ext):
     """The terms of tl (sorted by distinct exponents) whose exponents lie in
     the normalized region ext: one sweep over the intervals in order, each
@@ -195,6 +172,11 @@ def _kept(tl, ext):
         kept += tl[i:j]
         i = j
     return kept
+
+
+def _mask_note(f):
+    """How f's mask leaves its leading term uncertified, f not the exact zero."""
+    return "is empty" if f.mask.empty else "has its first gap at %s" % f.mask.first_gap()
 
 
 def _rat(x):
@@ -306,21 +288,23 @@ class HahnSeries:
         c w_g + sum_(e > 0) f_(v+e) w_(g-e) = 0.  Nothing above the window is
         certified: islands of this series' mask beyond its first gap carry no
         certificate into the inverse.  Inversion is over Q only (over
-        Q(lambda) a MahlerError, exact monomials included).  An exact
-        monomial inverts exactly; any other series' numerators on its own
-        lattice (`_numerators`), refined to hold the window's top, give
-        forward_solve's integer taps and lead, the leading numerator; the
-        inverse is built once, in its final frame (`_series`).
+        Q(lambda) a MahlerError, exact monomials included).  The exact zero
+        raises ZeroDivisor, an uncertified leading term InsufficientPrecision.
+        An exact monomial inverts exactly; any other series' numerators on
+        its own lattice (`_numerators`), refined to hold the window's top,
+        give forward_solve's integer taps and lead, the leading numerator;
+        the inverse is built once, in its final frame (`_series`).
         """
-        if not self.terms:
+        v, exact = self.val_bound()
+        if not exact:
+            raise InsufficientPrecision("cannot invert a series with no certified leading "
+                                        "term: its mask %s; raise the precision"
+                                        % _mask_note(self))
+        if v == POS:
             raise ZeroDivisor("cannot invert a series with no certified nonzero term")
-        try:
-            v = self.val()
-        except UnknownLeadingTerm:
-            raise ZeroDivisor("cannot invert: leading term not certified")
         _over_q(self.terms)
         if len(self.terms) == 1 and self.mask.extended == _FULL:
-            return _build_sorted([(-v, 1 / self.terms[0][1])], _FULL)
+            return monomial(-v, 1 / self.terms[0][1])
         cap = min(Fraction(ceiling), self.mask.first_gap()) - v
         M = math.lcm(_grid([self]), cap.denominator)
         _, ((V, lead), *rest), den = _numerators(self, M)
@@ -349,21 +333,18 @@ class HahnSeries:
                 "mask": self.mask.to_json()}
 
 
-def _coeff(c):
-    """Exact coefficient: plain integers become Fractions, others pass through."""
-    return Fraction(c) if isinstance(c, int) else c
-
-
 def hs(terms=(), mask=None):
-    """Build a series from a dict or pair list; mask None means exactly known.
-    Coefficients at equal exponents are added."""
+    """Build a series from a dict or pair list (int coefficients become
+    Fractions, coefficients at equal exponents are added); mask None means
+    exactly known, built by `_series` on the exponents' own lattice."""
     acc = {}
     for e, c in terms.items() if isinstance(terms, dict) else terms:
-        e, c = Fraction(e), _coeff(c)
+        e, c = Fraction(e), Fraction(c) if isinstance(c, int) else c
         acc[e] = acc[e] + c if e in acc else c
     items = sorted(((e, c) for e, c in acc.items() if c), key=_exp)
     if mask is None:
-        return _build_sorted(items, _FULL)
+        M = math.lcm(*(e.denominator for e, _ in items))
+        return _series(M, (_FULL, [(e.numerator * (M // e.denominator), c) for e, c in items], 1))
     if not isinstance(mask, Mask):
         mask = Mask(mask)
     for e, _ in items:
@@ -373,7 +354,7 @@ def hs(terms=(), mask=None):
 
 
 def zero():
-    return _build_sorted((), _FULL)
+    return hs()
 
 
 def one():
@@ -381,7 +362,7 @@ def one():
 
 
 def monomial(e, c=Fraction(1)):
-    return _build_sorted([(Fraction(e), _coeff(c))] if c else (), _FULL)
+    return hs(((e, c),))
 
 
 def hs_sum(series):
@@ -662,19 +643,21 @@ def _fold(pieces):
 
 
 def _series(M, part, d=0):
-    """z**(d/M) times the series of a (region, terms, den) on (1/M)Z, as
-    `_numerators` and `_fold` give it, for an integer d, built once: the
-    `_build_sorted` of the unshifted series, shifted, so its stored mask
-    head is read off the unshifted frame.  A sum S becomes Fraction(S, den)
-    for an integer S; any other S (a RatFun or LamPoly the caller formed)
-    comes with den 1 and is kept.  A series over Q whose region reaches
-    down to -inf keeps the shifted triple as its lattice form, and its own
+    """z**(d/M) times the series of a (region, terms, den) on (1/M)Z, for an
+    integer d: the one builder of a series.  The region is normalized and
+    only read; the terms are sorted by distinct exponents, nonzero and
+    inside it.  A sum S becomes Fraction(S, den) for an integer S; any
+    other S (a Fraction, RatFun or LamPoly) comes with den 1 and is kept.
+    The mask's no-support-below guarantee needs a certified ray (-inf, hi)
+    as the region's head, so a finite head drops everything.  The head
+    becomes the stored [lo, hi), read off the unshifted frame: lo is the
+    least exponent if below hi, else 0 if hi > 0, else hi - 1.  A series
+    over Q keeps the shifted triple as its lattice form, and its own
     lattice, M // gcd of M and every exponent and endpoint (`_numerators`,
     `_grid`)."""
     ext, terms, den = part
     if not ext or ext[0][0] != NEG:
         return HahnSeries((), _EMPTY)
-    terms = _kept(terms, ext)
     hi0 = ext[0][1]
     lo0 = terms[0][0] if terms and terms[0][0] < hi0 else 0 if hi0 > 0 else hi0 - M
     ext, terms, _ = _shifted((ext, terms, den), d)

@@ -3,10 +3,9 @@ and the induction plan used by the solver."""
 from collections import Counter
 from fractions import Fraction
 
-from .errors import (InsufficientPrecision, PlanMismatch, Record, UnknownLeadingTerm,
-                     VerificationError, ZeroSeries)
+from .errors import InsufficientPrecision, PlanMismatch, Record, VerificationError, ZeroSeries
 from .fields import Poly, rational_roots
-from .hahn import NEG
+from .hahn import _mask_note
 
 
 class NewtonData(Record):
@@ -73,8 +72,9 @@ def _coeff_vals(L):
     """Certified valuations of the nonzero coefficients, requiring a_0, a_n != 0.
 
     Returns (points, floors): points carry certified (index, val); floors carry
-    (index, lowest possible val) for interior coefficients that look like 0 but
-    are only partially certified.
+    (index, series) for interior coefficients that look like 0 but are only
+    partially certified.  An a_0 or a_n that only looks like 0, not the
+    exact zero (ZeroSeries), raises InsufficientPrecision.
     """
     pts, floors = [], []
     for i, ai in enumerate(L.coeffs):
@@ -84,8 +84,9 @@ def _coeff_vals(L):
             continue
         if ai.is_zero():
             if i in (0, L.order):
-                raise UnknownLeadingTerm("a_0 and a_n need certified leading terms")
-            floors.append((i, ai.val_bound()[0]))
+                raise InsufficientPrecision("a_%d has no certified leading term: its mask %s; "
+                                            "raise the precision" % (i, _mask_note(ai)))
+            floors.append((i, ai))
             continue
         pts.append((i, ai.val()))
     return pts, floors
@@ -96,7 +97,8 @@ def newton_polygon(L):
 
     Returns ((alpha_j, p**alpha_j, val a_{alpha_j}), ...) with alpha_0 = 0.
     A partially certified coefficient with no stored terms is tolerated only
-    when even its lowest possible valuation stays on or above the hull.
+    when even its first mask gap stays on or above the hull, else it raises
+    InsufficientPrecision.
     """
     p = L.p
     certain, floors = _coeff_vals(L)
@@ -110,10 +112,10 @@ def newton_polygon(L):
             else:
                 break
         hull.append(pt)
-    for i, fp in floors:
-        if fp == NEG or _below_hull(hull, Fraction(p ** i), fp):
-            raise UnknownLeadingTerm(
-                "coefficient %d might dip below the certified polygon" % i)
+    for i, ai in floors:
+        if ai.mask.empty or _below_hull(hull, Fraction(p ** i), ai.mask.first_gap()):
+            raise InsufficientPrecision("coefficient %d might dip below the certified polygon: "
+                                        "its mask %s; raise the precision" % (i, _mask_note(ai)))
     return tuple((i, x, y) for x, y, i in hull)
 
 

@@ -11,14 +11,14 @@ import math
 import sys
 from fractions import Fraction
 
-from mahler.errors import (MahlerError, NonRationalExponent, PlanMismatch,
-                           PoleAtEvaluationPoint, UnknownLeadingTerm, VerificationError,
-                           ZeroDivisor)
+from mahler.errors import (InsufficientPrecision, MahlerError, NonRationalExponent,
+                           PlanMismatch, PoleAtEvaluationPoint, UnknownLeadingTerm,
+                           VerificationError, ZeroDivisor, ZeroSeries)
 from mahler.factorize import Factorization, FirstOrderFactor
 from mahler.fields import Poly, RatFun
 from mahler.frobenius import _solution, solve_order1_param
-from mahler.hahn import (_FULL, NEG, POS, HahnSeries, Mask, _build_sorted, _iv_diff, _iv_inter,
-                         _iv_norm, forward_solve, hs, hs_mul, hs_sum, monomial, zero)
+from mahler.hahn import (_FULL, NEG, POS, HahnSeries, Mask, _iv_diff, _iv_inter, _iv_norm,
+                         forward_solve, hs, hs_mul, hs_sum, monomial, zero)
 from mahler.newton import analyze, frobenius_plan
 from mahler.operator import MahlerOperator
 from mahler.testing import rand_rational
@@ -62,19 +62,19 @@ def lift(f):
 def forget(f, lo, hi):
     """f with certification given up on [lo, hi), which an empty [lo, hi)
     leaves as it is: how tests punch holes in masks."""
-    return _build_sorted(f.terms, _iv_diff(f.mask.extended, [(lo, hi)] if lo < hi else []))
+    return reference_build(f.terms, _iv_diff(f.mask.extended, [(lo, hi)] if lo < hi else []))
 
 
 def cap(f, bound):
     """f with everything at or above `bound` forgotten (truncation, not
     restriction)."""
-    return _build_sorted(f.terms, _iv_inter(f.mask.extended, [(NEG, bound)]))
+    return reference_build(f.terms, _iv_inter(f.mask.extended, [(NEG, bound)]))
 
 
 def restrict(f, lo, hi):
     """The restriction of f to [lo, hi): zero outside it by fiat."""
-    return _build_sorted([(e, c) for e, c in f.terms if lo <= e < hi],
-                         _iv_diff(_FULL, _iv_diff([(lo, hi)], f.mask.extended)))
+    return reference_build([(e, c) for e, c in f.terms if lo <= e < hi],
+                           _iv_diff(_FULL, _iv_diff([(lo, hi)], f.mask.extended)))
 
 
 def rand_exponent(rng, lo=-3, hi=6, max_den=3):
@@ -232,7 +232,7 @@ def gcj_residual_mask(L, plan, c, j, g):
     """Check L^[e_lambda](g) against its closed form; returns the certified mask."""
     c = Fraction(c)
     m, s = plan.lookup(j, c)
-    lead = RatFun.const(1).mul_root_power(c, s + m)
+    lead = (lam - c) ** (s + m)
     rhs = monomial(plan.val_a0 - plan.nus[j] / (L.p - 1), lead)
     res = reference_add(reference_apply(gauge_exp_param(L), g), -rhs)
     if not res.is_zero():
@@ -310,14 +310,14 @@ def same_lattice_form(got, want):
 
 def reference_series(M, part, d=0):
     """hahn._series(M, part, d) the way it was first built: the Fractions
-    of the unshifted series through _build_sorted, then HahnSeries.shift
+    of the unshifted series through reference_build, then HahnSeries.shift
     by d/M, which moves the stored mask head read off the unshifted
     frame."""
     ext, terms, den = part
     at = lambda x: x if type(x) is float else Fraction(x, M)
-    return _build_sorted([(Fraction(E, M), Fraction(S, den) if type(S) is int else S)
-                          for E, S in terms],
-                         [(at(lo), at(hi)) for lo, hi in ext]).shift(Fraction(d, M))
+    return reference_build([(Fraction(E, M), Fraction(S, den) if type(S) is int else S)
+                            for E, S in terms],
+                           [(at(lo), at(hi)) for lo, hi in ext]).shift(Fraction(d, M))
 
 
 def reference_build(terms, ext):
@@ -331,9 +331,10 @@ def reference_build(terms, ext):
     finite head carries a claim the mask cannot represent, so everything is
     conservatively dropped.
 
-    Oracle for hahn._build_sorted on the sorted nonzero terms and the
-    normalized `ext`: a linear membership scan per term and a second
-    normalization inside Mask, where _build_sorted sweeps once."""
+    Oracle for hahn._series, which builds every canonical series (hs,
+    zero, monomial and the kernels' results), on terms inside a normalized
+    `ext`: a linear membership scan per term and a second normalization
+    inside Mask."""
     ext = _iv_norm(ext)
     if not ext or ext[0][0] != NEG:
         return HahnSeries((), Mask(()))
@@ -482,18 +483,20 @@ def rational_forward_solve(one, lead, taps, cap):
                                math.ceil(cap * D))
     values = [Fraction(N, den) for _, N in terms]
     assert den == math.lcm(*(v.denominator for v in values))
-    return _build_sorted([(Fraction(g, D), v) for (g, _), v in zip(terms, values)], [(NEG, cap)])
+    return reference_build([(Fraction(g, D), v) for (g, _), v in zip(terms, values)], [(NEG, cap)])
 
 
 def geometric_invert(f, ceiling):
     """Inverse as the geometric series c**-1 z**-v sum_m (-t)**m with
-    f = c z**v (1 + t), each power a full product capped at the ceiling."""
-    if not f.terms:
-        raise ZeroDivisor("cannot invert a series with no certified nonzero term")
+    f = c z**v (1 + t), each power a full product capped at the ceiling.
+    The exact zero raises ZeroDivisor, any other series with no certified
+    leading term InsufficientPrecision."""
     try:
         v = f.val()
-    except UnknownLeadingTerm:
-        raise ZeroDivisor("cannot invert: leading term not certified")
+    except (ZeroSeries, UnknownLeadingTerm):
+        if f.is_exact_zero():
+            raise ZeroDivisor("cannot invert a series with no certified nonzero term")
+        raise InsufficientPrecision("cannot invert: leading term not certified")
     c = f.terms[0][1]
     inv_c = 1 / c
     if len(f.terms) == 1 and f.mask.extended == _FULL:
@@ -703,7 +706,7 @@ def reference_solve_order1_param(p, mu, c, g, ceiling, depth):
         g0 = G.coeff_at(Fraction(0))
         if g0 and not isinstance(g0, RatFun):
             g0 = RatFun.const(g0)
-        u0 = monomial(0, g0.mul_root_power(c, -1)) if g0 else zero()
+        u0 = monomial(0, g0 / (lam - c)) if g0 else zero()
     else:
         u0 = reference_build((), [(NEG, Fraction(0))])
 

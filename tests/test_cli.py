@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 import mahler
-from conftest import eq_on_mask, reference_add, replace
+from conftest import eq_on_mask, lam, reference_add, replace
 from mahler.cli import elaborate, expr_str, main, parse_spec, render_pretty, run_pipeline
 from mahler.errors import (InsufficientPrecision, MahlerError, NonRationalExponentLiteral,
                            ParseError, ZeroDivisor, VerificationError)
@@ -290,15 +290,49 @@ def test_main_reports_parse_errors_at_their_position(tmp_path, capsys, text, lin
 
 
 def test_main_rejects_a_coefficient_that_cancels_to_uncertified(tmp_path, capsys):
+    """a_0 cancels below every ceiling: the program cannot tell it from a
+    coefficient whose first term lies above the ceiling, so it reports too
+    low a precision (exit 4), naming the first gap of its mask."""
     f = tmp_path / "eq.txt"
     f.write_text("p = 2\na[0] = 1/(1+z) - 1/(1+z)\na[1] = 1\n")
-    assert main([str(f)]) == 2
-    assert capsys.readouterr().err == (
-        "error [UnknownLeadingTerm]: a_0 and a_n need certified leading terms\n")
-    assert main([str(f), "--json"]) == 2
+    message = "a_0 has no certified leading term: its mask has its first gap at 8; " \
+              "raise the precision"
+    assert main([str(f)]) == 4
+    assert capsys.readouterr().err == "error [InsufficientPrecision]: %s\n" % message
+    assert main([str(f), "--json"]) == 4
     info = json.loads(capsys.readouterr().out)["error"]
-    assert info == {"type": "UnknownLeadingTerm",
-                    "message": "a_0 and a_n need certified leading terms"}
+    assert info == {"type": "InsufficientPrecision", "message": message}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a[1] = 1/(z-z^2)",
+     "a_1 has no certified leading term: its mask has its first gap at -1"),
+    ("a[1] = 1/(1/(z-z^2))",
+     "cannot invert a series with no certified leading term: its mask has its first gap at -1"),
+    ("a[1] = 1/(z-z^2)\na[2] = 1",
+     "coefficient 1 might dip below the certified polygon: its mask has its first gap at -1"),
+], ids=["a_n", "inverse", "interior floor"])
+def test_main_reports_valid_input_at_too_low_a_precision(tmp_path, capsys, text, message):
+    """Valid input whose coefficient looks like 0 below the ceiling exits 4
+    (too low a precision) at precision 1, in text and JSON, and solves at
+    precision 3; an exact zero a_0 or a_n, or a division by one, is invalid
+    input (exit 2)."""
+    f = tmp_path / "eq.txt"
+    f.write_text("p = 2\na[0] = 1\n%s\n" % text)
+    message += "; raise the precision"
+    assert main([str(f), "--precision", "1", "--depth", "3", "--verify"]) == 4
+    assert capsys.readouterr() == ("", "error [InsufficientPrecision]: %s\n" % message)
+    assert main([str(f), "--precision", "1", "--depth", "3", "--verify", "--json"]) == 4
+    info = json.loads(capsys.readouterr().out)["error"]
+    assert info == {"type": "InsufficientPrecision", "message": message}
+    assert main([str(f), "--precision", "3", "--depth", "3", "--verify", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verification"]["ok"] is True
+    for bad, kind in (("a[0] = 1/0\na[1] = 1", "ZeroDivisor"),
+                      ("a[0] = 1\na[1] = z - z", "ZeroSeries")):
+        f.write_text("p = 2\n%s\n" % bad)
+        for precision in ("1", "3"):
+            assert main([str(f), "--precision", precision]) == 2
+            assert capsys.readouterr().err.startswith("error [%s]" % kind)
 
 
 def test_main_names_an_uncertified_coefficient_on_a_newton_edge(tmp_path, capsys):
@@ -498,7 +532,7 @@ def test_main_reports_a_pole_of_g_as_a_failed_check_in_both_modes(tmp_path, caps
     """A g_{c,j} with a pole at lambda = c exits 1, with or without --verify:
     it is a solver fault, not invalid input."""
     real = mahler.frobenius.solve_slope
-    pole = mahler.RatFun.const(1).mul_root_power(Fraction(1), -1)
+    pole = 1 / (lam - 1)
 
     def polar(L, plan, fact, j, ceiling, depth):
         gs = real(L, plan, fact, j, ceiling, depth)

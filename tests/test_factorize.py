@@ -315,8 +315,9 @@ def test_peel_rejects_a_corrupted_unit_solution(monkeypatch):
 def test_factor_operator_stays_on_one_lattice(monkeypatch):
     """factor_operator puts L on one lattice once and builds a series only
     for each unit h and for the leftover a: per call no HahnSeries.shift,
-    no hs_mul_sums and no _build_sorted, and one _series per peel plus one.  The
-    README example at precision 8 and the first 60 criterion-3 operators."""
+    no hs_mul_sums, and one _series (the one series builder) per peel plus
+    one.  The README example at precision 8 and the first 60 criterion-3
+    operators."""
     hahn = sys.modules["mahler.hahn"]
     cases = [(elaborate(parse_spec(EXAMPLE), 8), Fraction(8))]
     rng = random.Random(2026)
@@ -325,7 +326,7 @@ def test_factor_operator_stays_on_one_lattice(monkeypatch):
     calls = Counter()
     monkeypatch.setattr(HahnSeries, "shift",
                         count_calls(monkeypatch, calls, HahnSeries.shift, "shift"))
-    for name in ("hs_mul_sums", "_build_sorted", "_series"):
+    for name in ("hs_mul_sums", "_series"):
         count_calls(monkeypatch, calls, getattr(hahn, name), name)
     peels = 0
     for (L, ceiling), plan in zip(cases, plans):

@@ -135,8 +135,10 @@ def _full_reduction(num, den):
 
 def test_ratfun_arithmetic_matches_full_reduction(monkeypatch):
     """Sums, differences, products, quotients and powers against one full
-    reduction of the unreduced pair.  A negative power runs no gcd, as the
-    reciprocal of a reduced fraction is reduced, and a quotient at most one."""
+    reduction of the unreduced pair.  A product by a scalar (an int or
+    Fraction, either side) and a negative power run no gcd, as a scaled or
+    reciprocal reduced fraction is reduced, and a quotient runs at most
+    one."""
     rng = random.Random(31)
     gcds = []
     real_gcd = fields.poly_gcd
@@ -191,6 +193,11 @@ def test_ratfun_arithmetic_matches_full_reduction(monkeypatch):
         cases = [(a + b, n1 * d2 + n2 * d1, d1 * d2),
                  (a - b, n1 * d2 - n2 * d1, d1 * d2),
                  (a * b, n1 * n2, d1 * d2)]
+        w = rng.choice((0, 1, -1, Fraction(-2, 3), Fraction(5, 2)))
+        for product in (lambda: a * w, lambda: w * a):
+            got, calls = counted(product)
+            assert calls == 0
+            cases.append((got, n1 * w, d1))
         if b:
             got, calls = counted(lambda: a / b)
             assert calls <= 1
@@ -234,85 +241,6 @@ def _lam_power(a, k):
     if k >= 0:
         return RatFun(Poly.const(a) * x ** k)
     return RatFun(Poly.const(a), x ** -k)
-
-
-def test_ratfun_product_by_lambda_power_matches_full_reduction(monkeypatch):
-    rng = random.Random(53)
-    x = Poly((0, 1))
-    rand_poly = lambda d: Poly([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                                for _ in range(rng.randint(1, d + 1))]) or Poly.const(1)
-    shapes = set()
-    cases = []
-    for _ in range(400):
-        num, den = rand_poly(3), rand_poly(2)
-        j = rng.randint(0, 3)
-        if rng.random() < 0.5:
-            num = num * x ** j
-        else:
-            den = den * x ** j
-        b = RatFun(num, den)
-        a = rng.choice((1, -1, Fraction(-2, 3), Fraction(5, 2)))
-        k = rng.randint(-4, 4)
-        m = _lam_power(a, k)
-        want = _full_reduction(b.num * m.num, b.den * m.den)
-        cases.append((b, a, k, want))
-        shapes.add(("k < 0", "k = 0", "k > 0")[(k > 0) - (k < 0) + 1])
-        shapes.add("a = 1" if a == 1 else "a < 0" if a < 0 else "other a")
-        if j and not b.num.coeffs[0]:
-            shapes.add("num divisible by lambda")
-        if j and not b.den.coeffs[0]:
-            shapes.add("den divisible by lambda")
-    assert len(shapes) == 8
-    calls = []
-    real_gcd = fields.poly_gcd
-    monkeypatch.setattr(fields, "poly_gcd", lambda *args: calls.append(args) or real_gcd(*args))
-    for b, a, k, want in cases:
-        for got in [b.mul_lam_power(a, k)] + ([b * a, a * b] if not k else []):
-            assert (got.num.coeffs, got.den.coeffs) == want
-    assert not calls
-
-
-def test_ratfun_product_by_root_power_matches_full_reduction(monkeypatch):
-    rng = random.Random(61)
-    x = Poly((0, 1))
-    rand_poly = lambda d: Poly([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                                for _ in range(rng.randint(1, d + 1))]) or Poly.const(1)
-    shapes = set()
-    cases = []
-    for _ in range(500):
-        c = rng.choice((Fraction(1), Fraction(-2, 3), Fraction(5, 2), Fraction(0)))
-        num, den = rand_poly(3), rand_poly(2)
-        j = rng.randint(0, 3)
-        side = rng.choice(("num", "den", "monomial den"))
-        if side == "num":
-            num = num * (x - c) ** j
-        elif side == "den":
-            den = den * (x - c) ** j
-        else:
-            den = x ** j * rng.choice((1, Fraction(-3, 2)))
-        b = RatFun(num, den)
-        k = rng.randint(-4, 4)
-        lin = x - c
-        want = (_full_reduction(b.num * lin ** k, b.den) if k >= 0
-                else _full_reduction(b.num, b.den * lin ** -k))
-        cases.append((b, c, k, want))
-        shapes.add(("k < 0", "k = 0", "k > 0")[(k > 0) - (k < 0) + 1])
-        if j and c and side != "monomial den":
-            shapes.add("%s divisible by lambda - c" % side)
-        if j and c and side == "monomial den":
-            shapes.add("monomial den")
-    assert len(shapes) == 6
-    calls, divided = [], []
-    real_gcd, real_divide = fields.poly_gcd, fields._divide_out_root
-    monkeypatch.setattr(fields, "poly_gcd", lambda *args: calls.append(args) or real_gcd(*args))
-    monkeypatch.setattr(fields, "_divide_out_root",
-                        lambda cs, *args: divided.append(cs) or real_divide(cs, *args))
-    for b, c, k, want in cases:
-        got = b.mul_root_power(c, k)
-        assert (got.num.coeffs, got.den.coeffs) == want
-    assert not calls
-    # a*lambda**i has no root c != 0: it is never handed to the division
-    assert divided and all(any(cs[:-1]) for cs in divided)
 
 
 def test_integer_lambda_polynomials_match_the_ratfun_constructor(monkeypatch):

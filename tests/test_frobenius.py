@@ -323,7 +323,7 @@ def _slope_cases():
 def test_solve_slope_equals_one_solve_per_exponent(monkeypatch):
     """Bit for bit the oracle's separate solve per exponent.  A g whose
     stored mask head has a lo below its first term (or no term) got that lo
-    from `_build_sorted`'s rule for the frame the series is built in."""
+    from `_series`' rule for the frame the series is built in."""
     rhs = []
     real = frobenius._order1
     monkeypatch.setattr(frobenius, "_order1",
@@ -403,8 +403,7 @@ def test_order1_solver_divides_by_lambda_minus_c_without_gcd(monkeypatch):
     monkeypatch.setattr(frobenius, "lam_ratfun", nested("reducer", frobenius.lam_ratfun))
     monkeypatch.setattr(frobenius, "_order1", nested("order1", order1))
     for name in ("__init__", "__neg__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
-                 "__rmul__", "__truediv__", "__rtruediv__", "__pow__", "_reciprocal",
-                 "mul_lam_power", "mul_root_power"):
+                 "__rmul__", "__truediv__", "__rtruediv__", "__pow__", "_reciprocal"):
         monkeypatch.setattr(RatFun, name, outside_reducer(name, getattr(RatFun, name)))
     rebind(monkeypatch, fields._reduced, outside_reducer("_reduced", fields._reduced))
     monkeypatch.setattr(fields, "poly_gcd", lambda *args: (
@@ -422,32 +421,74 @@ def test_order1_solver_divides_by_lambda_minus_c_without_gcd(monkeypatch):
 
 
 def test_every_q_lambda_product_has_a_scalar_operand(monkeypatch):
-    """frobenius_basis, verification included, multiplies no two RatFuns
-    and makes no RatFun product with * at all: the triangular solve carries
-    its coefficients as integer lambda-polynomials (`fields.LamPoly`), and
-    the only Q(lambda) products left are those of `expected_gcj_cld`, one
-    mul_lam_power (times a*lambda**k, no gcd) per checked g.  The ladders,
-    the README example and the first 60 criterion-3 operators."""
+    """frobenius_basis, verification included, makes every Q(lambda) value
+    through the exit reducer `lam_ratfun`, with no gcd: no RatFun.__init__,
+    RatFun.const or field operator runs at all, so no two RatFuns are ever
+    multiplied.  The reducer runs once per coefficient of each g_{c,j} and
+    once per closed form (`expected_gcj_cld`) that check_gcj compares the
+    leading coefficient of g with.  The ladders, the README example and the
+    200 corpus operators."""
     cases = [(ladder_operator(2, -2), 8, 8), (ladder_operator(3, -3), 8, 8),
              (_readme_operator(8), 8, 8)]
     rng = random.Random(2026)
-    cases += [(rand_factored_operator(rng, Fraction(3))[0], 3, 2) for _ in range(60)]
-    operands, powers, checks = [], [], []
-    real_mul, real_power, real_check = RatFun.__mul__, RatFun.mul_lam_power, frobenius.check_gcj
+    cases += [(rand_factored_operator(rng, Fraction(3))[0], 3, 2) for _ in range(200)]
+    ops, reduced = [], []
 
-    def checked(r, other):
-        operands.append(type(other))
-        return real_mul(r, other)
-    for name in ("__mul__", "__rmul__"):
-        monkeypatch.setattr(RatFun, name, checked)
-    monkeypatch.setattr(RatFun, "mul_lam_power",
-                        lambda r, a, k: powers.append(k) or real_power(r, a, k))
-    monkeypatch.setattr(frobenius, "check_gcj", lambda *args: checks.append(args)
-                        or real_check(*args))
+    def recorded(name, real):
+        def call(*args):
+            ops.append(name)
+            return real(*args)
+        return call
+    for name in ("__init__", "__neg__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__truediv__", "__rtruediv__", "__pow__", "_reciprocal"):
+        monkeypatch.setattr(RatFun, name, recorded(name, getattr(RatFun, name)))
+    monkeypatch.setattr(RatFun, "const", classmethod(recorded("const", RatFun.const)))
+    real_reducer = frobenius.lam_ratfun
+    monkeypatch.setattr(frobenius, "lam_ratfun",
+                        lambda *args: reduced.append(args) or real_reducer(*args))
+    coefficients = blocks = 0
     for L, ceiling, depth in cases:
-        assert frobenius_basis(L, ceiling, depth, verify=True).verification["ok"]
-    assert not operands
-    assert len(checks) > 100 and len(powers) == len(checks)
+        out = frobenius_basis(L, ceiling, depth, verify=True)
+        assert out.verification["ok"]
+        coefficients += sum(len(block.g.terms) for block in out.blocks)
+        blocks += len(out.blocks)
+    assert not ops, Counter(ops)
+    assert blocks > 300 and len(reduced) == coefficients + blocks
+
+
+def test_expected_gcj_cld_equals_the_closed_form_by_field_operators():
+    """The closed form that check_gcj compares the leading coefficient of
+    g_{c,j} with, one exit-reducer call (`expected_gcj_cld`), equals
+    n/d lambda**(-R) (lambda - c)**(s+m) / prod_f (lambda - f.c) built by
+    the full-gcd field operators: f over the factors of layer j, R the
+    number of factors below it and n/d the product of -f.c over the layers
+    up to j over the leading coefficient of a_0.  Every (c, j) block of the
+    README example, the p = 2 and p = 3 ladders and the 200 criterion-3
+    operators."""
+    cases = [(ladder_operator(2, -2), 8), (ladder_operator(3, -3), 8), (_readme_operator(8), 8)]
+    rng = random.Random(2026)
+    cases += [(rand_factored_operator(rng, Fraction(3))[0], 3) for _ in range(200)]
+    seen, blocks = set(), 0
+    for L, ceiling in cases:
+        plan = frobenius_plan(L, analyze(L))
+        fact = factor_operator(L, ceiling, plan)
+        for j, entry in enumerate(plan.entries):
+            R = sum(len(layer) for layer in fact.layers[:j])
+            nd = math.prod(-f.c for layer in fact.layers[: j + 1] for f in layer)
+            nd /= L.coeffs[0].cld()
+            for c, m, s in entry:
+                want = RatFun.const(nd) * lam ** (-R) * (lam - c) ** (s + m)
+                for f in fact.layers[j]:
+                    want = want / (lam - f.c)
+                got = expected_gcj_cld(L, plan, fact, c, j)
+                assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs, want.den.coeffs)
+                blocks += 1
+                seen |= {"R > 0"} if R else set()
+                seen |= {"s > 0"} if s else set()
+                seen |= {"m > 1"} if m > 1 else set()
+                seen |= {"several factors"} if len(fact.layers[j]) > 1 else set()
+    assert blocks > 300
+    assert seen == {"R > 0", "s > 0", "m > 1", "several factors"}
 
 
 def test_order1_kernels_build_no_intermediate_series(monkeypatch):
@@ -498,8 +539,7 @@ def test_solve_slope_stays_on_one_lattice(monkeypatch):
     """solve_slope puts its right-hand side on one lattice once and builds a
     series only for the inverse of a and for the final x, each once in its
     final frame: per call no hs_mul, hs_mul_sums or solve_order1_param, at
-    most two series builds (_build_sorted or _series; one outside
-    HahnSeries.invert), no HahnSeries.shift at all, and outside invert no
+    most two series builds (_series, one outside HahnSeries.invert), no HahnSeries.shift at all, and outside invert no
     HahnSeries.mal and no map_coeffs but the final x's map to each g_{c,j}.
     Counted through every binding in the loaded mahler modules, on the
     README example at precision 8 and the first 60 criterion-3 operators."""
@@ -515,11 +555,12 @@ def test_solve_slope_stays_on_one_lattice(monkeypatch):
                      (frobenius.solve_order1_param, "solve_order1_param")):
         count_calls(monkeypatch, calls, fn, name)
     real_invert = HahnSeries.invert
-    for real_build in (hahn._build_sorted, hahn._series):
-        def build(*args, real=real_build):
-            built.append((bool(inverting), real(*args)))
-            return built[-1][1]
-        rebind(monkeypatch, real_build, build)
+    real_build = hahn._series
+
+    def build(*args):
+        built.append((bool(inverting), real_build(*args)))
+        return built[-1][1]
+    rebind(monkeypatch, real_build, build)
 
     def invert(f, ceiling):
         inverting.append(f)
@@ -944,7 +985,7 @@ def test_frobenius_basis_pole_error_names_j_and_the_first_offending_exponent(mon
     """A g_{c,j} with a pole at lambda = c fails in specialization, with and
     without verify, naming j and the exponent of its first polar term."""
     L, _, _, _, g = _ladder_parts()
-    pole = RatFun.const(1).mul_root_power(Fraction(1), -1)
+    pole = 1 / (lam - 1)
     # g has terms at 0, 2 and 4 below its cap 6: the first polar term comes
     # after a pole-free one and shares its den with a later one
     polar = reference_sum((g, monomial(3, pole), monomial(5, 3 * pole)))

@@ -13,10 +13,11 @@ from conftest import (_iv_contains, brute_conv, cap, eq_on_mask, forget, geometr
 from test_cli import EXAMPLE
 from mahler import factorize, frobenius, hahn
 from mahler.cli import elaborate, parse_spec
-from mahler.errors import MahlerError, UnknownLeadingTerm, ZeroDivisor, ZeroSeries
+from mahler.errors import (InsufficientPrecision, MahlerError, UnknownLeadingTerm, ZeroDivisor,
+                           ZeroSeries)
 from mahler.fields import Poly, RatFun
 from mahler.frobenius import frobenius_basis
-from mahler.hahn import (_FULL, NEG, POS, HahnSeries, Mask, _build_sorted, _grid, _iv_diff,
+from mahler.hahn import (_FULL, NEG, POS, HahnSeries, Mask, _grid, _iv_diff, _series,
                          _iv_inter, _iv_norm, _numerators, forward_solve, hs, hs_mul,
                          hs_mul_sums, hs_sum, monomial, one, zero)
 from mahler.testing import rand_factored_operator, rand_rational
@@ -334,38 +335,49 @@ def test_inter_and_diff_of_normalized_regions_are_normalized():
     assert seen == {"-inf end", "+inf end", "several intervals"}
 
 
-def test_build_sorted_reads_its_region_and_never_writes_it(monkeypatch):
+def test_series_reads_its_region_and_never_writes_it(monkeypatch):
+    """_series reads its normalized region in place, and hs, zero, one and
+    monomial build through it: an exactly known series' stored head starts
+    at its least exponent, or at 0 with no term."""
+    want = reference_build([(Fraction(1), Fraction(2)), (Fraction(7, 2), Fraction(5))],
+                           [(NEG, Fraction(3)), (Fraction(4), POS)])
+    exact = reference_build([(Fraction(-1, 2), Fraction(2)), (Fraction(1, 3), Fraction(1))], _FULL)
+
     def no_norm(ivs):
         raise AssertionError("region renormalized")
     monkeypatch.setattr(hahn, "_iv_norm", no_norm)
-    ext = [(NEG, Fraction(3)), (Fraction(4), POS)]
-    f = _build_sorted(((Fraction(1), Fraction(2)), (Fraction(7, 2), Fraction(5))), ext)
-    assert ext == [(NEG, Fraction(3)), (Fraction(4), POS)]
+    ext = [(NEG, 6), (8, POS)]  # (-inf, 3) and [4, inf) on (1/2)Z
+    f = _series(2, (ext, [(2, 2)], 1))
+    assert ext == [(NEG, 6), (8, POS)]
     assert f.terms == ((Fraction(1), Fraction(2)),)
     assert f.mask.ivs == ((Fraction(1), Fraction(3)), (Fraction(4), POS))
+    assert f == want
     assert zero().mask.ivs == ((Fraction(0), POS),)
     assert _FULL == [(NEG, POS)] and zero().is_exact_zero()
     assert monomial(-2, 0) == zero() and one().mask.ivs == ((Fraction(0), POS),)
+    assert monomial(Fraction(-5, 2), 3).mask.ivs == ((Fraction(-5, 2), POS),)
+    assert hs({Fraction(1, 3): 1, Fraction(-1, 2): 2, 1: 0}) == exact
 
 
 def test_every_built_region_is_normalized(monkeypatch):
     """No region is renormalized inside the module, so every region that
-    reaches _build_sorted or _series must already be normalized, and so must every
-    region the peels of factor_operator and the triangular solve of
-    solve_slope fold and pass on without building a series: checked while
-    solving the ladders and the README example at precision 32 and the
-    first 60 criterion-3 operators."""
+    reaches _series must already be normalized, and so must every region
+    the peels of factor_operator and the triangular solve of solve_slope
+    fold and pass on without building a series.  No term is dropped there
+    either: the terms of every part reaching _series are sorted by distinct
+    exponents, nonzero and inside its region.  Checked while solving the
+    ladders and the README example at precision 32 and the first 60
+    criterion-3 operators, and while hs, zero and monomial build."""
     regions = []
-    real, real_fold, real_series = hahn._build_sorted, factorize._fold, hahn._series
-
-    def checked(tl, ext):
-        regions.append(ext)
-        assert _normalized(ext), ext
-        return real(tl, ext)
+    real_fold, real_series = factorize._fold, hahn._series
 
     def checked_series(M, part, *d):
-        regions.append(part[0])
-        assert _normalized(part[0]), part[0]
+        ext, terms, _ = part
+        regions.append(ext)
+        assert _normalized(ext), ext
+        exps = [E for E, _ in terms]
+        assert exps == sorted(set(exps)), exps
+        assert all(S for _, S in terms) and all(_iv_contains(ext, E) for E in exps), part
         return real_series(M, part, *d)
 
     def checked_fold(pieces):
@@ -379,11 +391,13 @@ def test_every_built_region_is_normalized(monkeypatch):
                                    elaborate(parse_spec(EXAMPLE), 32))]
     rng = random.Random(2026)
     cases += [(rand_factored_operator(rng, Fraction(3))[0], 3, 2) for _ in range(60)]
-    monkeypatch.setattr(hahn, "_build_sorted", checked)
     rebind(monkeypatch, real_series, checked_series)
     for L, ceiling, depth in cases:
         assert frobenius_basis(L, ceiling, depth, verify=True).verification["ok"]
-    assert len(regions) > 1000
+    n = len(regions)
+    assert n > 1000
+    built = [zero(), monomial(Fraction(-3, 2), 5), hs({2: 1, Fraction(1, 3): -1, 0: 0})]
+    assert len(regions) == n + len(built)
 
 
 def test_mul_matches_brute_convolution_inside_mask():
@@ -463,8 +477,14 @@ def rand_islands(rng, f):
 
 
 def test_build_matches_reference():
+    """_series against reference_build on random regions on (1/2)Z, with the
+    terms inside them given as Fractions, Q(lambda) values or integer
+    numerators over one den, and hs and monomial of the same terms against
+    reference_build on the full line; mask endpoint types included."""
     rng = random.Random(41)
     grid = [Fraction(k, 2) for k in range(-6, 13)]
+    at = lambda x: x if type(x) is float else int(2 * x)
+    types = lambda f: [tuple(map(type, iv)) for iv in f.mask.ivs]
     shapes = set()
     for _ in range(600):
         terms = {}
@@ -484,11 +504,21 @@ def test_build_matches_reference():
         if ext and rng.random() < 0.3:
             ext.append((ext[-1][0], POS))
         rng.shuffle(ext)
-        got = _build_sorted(sorted(t for t in terms.items() if t[1]), _iv_norm(ext))
         want = reference_build(list(terms.items()), list(ext))
-        assert got == want
-        assert [tuple(map(type, iv)) for iv in got.mask.ivs] == \
-            [tuple(map(type, iv)) for iv in want.mask.ivs]
+        region = _iv_norm(ext)
+        inside = sorted((e, c) for e, c in terms.items() if c and _iv_contains(region, e))
+        parts = [([(at(lo), at(hi)) for lo, hi in region], [(at(e), c) for e, c in inside], 1)]
+        if all(type(c) is Fraction for _, c in inside):
+            den = math.lcm(*(c.denominator for _, c in inside))
+            parts.append((parts[0][0], [(at(e), int(c * den)) for e, c in inside], den))
+            shapes.add("numerators")
+        for part in parts:
+            got = _series(2, part)
+            assert got == want and types(got) == types(want)
+        exact = reference_build(list(terms.items()), _FULL)
+        assert hs(terms) == exact and types(hs(terms)) == types(exact)
+        for e, c in terms.items():
+            assert monomial(e, c) == reference_build([(e, c)], _FULL)
         shapes.add(min(len(got.mask.ivs), 3))
         if not ext:
             shapes.add("empty ext")
@@ -499,7 +529,7 @@ def test_build_matches_reference():
         if not all(terms.values()):
             shapes.add("zero coefficient")
     assert {0, 1, 2, 3, "empty ext", "finite head", "term on an endpoint",
-            "zero coefficient"} <= shapes
+            "zero coefficient", "numerators"} <= shapes
 
 
 def test_mul_of_exact_series_is_exact():
@@ -607,8 +637,8 @@ def test_invert_matches_geometric_oracle():
         ceiling = exact.terms[0][0] + rng.randint(-1, 8)
         try:
             want = geometric_invert(f, ceiling)
-        except ZeroDivisor:
-            with pytest.raises(ZeroDivisor):
+        except (ZeroDivisor, InsufficientPrecision) as exc:
+            with pytest.raises(type(exc)):
                 f.invert(ceiling)
             continue
         if not over_q:
@@ -644,11 +674,19 @@ def test_invert_shifts_certified_window_by_valuation():
 
 
 def test_invert_rejects_uncertified_leading_term():
+    """The exact zero has no inverse; a series whose leading term its mask
+    leaves uncertified may have one at a higher precision, which the
+    message asks for, naming the first gap or the empty mask."""
     with pytest.raises(ZeroDivisor):
         zero().invert(5)
     f = forget(hs([(0, 1), (2, 1)]), -1, 1)
-    with pytest.raises(ZeroDivisor):
+    with pytest.raises(InsufficientPrecision, match="^cannot invert a series with no certified "
+                       "leading term: its mask has its first gap at -1; raise the precision$"):
         f.invert(5)
+    for g, note in ((cap(zero(), 3), "has its first gap at 3"),
+                    (HahnSeries((), Mask(())), "is empty")):
+        with pytest.raises(InsufficientPrecision, match="its mask %s;" % note):
+            g.invert(5)
 
 
 def test_eq_on_mask():

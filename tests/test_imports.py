@@ -366,6 +366,59 @@ def test_lattice_form_stays_in_the_kernel():
         str(path.relative_to(ROOT)): [] for path in SOURCES if path != hahn_py}
 
 
+def mask_of_readers(source):
+    """Functions and methods (as `name` or `Class.name`, a nested function
+    counted in the one it is defined in) that read the attribute `_of`, as
+    a `Mask._of(...)` call does, or name it in a string; `<body>` (after a
+    `Class.` when inside one) for a read outside every function."""
+    def reads_of(node):
+        return any(isinstance(n, ast.Attribute) and n.attr == "_of"
+                   or isinstance(n, ast.Constant) and n.value == "_of" for n in ast.walk(node))
+    out = set()
+
+    def visit(body, owner):
+        for stmt in body:
+            if isinstance(stmt, ast.ClassDef):
+                visit(stmt.body, stmt.name + ".")
+            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if reads_of(stmt):
+                    out.add(owner + stmt.name)
+            elif reads_of(stmt):
+                out.add(owner + "<body>")
+    visit(ast.parse(source).body, "")
+    return sorted(out)
+
+
+def test_mask_of_checker():
+    source = ("class Mask:\n"
+              "    @classmethod\n"
+              "    def _of(cls, ivs):\n"
+              "        return cls()\n"
+              "    def copy(self):\n"
+              "        return Mask._of(self.ivs)\n"
+              "def build(ivs):\n"
+              "    def inner():\n"
+              "        return getattr(Mask, '_of')(ivs)\n"
+              "    return inner()\n"
+              "of = Mask._of\n"
+              "def other(f):\n"
+              "    return Mask(()), f.of\n")
+    assert mask_of_readers(source) == ["<body>", "Mask.copy", "build"]
+
+
+def test_only_the_series_builder_picks_a_mask_head():
+    """`Mask._of` trusts its intervals as given, stored head included.
+    Only `_series`, the one builder of a canonical series, which picks the
+    stored head, and HahnSeries.shift and mal, which move a built mask
+    whole, may call it, so that no second builder can come back."""
+    allowed = {"_series", "HahnSeries.shift", "HahnSeries.mal"}
+    for path in SOURCES:
+        readers = set(mask_of_readers(path.read_text(encoding="utf-8")))
+        assert readers <= (allowed if path.name == "hahn.py" else set()), (path.name, readers)
+        if path.name == "hahn.py":
+            assert "_series" in readers
+
+
 def test_import_loads_no_heavy_standard_modules():
     """`import mahler` in a fresh interpreter adds none of dataclasses,
     inspect, argparse or ast to sys.modules; modules loaded before the
