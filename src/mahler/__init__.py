@@ -14,7 +14,7 @@ from .fields import Poly, RatFun, rational_roots
 from .hahn import HahnSeries, Mask, hs, hs_mul, hs_sum, monomial, one, zero
 from .newton import (FrobeniusPlan, NewtonData, analyze, char_poly,
                      frobenius_plan, newton_polygon, slopes_of)
-from .operator import MahlerOperator, phi_minus
+from .operator import MahlerOperator
 from .factorize import (Factorization, FirstOrderFactor, factor_operator,
                         factor_reconstruct, slope_zero_unit_solution)
 from .frobenius import (ExponentBlock, FrobeniusOutput, SolutionObject,
@@ -32,7 +32,7 @@ __all__ = [
     "HahnSeries", "Mask", "hs", "hs_mul", "hs_sum", "monomial", "one", "zero",
     "FrobeniusPlan", "NewtonData", "analyze", "char_poly", "frobenius_plan",
     "newton_polygon", "slopes_of",
-    "MahlerOperator", "phi_minus",
+    "MahlerOperator",
     "Factorization", "FirstOrderFactor", "factor_operator",
     "factor_reconstruct", "slope_zero_unit_solution",
     "ExponentBlock", "FrobeniusOutput", "SolutionObject", "apply_to_solution",

@@ -1,6 +1,10 @@
-"""Exact scalar arithmetic: rationals, dense polynomials over Q, rational
-functions in the parameter lambda, and the integer Laurent polynomials in
-lambda that the triangular solve carries them as."""
+"""Exact scalars: dense polynomials over Q for root finding and the
+characteristic polynomials, the reduced rational functions in the parameter
+lambda that the solver's exit reducer (`lam_ratfun`) builds, and the integer
+Laurent polynomials in lambda that the triangular solve carries them as.
+Nothing here adds or multiplies two rational functions: the library makes
+every value over Q(lambda) through the exit reducer, and the tests keep the
+full field as their oracle."""
 import math
 from fractions import Fraction
 
@@ -8,7 +12,11 @@ from .errors import DivisionByZero, PoleAtEvaluationPoint
 
 
 class Poly:
-    """Dense univariate polynomial over Q, coefficients by ascending degree."""
+    """Dense univariate polynomial over Q, coefficients by ascending degree.
+
+    It carries what root finding, gcds, characteristic polynomials and
+    printing need: equality, negation, division with remainder, the
+    derivative and the monic multiple.  There is no ring arithmetic."""
 
     __slots__ = ("coeffs",)
 
@@ -17,10 +25,6 @@ class Poly:
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def const(cls, c):
-        return cls((Fraction(c),))
 
     @property
     def degree(self):
@@ -31,7 +35,7 @@ class Poly:
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
-            other = Poly.const(other)
+            return NotImplemented
         # tuple == has no length shortcut: it would walk a common prefix
         a, b = self.coeffs, other.coeffs
         return len(a) == len(b) and a == b
@@ -42,52 +46,7 @@ class Poly:
     def __neg__(self):
         return _poly(tuple(-c for c in self.coeffs))
 
-    def __add__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.const(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return _poly(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Poly) else Poly.const(-Fraction(other)))
-
-    def __rsub__(self, other):
-        return Poly.const(other) - self
-
-    def __mul__(self, other):
-        if not isinstance(other, Poly):
-            co = Fraction(other)
-            return _poly(tuple(c * co for c in self.coeffs))
-        if not self or not other:
-            return _ZERO
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        nz = [(j, b) for j, b in enumerate(other.coeffs) if b]
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in nz:
-                    out[i + j] += a * b
-        return _poly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        out, base = Poly.const(1), self
-        for _ in range(n):
-            out = out * base
-        return out
-
     def __divmod__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.const(other)
         if not other:
             raise DivisionByZero("polynomial division by zero")
         rem = list(self.coeffs)
@@ -124,12 +83,6 @@ class Poly:
         lead = self.coeffs[-1]
         return _poly(tuple(c / lead for c in self.coeffs))
 
-    def shift(self, k):
-        """Multiply by x**k."""
-        if not self:
-            return self
-        return _poly((Fraction(0),) * k + self.coeffs)
-
     def __str__(self):
         return poly_str(self, "λ")
 
@@ -137,8 +90,8 @@ class Poly:
 
 
 def _poly(cs):
-    """Poly from Fractions produced by Poly arithmetic: trailing zeros are
-    stripped, no coefficient is coerced (the public constructor does both)."""
+    """Poly from Fractions: trailing zeros are stripped, no coefficient is
+    coerced (the public constructor does both)."""
     n = len(cs)
     while n and not cs[n - 1]:
         n -= 1
@@ -174,22 +127,13 @@ def poly_str(p, var):
 
 
 class RatFun:
-    """Rational function num/den over Q, kept reduced with monic denominator.
-
-    A reduced fraction with a monic denominator is unique, so equal values
-    have identical num and den.  There is one reduction, the public
-    constructor's: it divides out gcd(num, den) (no gcd when den is
-    constant) and makes den monic.  Every product of two RatFuns and every
-    sum forms the unreduced num/den and passes it through the constructor,
-    but r + 0 and 0 + r are r (0 seeds the folds of the tests' reference
-    sums and products over Q(lambda)).  The reciprocal
-    den/num of a reduced fraction is reduced and only made monic, and so is
-    a positive power, so a negative power runs no gcd and a quotient (a
-    product by the reciprocal) at most one.  A product by a scalar (an int
-    or Fraction) only scales the num, and no gcd runs.  The triangular
-    solve carries its coefficients as `LamPoly`s: every RatFun that
-    `frobenius_basis` makes, its closed-form check included, comes from the
-    exit reducer `lam_ratfun`, with no gcd.
+    """A rational function num/den in lambda over Q, reduced with a monic
+    denominator: the value that the exit reducer `lam_ratfun` builds, and
+    the only way one is built.  A reduced fraction with a monic denominator
+    is unique, so equal values have identical num and den, and equality and
+    hashing read the pair.  There is no arithmetic: the triangular solve
+    carries its coefficients as `LamPoly`s, and `taylor_table`, the
+    closed-form check and the JSON writer only read num and den.
 
     Taylor coefficients at lambda = c are not a method: `taylor_table`
     takes those of many RatFuns at once, on integers, with one den jet per
@@ -198,94 +142,16 @@ class RatFun:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None):
-        num = num if isinstance(num, Poly) else Poly.const(num)
-        den = _ONE if den is None else (den if isinstance(den, Poly) else Poly.const(den))
-        if not den:
-            raise DivisionByZero("rational function with zero denominator")
-        if not num:
-            self.num, self.den = _ZERO, _ONE
-            return
-        if den.degree > 0:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, den = num // g, den // g
-        lead = den.coeffs[-1]
-        if lead != 1:
-            num, den = num * (1 / lead), den * (1 / lead)
-        self.num, self.den = num, den
-
-    @classmethod
-    def const(cls, c):
-        return _reduced(Poly.const(c), _ONE)
-
     def __bool__(self):
         return bool(self.num)
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, RatFun):
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash((self.num, self.den))
-
-    def __neg__(self):
-        return _reduced(-self.num, self.den)
-
-    def __add__(self, other):
-        if type(other) is int and not other:
-            return self
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _add(self.num, self.den, other.num, other.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _add(self.num, self.den, -other.num, other.den)
-
-    def __rsub__(self, other):
-        return _coerce(other) - self
-
-    def __mul__(self, other):
-        if type(other) is int or type(other) is Fraction:
-            return _reduced(self.num * other, self.den) if other else _reduced(_ZERO, _ONE)
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFun(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not other.num:
-            raise DivisionByZero("division by zero rational function")
-        return self * other._reciprocal()
-
-    def __rtruediv__(self, other):
-        return _coerce(other) / self
-
-    def __pow__(self, n):
-        if n < 0:
-            if not self.num:
-                raise DivisionByZero("inverse of zero")
-            return self._reciprocal() ** (-n)
-        return _reduced(self.num ** n, self.den ** n)
-
-    def _reciprocal(self):
-        """1/self for a nonzero self: den/num is reduced already, so it only
-        needs a monic den, and no gcd runs."""
-        inv = 1 / self.num.coeffs[-1]
-        return _reduced(self.den * inv, self.num * inv)
 
     def __str__(self):
         ns = poly_str(self.num, "λ")
@@ -511,7 +377,6 @@ def lam_ratfun(X, q, powers, dens):
 
 
 _ZERO = Poly()
-_ONE = Poly.const(1)
 
 
 def _reduced(num, den):
@@ -534,24 +399,6 @@ def _divide_out_root(cs, c, k):
     while j < k and (quo := _linear_quotient(N, a, b)) is not None:
         N, j = quo, j + 1
     return ([Fraction(b ** j * m, L) for m in N], j) if j else (cs, 0)
-
-
-def _add(n1, d1, n2, d2):
-    """n1/d1 + n2/d2 over the common denominator, reduced by the
-    constructor (one gcd when that denominator is not constant)."""
-    if d1 == d2:
-        return RatFun(n1 + n2, d1)
-    return RatFun(n1 * d2 + n2 * d1, d1 * d2)
-
-
-def _coerce(x):
-    if isinstance(x, RatFun):
-        return x
-    if isinstance(x, Poly):
-        return RatFun(x)
-    if isinstance(x, (int, Fraction)):
-        return RatFun.const(x)
-    return NotImplemented
 
 
 def _primitive(p):

@@ -23,23 +23,22 @@ from fractions import Fraction
 from .errors import (InsufficientPrecision, PlanMismatch, PoleAtEvaluationPoint, Record,
                      VerificationError)
 from .factorize import factor_operator
-from .fields import _ONE, LamPoly, RatFun, _lam_poly, lam_ratfun, taylor_table
+from .fields import LamPoly, lam_ratfun, taylor_table
 from .hahn import (_FULL, NEG, POS, HahnSeries, _fold, _grid, _grid_product, _iv_diff,
-                   _mask_note, _next_gap, _numerators, _on_lattice, _series, _shifted,
-                   hs_mul_sums)
+                   _mask_note, _next_gap, _numerators, _series, _shifted, hs_mul_sums)
 from .newton import analyze, frobenius_plan
 
 
 def solve_order1_param(p, mu, c, g, ceiling, depth):
-    """The unique f over Q(lambda) with (z**(-mu) lambda phi_p - c) f = g;
-    a g over Q is read as a series over Q(lambda).
+    """The unique f over Q(lambda) with (z**(-mu) lambda phi_p - c) f = g,
+    for a g over Q; a coefficient over Q(lambda) raises a MahlerError.
 
     The solve of `_order1`, on the lattice (1/M)Z with M clearing g's
-    exponents and finite mask endpoints, the ceiling and mu/(p-1): g goes
-    there in the frame twisted by z**(mu/(p-1)), over the product D of its
-    distinct dens and one integer q, as LamPolys; each coefficient of the
-    solution leaves through `solve_slope`'s exit reducer (`lam_ratfun`) over
-    D, and the solution becomes a series in that frame, built shifted back.
+    exponents and finite mask endpoints, the ceiling and mu/(p-1): g's
+    integer numerators over one den (`_numerators`) go there in the frame
+    twisted by z**(mu/(p-1)), as constant LamPolys; each coefficient of the
+    solution leaves through `solve_slope`'s exit reducer (`lam_ratfun`),
+    and the solution becomes a series in that frame, built shifted back.
     """
     c = Fraction(c)
     if not c:
@@ -50,19 +49,14 @@ def solve_order1_param(p, mu, c, g, ceiling, depth):
     shift = Fraction(mu) / (p - 1)
     cap = Fraction(ceiling) - shift
     M = math.lcm(_grid([g]), shift.denominator, cap.denominator)
-    ext, terms = _on_lattice(g.map_coeffs(
-        lambda r: r if isinstance(r, RatFun) else RatFun.const(r)), M)
-    D = math.prod(dict.fromkeys(r.den for _, r in terms), start=_ONE)
-    nums = [(E, (r.num * (D // r.den)).coeffs) for E, r in terms]
-    q = math.lcm(*(a.denominator for _, cs in nums for a in cs))
-    part = ext, [(E, _lam_poly(0, [a.numerator * (q // a.denominator) for a in cs]))
-                 for E, cs in nums], q
+    ext, terms, den = _numerators(g, M)
+    part = ext, [(E, LamPoly(0, (N,))) for E, N in terms], den
     lifts = []
     ext, terms, den = _order1(p, c, _shifted(part, -int(shift * M)), int(cap * M), depth, lifts)
     q = den * math.prod(r.denominator for r in lifts)
-    powers, dens, inv = [(r, -1) for r in lifts], {}, RatFun(1, D)
+    powers, dens = [(r, -1) for r in lifts], {}
     M *= p ** (depth + 1)
-    return _series(M, (ext, [(E, lam_ratfun(X, q, powers, dens) * inv) for E, X in terms], 1),
+    return _series(M, (ext, [(E, lam_ratfun(X, q, powers, dens)) for E, X in terms], 1),
                    int(shift * M))
 
 

@@ -12,7 +12,7 @@ more.
 
 Sums, products and inversion run over Q only (a MahlerError otherwise); a
 series over Q(lambda), as the g_{c,j} of the triangular solve, is only
-stored, shifted, scaled, mapped, negated and written out.
+stored, shifted, mapped and written out.
 
 Instances are immutable by convention and safe to share.  Two private
 slots, which equality, hashing and JSON ignore, keep a series' own lattice

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from .errors import InsufficientPrecision, PlanMismatch, Record, VerificationError, ZeroSeries
 from .fields import Poly, rational_roots
-from .hahn import _mask_note
+from .hahn import POS, _mask_note
 
 
 class NewtonData(Record):
@@ -72,23 +72,24 @@ def _coeff_vals(L):
     """Certified valuations of the nonzero coefficients, requiring a_0, a_n != 0.
 
     Returns (points, floors): points carry certified (index, val); floors carry
-    (index, series) for interior coefficients that look like 0 but are only
-    partially certified.  An a_0 or a_n that only looks like 0, not the
-    exact zero (ZeroSeries), raises InsufficientPrecision.
+    (index, series) for interior coefficients with no certified leading term
+    (`val_bound` not exact), stored terms beyond the first mask gap or not.
+    An a_0 or a_n with none, not the exact zero (ZeroSeries), raises
+    InsufficientPrecision.
     """
     pts, floors = [], []
     for i, ai in enumerate(L.coeffs):
-        if ai.is_exact_zero():
+        v, exact = ai.val_bound()
+        if exact and v == POS:
             if i in (0, L.order):
                 raise ZeroSeries("operator needs certified nonzero a_0 and a_n")
-            continue
-        if ai.is_zero():
-            if i in (0, L.order):
-                raise InsufficientPrecision("a_%d has no certified leading term: its mask %s; "
-                                            "raise the precision" % (i, _mask_note(ai)))
+        elif exact:
+            pts.append((i, v))
+        elif i in (0, L.order):
+            raise InsufficientPrecision("a_%d has no certified leading term: its mask %s; "
+                                        "raise the precision" % (i, _mask_note(ai)))
+        else:
             floors.append((i, ai))
-            continue
-        pts.append((i, ai.val()))
     return pts, floors
 
 
@@ -96,9 +97,9 @@ def newton_polygon(L):
     """Vertices of the lower boundary of the Newton polygon.
 
     Returns ((alpha_j, p**alpha_j, val a_{alpha_j}), ...) with alpha_0 = 0.
-    A partially certified coefficient with no stored terms is tolerated only
-    when even its first mask gap stays on or above the hull, else it raises
-    InsufficientPrecision.
+    An interior coefficient with no certified leading term (no stored terms
+    below its first mask gap) is tolerated only when even that gap stays on
+    or above the hull, else it raises InsufficientPrecision.
     """
     p = L.p
     certain, floors = _coeff_vals(L)
@@ -143,7 +144,7 @@ def char_poly(L, mu):
     raw values (no scalar normalization)."""
     p, mu = L.p, Fraction(mu)
     at = [(ai, mu * (p ** i - 1)) for i, ai in enumerate(L.coeffs)]
-    v = min(ai.val() - t for ai, t in at if not ai.is_zero())
+    v = min(b - t for ai, t in at for b, exact in (ai.val_bound(),) if exact)
     for i, (ai, t) in enumerate(at):
         if not ai.mask.certifies(v + t):
             raise InsufficientPrecision("coefficient of a_%d at exponent %s, on the Newton "

@@ -1,7 +1,5 @@
 """Mahler operators: noncommutative polynomials in phi_p with Hahn-series
 coefficients, phi_p acting by z -> z**p.  No gauge transform is a method."""
-from fractions import Fraction
-
 from .errors import ZeroDivisor
 from .hahn import hs_mul, hs_sum, zero
 
@@ -85,9 +83,3 @@ class MahlerOperator:
                 parts.append("[%r]*phi^%d" % (self.coeffs[i], i))
         return " + ".join(parts)
 
-
-def phi_minus(p, c, nu=0):
-    """The operator z**nu * phi - c."""
-    from .hahn import monomial, one
-    a1 = monomial(Fraction(nu))
-    return MahlerOperator(p, [one().scale(Fraction(-c)), a1])

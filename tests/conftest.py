@@ -10,21 +10,196 @@ import heapq
 import math
 import sys
 from fractions import Fraction
+from itertools import zip_longest
 
-from mahler.errors import (InsufficientPrecision, MahlerError, NonRationalExponent,
-                           PlanMismatch, PoleAtEvaluationPoint, UnknownLeadingTerm,
-                           VerificationError, ZeroDivisor, ZeroSeries)
+from mahler.errors import (DivisionByZero, InsufficientPrecision, MahlerError,
+                           NonRationalExponent, PlanMismatch, PoleAtEvaluationPoint,
+                           UnknownLeadingTerm, VerificationError, ZeroDivisor, ZeroSeries)
 from mahler.factorize import Factorization, FirstOrderFactor
-from mahler.fields import Poly, RatFun
-from mahler.frobenius import _solution, solve_order1_param
-from mahler.hahn import (_FULL, NEG, POS, HahnSeries, Mask, _iv_diff, _iv_inter, _iv_norm,
-                         forward_solve, hs, hs_mul, hs_sum, monomial, zero)
+from mahler.fields import Poly, RatFun, _lam_poly, lam_ratfun, poly_gcd
+from mahler.frobenius import _order1, _solution
+from mahler.hahn import (_FULL, NEG, POS, HahnSeries, Mask, _grid, _iv_diff, _iv_inter,
+                         _iv_norm, _on_lattice, _series, _shifted, forward_solve, hs, hs_mul,
+                         hs_sum, monomial, one, zero)
 from mahler.newton import analyze, frobenius_plan
 from mahler.operator import MahlerOperator
 from mahler.testing import rand_rational
 
 
-lam = RatFun(Poly((0, 1)))
+# ---------------------------------------------------------------------------
+# The ring Q[lambda] and the field Q(lambda) that the oracles compute in.  The
+# library has neither: it builds every value over Q(lambda) through its exit
+# reducer `fields.lam_ratfun`, and its Poly only divides.
+
+
+def _qpoly(x):
+    """x as a QPoly: a Poly by its coefficients, a scalar as a constant."""
+    if isinstance(x, QPoly):
+        return x
+    return QPoly(x.coeffs if isinstance(x, Poly) else (x,))
+
+
+class QPoly(Poly):
+    """Q[lambda] of the tests: the library's Poly with + - * ** and shift,
+    on coefficient lists, a scalar operand read as a constant."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, (Poly, int, Fraction)):
+            return NotImplemented
+        return Poly.__eq__(self, _qpoly(other))
+
+    __hash__ = Poly.__hash__
+
+    def __neg__(self):
+        return QPoly([-a for a in self.coeffs])
+
+    def __add__(self, other):
+        return QPoly([a + b for a, b in zip_longest(self.coeffs, _qpoly(other).coeffs,
+                                                    fillvalue=0)])
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -_qpoly(other)
+
+    def __rsub__(self, other):
+        return _qpoly(other) - self
+
+    def __mul__(self, other):
+        b = _qpoly(other).coeffs
+        out = [Fraction(0)] * max(len(self.coeffs) + len(b) - 1, 0)
+        nz = [(j, y) for j, y in enumerate(b) if y]
+        for i, x in enumerate(self.coeffs):
+            if x:
+                for j, y in nz:
+                    out[i + j] += x * y
+        return QPoly(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        if n < 0:
+            raise ValueError("negative polynomial power")
+        out = QPoly((1,))
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def shift(self, k):
+        """Multiply by lambda**k."""
+        return QPoly((0,) * k + self.coeffs) if self else self
+
+
+def _qlam(x):
+    """x as a QLam: a RatFun by its num and den, a Poly or a scalar over 1."""
+    if isinstance(x, QLam):
+        return x
+    if isinstance(x, RatFun):
+        return QLam(x.num, x.den)
+    return QLam(x)
+
+
+class QLam(RatFun):
+    """Q(lambda) of the tests, the oracle for every value over Q(lambda)
+    that the library makes.  Each operation forms the unreduced num/den
+    and reduces it once: both divided by their `poly_gcd`, and den made
+    monic; there is no shortcut.  An operand that is a library RatFun, a
+    Poly or a scalar is read as its value, and a QLam equals the RatFun of
+    the same value."""
+
+    __slots__ = ()
+
+    def __init__(self, num, den=1):
+        num, den = _qpoly(num), _qpoly(den)
+        if not den:
+            raise DivisionByZero("rational function with zero denominator")
+        g = poly_gcd(num, den)
+        num, den = num // g, den // g
+        lead = den.coeffs[-1]
+        self.num = QPoly([a / lead for a in num.coeffs])
+        self.den = QPoly([a / lead for a in den.coeffs])
+
+    def __eq__(self, other):
+        if not isinstance(other, (RatFun, Poly, int, Fraction)):
+            return NotImplemented
+        other = _qlam(other)
+        return self.num == other.num and self.den == other.den
+
+    __hash__ = RatFun.__hash__
+
+    def __neg__(self):
+        return QLam(-self.num, self.den)
+
+    def __add__(self, other):
+        o = _qlam(other)
+        return QLam(self.num * o.den + o.num * self.den, self.den * o.den)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -_qlam(other)
+
+    def __rsub__(self, other):
+        return _qlam(other) - self
+
+    def __mul__(self, other):
+        o = _qlam(other)
+        return QLam(self.num * o.num, self.den * o.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = _qlam(other)
+        return QLam(self.num * o.den, self.den * o.num)
+
+    def __rtruediv__(self, other):
+        return _qlam(other) / self
+
+    def __pow__(self, n):
+        num, den = (self.num, self.den) if n >= 0 else (self.den, self.num)
+        return QLam(num ** abs(n), den ** abs(n))
+
+
+lam = QLam(QPoly((0, 1)))
+
+
+def phi_minus(p, c, nu=0):
+    """The operator z**nu * phi - c."""
+    return MahlerOperator(p, [one().scale(Fraction(-c)), monomial(Fraction(nu))])
+
+
+def solve_order1_lam(p, mu, c, g, ceiling, depth):
+    """frobenius.solve_order1_param for a g over Q(lambda), a coefficient
+    over Q read as a constant: the same solve by the library's kernel
+    (`frobenius._order1`), with g's coefficients over the product D of
+    their distinct dens as LamPolys over one integer q, and each
+    coefficient of the solution out through the exit reducer `lam_ratfun`,
+    then multiplied by 1/D in the tests' field.  Not an oracle: it runs the
+    kernel on the Q(lambda) right-hand sides of the tests, where
+    reference_solve_order1_param and order1_coeff_oracle check it."""
+    c = Fraction(c)
+    if not c:
+        raise PlanMismatch("c = 0 is not an exponent of an order-1 factor")
+    if g.is_exact_zero():
+        return g
+    shift = Fraction(mu) / (p - 1)
+    cap = Fraction(ceiling) - shift
+    M = math.lcm(_grid([g]), shift.denominator, cap.denominator)
+    ext, terms = _on_lattice(g.map_coeffs(_qlam), M)
+    D = math.prod(dict.fromkeys(r.den for _, r in terms), start=QPoly((1,)))
+    nums = [(E, (r.num * (D // r.den)).coeffs) for E, r in terms]
+    q = math.lcm(*(a.denominator for _, cs in nums for a in cs))
+    part = ext, [(E, _lam_poly(0, [a.numerator * (q // a.denominator) for a in cs]))
+                 for E, cs in nums], q
+    lifts = []
+    ext, terms, den = _order1(p, c, _shifted(part, -int(shift * M)), int(cap * M), depth, lifts)
+    q = den * math.prod(r.denominator for r in lifts)
+    powers, dens, inv = [(r, -1) for r in lifts], {}, QLam(1, D)
+    M *= p ** (depth + 1)
+    return _series(M, (ext, [(E, lam_ratfun(X, q, powers, dens) * inv) for E, X in terms], 1),
+                   int(shift * M))
 
 
 def replace(record, **changes):
@@ -56,7 +231,7 @@ def count_calls(monkeypatch, calls, fn, name):
 
 def lift(f):
     """Reinterpret a series over Q as a series over Q(lambda)."""
-    return f.map_coeffs(RatFun.const)
+    return f.map_coeffs(_qlam)
 
 
 def forget(f, lo, hi):
@@ -102,22 +277,22 @@ def rand_param_series(rng, terms=3, deg=2, lo=-3, hi=3):
         cs = [rand_rational(rng, -3, 3, 2) for _ in range(rng.randint(1, deg + 1))]
         if not any(cs):
             cs[0] = Fraction(1)
-        out[e] = RatFun(Poly(cs))
+        out[e] = QLam(QPoly(cs))
     return hs(sorted(out.items()))
 
 
 def rand_pole_series(rng, roots, terms=3, deg=2, lo=-3, hi=3):
     """Exact finitely supported series whose coefficients are polynomials in
     lambda over a product of powers 0..2 of lambda - r for r in roots (a
-    root 0 gives powers of lambda), reduced by the RatFun constructor."""
+    root 0 gives powers of lambda), reduced in the tests' field."""
     out = {}
     for _ in range(rng.randint(1, terms)):
         e = rand_exponent(rng, lo, hi)
-        num = Poly([rand_rational(rng, -3, 3, 2) for _ in range(rng.randint(1, deg + 1))])
-        den = Poly.const(1)
+        num = QPoly([rand_rational(rng, -3, 3, 2) for _ in range(rng.randint(1, deg + 1))])
+        den = QPoly((1,))
         for r in roots:
-            den = den * Poly((-r, 1)) ** rng.randint(0, 2)
-        out[e] = RatFun(num or Poly.const(1), den)
+            den = den * QPoly((-r, 1)) ** rng.randint(0, 2)
+        out[e] = QLam(num or 1, den)
     return hs(sorted(out.items()))
 
 
@@ -179,7 +354,8 @@ def eval_at(r, c):
 
 def derivative(r):
     """d/dlambda of a rational function, by the quotient rule."""
-    return RatFun(r.num.derivative() * r.den - r.num * r.den.derivative(), r.den * r.den)
+    r = _qlam(r)
+    return QLam(r.num.derivative() * r.den - r.num * r.den.derivative(), r.den * r.den)
 
 
 def gauge_theta(L, mu):
@@ -217,7 +393,7 @@ def gauge_exp_param(L):
     out = []
     for i, ai in enumerate(L.coeffs):
         li = lam ** i
-        out.append(ai.map_coeffs(lambda c, li=li: RatFun.const(c) * li))
+        out.append(ai.map_coeffs(lambda c, li=li: li * c))
     return MahlerOperator(L.p, out)
 
 
@@ -409,8 +585,8 @@ def reference_mul(f, g):
     acc = {}
     for e1, c1 in f.terms:
         for e2, c2 in g.terms:
-            e = e1 + e2
-            acc[e] = acc.get(e, 0) + c1 * c2
+            e, v = e1 + e2, c1 * c2
+            acc[e] = acc[e] + v if e in acc else v
     unc_f, unc_g = _iv_diff(_FULL, fe), _iv_diff(_FULL, ge)
     poll = reference_pollution(unc_f, g) + reference_pollution(unc_g, f)
     if unc_f and unc_g:
@@ -626,10 +802,6 @@ def reference_factor_operator(L, ceiling, plan=None):
     return fact
 
 
-def _lam_minus(c):
-    return RatFun(Poly((-Fraction(c), Fraction(1))))
-
-
 def reference_solve_gcj(L, plan, fact, c, j, ceiling, depth):
     """Parametric series g with L(g e_lambda) = z**(val a_0 - nu_j/(p-1)) (lambda-c)**(s+m) e_lambda.
 
@@ -647,12 +819,12 @@ def reference_solve_gcj(L, plan, fact, c, j, ceiling, depth):
         raise PlanMismatch("factorization layers do not match the plan")
     nuj = plan.nus[j]
     ceil2 = Fraction(ceiling) + max(Fraction(0), nuj / (p - 1))
-    lamc = _lam_minus(c)
+    lamc = lam - c
     x = lift(fact.a.invert(ceil2).shift(plan.val_a0)).scale(lamc ** m)
     for i in reversed(range(len(fact.layers))):
         mu = nuj - fact.layers[i][0].nu
         for f in reversed(fact.layers[i]):
-            x = solve_order1_param(p, mu, f.c, x, ceil2, depth)
+            x = solve_order1_lam(p, mu, f.c, x, ceil2, depth)
             x = reference_mul(lift(f.h), x)
     return x.shift(-nuj / (p - 1)).scale(lamc ** s)
 
@@ -698,15 +870,13 @@ def reference_solve_order1_param(p, mu, c, g, ceiling, depth):
         um = HahnSeries((), Mask(()))
     else:
         vb = low.val_bound()[0]
-        um = reference_sum(low.mal(k, p).scale(RatFun.const(c ** (-k - 1)) * lam ** k)
+        um = reference_sum(low.mal(k, p).scale(c ** (-k - 1) * lam ** k)
                     for k in range(-1, -depth - 1, -1))
         um = forget(um, vb * Fraction(p) ** (-depth - 1), Fraction(0))
 
     if G.mask.certifies(0):
         g0 = G.coeff_at(Fraction(0))
-        if g0 and not isinstance(g0, RatFun):
-            g0 = RatFun.const(g0)
-        u0 = monomial(0, g0 / (lam - c)) if g0 else zero()
+        u0 = monomial(0, _qlam(g0) / (lam - c)) if g0 else zero()
     else:
         u0 = reference_build((), [(NEG, Fraction(0))])
 
@@ -723,7 +893,7 @@ def reference_solve_order1_param(p, mu, c, g, ceiling, depth):
         high = reference_build(pos_terms, ext)
         pieces, k = [], 0
         while p ** k * fp < top:
-            pieces.append(high.mal(k, p).scale(RatFun.const(c ** (-k - 1)) * lam ** k))
+            pieces.append(high.mal(k, p).scale(c ** (-k - 1) * lam ** k))
             k += 1
         up = cap(reference_sum(pieces), top)
 
@@ -901,8 +1071,8 @@ def order1_coeff_oracle(p, mu, c, g, gamma):
     star = mu / (p - 1)
     gd = {}
     for e, v in g.terms:
-        gd[e] = v if isinstance(v, RatFun) else RatFun.const(v)
-    out = RatFun.const(0)
+        gd[e] = _qlam(v)
+    out = QLam(0)
     if gamma == star:
         return gd[star] / (lam - c) if star in gd else out
     if gamma < star:
@@ -934,10 +1104,10 @@ def ladder_g1_terms(p, nu, cap):
         -1 + (lam-1) [ sum_{j>=0,k>=1} lam^(j+k) z^(p^j nu (1-p^k)/(p-1))
                        + sum_{l>=0} (l+1) lam^l z^(-nu p^l/(p-1)) ]
 
-    collected as {exponent: RatFun} over exponents below `cap` (nu < 0)."""
+    collected as {exponent: QLam} over exponents below `cap` (nu < 0)."""
     nu, cap = Fraction(nu), Fraction(cap)
     lm1 = lam - 1
-    acc = {Fraction(0): RatFun.const(-1)}
+    acc = {Fraction(0): QLam(-1)}
     j = 0
     while Fraction(p) ** j * (-nu) < cap:
         base = Fraction(p) ** j * nu / (p - 1)
@@ -946,13 +1116,13 @@ def ladder_g1_terms(p, nu, cap):
             e = base * (1 - Fraction(p) ** k)
             if e >= cap:
                 break
-            acc[e] = acc.get(e, RatFun.const(0)) + lm1 * lam ** (j + k)
+            acc[e] = acc.get(e, QLam(0)) + lm1 * lam ** (j + k)
             k += 1
         j += 1
     l = 0
     while -nu * Fraction(p) ** l / (p - 1) < cap:
         e = -nu * Fraction(p) ** l / (p - 1)
-        acc[e] = acc.get(e, RatFun.const(0)) + lm1 * (l + 1) * lam ** l
+        acc[e] = acc.get(e, QLam(0)) + lm1 * (l + 1) * lam ** l
         l += 1
     return {e: v for e, v in acc.items() if v}
 
@@ -964,7 +1134,7 @@ def ladder_g2_terms(p, nu, kmin):
 
     with the ladder truncated at k = kmin."""
     nu = Fraction(nu)
-    acc = {Fraction(0): RatFun.const(1)}
+    acc = {Fraction(0): QLam(1)}
     for k in range(-1, kmin - 1, -1):
         acc[Fraction(p) ** k * nu / (p - 1)] = (lam - 1) * lam ** k
     return acc

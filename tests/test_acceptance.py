@@ -11,12 +11,13 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import (canon, eq_on_mask, gauge_exp, gauge_theta, gauge_unit, ladder_g1_terms,
-                      ladder_g2_terms, ladder_operator, lam, lift, order1_coeff_oracle,
-                      rand_operator, rand_param_series, rand_series, reference_apply,
-                      reference_pole_order, series_dict_on_mask, subst_scale)
+from conftest import (QLam, QPoly, canon, eq_on_mask, gauge_exp, gauge_theta, gauge_unit,
+                      ladder_g1_terms, ladder_g2_terms, ladder_operator, lam, lift,
+                      order1_coeff_oracle, rand_operator, rand_param_series, rand_series,
+                      reference_apply, reference_pole_order, series_dict_on_mask,
+                      solve_order1_lam, subst_scale)
 from mahler.factorize import factor_operator, factor_reconstruct
-from mahler.fields import Poly, RatFun
+from mahler.fields import Poly
 from mahler.frobenius import frobenius_basis, solve_order1_param
 from mahler.hahn import monomial
 from mahler.newton import analyze, frobenius_plan
@@ -136,8 +137,8 @@ def test_criterion_4_gauge_lemmas():
         for (m, r), chig in zip(comp.slopes, comp.charpolys):
             if m == 0:
                 assert r == old.get(Fraction(0), 0) + 1
-                base = chi_of.get(Fraction(0), Poly.const(1))
-                assert canon(chig) == canon(base * Poly((-c, 1)))
+                base = chi_of.get(Fraction(0), QPoly((1,)))
+                assert canon(chig) == canon(base * QPoly((-c, 1)))
             else:
                 assert r == old[m * p]
                 assert canon(chig) == canon(chi_of[m * p])
@@ -145,12 +146,26 @@ def test_criterion_4_gauge_lemmas():
 
 
 def _order1_instance(rng):
+    """(p, mu, c, g, q): g over Q(lambda), and q the series over Q that g
+    lifts, or None."""
     p = rng.choice((2, 3))
     mu = Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
     c = rng.choice((Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2),
                     Fraction(-3), Fraction(2, 3)))
-    g = rand_param_series(rng) if rng.random() < 0.7 else lift(rand_series(rng))
-    return p, mu, c, g
+    if rng.random() < 0.7:
+        return p, mu, c, rand_param_series(rng), None
+    q = rand_series(rng)
+    return p, mu, c, lift(q), q
+
+
+def _solve_order1(p, mu, c, g, q, ceiling, depth):
+    """The tests' Q(lambda) adapter's solve for g; when g lifts the series
+    q over Q, solve_order1_param's for q equals it bit for bit."""
+    f = solve_order1_lam(p, mu, c, g, ceiling, depth)
+    if q is not None:
+        fq = solve_order1_param(p, mu, c, q, ceiling, depth)
+        assert fq == f and fq.to_json() == f.to_json()
+    return f
 
 
 def test_criterion_5_order1_oracle():
@@ -159,8 +174,8 @@ def test_criterion_5_order1_oracle():
     cs = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2),
           Fraction(-3), Fraction(2, 3))
     for _ in range(200):
-        p, mu, c, g = _order1_instance(rng)
-        f = solve_order1_param(p, mu, c, g, 6, 5)
+        p, mu, c, g, q = _order1_instance(rng)
+        f = _solve_order1(p, mu, c, g, q, 6, 5)
         star = Fraction(mu) / (p - 1)
         for e, v in f.terms:
             if f.mask.certifies(e):
@@ -168,7 +183,7 @@ def test_criterion_5_order1_oracle():
         for e in (star, star + Fraction(1, 2), Fraction(-4)):
             if f.mask.certifies(e) and e not in dict(f.terms):
                 assert order1_coeff_oracle(p, mu, c, g, e) == 0
-        A = MahlerOperator(p, [monomial(0, RatFun.const(-c)),
+        A = MahlerOperator(p, [monomial(0, QLam(-c)),
                                monomial(-mu, lam)])
         eq, common = eq_on_mask(reference_apply(A, f), g)
         assert eq and not common.empty
@@ -257,9 +272,9 @@ def test_criterion_7_refinement_stability():
         _bases_stable(frobenius_basis(L, 3, 2, verify=True), frobenius_basis(L, 6, 4, verify=True))
     rng = random.Random(2031)
     for _ in range(20):
-        p, mu, c, g = _order1_instance(rng)
-        f_lo = solve_order1_param(p, mu, c, g, 6, 5)
-        f_hi = solve_order1_param(p, mu, c, g, 12, 10)
+        p, mu, c, g, q = _order1_instance(rng)
+        f_lo = _solve_order1(p, mu, c, g, q, 6, 5)
+        f_hi = _solve_order1(p, mu, c, g, q, 12, 10)
         eq, common = eq_on_mask(f_lo, f_hi)
         assert eq and not common.empty
     _stamp("7 refinement", t0)

@@ -8,14 +8,15 @@ from fractions import Fraction
 import pytest
 
 from conftest import (count_calls, eq_on_mask, forget, gauge_exp, gauge_theta, ladder_operator,
-                      plan_of, rand_operator, reference_factor_operator, reference_peel)
+                      phi_minus, plan_of, rand_operator, reference_factor_operator,
+                      reference_peel)
 from test_cli import EXAMPLE
 from mahler.cli import elaborate, parse_spec
 from mahler.errors import (MahlerError, NonRationalExponent, PlanMismatch, UnknownLeadingTerm,
                            VerificationError)
 from mahler.hahn import HahnSeries, Mask, _series, hs, monomial, one, zero
 from mahler.newton import FrobeniusPlan, analyze
-from mahler.operator import MahlerOperator, phi_minus
+from mahler.operator import MahlerOperator
 from mahler.factorize import (Factorization, FirstOrderFactor, factor_operator,
                               factor_reconstruct, slope_zero_unit_solution)
 from mahler.testing import rand_factored_operator, rand_tangent_unit

@@ -11,20 +11,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (cap, count_calls, d_lambda, eq_on_mask, ev_c, forget, gcj_residual_mask,
-                      ladder_g1_terms, ladder_g2_terms, ladder_operator, lam, lift,
-                      order1_coeff_oracle, pipeline_mask, rand_exponent, rand_operator,
-                      rand_param_series, rand_pole_series, rand_series, rebind,
+from conftest import (QLam, QPoly, cap, count_calls, d_lambda, eq_on_mask, ev_c, forget,
+                      gcj_residual_mask, ladder_g1_terms, ladder_g2_terms, ladder_operator, lam,
+                      lift, order1_coeff_oracle, phi_minus, pipeline_mask, rand_exponent,
+                      rand_operator, rand_param_series, rand_pole_series, rand_series, rebind,
                       reference_add, reference_apply, reference_apply_to_solution,
                       reference_numerators, reference_pole_order, reference_solve_gcj,
                       reference_solve_order1_param, reference_specialize, reference_sum, replace,
-                      restrict, same_lattice_form, series_dict_on_mask)
+                      restrict, same_lattice_form, series_dict_on_mask, solve_order1_lam)
 from mahler.cli import elaborate, parse_spec
 from mahler.errors import MahlerError, PlanMismatch, PoleAtEvaluationPoint, VerificationError
 from mahler.fields import Poly, RatFun
 from mahler.hahn import NEG, POS, HahnSeries, hs, monomial, one, zero
 from mahler.newton import analyze, frobenius_plan
-from mahler.operator import MahlerOperator, phi_minus
+from mahler.operator import MahlerOperator
 from mahler.factorize import factor_operator
 from mahler import factorize, fields, frobenius, hahn
 from mahler.frobenius import (SolutionObject, apply_to_solution, check_gcj,
@@ -89,7 +89,7 @@ def test_order1_agrees_with_orbit_recursion_oracle():
         c = rng.choice((Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2),
                         Fraction(-3), Fraction(2, 3)))
         g = rand_param_series(rng) if rng.random() < 0.7 else lift(rand_series(rng))
-        f = solve_order1_param(p, mu, c, g, 6, 5)
+        f = solve_order1_lam(p, mu, c, g, 6, 5)
         star = Fraction(mu) / (p - 1)
         for e, v in f.terms:
             if f.mask.certifies(e):
@@ -122,7 +122,7 @@ def _order1_cases():
         if rng.random() < 0.4 and base != "zero":
             value = rand_param_series(rng).terms[0][1] if base == "param" \
                 else Fraction(rng.randint(1, 5), rng.randint(1, 3))
-            g = reference_add(g, monomial(star, value if base != "lifted" else RatFun.const(value)))
+            g = reference_add(g, monomial(star, value if base != "lifted" else QLam(value)))
         a = star + Fraction(rng.randint(-6, 8), rng.randint(1, 3))
         b = a + Fraction(rng.randint(1, 4), rng.randint(1, 2))
         shape = i % 8
@@ -175,22 +175,26 @@ def _order1_cases():
 
 
 def test_order1_matches_reference_solver():
-    """solve_order1_param equals the interval-list oracle bit for bit: terms,
+    """The order-1 solve equals the interval-list oracle bit for bit: terms,
     masks and the stored lower end of each mask's first interval.  A g over
-    Q gives the solve of g lifted to Q(lambda)."""
+    Q runs through solve_order1_param, whose solve equals the tests'
+    Q(lambda) adapter's on g lifted; a g over Q(lambda) through the
+    adapter."""
     seen = set()
     for p, mu, c, g, ceiling, depth in _order1_cases():
         cap = ceiling - mu / (p - 1)
-        got = solve_order1_param(p, mu, c, g, ceiling, depth)
+        over_q = all(type(r) is Fraction for _, r in g.terms)
+        solve = solve_order1_param if over_q else solve_order1_lam
+        got = solve(p, mu, c, g, ceiling, depth)
         want = reference_solve_order1_param(p, mu, c, g, ceiling, depth)
         assert got == want
         assert got.to_json() == want.to_json()
-        if g.terms and all(type(r) is Fraction for _, r in g.terms):
-            lifted = solve_order1_param(p, mu, c, lift(g), ceiling, depth)
+        if over_q:
+            lifted = solve_order1_lam(p, mu, c, lift(g), ceiling, depth)
             assert got == lifted and got.to_json() == lifted.to_json()
-            seen.add("g over Q")
+            seen |= {"g over Q"} if g.terms else set()
         for _, r in g.terms:
-            if type(r) is RatFun and r.den.degree:
+            if isinstance(r, RatFun) and r.den.degree:
                 at_c, at_0 = reference_pole_order(r, c), reference_pole_order(r, 0)
                 seen |= {"den lambda**k"} if at_0 else set()
                 seen |= {"pole at c"} if at_c else set()
@@ -204,7 +208,8 @@ def test_order1_matches_reference_solver():
             seen.add("0 uncertified")
         else:
             g0 = G.coeff_at(0)
-            seen.add("g0 " + ("zero" if not g0 else type(g0).__name__))
+            seen.add("g0 " + ("zero" if not g0 else "RatFun" if isinstance(g0, RatFun)
+                              else "Fraction"))
             if all(e <= 0 for e, _ in G.terms) and G.mask.next_gap(Fraction(0)) == POS:
                 seen.add("fp = +inf")
             fp = min([e for e, _ in G.terms if e > 0] + [G.mask.next_gap(Fraction(0))])
@@ -236,8 +241,8 @@ def test_order1_back_substitution():
         mu = Fraction(rng.randint(-2, 2))
         c = rng.choice((Fraction(1), Fraction(2), Fraction(-1, 2), Fraction(3)))
         g = rand_param_series(rng)
-        f = solve_order1_param(p, mu, c, g, 6, 5)
-        A = MahlerOperator(p, [monomial(0, RatFun.const(-c)),
+        f = solve_order1_lam(p, mu, c, g, 6, 5)
+        A = MahlerOperator(p, [monomial(0, QLam(-c)),
                                monomial(-mu, lam)])
         res = reference_apply(A, f)
         eq, common = eq_on_mask(res, g)
@@ -260,7 +265,7 @@ def test_order1_pole_orders_grow_by_at_most_one():
         g = rand_param_series(rng) if i < 40 else rand_pole_series(rng, rng.sample(cs, 2))
         rho = {cc: max((reference_pole_order(r, cc) for _, r in g.terms), default=0)
                for cc in cs}
-        f = solve_order1_param(p, mu, c, g, 6, 5)
+        f = solve_order1_lam(p, mu, c, g, 6, 5)
         for _, r in f.terms:
             assert reference_pole_order(r, c) <= rho[c] + 1
             for cc in cs:
@@ -340,7 +345,7 @@ def test_solve_slope_equals_one_solve_per_exponent(monkeypatch):
             del rhs[:]
             gs = solve_slope(L, plan, fact, j, ceiling, depth)
             # the chain starts from integer numerators carrying prod_c (lambda - c)**m_c
-            chi = math.prod((Poly((-c, 1)) ** m for c, m, _ in entry), start=Poly.const(1))
+            chi = math.prod((QPoly((-c, 1)) ** m for c, m, _ in entry), start=QPoly((1,)))
             (_, terms, _), lifts = rhs[0]
             for _, X in terms:
                 quo, rest = divmod(Poly(X.cs), chi)
@@ -370,10 +375,10 @@ def test_order1_solver_divides_by_lambda_minus_c_without_gcd(monkeypatch):
     integers, after a lift of the right-hand side when it does not divide:
     on the first 60 criterion-3 operators the order-1 kernel (`_order1`)
     makes more than 100 such divisions and lifts, and `solve_slope` runs no
-    poly_gcd, and no RatFun arithmetic outside its exit reducer
-    (`lam_ratfun`), which builds each reduced coefficient with no gcd."""
+    poly_gcd and builds no RatFun outside its exit reducer (`lam_ratfun`),
+    which builds each reduced coefficient with no gcd."""
     inside = Counter()
-    gcds, ratfun_ops, divisions, lifts = [], [], [], []
+    gcds, built, divisions, lifts = [], [], [], []
 
     def nested(key, real):
         def call(*args):
@@ -384,10 +389,10 @@ def test_order1_solver_divides_by_lambda_minus_c_without_gcd(monkeypatch):
                 inside[key] -= 1
         return call
 
-    def outside_reducer(name, real):
+    def outside_reducer(real):
         def call(*args):
             if inside["slope"] and not inside["reducer"]:
-                ratfun_ops.append(name)
+                built.append(args)
             return real(*args)
         return call
 
@@ -402,10 +407,7 @@ def test_order1_solver_divides_by_lambda_minus_c_without_gcd(monkeypatch):
     monkeypatch.setattr(frobenius, "solve_slope", nested("slope", frobenius.solve_slope))
     monkeypatch.setattr(frobenius, "lam_ratfun", nested("reducer", frobenius.lam_ratfun))
     monkeypatch.setattr(frobenius, "_order1", nested("order1", order1))
-    for name in ("__init__", "__neg__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
-                 "__rmul__", "__truediv__", "__rtruediv__", "__pow__", "_reciprocal"):
-        monkeypatch.setattr(RatFun, name, outside_reducer(name, getattr(RatFun, name)))
-    rebind(monkeypatch, fields._reduced, outside_reducer("_reduced", fields._reduced))
+    rebind(monkeypatch, fields._reduced, outside_reducer(fields._reduced))
     monkeypatch.setattr(fields, "poly_gcd", lambda *args: (
         inside["slope"] and gcds.append(args)) or real_gcd(*args))
     monkeypatch.setattr(fields.LamPoly, "over_linear", lambda X, a, b: (
@@ -417,50 +419,76 @@ def test_order1_solver_divides_by_lambda_minus_c_without_gcd(monkeypatch):
             frobenius.solve_slope(L, plan, fact, j, ceiling, depth)
     assert len(divisions) + len(lifts) > 100 and lifts
     assert not gcds
-    assert not ratfun_ops
+    assert not built
 
 
 def test_every_q_lambda_product_has_a_scalar_operand(monkeypatch):
-    """frobenius_basis, verification included, makes every Q(lambda) value
-    through the exit reducer `lam_ratfun`, with no gcd: no RatFun.__init__,
-    RatFun.const or field operator runs at all, so no two RatFuns are ever
-    multiplied.  The reducer runs once per coefficient of each g_{c,j} and
-    once per closed form (`expected_gcj_cld`) that check_gcj compares the
-    leading coefficient of g with.  The ladders, the README example and the
-    200 corpus operators."""
+    """Every value over Q(lambda) that the library makes comes from the exit
+    reducer `lam_ratfun`, with no gcd: no RatFun is built (`_reduced`, its
+    one constructor) outside the reducer, so no two RatFuns are ever
+    multiplied, and every coefficient is the very RatFun the reducer
+    returned.  frobenius_basis, verification included, on the ladders, the
+    README example and the 200 corpus operators: the reducer runs once per
+    coefficient of each g_{c,j} and once per closed form
+    (`expected_gcj_cld`) that check_gcj compares the leading coefficient of
+    g with.  solve_order1_param on the order-1 cases over Q: once per
+    coefficient of the solution.  A coefficient over Q(lambda), the tests'
+    or the library's, raises a MahlerError."""
     cases = [(ladder_operator(2, -2), 8, 8), (ladder_operator(3, -3), 8, 8),
              (_readme_operator(8), 8, 8)]
     rng = random.Random(2026)
     cases += [(rand_factored_operator(rng, Fraction(3))[0], 3, 2) for _ in range(200)]
-    ops, reduced = [], []
+    inside, outside, reduced = [0], [], []
+    real_reducer, real_reduced = fields.lam_ratfun, fields._reduced
 
-    def recorded(name, real):
-        def call(*args):
-            ops.append(name)
-            return real(*args)
-        return call
-    for name in ("__init__", "__neg__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
-                 "__rmul__", "__truediv__", "__rtruediv__", "__pow__", "_reciprocal"):
-        monkeypatch.setattr(RatFun, name, recorded(name, getattr(RatFun, name)))
-    monkeypatch.setattr(RatFun, "const", classmethod(recorded("const", RatFun.const)))
-    real_reducer = frobenius.lam_ratfun
-    monkeypatch.setattr(frobenius, "lam_ratfun",
-                        lambda *args: reduced.append(args) or real_reducer(*args))
+    def reducer(*args):
+        inside[0] += 1
+        try:
+            reduced.append(real_reducer(*args))
+        finally:
+            inside[0] -= 1
+        return reduced[-1]
+
+    def constructor(num, den):
+        if not inside[0]:
+            outside.append((num, den))
+        return real_reduced(num, den)
+    rebind(monkeypatch, real_reducer, reducer)
+    rebind(monkeypatch, real_reduced, constructor)
+
+    def made_by_the_reducer(f):
+        ids = {id(r) for r in reduced}
+        return all(id(r) in ids for _, r in f.terms)
     coefficients = blocks = 0
     for L, ceiling, depth in cases:
         out = frobenius_basis(L, ceiling, depth, verify=True)
         assert out.verification["ok"]
         coefficients += sum(len(block.g.terms) for block in out.blocks)
         blocks += len(out.blocks)
-    assert not ops, Counter(ops)
+        assert all(made_by_the_reducer(block.g) for block in out.blocks)
     assert blocks > 300 and len(reduced) == coefficients + blocks
+    solves = 0
+    for p, mu, c, g, ceiling, depth in _order1_cases():
+        if g.terms and all(type(r) is Fraction for _, r in g.terms):
+            del reduced[:]
+            f = solve_order1_param(p, mu, c, g, ceiling, depth)
+            assert len(reduced) == len(f.terms) and made_by_the_reducer(f)
+            solves += bool(f.terms)
+    assert solves > 100
+    assert not outside
+    f = solve_order1_param(2, 0, 3, one(), 8, 6)
+    for g, name in ((lift(one()), "QLam"), (rand_param_series(random.Random(5)), "QLam"),
+                    (f, "RatFun")):
+        with pytest.raises(MahlerError, match="^the Hahn kernel runs over Q; got a %s "
+                           "coefficient$" % name):
+            solve_order1_param(2, 0, 2, g, 8, 6)
 
 
 def test_expected_gcj_cld_equals_the_closed_form_by_field_operators():
     """The closed form that check_gcj compares the leading coefficient of
     g_{c,j} with, one exit-reducer call (`expected_gcj_cld`), equals
-    n/d lambda**(-R) (lambda - c)**(s+m) / prod_f (lambda - f.c) built by
-    the full-gcd field operators: f over the factors of layer j, R the
+    n/d lambda**(-R) (lambda - c)**(s+m) / prod_f (lambda - f.c) built in
+    the tests' full-reduction field: f over the factors of layer j, R the
     number of factors below it and n/d the product of -f.c over the layers
     up to j over the leading coefficient of a_0.  Every (c, j) block of the
     README example, the p = 2 and p = 3 ladders and the 200 criterion-3
@@ -477,7 +505,7 @@ def test_expected_gcj_cld_equals_the_closed_form_by_field_operators():
             nd = math.prod(-f.c for layer in fact.layers[: j + 1] for f in layer)
             nd /= L.coeffs[0].cld()
             for c, m, s in entry:
-                want = RatFun.const(nd) * lam ** (-R) * (lam - c) ** (s + m)
+                want = QLam(nd) * lam ** (-R) * (lam - c) ** (s + m)
                 for f in fact.layers[j]:
                     want = want / (lam - f.c)
                 got = expected_gcj_cld(L, plan, fact, c, j)
@@ -638,7 +666,7 @@ def test_check_gcj_rejects_wrong_leading_coefficient():
     plan = frobenius_plan(L, nd)
     fact = factor_operator(L, 6, plan)
     g = solve_gcj(L, plan, fact, Fraction(1), 0, 6, 6)
-    bad = g.scale(RatFun.const(2))
+    bad = g.scale(QLam(2))
     with pytest.raises(VerificationError):
         check_gcj(L, plan, fact, Fraction(1), 0, nd.slopes[0][0], bad)
 
@@ -985,10 +1013,14 @@ def test_frobenius_basis_pole_error_names_j_and_the_first_offending_exponent(mon
     """A g_{c,j} with a pole at lambda = c fails in specialization, with and
     without verify, naming j and the exponent of its first polar term."""
     L, _, _, _, g = _ladder_parts()
-    pole = 1 / (lam - 1)
+    # 1/(lambda - 1) and 3/(lambda - 1) from the exit reducer, one den tuple
+    dens = {}
+    pole, pole3 = (fields.lam_ratfun(fields.LamPoly(0, (k,)), 1, [(Fraction(1), -1)], dens)
+                   for k in (1, 3))
+    assert pole == 1 / (lam - 1) and pole3 == 3 / (lam - 1)
     # g has terms at 0, 2 and 4 below its cap 6: the first polar term comes
     # after a pole-free one and shares its den with a later one
-    polar = reference_sum((g, monomial(3, pole), monomial(5, 3 * pole)))
+    polar = reference_sum((g, monomial(3, pole), monomial(5, pole3)))
     assert [e for e, _ in polar.terms] == [0, 2, 3, 4, 5]
     assert polar.terms[2][1].den.coeffs is polar.terms[4][1].den.coeffs
     cases = ((polar, r"coefficient of z\^3 in g_\{c,j\} for j = 0 has a pole at lambda = 1$"),
@@ -1053,7 +1085,7 @@ def test_check_gcj_rejects_wrong_valuation():
 
 def test_gcj_residual_mask_rejects_a_wrong_solution():
     L, _, plan, _, g = _ladder_parts()
-    bad = reference_add(g, monomial(g.val() + 1, RatFun.const(1)))
+    bad = reference_add(g, monomial(g.val() + 1, QLam(1)))
     with pytest.raises(VerificationError, match="defining equation residual is nonzero"):
         gcj_residual_mask(L, plan, Fraction(1), 0, bad)
 

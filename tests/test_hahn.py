@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (_iv_contains, brute_conv, cap, eq_on_mask, forget, geometric_invert,
-                      ladder_operator, lam, pipeline_mask, rand_param_series, rand_series,
-                      rational_forward_solve, rebind, reference_add, reference_build,
+from conftest import (QLam, QPoly, _iv_contains, brute_conv, cap, eq_on_mask, forget,
+                      geometric_invert, ladder_operator, lam, pipeline_mask, rand_param_series,
+                      rand_series, rational_forward_solve, rebind, reference_add, reference_build,
                       reference_forward_solve, reference_grid, reference_mul, reference_numerators,
                       reference_series, reference_sum, restrict, same_lattice_form, support)
 from test_cli import EXAMPLE
@@ -15,8 +15,7 @@ from mahler import factorize, frobenius, hahn
 from mahler.cli import elaborate, parse_spec
 from mahler.errors import (InsufficientPrecision, MahlerError, UnknownLeadingTerm, ZeroDivisor,
                            ZeroSeries)
-from mahler.fields import Poly, RatFun
-from mahler.frobenius import frobenius_basis
+from mahler.frobenius import frobenius_basis, solve_order1_param
 from mahler.hahn import (_FULL, NEG, POS, HahnSeries, Mask, _grid, _iv_diff, _series,
                          _iv_inter, _iv_norm, _numerators, forward_solve, hs, hs_mul,
                          hs_mul_sums, hs_sum, monomial, one, zero)
@@ -211,10 +210,10 @@ def test_hs_sum_equals_left_fold(ring):
     mixed ring each part is drawn over Q, with every coefficient's
     denominator a multiple of 7 or 11, or over Q(lambda)."""
     rng = random.Random(71 + len(ring))
-    dens = (RatFun.const(1), lam - 1, (lam - 1) ** 2, lam * (lam + 2))
+    dens = (QLam(1), lam - 1, (lam - 1) ** 2, lam * (lam + 2))
     q_series, q_scalar = (lambda: rand_series(rng, 5)), (lambda: rand_rational(rng, nonzero=True))
     param_series = lambda: rand_param_series(rng, 5).map_coeffs(lambda r: r / rng.choice(dens))
-    param_scalar = lambda: RatFun.const(rand_rational(rng, nonzero=True)) / rng.choice(dens)
+    param_scalar = lambda: QLam(rand_rational(rng, nonzero=True)) / rng.choice(dens)
     if ring == "Q":
         series_of, scalar = q_series, q_scalar
     elif ring == "Q(lambda)":
@@ -586,11 +585,16 @@ def test_q_lambda_operands_raise_a_mahler_error():
            lambda f, g: f * g)
     for op in ops:
         for f, g in pairs:
-            with pytest.raises(MahlerError, match="runs over Q; got a RatFun coefficient"):
+            with pytest.raises(MahlerError, match="runs over Q; got a QLam coefficient"):
                 op(f, g)
     for f in (P, monomial_P, cap(P, 1), mixed):
-        with pytest.raises(MahlerError, match="runs over Q; got a RatFun coefficient"):
+        with pytest.raises(MahlerError, match="runs over Q; got a QLam coefficient"):
             f.invert(3)
+    # the library's own values over Q(lambda), as the order-1 solver makes them
+    lib = solve_order1_param(2, 0, 3, hs([(0, 1), (1, 2)]), 8, 6)
+    for run in (lambda: hs_mul(lib, Q), lambda: hs_sum([Q, lib]), lambda: lib.invert(3)):
+        with pytest.raises(MahlerError, match="runs over Q; got a RatFun coefficient"):
+            run()
     # an exact zero has no coefficient: it sums and multiplies as over Q
     assert hs_sum([zero(), zero()]).is_exact_zero() and (zero() * Q).is_exact_zero()
     # the container operations
@@ -600,7 +604,7 @@ def test_q_lambda_operands_raise_a_mahler_error():
     assert P.scale(Fraction(2)).terms == ((0, 2 * lam), (Fraction(1, 2), 2 / (lam - 1)))
     assert P.mal(1, 3).terms == ((0, lam), (Fraction(3, 2), 1 / (lam - 1)))
     assert P.map_coeffs(lambda r: r * (lam - 1)).terms == ((0, lam * (lam - 1)),
-                                                           (Fraction(1, 2), RatFun.const(1)))
+                                                           (Fraction(1, 2), QLam(1)))
     assert (-P).terms == ((0, -lam), (Fraction(1, 2), -1 / (lam - 1)))
     assert all(f.mask == P.mask for f in (-P, P.scale(lam), P.map_coeffs(lambda r: r)))
     assert P.to_json()["terms"] == [{"exp": "0", "coeff": str(lam)},
@@ -755,10 +759,9 @@ FINE_LATTICES = [13, 3 * 2 ** 32]
 def rand_ratfun(rng):
     """Nonzero element of Q(lambda) over one of a few denominators, some
     sharing factors, so that sums meet equal and unequal denominators."""
-    num = RatFun(Poly([rand_rational(rng, -3, 3, 2) for _ in range(rng.randint(1, 3))]))
-    den = rng.choice((RatFun.const(1), RatFun.const(1), lam - 1, lam + 2, lam * (lam - 1),
-                      lam ** 2 + 1))
-    return (num or RatFun.const(1)) / den
+    num = QLam(QPoly([rand_rational(rng, -3, 3, 2) for _ in range(rng.randint(1, 3))]))
+    den = rng.choice((QLam(1), QLam(1), lam - 1, lam + 2, lam * (lam - 1), lam ** 2 + 1))
+    return (num or QLam(1)) / den
 
 
 COEFFS = {"Q": lambda rng: rand_rational(rng, nonzero=True), "Q(lambda)": rand_ratfun}
@@ -849,7 +852,7 @@ def cancelling_pair(rng, n):
         u = rand_ratfun(rng)
         return cs, [c * u for c in cs], "D = 1" if u.den.degree == 0 else "D > 1"
     u = q_coeff(rng)
-    rs = [c * u if rng.random() < 0.5 else RatFun.const(c * u) for c in cs]
+    rs = [c * u if rng.random() < 0.5 else QLam(c * u) for c in cs]
     return cs, rs, "Fractions and D = 1" if len({type(r) for r in rs}) == 2 else "one ring"
 
 

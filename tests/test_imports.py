@@ -2,10 +2,13 @@
 private module-level name in src/ is used somewhere in src/, every function
 and method in src/ has a reader there (or is exported, or traced by the
 benchmark), every exported name is read by the package or the benchmark,
-traced, or named in README, and no function of the command-line front end
-calls itself."""
+traced, or named in README, no function of the command-line front end
+calls itself, and every function in src/ runs in one sample of the
+command line unless it is exempt with a reason."""
 import ast
+import importlib
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -433,3 +436,128 @@ def test_import_loads_no_heavy_standard_modules():
     added = set(proc.stdout.split())
     assert "mahler.cli" in added
     assert added & {"dataclasses", "inspect", "argparse", "ast"} == set()
+
+
+def defined_functions(source):
+    """{first line: name} of the module-level functions and class methods
+    (as `name` or `Class.name`) of the source; the first line of a
+    decorated one is its first decorator's, as in its code object."""
+    out = {}
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.FunctionDef):
+            defs = [("", stmt)]
+        elif isinstance(stmt, ast.ClassDef):
+            defs = [(stmt.name + ".", d) for d in stmt.body if isinstance(d, ast.FunctionDef)]
+        else:
+            continue
+        for owner, d in defs:
+            out[min([d.lineno] + [x.lineno for x in d.decorator_list])] = owner + d.name
+    return out
+
+
+def test_defined_functions_checker():
+    source = ("def f():\n"
+              "    def inner():\n"
+              "        return 0\n"
+              "    return inner\n"
+              "class K:\n"
+              "    x = 1\n"
+              "\n"
+              "    @property\n"
+              "    def size(self):\n"
+              "        return 0\n"
+              "    def grow(self):\n"
+              "        return self\n")
+    assert defined_functions(source) == {1: "f", 8: "K.size", 11: "K.grow"}
+
+
+# One sample of what the package is for, run in a fresh interpreter with a
+# profiler set before `import mahler`: the command line on the README
+# example (text, --json, --verify), Thue-Morse and the dense equation at
+# low precision, an interior coefficient that certifies no term (a floor of
+# the Newton polygon), the self-test, a parse error and a --json diagnostic.
+REACH_INPUTS = {
+    "readme": "p = 2\na[0] = z^(-2) / (1 + z^2)\na[1] = -(1 / (1 + z^4) + z^(-2))\n"
+              "a[2] = 1 / (1 + z^4)\n",
+    "thue-morse": "p = 2\na[0] = -1\na[1] = 1 - z\n",
+    "dense": "p = 2\na[0] = 1/(1+z^(1/13))\na[1] = -1\n",
+    "floor": "p = 2\na[0] = -1\na[1] = 1/(1+z) - 1/(1+z)\na[2] = 1\n",
+    "parse-error": "p = 2\na[0] = 1 +\n",
+    "too-low": "p = 2\na[0] = 1\na[1] = 1/(z-z^2)\n",
+}
+REACH_RUNS = [
+    (["readme"], 0), (["readme", "--json"], 0), (["readme", "--verify"], 0),
+    (["thue-morse", "--precision", "4", "--verify"], 0),
+    (["dense", "--precision", "2", "--verify", "--json"], 0),
+    (["floor", "--precision", "2", "--verify"], 0),
+    (["selftest", "--count", "2"], 0),
+    (["parse-error"], 2), (["too-low", "--precision", "1", "--json"], 4),
+]
+REACH_PROBE = """
+import contextlib, io, json, os, sys
+src, runs = sys.argv[1], json.loads(sys.argv[2])
+called = set()
+
+def profile(frame, event, arg):
+    code = frame.f_code
+    if event == "call" and code.co_filename.startswith(src):
+        called.add((os.path.basename(code.co_filename), code.co_firstlineno))
+sys.setprofile(profile)
+from mahler.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(argv) for argv in runs]
+sys.setprofile(None)
+print(json.dumps({"codes": codes, "called": sorted(called)}))
+"""
+
+# Functions that no run of the sample reaches, by name, each with the
+# reason it stays.  Tracer-bound names, methods of exception classes,
+# equality, hashing and printing, and the record contract are exempt by
+# kind (see test_every_function_in_src_runs_in_the_reach_sample).
+REACH_EXEMPT = {
+    "hahn.py:one": "public builder of the series 1, for library users",
+    "hahn.py:_rat": "Mask's public constructor reads a caller's endpoints; the pipeline "
+                    "builds masks with Mask._of",
+    "hahn.py:HahnSeries.__mul__": "the product as an operator, for library users; the "
+                                  "pipeline calls hs_mul",
+}
+
+
+def test_every_function_in_src_runs_in_the_reach_sample(tmp_path):
+    """Every function and method in src/mahler runs in the sample above,
+    unless it is exempt: a name the benchmark's tracer binds (kept as the
+    interface it wraps), a method of an exception class (an error path),
+    __eq__, __hash__, __repr__ or __str__, a method of errors.Record (the
+    record contract, which test_records.py checks), or a REACH_EXEMPT
+    entry.  Each REACH_EXEMPT entry names a function that exists and does
+    not run."""
+    import mahler
+    runs = []
+    for argv, _ in REACH_RUNS:
+        if argv[0] in REACH_INPUTS:
+            path = tmp_path / (argv[0] + ".txt")
+            path.write_text(REACH_INPUTS[argv[0]], encoding="utf-8")
+            argv = [str(path)] + argv[1:]
+        runs.append(argv)
+    src = ROOT / "src" / "mahler"
+    proc = subprocess.run([sys.executable, "-c", REACH_PROBE, str(src) + os.sep,
+                           json.dumps(runs)], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [code for _, code in REACH_RUNS]
+    called = {tuple(entry) for entry in result["called"]}
+    traced = tracer_targets((ROOT / "bench" / "tracer.py").read_text(encoding="utf-8"))
+    unreached = set()
+    for path in SOURCES:
+        for line, name in defined_functions(path.read_text(encoding="utf-8")).items():
+            owner, _, attr = name.rpartition(".")
+            cls = getattr(importlib.import_module("mahler." + path.stem), owner, None)
+            if ((path.name, line) in called or attr in traced
+                    or attr in ("__eq__", "__hash__", "__repr__", "__str__")
+                    or cls is mahler.errors.Record
+                    or isinstance(cls, type) and issubclass(cls, BaseException)):
+                continue
+            unreached.add("%s:%s" % (path.name, name))
+    assert unreached - set(REACH_EXEMPT) == set()
+    assert set(REACH_EXEMPT) <= unreached

@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (canon, count_calls, forget, gauge_exp, gauge_theta, gauge_unit, hull_walk,
-                      ladder_operator, rand_operator, reference_char_poly, subst_scale)
+from conftest import (QPoly, canon, count_calls, forget, gauge_exp, gauge_theta, gauge_unit,
+                      hull_walk, ladder_operator, phi_minus, rand_operator, reference_char_poly,
+                      subst_scale)
 from test_cli import EXAMPLE
 from mahler import newton
 from mahler.cli import elaborate, parse_spec
@@ -17,7 +18,7 @@ from mahler.errors import (InsufficientPrecision, PlanMismatch, UnknownLeadingTe
 from mahler.fields import Poly
 from mahler.hahn import POS, HahnSeries, Mask, hs, monomial, one, zero
 from mahler.newton import analyze, char_poly, frobenius_plan, newton_polygon, slopes_of
-from mahler.operator import MahlerOperator, phi_minus
+from mahler.operator import MahlerOperator
 from mahler.testing import rand_factored_operator, rand_rational, rand_tangent_unit
 
 
@@ -119,12 +120,15 @@ def test_polygon_rejects_uncertified_boundary_coefficients():
     trimmed = MahlerOperator(2, [one(), zero()])
     assert trimmed.order == 0
     assert newton_polygon(trimmed) == ((0, Fraction(1), Fraction(0)),)
-    bad = forget(hs([(0, 1), (2, 1)]), -1, 1)
-    with pytest.raises(UnknownLeadingTerm):
-        newton_polygon(MahlerOperator(2, [bad, one()]))
-    # a_0 or a_n that only looks like 0 may be decided at a higher precision
-    for coeffs in ([forget(zero(), 3, POS), one()], [one(), HahnSeries((), Mask(()))]):
-        i, note = (0, "has its first gap at 3") if coeffs[1] == one() else (1, "is empty")
+    # a_0 or a_n with no certified leading term may be decided at a higher
+    # precision, also when its stored terms lie beyond its first mask gap
+    island = forget(hs([(0, 1), (2, 1)]), -1, 1)
+    for coeffs, i, note in (([forget(zero(), 3, POS), one()], 0, "has its first gap at 3"),
+                            ([one(), HahnSeries((), Mask(()))], 1, "is empty"),
+                            ([island, one()], 0, "has its first gap at -1"),
+                            ([one(), island], 1, "has its first gap at -1"),
+                            ([hs({5: 1}, mask=[(0, 1), (4, 6)]), one()], 0,
+                             "has its first gap at 1")):
         with pytest.raises(InsufficientPrecision, match="^a_%d has no certified leading term: "
                            "its mask %s; raise the precision$" % (i, note)):
             newton_polygon(MahlerOperator(2, coeffs))
@@ -146,6 +150,19 @@ def test_polygon_interior_floor_rules():
     with pytest.raises(InsufficientPrecision, match="^coefficient 1 might dip below the "
                        "certified polygon: its mask is empty; raise the precision$"):
         newton_polygon(MahlerOperator(2, [one(), a1_empty, one()]))
+    # stored terms beyond the first gap leave the leading term uncertified:
+    # the floor rules apply to the gap, as without those terms
+    for island, bare in ((hs({5: 1}, mask=[(0, 1), (4, 6)]), hs({}, mask=[(0, 1)])),
+                         (forget(hs([(3, 1)]), 1, 2), forget(zero(), 1, POS))):
+        L, M = (MahlerOperator(2, [one(), a1, one()]) for a1 in (island, bare))
+        assert newton_polygon(L) == newton_polygon(M) == ((0, Fraction(1), Fraction(0)),
+                                                          (2, Fraction(4), Fraction(0)))
+        assert analyze(L).charpolys == analyze(M).charpolys == (Poly((1, 0, 1)),)
+    island = hs({5: 1}, mask=[(-3, -2), (4, 6)])
+    with pytest.raises(InsufficientPrecision, match="^coefficient 1 might dip below the "
+                       "certified polygon: its mask has its first gap at -2; raise the "
+                       "precision$"):
+        newton_polygon(MahlerOperator(2, [one(), island, one()]))
 
 
 def test_char_poly_canonical_form():
@@ -287,8 +304,8 @@ def test_composition_with_first_order_factor():
         chi_of = dict(zip([m for m, _ in nd.slopes], nd.charpolys))
         for (m, _), chig in zip(comp.slopes, comp.charpolys):
             if m == 0:
-                base = chi_of.get(Fraction(0), Poly.const(1))
-                assert canon(chig) == canon(base * Poly((-c, 1)))
+                base = chi_of.get(Fraction(0), QPoly((1,)))
+                assert canon(chig) == canon(base * QPoly((-c, 1)))
             else:
                 assert canon(chig) == canon(chi_of[m * p])
 

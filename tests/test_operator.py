@@ -4,12 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (apply_brute, eq_on_mask, gauge_exp, gauge_exp_param, gauge_theta, gauge_unit,
-                      lam, rand_operator, rand_series, support)
+from conftest import (QLam, apply_brute, eq_on_mask, gauge_exp, gauge_exp_param, gauge_theta,
+                      gauge_unit, lam, phi_minus, rand_operator, rand_series, support)
 from mahler.errors import ZeroDivisor
-from mahler.fields import RatFun
 from mahler.hahn import hs, monomial, one, zero
-from mahler.operator import MahlerOperator, phi_minus
+from mahler.operator import MahlerOperator
 from mahler.testing import rand_tangent_unit
 
 
@@ -139,7 +138,7 @@ def test_gauge_exp_scales_and_inverts():
 def test_gauge_exp_param_lifts_with_lambda_powers():
     L = MahlerOperator(2, [monomial(0, 2), monomial(0, 3), monomial(0, 5)])
     G = gauge_exp_param(L)
-    assert G.coeffs[0].terms[0][1] == RatFun.const(2)
+    assert G.coeffs[0].terms[0][1] == QLam(2)
     assert G.coeffs[1].terms[0][1] == 3 * lam
     assert G.coeffs[2].terms[0][1] == 5 * lam ** 2
 
